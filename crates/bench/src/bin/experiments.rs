@@ -29,20 +29,13 @@ fn main() {
         "guarantees",
         "ablations",
         "power",
-        "bench",
         "all",
     ];
     if !known.contains(&what) {
         eprintln!("unknown experiment `{what}`; one of: {}", known.join(", "));
         std::process::exit(2);
     }
-    // `bench` measures wall time, so it only runs when asked for by name —
-    // never as part of `all`, where the preceding experiments would skew it.
-    let run = |name: &str| (what == "all" && name != "bench") || what == name;
-
-    if run("bench") {
-        bench();
-    }
+    let run = |name: &str| what == "all" || what == name;
 
     if run("table1") {
         table1();
@@ -65,8 +58,8 @@ fn main() {
     if run("evict") {
         evict();
     }
-    // The knee sweep runs every grid size for every workload, so (like
-    // `bench`) it only runs when asked for by name.
+    // The knee sweep runs every grid size for every workload, so it only
+    // runs when asked for by name.
     if what == "knee" {
         knee();
     }
@@ -77,9 +70,9 @@ fn main() {
         link();
     }
     if run("fanin") {
-        // The 1k-client scaling sweep measures wall time, so (like
-        // `bench`) it only runs when `fanin` is asked for by name; under
-        // `all` only the deterministic sweep half runs.
+        // The 1k-client scaling sweep measures wall time, so it only runs
+        // when `fanin` is asked for by name; under `all` only the
+        // deterministic sweep half runs.
         fanin(what == "fanin");
     }
     if run("faults") {
@@ -100,153 +93,6 @@ fn main() {
     if run("power") {
         power();
     }
-}
-
-fn bench() {
-    header("Interpreter throughput — superblock micro-op engine vs reference paths");
-    let b = exp::bench_interp(2048);
-    println!(
-        "workload: {} (outputs and cycle counts verified identical)\n",
-        b.workload
-    );
-    let mut t = vec![vec![
-        "config".to_string(),
-        "instructions".to_string(),
-        "wall s".to_string(),
-        "sim MIPS".to_string(),
-    ]];
-    for r in &b.rows {
-        t.push(vec![
-            r.config.to_string(),
-            r.instructions.to_string(),
-            format!("{:.3}", r.wall_seconds),
-            format!("{:.1}", r.mips),
-        ]);
-    }
-    print!("{}", render::table(&t));
-    println!("\nfast path over slow path: {:.2}x", b.fast_over_slow);
-    println!(
-        "superblock engine over per-inst fast path: {:.2}x",
-        b.superblock_over_fast
-    );
-    println!(
-        "chained traces over unchained superblocks: {:.2}x",
-        b.chained_over_unchained
-    );
-    println!(
-        "indirect inline caches + RAS over static-only chaining: {:.2}x",
-        b.ic_over_chained
-    );
-    println!(
-        "ret chain breaks: {} -> {} ({:.1}% eliminated); ic hits {}, ras hits {}",
-        b.trace_ic_off.breaks.ret,
-        b.trace_ic_on.breaks.ret,
-        b.ret_break_reduction * 100.0,
-        b.trace_ic_on.ic_hits,
-        b.trace_ic_on.ras_hits,
-    );
-    println!(
-        "threaded tier over match-dispatch chained engine: {:.2}x (native), {:.2}x (softcache)",
-        b.threaded_over_chained, b.threaded_soft_over_steady
-    );
-    println!(
-        "threaded-tier population: {} insts threaded, {} superblock, {} per-inst; {} promotions, {} demotions",
-        b.trace_threaded.tier_threaded_insts,
-        b.trace_threaded.tier_super_insts,
-        b.trace_threaded.tier_interp_insts,
-        b.trace_threaded.promotions,
-        b.trace_threaded.demotions,
-    );
-
-    fn trace_json(t: &softcache_sim::TraceStats) -> String {
-        format!(
-            "{{\"entries\": {}, \"chained\": {}, \"code_write_exits\": {}, \"fault_exits\": {}, \
-             \"ic_hits\": {}, \"ic_fills\": {}, \"ras_hits\": {}, \"ras_mispredicts\": {}, \
-             \"ras_underflows\": {}, \"ras_pushes\": {}, \"ras_overflows\": {}, \
-             \"tier_interp_insts\": {}, \"tier_super_insts\": {}, \"tier_threaded_insts\": {}, \
-             \"promotions\": {}, \"demotions\": {}, \
-             \"breaks\": {{\"fallthrough\": {}, \"branch\": {}, \"jump\": {}, \"call\": {}, \
-             \"jumpreg\": {}, \"callreg\": {}, \"ret\": {}}}}}",
-            t.entries,
-            t.chained,
-            t.code_write_exits,
-            t.fault_exits,
-            t.ic_hits,
-            t.ic_fills,
-            t.ras_hits,
-            t.ras_mispredicts,
-            t.ras_underflows,
-            t.ras_pushes,
-            t.ras_overflows,
-            t.tier_interp_insts,
-            t.tier_super_insts,
-            t.tier_threaded_insts,
-            t.promotions,
-            t.demotions,
-            t.breaks.fallthrough,
-            t.breaks.branch,
-            t.breaks.jump,
-            t.breaks.call,
-            t.breaks.jumpreg,
-            t.breaks.callreg,
-            t.breaks.ret,
-        )
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"workload\": \"{}\",\n", b.workload));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in b.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"config\": \"{}\", \"instructions\": {}, \"wall_seconds\": {:.6}, \"mips\": {:.3}}}{}\n",
-            r.config,
-            r.instructions,
-            r.wall_seconds,
-            r.mips,
-            if i + 1 == b.rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"fast_over_slow\": {:.3},\n", b.fast_over_slow));
-    json.push_str(&format!(
-        "  \"superblock_over_fast\": {:.3},\n",
-        b.superblock_over_fast
-    ));
-    json.push_str(&format!(
-        "  \"chained_over_unchained\": {:.3},\n",
-        b.chained_over_unchained
-    ));
-    json.push_str(&format!(
-        "  \"ic_over_chained\": {:.3},\n",
-        b.ic_over_chained
-    ));
-    json.push_str(&format!(
-        "  \"ret_break_reduction\": {:.4},\n",
-        b.ret_break_reduction
-    ));
-    json.push_str(&format!(
-        "  \"threaded_over_chained\": {:.3},\n",
-        b.threaded_over_chained
-    ));
-    json.push_str(&format!(
-        "  \"threaded_soft_over_steady\": {:.3},\n",
-        b.threaded_soft_over_steady
-    ));
-    json.push_str(&format!(
-        "  \"trace_ic_off\": {},\n",
-        trace_json(&b.trace_ic_off)
-    ));
-    json.push_str(&format!(
-        "  \"trace_ic_on\": {},\n",
-        trace_json(&b.trace_ic_on)
-    ));
-    json.push_str(&format!(
-        "  \"trace_threaded\": {}\n",
-        trace_json(&b.trace_threaded)
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_interp.json", &json).expect("write BENCH_interp.json");
-    println!("wrote BENCH_interp.json");
 }
 
 fn header(title: &str) {

@@ -17,7 +17,7 @@ use softcache_hwcache::{tags, SetAssocCache};
 use softcache_isa::Image;
 use softcache_minic as minic;
 use softcache_net::LinkModel;
-use softcache_sim::{Machine, Profiler, Step, TraceStats};
+use softcache_sim::{Machine, Profiler};
 use softcache_workloads::{by_name, with_coldlib, Workload};
 use std::collections::HashSet;
 
@@ -28,10 +28,6 @@ use std::collections::HashSet;
 /// panic propagates at scope exit, so the in-worker shape assertions keep
 /// their teeth.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    // Escape hatch for timing comparisons and single-threaded debugging.
-    if std::env::var_os("SOFTCACHE_SERIAL").is_some() {
-        return items.iter().map(f).collect();
-    }
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
@@ -1895,369 +1891,6 @@ pub fn ablation_write_policy() -> Vec<WritePolicyRow> {
     results.into_iter().map(|(row, _)| row).collect()
 }
 
-// ------------------------------------------------- interpreter throughput
-
-/// One configuration row of the interpreter-throughput benchmark.
-#[derive(Clone, Debug)]
-pub struct InterpRow {
-    /// Configuration label.
-    pub config: &'static str,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Wall-clock seconds for the whole run.
-    pub wall_seconds: f64,
-    /// Simulated millions of instructions per second.
-    pub mips: f64,
-}
-
-/// Result of [`bench_interp`]: host-side interpreter throughput, with the
-/// predecoded fast path checked bit-identical against the slow path.
-#[derive(Clone, Debug)]
-pub struct InterpBench {
-    /// Workload measured.
-    pub workload: &'static str,
-    /// slow / per-inst fast / superblock unchained / superblock chained
-    /// (static links only) / superblock chained + indirect ICs + RAS /
-    /// native threaded tier / softcache chaining-off / softcache chained
-    /// with IC+RAS off / softcache IC on RAS off / softcache steady /
-    /// softcache threaded-tier rows, in order.
-    pub rows: Vec<InterpRow>,
-    /// Per-instruction fast-path speedup over the slow path (MIPS ratio).
-    pub fast_over_slow: f64,
-    /// Superblock-engine (unchained) speedup over the per-instruction
-    /// fast path.
-    pub superblock_over_fast: f64,
-    /// Chained-trace (static links only) speedup over the unchained
-    /// superblock engine.
-    pub chained_over_unchained: f64,
-    /// Softcache steady-state speedup of indirect inline caches + RAS
-    /// over static-only chaining (the gated headline ratio of the
-    /// indirect-IC work).
-    pub ic_over_chained: f64,
-    /// Trace telemetry of the softcache steady run with the indirect
-    /// predictors off (static chaining only): the "before" chain-break
-    /// profile.
-    pub trace_ic_off: TraceStats,
-    /// Trace telemetry of the softcache steady run with inline caches and
-    /// RAS on: the "after" profile.
-    pub trace_ic_on: TraceStats,
-    /// Fraction of `ret` chain breaks eliminated by the IC + RAS
-    /// (deterministic — counters, not wall time).
-    pub ret_break_reduction: f64,
-    /// Native threaded-tier speedup over the match-dispatch chained
-    /// engine with identical predictors (the headline ratio of the
-    /// threaded-code dispatch tier; in-process A/B, same workload).
-    pub threaded_over_chained: f64,
-    /// Softcache steady-state speedup of the threaded tier over the
-    /// match-dispatch steady state.
-    pub threaded_soft_over_steady: f64,
-    /// Trace telemetry of the softcache steady run with the threaded
-    /// tier on: tier population, promotion churn, and the chain-break
-    /// profile the tier runs against.
-    pub trace_threaded: TraceStats,
-}
-
-/// Measure simulated MIPS on compress95: the reference slow path
-/// ([`Machine::step_slow`], decode on every step), the per-instruction
-/// predecoded fast path (superblocks disabled), the superblock micro-op
-/// engine without and with chaining, the chained engine with indirect
-/// inline caches + RAS ([`Machine::run_native`] default), and the
-/// softcache steady state (ample tcache, free link) across chaining /
-/// indirect-IC / RAS configurations. Asserts cycles, instruction counts,
-/// and output are bit-identical across every configuration before
-/// reporting.
-pub fn bench_interp(scale: u32) -> InterpBench {
-    use std::time::Instant;
-    let w = by_name("compress95").expect("workload");
-    let image = w.image(true);
-    let input = (w.gen_input)(scale);
-
-    // Best-of-5 wall time per configuration: the runs are deterministic,
-    // so the minimum is the least scheduler-disturbed sample.
-    fn best_of<R>(mut f: impl FnMut() -> R) -> (R, f64) {
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..5 {
-            let t = Instant::now();
-            let r = f();
-            best = best.min(t.elapsed().as_secs_f64());
-            out = Some(r);
-        }
-        (out.expect("at least one rep"), best)
-    }
-
-    let (slow, slow_s) = best_of(|| {
-        let mut m = Machine::load_native(&image, &input);
-        loop {
-            match m.step_slow().expect("slow-path step") {
-                Step::Running => {}
-                Step::Exited(_) => break m,
-                Step::Trapped(trap) => panic!("unexpected trap {trap:?} in native run"),
-            }
-        }
-    });
-
-    let (fast, fast_s) = best_of(|| {
-        let mut m = Machine::load_native(&image, &input);
-        m.set_superblocks_enabled(false);
-        m.run_native(2_000_000_000).expect("fast-path run");
-        m
-    });
-
-    let (nolink, nolink_s) = best_of(|| {
-        let mut m = Machine::load_native(&image, &input);
-        m.set_chaining_enabled(false);
-        m.set_threaded_enabled(false);
-        m.run_native(2_000_000_000)
-            .expect("unchained superblock run");
-        m
-    });
-
-    let (sblk, sblk_s) = best_of(|| {
-        let mut m = Machine::load_native(&image, &input);
-        // Static links only: isolate chaining from the indirect predictors
-        // so the row keeps its historical meaning.
-        m.set_indirect_ic_enabled(false);
-        m.set_ras_depth(0);
-        m.set_threaded_enabled(false);
-        m.run_native(2_000_000_000).expect("superblock run");
-        m
-    });
-
-    let (icful, icful_s) = best_of(|| {
-        let mut m = Machine::load_native(&image, &input);
-        // Match dispatch with every predictor on: the row the threaded
-        // tier is measured against.
-        m.set_threaded_enabled(false);
-        m.run_native(2_000_000_000)
-            .expect("superblock run with indirect ICs");
-        m
-    });
-
-    let (thr, thr_s) = best_of(|| {
-        let mut m = Machine::load_native(&image, &input);
-        // Defaults: hotness-promoted threaded tier over the same chained
-        // + IC + RAS walk.
-        m.run_native(2_000_000_000).expect("threaded-tier run");
-        m
-    });
-
-    // The fast paths are optimisations, never a semantic change.
-    for (name, m) in [
-        ("per-inst fast path", &fast),
-        ("unchained superblock engine", &nolink),
-        ("chained superblock engine", &sblk),
-        ("chained engine with indirect ICs + RAS", &icful),
-        ("threaded dispatch tier", &thr),
-    ] {
-        assert_eq!(
-            m.stats.cycles, slow.stats.cycles,
-            "{name} diverged from reference cycle accounting"
-        );
-        assert_eq!(m.stats.instructions, slow.stats.instructions, "{name}");
-        assert_eq!(m.env.output, slow.env.output, "{name} changed output");
-    }
-
-    let cfg = IcacheConfig {
-        tcache_size: 256 * 1024,
-        link: LinkModel::free(),
-        // The four historical rows keep match dispatch; the threaded row
-        // below re-enables the tier.
-        threaded: false,
-        ..IcacheConfig::default()
-    };
-    let (out_nolink, soft_nolink_s) = best_of(|| {
-        let mut sys = SoftIcacheSystem::new(
-            image.clone(),
-            IcacheConfig {
-                chaining: false,
-                ..cfg
-            },
-        );
-        sys.run(&input).expect("softcache run (chaining off)")
-    });
-    let (out_noic, soft_noic_s) = best_of(|| {
-        let mut sys = SoftIcacheSystem::new(
-            image.clone(),
-            IcacheConfig {
-                indirect_ic: false,
-                ras_depth: 0,
-                ..cfg
-            },
-        );
-        sys.run(&input).expect("softcache run (indirect IC off)")
-    });
-    let (out_noras, soft_noras_s) = best_of(|| {
-        let mut sys = SoftIcacheSystem::new(
-            image.clone(),
-            IcacheConfig {
-                ras_depth: 0,
-                ..cfg
-            },
-        );
-        sys.run(&input).expect("softcache run (RAS off)")
-    });
-    let (out, soft_s) = best_of(|| {
-        let mut sys = SoftIcacheSystem::new(image.clone(), cfg);
-        sys.run(&input).expect("softcache run")
-    });
-    let (out_thr, soft_thr_s) = best_of(|| {
-        let mut sys = SoftIcacheSystem::new(
-            image.clone(),
-            IcacheConfig {
-                threaded: true,
-                ..cfg
-            },
-        );
-        sys.run(&input).expect("softcache run (threaded tier)")
-    });
-    assert_eq!(out.output, fast.env.output, "softcache changed output");
-    for (name, o) in [
-        ("chaining", &out_nolink),
-        ("indirect inline caches", &out_noic),
-        ("the return-address stack", &out_noras),
-        ("the threaded dispatch tier", &out_thr),
-    ] {
-        assert_eq!(out.exec, o.exec, "{name} changed simulated stats");
-        assert_eq!(out.cache, o.cache, "{name} changed cache stats");
-    }
-    // The predictors only ever add chain continuations, so every exit
-    // kind must still balance against trace entries on both profiles.
-    for t in [&out_noic.trace, &out.trace, &out_thr.trace] {
-        assert_eq!(
-            t.entries,
-            t.breaks.total() + t.code_write_exits + t.fault_exits,
-            "trace telemetry out of balance"
-        );
-    }
-    // Dispatch strategy must not change what the walk does, only how
-    // fast it runs: the threaded run's chain/predictor ledger is
-    // identical to the match-dispatch steady state, and its retired
-    // instructions land in the tiers, not alongside them.
-    assert_eq!(
-        out_thr.trace.entries, out.trace.entries,
-        "threaded tier changed trace entries"
-    );
-    assert_eq!(
-        out_thr.trace.chained, out.trace.chained,
-        "threaded tier changed chain count"
-    );
-    assert_eq!(
-        out_thr.trace.breaks, out.trace.breaks,
-        "threaded tier changed break profile"
-    );
-    assert_eq!(
-        out_thr.trace.ras_hits, out.trace.ras_hits,
-        "threaded tier changed RAS hits"
-    );
-    assert_eq!(
-        out_thr.trace.ic_hits, out.trace.ic_hits,
-        "threaded tier changed IC hits"
-    );
-    assert_eq!(
-        out_thr.trace.tier_interp_insts
-            + out_thr.trace.tier_super_insts
-            + out_thr.trace.tier_threaded_insts,
-        out.trace.tier_interp_insts + out.trace.tier_super_insts,
-        "tier tallies lost instructions"
-    );
-
-    let mips = |n: u64, s: f64| n as f64 / s.max(1e-9) / 1e6;
-    let rows = vec![
-        InterpRow {
-            config: "native slow path (per-step decode)",
-            instructions: slow.stats.instructions,
-            wall_seconds: slow_s,
-            mips: mips(slow.stats.instructions, slow_s),
-        },
-        InterpRow {
-            config: "native fast path (predecoded)",
-            instructions: fast.stats.instructions,
-            wall_seconds: fast_s,
-            mips: mips(fast.stats.instructions, fast_s),
-        },
-        InterpRow {
-            config: "native superblock engine (unchained)",
-            instructions: nolink.stats.instructions,
-            wall_seconds: nolink_s,
-            mips: mips(nolink.stats.instructions, nolink_s),
-        },
-        InterpRow {
-            config: "native superblock engine (chained traces)",
-            instructions: sblk.stats.instructions,
-            wall_seconds: sblk_s,
-            mips: mips(sblk.stats.instructions, sblk_s),
-        },
-        InterpRow {
-            config: "native superblock engine (chained + indirect ICs + RAS)",
-            instructions: icful.stats.instructions,
-            wall_seconds: icful_s,
-            mips: mips(icful.stats.instructions, icful_s),
-        },
-        InterpRow {
-            config: "native threaded dispatch tier (hot superblocks)",
-            instructions: thr.stats.instructions,
-            wall_seconds: thr_s,
-            mips: mips(thr.stats.instructions, thr_s),
-        },
-        InterpRow {
-            config: "softcache steady state (chaining off)",
-            instructions: out_nolink.exec.instructions,
-            wall_seconds: soft_nolink_s,
-            mips: mips(out_nolink.exec.instructions, soft_nolink_s),
-        },
-        InterpRow {
-            config: "softcache steady state (chained, indirect IC off)",
-            instructions: out_noic.exec.instructions,
-            wall_seconds: soft_noic_s,
-            mips: mips(out_noic.exec.instructions, soft_noic_s),
-        },
-        InterpRow {
-            config: "softcache steady state (IC on, RAS off)",
-            instructions: out_noras.exec.instructions,
-            wall_seconds: soft_noras_s,
-            mips: mips(out_noras.exec.instructions, soft_noras_s),
-        },
-        InterpRow {
-            config: "softcache steady state (ample tcache)",
-            instructions: out.exec.instructions,
-            wall_seconds: soft_s,
-            mips: mips(out.exec.instructions, soft_s),
-        },
-        InterpRow {
-            config: "softcache steady state (threaded dispatch tier)",
-            instructions: out_thr.exec.instructions,
-            wall_seconds: soft_thr_s,
-            mips: mips(out_thr.exec.instructions, soft_thr_s),
-        },
-    ];
-    let fast_over_slow = rows[1].mips / rows[0].mips;
-    let superblock_over_fast = rows[2].mips / rows[1].mips;
-    let chained_over_unchained = rows[3].mips / rows[2].mips;
-    let ic_over_chained = rows[9].mips / rows[7].mips;
-    let threaded_over_chained = rows[5].mips / rows[4].mips;
-    let threaded_soft_over_steady = rows[10].mips / rows[9].mips;
-    let ret_break_reduction = if out_noic.trace.breaks.ret == 0 {
-        0.0
-    } else {
-        1.0 - out.trace.breaks.ret as f64 / out_noic.trace.breaks.ret as f64
-    };
-    InterpBench {
-        workload: w.name,
-        rows,
-        fast_over_slow,
-        superblock_over_fast,
-        chained_over_unchained,
-        ic_over_chained,
-        trace_ic_off: out_noic.trace,
-        trace_ic_on: out.trace,
-        ret_break_reduction,
-        threaded_over_chained,
-        threaded_soft_over_steady,
-        trace_threaded: out_thr.trace,
-    }
-}
-
 /// Steady-state overhead measurement (the residual 19 %-style cost).
 pub fn ablation_steady_state(scale: u32) -> Vec<SteadyStateRow> {
     par_map(&["compress95", "adpcmenc", "gzip"], |name| {
@@ -2638,5 +2271,71 @@ mod tests {
                 r.name
             );
         }
+    }
+
+    #[test]
+    fn steady_state_dispatch_counters_meet_gates() {
+        // compress95 at scale 2048 (~74 M instructions) in an ample tcache
+        // over a free link: the steady state the dispatch tiers are built
+        // for. Every gate is a counter, so it is exact on any host.
+        let w = by_name("compress95").expect("workload");
+        let image = w.image(true);
+        let input = (w.gen_input)(2048);
+        let ample = IcacheConfig {
+            tcache_size: 256 * 1024,
+            link: LinkModel::free(),
+            ..IcacheConfig::default()
+        };
+        let run = |cfg| {
+            SoftIcacheSystem::new(image.clone(), cfg)
+                .run(&input)
+                .expect("softcache run")
+        };
+        let on = run(ample);
+        let ras_off = run(IcacheConfig {
+            ras_depth: 0,
+            ..ample
+        });
+        let off = run(IcacheConfig {
+            indirect_ic: false,
+            ras_depth: 0,
+            ..ample
+        });
+        assert_eq!(run(ample).trace, on.trace, "trace counters must replay");
+
+        // The predictors are host-side dispatch only, and every walk
+        // entry ends in exactly one break or exit.
+        for (tag, o) in [("IC on, RAS off", &ras_off), ("IC and RAS off", &off)] {
+            assert_eq!(o.exec, on.exec, "{tag} changed simulated stats");
+            assert_eq!(o.cache, on.cache, "{tag} changed cache stats");
+            assert_eq!(o.output, on.output, "{tag} changed output");
+        }
+        for t in [&on.trace, &ras_off.trace, &off.trace] {
+            assert_eq!(
+                t.entries,
+                t.breaks.total() + t.code_write_exits + t.fault_exits,
+                "trace entries out of balance with walk exits: {t:?}"
+            );
+        }
+
+        // IC + RAS eliminate (nearly) every `ret` chain break.
+        let reduction = 1.0 - on.trace.breaks.ret as f64 / off.trace.breaks.ret as f64;
+        assert!(
+            reduction >= 0.8,
+            "IC + RAS remove only {reduction:.4} of ret breaks ({} -> {})",
+            off.trace.breaks.ret,
+            on.trace.breaks.ret
+        );
+
+        // At the default threshold the threaded tier retires nearly all
+        // block instructions, and demotions never outnumber promotions.
+        let t = &on.trace;
+        let share = t.tier_threaded_insts as f64
+            / (t.tier_threaded_insts + t.tier_super_insts + t.tier_interp_insts) as f64;
+        assert!(
+            share >= 0.95,
+            "threaded tier retires only {share:.4}: {t:?}"
+        );
+        assert!(t.promotions >= t.demotions, "{t:?}");
     }
 }

@@ -8,8 +8,11 @@
 //! cargo run --release -p softcache-bench --bin experiments -- all
 //! ```
 //!
-//! Criterion benches in `benches/paper_benches.rs` sample the same
-//! experiment kernels for timing.
+//! The experiments report simulated quantities (cycles, misses, bytes),
+//! which are exact and host-independent; only the `fanin` scaling sweep
+//! adds host throughput. Host timing of the simulator itself lives in the
+//! separate `benchmark/` package, which reports paired medians with their
+//! noise bands.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

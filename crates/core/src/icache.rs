@@ -286,6 +286,7 @@ mod tests {
     use softcache_asm::assemble;
     use softcache_minic as minic;
     use softcache_net::thread_pair;
+    use softcache_sim::THREADED_NEVER;
     use std::time::Duration;
 
     fn run_asm(src: &str, cfg: IcacheConfig, input: &[u8]) -> RunOutput {
@@ -403,15 +404,11 @@ int main() {
         assert_eq!(out.output, native.env.output);
     }
 
-    #[test]
-    fn superblock_engine_is_bit_identical_at_system_level() {
-        // Same workload, same config, superblock micro-op engine on vs
-        // off: every simulated observable (exit code, output, exec stats,
-        // cache stats) must match bit for bit — the engine is host-side
-        // speed only. The tight tcache forces evictions/flushes so
-        // install-time eager predecode, backpatching and invalidation all
-        // fire.
-        let src = r#"
+    /// Recursive fib over a table: the workload of the system-level knob
+    /// tests below. Its 508 B of text fit the 48 KiB leg of
+    /// [`KNOB_TCACHE_SIZES`] and overflow the 256 B leg, and the recursion
+    /// keeps the RAS busy (including overflow past shallow depths).
+    const KNOB_SRC: &str = r#"
 int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
 int tab[32];
 int main() {
@@ -422,120 +419,93 @@ int main() {
     return s % 251;
 }
 "#;
-        for tcache_size in [2 * 1024, 48 * 1024] {
-            let on = run_minic(
-                src,
-                IcacheConfig {
-                    tcache_size,
-                    ..IcacheConfig::default()
-                },
-                &[],
+
+    /// Tight and ample tcache legs for the knob tests.
+    const KNOB_TCACHE_SIZES: [u32; 2] = [256, 48 * 1024];
+
+    /// Run [`KNOB_SRC`] under `cfg`. On the tight leg, assert the cache
+    /// churned, so every knob is compared across evictions, backpatch
+    /// storms and predictor resets.
+    fn run_knob(cfg: IcacheConfig) -> RunOutput {
+        let out = run_minic(KNOB_SRC, cfg, &[]);
+        if cfg.tcache_size == KNOB_TCACHE_SIZES[0] {
+            assert!(
+                out.cache.evictions + out.cache.flushes > 0,
+                "the tight leg must evict or flush: {:?}",
+                out.cache
             );
-            let off = run_minic(
-                src,
-                IcacheConfig {
-                    tcache_size,
-                    superblocks: false,
-                    ..IcacheConfig::default()
-                },
-                &[],
-            );
-            assert_eq!(on.exit_code, off.exit_code, "tcache={tcache_size}");
-            assert_eq!(on.output, off.output, "tcache={tcache_size}");
-            assert_eq!(on.exec, off.exec, "tcache={tcache_size}");
-            assert_eq!(on.cache, off.cache, "tcache={tcache_size}");
+        }
+        out
+    }
+
+    /// Default knobs at `tcache_size`: the side every knob variant is
+    /// compared against.
+    fn knob_default(tcache_size: u32) -> IcacheConfig {
+        IcacheConfig {
+            tcache_size,
+            ..IcacheConfig::default()
+        }
+    }
+
+    /// Assert every simulated observable of `other` equals `on`'s.
+    fn assert_same_simulation(on: &RunOutput, other: &RunOutput, tag: &str) {
+        assert_eq!(on.exit_code, other.exit_code, "{tag}");
+        assert_eq!(on.output, other.output, "{tag}");
+        assert_eq!(on.exec, other.exec, "{tag}");
+        assert_eq!(on.cache, other.cache, "{tag}");
+    }
+
+    #[test]
+    fn superblock_engine_is_bit_identical_at_system_level() {
+        // Superblock micro-op engine on vs off: every simulated observable
+        // must match bit for bit — the engine is host-side speed only. The
+        // tight leg makes install-time eager predecode, backpatching and
+        // invalidation all fire.
+        for tcache_size in KNOB_TCACHE_SIZES {
+            let base = knob_default(tcache_size);
+            let on = run_knob(base);
+            let off = run_knob(IcacheConfig {
+                superblocks: false,
+                ..base
+            });
+            assert_same_simulation(&on, &off, &format!("tcache={tcache_size}"));
         }
     }
 
     #[test]
     fn chaining_is_bit_identical_at_system_level() {
-        // Same workload, same config, superblock chaining on vs off:
-        // every simulated observable must match bit for bit — links are
-        // host-side speed only. The tight tcache forces evictions and
-        // backpatch storms, so links form at install time
-        // (`predecode_range` → `link_range`), sever on every generation
-        // bump, and re-form lazily mid-run.
-        let src = r#"
-int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
-int tab[32];
-int main() {
-    int i; int s;
-    s = 0;
-    for (i = 0; i < 32; i = i + 1) { tab[i] = fib(i % 12); s = s + tab[i]; }
-    for (i = 0; i < 32; i = i + 1) { puti(tab[i]); putc(' '); }
-    return s % 251;
-}
-"#;
-        for tcache_size in [2 * 1024, 48 * 1024] {
-            let on = run_minic(
-                src,
-                IcacheConfig {
-                    tcache_size,
-                    ..IcacheConfig::default()
-                },
-                &[],
-            );
-            let off = run_minic(
-                src,
-                IcacheConfig {
-                    tcache_size,
-                    chaining: false,
-                    ..IcacheConfig::default()
-                },
-                &[],
-            );
-            assert_eq!(on.exit_code, off.exit_code, "tcache={tcache_size}");
-            assert_eq!(on.output, off.output, "tcache={tcache_size}");
-            assert_eq!(on.exec, off.exec, "tcache={tcache_size}");
-            assert_eq!(on.cache, off.cache, "tcache={tcache_size}");
+        // Superblock chaining on vs off: links are host-side speed only.
+        // On the tight leg links form at install time (`predecode_range`
+        // → `link_range`), sever on every eviction, and re-form lazily
+        // mid-run.
+        for tcache_size in KNOB_TCACHE_SIZES {
+            let base = knob_default(tcache_size);
+            let on = run_knob(base);
+            let off = run_knob(IcacheConfig {
+                chaining: false,
+                ..base
+            });
+            assert_same_simulation(&on, &off, &format!("tcache={tcache_size}"));
         }
     }
 
     #[test]
     fn indirect_ic_and_ras_are_bit_identical_at_system_level() {
-        // Same workload, same config, sweeping the indirect-branch inline
-        // caches and RAS depth: every simulated observable must match bit
-        // for bit — both are host-side dispatch only. Recursive fib keeps
-        // the RAS busy (including overflow past shallow depths); the
-        // tight tcache adds flushes and backpatch storms, exercising the
-        // predictor-reset paths (`clear_ras` on flush/resync, generation
-        // severing of cached indirect targets).
-        let src = r#"
-int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
-int tab[32];
-int main() {
-    int i; int s;
-    s = 0;
-    for (i = 0; i < 32; i = i + 1) { tab[i] = fib(i % 12); s = s + tab[i]; }
-    for (i = 0; i < 32; i = i + 1) { puti(tab[i]); putc(' '); }
-    return s % 251;
-}
-"#;
-        for tcache_size in [2 * 1024, 48 * 1024] {
-            let on = run_minic(
-                src,
-                IcacheConfig {
-                    tcache_size,
-                    ..IcacheConfig::default()
-                },
-                &[],
-            );
+        // Sweeping the indirect-branch inline caches and RAS depth: both
+        // are host-side dispatch only. The tight leg exercises the
+        // predictor-reset paths (`clear_ras` on flush/resync, severing of
+        // cached indirect targets on eviction).
+        for tcache_size in KNOB_TCACHE_SIZES {
+            let base = knob_default(tcache_size);
+            let on = run_knob(base);
             for (indirect_ic, ras_depth) in [(false, 0), (true, 0), (false, 16), (true, 1)] {
-                let other = run_minic(
-                    src,
-                    IcacheConfig {
-                        tcache_size,
-                        indirect_ic,
-                        ras_depth,
-                        ..IcacheConfig::default()
-                    },
-                    &[],
-                );
+                let other = run_knob(IcacheConfig {
+                    indirect_ic,
+                    ras_depth,
+                    ..base
+                });
                 let tag = format!("tcache={tcache_size} ic={indirect_ic} ras={ras_depth}");
-                assert_eq!(on.exit_code, other.exit_code, "{tag}");
-                assert_eq!(on.output, other.output, "{tag}");
-                assert_eq!(on.exec, other.exec, "{tag}");
-                assert_eq!(on.cache, other.cache, "{tag}");
+                assert_same_simulation(&on, &other, &tag);
             }
             // The telemetry (outside the bit-identity contract) shows the
             // predictors actually fired.
@@ -545,6 +515,55 @@ int main() {
                 on.trace.breaks.total() + on.trace.code_write_exits + on.trace.fault_exits,
                 "walk entries balance walk exits"
             );
+        }
+    }
+
+    #[test]
+    fn threaded_tier_is_bit_identical_at_system_level() {
+        // Threaded dispatch off, promoted at lowering, and never promoted
+        // vs the default threshold: dispatch strategy changes how traces
+        // execute, never what they do. Beyond the simulated observables,
+        // the walk's trace ledger must match too, and the retired block
+        // instructions move between tiers without getting lost.
+        for tcache_size in KNOB_TCACHE_SIZES {
+            let base = knob_default(tcache_size);
+            let on = run_knob(base);
+            assert!(on.trace.tier_threaded_insts > 0, "tcache={tcache_size}");
+            for cfg in [
+                IcacheConfig {
+                    threaded: false,
+                    ..base
+                },
+                IcacheConfig {
+                    threaded_threshold: 0,
+                    ..base
+                },
+                IcacheConfig {
+                    threaded_threshold: THREADED_NEVER,
+                    ..base
+                },
+            ] {
+                let other = run_knob(cfg);
+                let tag = format!(
+                    "tcache={tcache_size} threaded={} thr={}",
+                    cfg.threaded, cfg.threaded_threshold
+                );
+                assert_same_simulation(&on, &other, &tag);
+                let (a, b) = (&on.trace, &other.trace);
+                assert_eq!(a.entries, b.entries, "{tag}: trace entries");
+                assert_eq!(a.chained, b.chained, "{tag}: chained");
+                assert_eq!(a.breaks, b.breaks, "{tag}: breaks");
+                assert_eq!(a.ras_hits, b.ras_hits, "{tag}: RAS hits");
+                assert_eq!(a.ic_hits, b.ic_hits, "{tag}: IC hits");
+                assert_eq!(
+                    a.tier_interp_insts + a.tier_super_insts + a.tier_threaded_insts,
+                    b.tier_interp_insts + b.tier_super_insts + b.tier_threaded_insts,
+                    "{tag}: tier tallies lost instructions"
+                );
+                if !cfg.threaded {
+                    assert_eq!(b.tier_threaded_insts, 0, "{tag}");
+                }
+            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! Cross-crate integration: every workload must produce byte-identical
-//! output on (a) the AST interpreter, (b) the native simulator, (c) the
-//! software instruction cache, (d) the full software cache (instructions +
-//! data + stack), and — for ARM-compatible workloads — (e) the
-//! procedure-granularity cache with eviction.
+//! output on (a) the AST interpreter, (b) the native simulator — on the
+//! per-step slow path and on every fast dispatch configuration, which must
+//! also retire identical `ExecStats` — (c) the software instruction cache,
+//! (d) the full software cache (instructions + data + stack), and — for
+//! ARM-compatible workloads — (e) the procedure-granularity cache with
+//! eviction.
 
 use softcache::core::datarun::FullSoftCacheSystem;
 use softcache::core::dcache::DcacheConfig;
@@ -10,7 +12,7 @@ use softcache::core::icache::SoftIcacheSystem;
 use softcache::core::proc::{ProcCacheSystem, ProcConfig};
 use softcache::core::scache::ScacheConfig;
 use softcache::core::IcacheConfig;
-use softcache::sim::Machine;
+use softcache::sim::{Machine, Step};
 use softcache::workloads::{all, Workload};
 
 fn scale_for(w: &Workload) -> u32 {
@@ -25,14 +27,50 @@ fn check_all_engines(w: &Workload) {
     let input = (w.gen_input)(scale_for(w));
     let (want_code, want_out) = w.expected(&input, 2_000_000_000);
 
-    // Native.
+    // Native, on the slow path (decode on every step): the oracle every
+    // fast dispatch configuration below must reproduce exactly.
     let image = w.image(true);
-    let mut native = Machine::load_native(&image, &input);
-    let code = native
-        .run_native(500_000_000)
-        .unwrap_or_else(|e| panic!("{} native: {e}", w.name));
-    assert_eq!(code, want_code, "{} native exit", w.name);
-    assert_eq!(native.env.output, want_out, "{} native output", w.name);
+    let mut slow = Machine::load_native(&image, &input);
+    let code = loop {
+        match slow.step_slow() {
+            Ok(Step::Running) => {}
+            Ok(Step::Exited(code)) => break code,
+            Ok(Step::Trapped(trap)) => panic!("{} slow path: unexpected {trap:?}", w.name),
+            Err(e) => panic!("{} slow path: {e}", w.name),
+        }
+    };
+    assert_eq!(code, want_code, "{} slow-path exit", w.name);
+    assert_eq!(slow.env.output, want_out, "{} slow-path output", w.name);
+
+    type Configure = fn(&mut Machine);
+    let dispatch: [(&str, Configure); 5] = [
+        ("superblocks off", |m| m.set_superblocks_enabled(false)),
+        ("chaining and threaded off", |m| {
+            m.set_chaining_enabled(false);
+            m.set_threaded_enabled(false);
+        }),
+        ("IC off, RAS 0, threaded off", |m| {
+            m.set_indirect_ic_enabled(false);
+            m.set_ras_depth(0);
+            m.set_threaded_enabled(false);
+        }),
+        ("threaded off", |m| m.set_threaded_enabled(false)),
+        ("defaults", |_| {}),
+    ];
+    for (tag, configure) in dispatch {
+        let mut native = Machine::load_native(&image, &input);
+        configure(&mut native);
+        let code = native
+            .run_native(500_000_000)
+            .unwrap_or_else(|e| panic!("{} native ({tag}): {e}", w.name));
+        assert_eq!(code, want_code, "{} native ({tag}) exit", w.name);
+        assert_eq!(
+            native.env.output, want_out,
+            "{} native ({tag}) output",
+            w.name
+        );
+        assert_eq!(native.stats, slow.stats, "{} native ({tag}) stats", w.name);
+    }
 
     // Software I-cache (ample).
     let mut icache = SoftIcacheSystem::new(image.clone(), IcacheConfig::default());
