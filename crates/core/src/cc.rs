@@ -833,11 +833,11 @@ impl Cc {
         if self.pinned_origs.contains(&chunk.orig_start) {
             machine.pin_slow_span(dest, dest + n_words * 4);
         }
-        // The chunk body and its miss stubs are final: predecode the whole
-        // range eagerly (instruction slots + superblocks + chunk-internal
-        // successor links), so the first pass through freshly installed
-        // code already runs the fast path as one chained trace. A no-op
-        // when the superblock engine is off.
+        // The chunk body and its miss stubs are final: predecode the range
+        // eagerly at block starts (superblocks, their instruction slots and
+        // the links between them), so the first pass through freshly
+        // installed code already runs the fast path as one chained trace.
+        // A no-op when the superblock engine is off.
         machine.predecode_range(dest, dest + n_words * 4);
         // Seal the finished span — body plus stub words, read back from
         // simulated memory so the seal covers exactly what will execute.

@@ -782,8 +782,10 @@ impl ProcCc {
         // The procedure body and its rewired call sites are final. A
         // watchdog-pinned procedure is barred from superblock lowering
         // BEFORE predecode so no uops form for it; everything else gets
-        // predecoded at chunk granularity, pre-linking procedure-internal
-        // superblock successors so the first call runs chained.
+        // predecoded at block starts from its entry, pre-linking the
+        // straight-line successors among them so the first call runs
+        // chained. Blocks at internal branch targets lower lazily on
+        // first entry.
         if self.pinned_origs.contains(&chunk.orig_start) {
             machine.pin_slow_span(tc_start, tc_start + bytes);
         }

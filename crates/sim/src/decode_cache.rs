@@ -11,10 +11,11 @@
 //! backpatches branch words and miss stubs at runtime, so [`Memory`] keeps
 //! a generation counter and dirty span over its watched code ranges (see
 //! [`Memory::set_code_watch`]). [`DecodeCache::sync`] compares generations
-//! and drops exactly the pages overlapping the dirty span — a stale decode
-//! can therefore never execute. PCs outside the watched ranges are decoded
-//! on every fetch (never memoised), so narrowing the watch can only cost
-//! speed, never correctness.
+//! and clears exactly the slots of the words the dirty span overlaps — a
+//! stale decode can therefore never execute, and a one-word backpatch
+//! costs one slot, not the page around it. PCs outside the watched ranges
+//! are decoded on every fetch (never memoised), so narrowing the watch can
+//! only cost speed, never correctness.
 
 use crate::cost::CostModel;
 use crate::cpu::SimError;
@@ -76,7 +77,7 @@ impl DecodeCache {
 
     /// Bring the cache up to date with `mem`'s code generation and the
     /// current cost model. Cheap when nothing changed (two compares); on a
-    /// code write, drops only the pages overlapping the dirty span.
+    /// code write, clears only the slots of the words it wrote.
     #[inline]
     pub fn sync(&mut self, mem: &mut Memory, cost: &CostModel) {
         if self.cost != *cost {
@@ -130,17 +131,33 @@ impl DecodeCache {
         self.flush();
     }
 
+    /// Clear the slot of every word overlapping the byte span `[lo, hi)`.
+    /// Pages stay allocated.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
-        let first = (lo >> 2) as usize >> PAGE_SHIFT;
-        let last = ((hi.saturating_add(3) >> 2) as usize) >> PAGE_SHIFT;
-        for page in self
-            .pages
-            .iter_mut()
-            .skip(first)
-            .take(last.saturating_sub(first) + 1)
-        {
-            *page = None;
+        let mut idx = (lo >> 2) as usize;
+        let end = ((u64::from(hi) + 3) >> 2) as usize;
+        while idx < end {
+            let page_no = idx >> PAGE_SHIFT;
+            let Some(page) = self.pages.get_mut(page_no) else {
+                break;
+            };
+            let base = page_no << PAGE_SHIFT;
+            let stop = end.min(base + PAGE_SLOTS);
+            if let Some(slots) = page {
+                slots[idx - base..stop - base].fill(EMPTY_SLOT);
+            }
+            idx = stop;
         }
+    }
+
+    /// Is the decode of `pc` memoised?
+    #[cfg(test)]
+    pub(crate) fn is_cached(&self, pc: u32) -> bool {
+        let idx = (pc >> 2) as usize;
+        matches!(
+            self.pages.get(idx >> PAGE_SHIFT),
+            Some(Some(page)) if page[idx & (PAGE_SLOTS - 1)].cost != EMPTY
+        )
     }
 
     /// Fetch the decoded instruction and cycle-cost pair at `pc`. Must be
@@ -227,6 +244,32 @@ mod tests {
         dc.sync(&mut mem, &CostModel::default());
         let (i2, _, _) = dc.fetch(0, &mem).unwrap();
         assert!(matches!(i2, Inst::AluImm { imm: 7, .. }));
+    }
+
+    #[test]
+    fn invalidation_clears_only_written_words() {
+        let cost = CostModel::default();
+        let mut mem = Memory::new(8192);
+        for i in 0..4 {
+            mem.write_u32(i * 4, addi(i as i32)).unwrap();
+        }
+        let mut dc = DecodeCache::new(cost);
+        dc.sync(&mut mem, &cost);
+        for i in 0..4 {
+            dc.fetch(i * 4, &mem).unwrap();
+        }
+        mem.store(9, softcache_isa::inst::MemWidth::B, 0).unwrap();
+        dc.sync(&mut mem, &cost);
+        let cached: Vec<bool> = (0..4).map(|i| dc.is_cached(i * 4)).collect();
+        assert_eq!(
+            cached,
+            [true, true, false, true],
+            "a byte write clears its word"
+        );
+        // A watch change dirties all of memory.
+        mem.set_code_watch([(0, u32::MAX), (0, 0)]);
+        dc.sync(&mut mem, &cost);
+        assert!(!dc.is_cached(0) && !dc.is_cached(12));
     }
 
     #[test]

@@ -579,6 +579,7 @@ impl Machine {
     /// only — architectural results are bit-identical, just slower.
     pub fn pin_slow_span(&mut self, lo: u32, hi: u32) {
         self.uops.pin_span(lo, hi);
+        self.trace.demotions += self.uops.take_threaded_drops();
     }
 
     /// Remove slow-path pins lying entirely within `[lo, hi)` (the pinned
@@ -592,40 +593,41 @@ impl Machine {
         self.uops.clear_pins();
     }
 
-    /// Drop every cached decode slot and superblock covering `[lo, hi)`
-    /// *without* a code-write generation bump. The cache controller calls
-    /// this when it evicts a single chunk: the span's addresses are about
-    /// to be recycled, so its host-side lowerings are garbage, but the
-    /// rest of the tcache is untouched and survivors keep their slots.
-    /// Any write into the span later (a fresh install) still goes through
-    /// the ordinary code-write barrier, so this is hygiene — reclaiming
-    /// dead lowering state eagerly and keeping the demotion ledger exact —
-    /// not a correctness requirement. Host-side only: simulated results
-    /// are bit-identical with or without the call.
+    /// Drop the cached decode slots and superblocks that depend on a word
+    /// in `[lo, hi)` *without* a code-write generation bump. The cache
+    /// controller calls this when it evicts a single chunk: the span's
+    /// addresses are about to be recycled, so its host-side lowerings are
+    /// garbage, but the rest of the tcache is untouched and survivors keep
+    /// their slots, arena ids and threaded bodies. A dropped block's id is
+    /// not reused before the generation moves on, so links and RAS entries
+    /// into it stay safe to follow until the next write into the span —
+    /// a fresh install — severs them through the ordinary barrier. This
+    /// is hygiene — reclaiming dead lowering state eagerly and keeping the
+    /// demotion ledger exact — not a correctness requirement. Host-side
+    /// only: simulated results are bit-identical with or without the call.
     pub fn invalidate_code_span(&mut self, lo: u32, hi: u32) {
         // Consume any pending dirty span first so this invalidation cannot
         // race the barrier's own bookkeeping.
         self.sync_caches();
-        let hi = hi.max(lo).saturating_sub(1);
         self.decode.invalidate_span(lo, hi);
         self.uops.invalidate_span(lo, hi);
         self.trace.demotions += self.uops.take_threaded_drops();
-        // Dropped blocks may free the whole arena (ids recycled without a
-        // generation bump), so predictions carrying arena ids must die.
-        self.ras.clear();
     }
 
-    /// Eagerly predecode `[lo, hi)`: fill instruction slots, lower
-    /// superblocks for every word in the range, and pre-link every static
-    /// terminator leg whose successor is already lowered. The cache
-    /// controller calls this after installing or backpatching a chunk — it
-    /// knows the chunk boundaries, so translation-cache code is lowered
-    /// (and chunk-internal successors chained) once at install time
-    /// instead of lazily on first execution. Purely an optimisation: lazy
-    /// fill behind the generation barrier gives identical results. With
-    /// the superblock engine off this is a no-op — eager work on installed
-    /// words that may never execute is pure waste there, while the
-    /// per-instruction path fills its decode slots lazily at the same cost.
+    /// Eagerly predecode `[lo, hi)` at block starts: lower the superblock
+    /// at `lo`, then the next at each lowered block's `exit_pc`, stepping
+    /// one word over words not worth lowering, and pre-link every static
+    /// terminator leg whose successor is already lowered. Each installed
+    /// word is decoded once. The cache controller calls this after
+    /// installing or backpatching a chunk — it knows the chunk boundaries,
+    /// so its straight-line path is lowered (and chained) once at install
+    /// time instead of lazily on first execution; blocks entered
+    /// mid-chunk (branch targets) still lower lazily on first entry.
+    /// Purely an optimisation: lazy fill behind the generation barrier
+    /// gives identical results. With the superblock engine off this is a
+    /// no-op — eager work on installed words that may never execute is
+    /// pure waste there, while the per-instruction path fills its decode
+    /// slots lazily at the same cost.
     pub fn predecode_range(&mut self, lo: u32, hi: u32) {
         if !self.superblocks {
             return;
@@ -634,24 +636,32 @@ impl Machine {
         let lo = lo & !3;
         let mut pc = lo;
         while pc < hi {
-            let _ = self.decode.fetch(pc, &self.mem);
-            if self.uops.is_unknown(pc) {
-                let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
-                let id = self.uops.insert(pc, sb);
-                if let Some(id) = id {
-                    // Threshold 0 = "always threaded": bind handlers at
-                    // predecode time too, so eager and lazy lowering
-                    // produce the same tier.
-                    if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
-                        self.trace.promotions += 1;
-                    }
-                }
-            }
-            pc = pc.wrapping_add(INST_BYTES);
+            let id = match self.uops.lookup(pc) {
+                uop::Lookup::Id(id) => Some(id),
+                uop::Lookup::NotWorth => None,
+                uop::Lookup::Unknown => self.lower_at(pc),
+            };
+            pc = match id {
+                Some(id) => self.uops.block(id).exit_pc(),
+                None => pc.wrapping_add(INST_BYTES),
+            };
         }
         if self.chaining {
             self.uops.link_range(lo, hi);
         }
+    }
+
+    /// Lower the superblock starting at `pc` and record the verdict,
+    /// returning the new block's arena id. Threshold 0 means "always
+    /// threaded": handlers are bound at lowering time, whether eager or
+    /// lazy.
+    fn lower_at(&mut self, pc: u32) -> Option<u32> {
+        let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
+        let id = self.uops.insert(pc, sb)?;
+        if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
+            self.trace.promotions += 1;
+        }
+        Some(id)
     }
 
     /// Generic tail of a fast-path step for the variants the fused
@@ -707,21 +717,7 @@ impl Machine {
                     let hit = match self.uops.lookup(pc) {
                         uop::Lookup::Id(id) => Some(id),
                         uop::Lookup::NotWorth => None,
-                        uop::Lookup::Unknown => {
-                            let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
-                            let id = self.uops.insert(pc, sb);
-                            if let Some(id) = id {
-                                // Threshold 0 means "always threaded":
-                                // bind handlers at lowering time.
-                                if self.threaded
-                                    && self.threaded_threshold == 0
-                                    && self.uops.thread(id)
-                                {
-                                    self.trace.promotions += 1;
-                                }
-                            }
-                            id
-                        }
+                        uop::Lookup::Unknown => self.lower_at(pc),
                     };
                     let mut ran = false;
                     let mut resync = false;
@@ -1388,5 +1384,85 @@ _start: li s0, 200
         let m = Machine::load_native(&img, &[]);
         assert_eq!(m.cpu.get(Reg::SP) as u32, STACK_TOP);
         assert_eq!(m.cpu.get(Reg::FP) as u32, FP_SENTINEL);
+    }
+
+    fn addi(rd: Reg, imm: i32) -> u32 {
+        softcache_isa::encode(Inst::AluImm {
+            op: softcache_isa::inst::AluOp::Add,
+            rd,
+            rs1: rd,
+            imm,
+        })
+    }
+
+    #[test]
+    fn code_write_drops_only_the_blocks_that_depend_on_it() {
+        // Two threaded blocks in one tcache page: A = two ALU words and a
+        // jump to B; B = two ALU words up to a halt.
+        let base = TCACHE_BASE;
+        let words = [
+            addi(Reg::T0, 1),
+            addi(Reg::T0, 2),
+            softcache_isa::encode(Inst::J { off: 0 }),
+            addi(Reg::T1, 1),
+            addi(Reg::T1, 2),
+            softcache_isa::encode(Inst::Halt),
+        ];
+        let mut m = Machine::blank(&[]);
+        m.set_threaded_threshold(0);
+        m.mem.write_words(base, &words).unwrap();
+        m.predecode_range(base, base + 24);
+        let a = m.uops.id_at(base).expect("block A lowered");
+        let b = m.uops.id_at(base + 12).expect("block B lowered");
+        assert!(m.uops.block(a).is_threaded() && m.uops.block(b).is_threaded());
+        let demotions = m.trace.demotions;
+
+        m.mem.write_u32(base + 16, addi(Reg::T1, 5)).unwrap();
+        m.sync_code_caches();
+        assert_eq!(m.uops.id_at(base), Some(a), "A keeps its arena id");
+        assert!(m.uops.block(a).is_threaded(), "A keeps its threaded body");
+        assert!(
+            (0..3).all(|i| m.decode.is_cached(base + 4 * i)),
+            "A's decodes kept"
+        );
+        assert_eq!(m.uops.lookup(base + 12), uop::Lookup::Unknown, "B dropped");
+        assert!(
+            !m.decode.is_cached(base + 16),
+            "the written word's decode dropped"
+        );
+        assert_eq!(m.trace.demotions, demotions + 1, "exactly B demoted");
+    }
+
+    #[test]
+    fn predecode_lowers_at_block_starts_only() {
+        // A chunk: 8 ALU words, a branch back to its start, 3 miss stubs.
+        let base = TCACHE_BASE;
+        let mut words: Vec<u32> = (0..8).map(|i| addi(Reg::T0, i)).collect();
+        words.push(softcache_isa::encode(Inst::Branch {
+            cond: softcache_isa::inst::BranchCond::Ne,
+            rs1: Reg::T0,
+            rs2: Reg::ZERO,
+            off: -9,
+        }));
+        words.extend((0..3).map(|idx| softcache_isa::encode(Inst::Miss { idx })));
+        let mut m = Machine::blank(&[]);
+        m.mem.write_words(base, &words).unwrap();
+        m.predecode_range(base, base + 4 * words.len() as u32);
+        let id = m.uops.id_at(base).expect("one block at the chunk start");
+        assert_eq!(m.uops.block(id).len, 9);
+        for k in 1..=8 {
+            let pc = base + 4 * k;
+            assert_eq!(m.uops.lookup(pc), uop::Lookup::Unknown, "mid-body word {k}");
+        }
+        for k in 9..12 {
+            let pc = base + 4 * k;
+            assert_eq!(m.uops.lookup(pc), uop::Lookup::NotWorth, "stub {k}");
+        }
+        let taken = m.uops.block(id).link(true);
+        assert_eq!(
+            (taken.id, taken.stamp),
+            (id, m.uops.generation()),
+            "loop pre-linked"
+        );
     }
 }

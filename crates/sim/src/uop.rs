@@ -19,12 +19,14 @@
 //!
 //! Correctness under self-modifying code rides on the same [`Memory`]
 //! code-write generation barrier that guards the decode cache: the machine
-//! keeps both caches' generations in lockstep and a dirty span invalidates
-//! superblock slots just like decode pages, widened downward by the
-//! maximum superblock extent so a block *covering* a patched word is
-//! dropped even when it *starts* before the span. Stores inside a block
-//! re-check the generation and retire only the prefix when they patch
-//! code, so CC backpatching and SMC remain bit-identical to the slow path.
+//! keeps both caches' generations in lockstep, and a dirty span drops
+//! exactly the superblocks that depend on a written word — every word from
+//! a block's start through its `exit_pc` — and the "not worth lowering"
+//! memos of the written words themselves. Blocks elsewhere, in the same
+//! page included, keep their arena ids and threaded bodies. Stores inside
+//! a block re-check the generation and retire only the prefix when they
+//! patch code, so CC backpatching and SMC remain bit-identical to the slow
+//! path.
 //!
 //! **Chaining (trace formation).** Each terminator leg with a statically
 //! known next PC (fall-through, direct branch taken/not-taken, direct
@@ -35,7 +37,9 @@
 //! returning to its loop top. Any code write bumps the generation, so every
 //! existing link is severed by that same compare; links re-form lazily at
 //! the next loop-top lookup (and eagerly at chunk install time via
-//! [`UopCache::link_range`]).
+//! [`UopCache::link_range`]). A dropped block's arena id is reused only
+//! after the generation has moved on, so a link stamped with the current
+//! generation always names a block whose contents are unchanged.
 //!
 //! Register-indirect terminators (`jr`, `jalr`, `ret`) have no *static*
 //! link — their next PC is data-dependent — but each carries a per-site
@@ -60,16 +64,17 @@ use softcache_isa::reg::Reg;
 use softcache_isa::INST_BYTES;
 
 /// Superblock slots per page: 1024 slots = 4 KiB of code, matching the
-/// decode cache so one dirty span maps to the same page set in both.
+/// decode cache.
 const PAGE_SLOTS: usize = 1024;
 const PAGE_SHIFT: u32 = 10;
 
 /// Longest superblock body (instructions before the terminator).
 pub(crate) const MAX_BODY: usize = 64;
 
-/// Widest span of code a single superblock can cover, in bytes (body plus
-/// terminator). Invalidation extends a dirty span's low edge down by this
-/// much so blocks that *start* before a patched word but *cover* it die.
+/// Widest span of code a single superblock depends on, in bytes: its
+/// words from `start` through `exit_pc`, at most [`MAX_BODY`] + 1 of them.
+/// Invalidation scans block starts from this far below a dirty span, so
+/// blocks that *start* before a patched word but *cover* it die.
 pub(crate) const MAX_SPAN_BYTES: u32 = ((MAX_BODY + 1) * INST_BYTES as usize) as u32;
 
 /// Flattened micro-op opcode. One flat tag per (operation × addressing
@@ -1342,6 +1347,22 @@ impl Superblock {
         self.exit_pc
     }
 
+    /// The PC after the block when its terminator is not taken; for a
+    /// block without a terminator, the first word it did not lower.
+    #[inline]
+    pub(crate) fn exit_pc(&self) -> u32 {
+        self.exit_pc
+    }
+
+    /// Does the block depend on a byte in `[lo, hi)`? Lowering read every
+    /// word from `start` through `exit_pc`: the body, the terminator, and,
+    /// for a block without one, the word that stopped it (rewriting that
+    /// word could let the block grow).
+    #[inline]
+    fn depends_on(&self, lo: u32, hi: u32) -> bool {
+        self.start < hi && u64::from(self.exit_pc) + u64::from(INST_BYTES) > u64::from(lo)
+    }
+
     /// The statically known next PC for a terminator leg, when there is
     /// one. `None` for register-indirect terminators (and the vacuous
     /// `taken` leg of non-branches): those legs have no *static* link and
@@ -1588,14 +1609,22 @@ type Page = Box<[u32; PAGE_SLOTS]>;
 ///
 /// Blocks live in a flat arena and pages map `pc >> 2` to arena ids, so a
 /// chained successor is one bounds-checked index away — no page walk on
-/// the trace fast path. Invalidation clears page slots; orphaned arena
-/// entries are unreachable (their slots are gone and every link into them
-/// is severed by the generation stamp) and are reclaimed when the whole
-/// map empties or on [`UopCache::flush`].
+/// the trace fast path. Invalidation clears the page slots of the blocks
+/// that depend on the written words and retires their ids. A retired
+/// block stays intact, and its id is reused only once
+/// [`UopCache::set_generation`] moves to a new generation: so a link,
+/// inline cache or RAS entry stamped with the current generation can only
+/// name a block whose contents are unchanged, and every older stamp is
+/// already severed. [`UopCache::flush`] empties the arena.
 pub(crate) struct UopCache {
     pages: Vec<Option<Page>>,
     /// Arena of lowered blocks; slot values and [`Link::id`] index here.
     blocks: Vec<Superblock>,
+    /// Arena ids free for reuse: retired under an older generation.
+    free: Vec<u32>,
+    /// Arena ids dropped under the current generation. Their blocks stay
+    /// intact until the generation moves on, then join `free`.
+    retired: Vec<u32>,
     /// The [`Memory::code_gen`] value the cached blocks are valid for.
     generation: u64,
     /// Half-open PC spans pinned to the slow path: lookups inside them
@@ -1604,9 +1633,9 @@ pub(crate) struct UopCache {
     /// hook). Pins survive invalidation and generation bumps — they are
     /// a policy, not a cache.
     pinned: Vec<(u32, u32)>,
-    /// Threaded blocks dropped with the arena (invalidation storms,
-    /// flushes): the demotion side of the tier ledger, drained by the
-    /// owning machine into its trace telemetry.
+    /// Threaded blocks dropped by invalidation or flush: the demotion
+    /// side of the tier ledger, drained by the owning machine into its
+    /// trace telemetry.
     threaded_drops: u64,
 }
 
@@ -1615,6 +1644,8 @@ impl UopCache {
         UopCache {
             pages: Vec::new(),
             blocks: Vec::new(),
+            free: Vec::new(),
+            retired: Vec::new(),
             generation: 0,
             pinned: Vec::new(),
             threaded_drops: 0,
@@ -1631,7 +1662,7 @@ impl UopCache {
     /// Pin `[lo, hi)` to the slow path and drop any blocks covering it.
     pub(crate) fn pin_span(&mut self, lo: u32, hi: u32) {
         self.pinned.push((lo, hi));
-        self.invalidate_span(lo, hi.saturating_sub(1));
+        self.invalidate_span(lo, hi);
     }
 
     /// Remove pins lying entirely within `[lo, hi)`.
@@ -1644,17 +1675,20 @@ impl UopCache {
         self.pinned.clear();
     }
 
-    /// Drop every superblock (cost-model change or explicit flush).
+    /// Drop every superblock (cost-model change or explicit flush). Ids
+    /// restart from zero without a generation bump, so the owning machine
+    /// must clear its RAS alongside.
     pub(crate) fn flush(&mut self) {
-        self.pages.clear();
-        self.reclaim_arena();
-    }
-
-    /// Clear the block arena, counting dying threaded blocks as
-    /// demotions.
-    fn reclaim_arena(&mut self) {
-        self.threaded_drops += self.blocks.iter().filter(|b| b.is_threaded()).count() as u64;
+        for page in self.pages.drain(..).flatten() {
+            for &id in page.iter() {
+                if id < SLOT_NOT_WORTH && self.blocks[id as usize].is_threaded() {
+                    self.threaded_drops += 1;
+                }
+            }
+        }
         self.blocks.clear();
+        self.free.clear();
+        self.retired.clear();
     }
 
     /// Drain the demotion counter (threaded blocks dropped since the last
@@ -1667,47 +1701,67 @@ impl UopCache {
         self.generation
     }
 
+    /// Adopt `generation`. Moving to a new one severs every stamp formed
+    /// under the old, so the ids retired under it become reusable.
     pub(crate) fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
+        if generation != self.generation {
+            self.generation = generation;
+            self.free.append(&mut self.retired);
+        }
     }
 
-    /// Drop every slot whose superblock could cover a byte in `[lo, hi]`:
-    /// the span is widened downward by [`MAX_SPAN_BYTES`] because a block
-    /// is indexed by its *start* PC but covers up to that many bytes ahead.
-    /// Links need no per-span treatment: invalidation only ever happens on
-    /// a generation bump, which severs every outstanding link at once via
-    /// the stamp compare.
+    /// Drop every superblock that depends on a byte in `[lo, hi)` — one
+    /// with a word from its start through its `exit_pc` in the span — and
+    /// every "not worth lowering" memo whose own word is in it. Blocks are
+    /// indexed by their *start* PC but depend on up to [`MAX_SPAN_BYTES`]
+    /// ahead, so starts are scanned from that far below `lo`.
+    ///
+    /// Links need no per-span treatment: a dropped block's id is retired,
+    /// not reused, until the generation moves on, so a link stamped with
+    /// the current generation still names the same, unchanged block. That
+    /// makes this safe without a code write too (chunk eviction, slow-path
+    /// pins): the block still matches memory until the next write into
+    /// its span, and that write severs every link at once.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
-        let lo = lo.saturating_sub(MAX_SPAN_BYTES);
-        let first = (lo >> 2) as usize >> PAGE_SHIFT;
-        let last = ((hi.saturating_add(3) >> 2) as usize) >> PAGE_SHIFT;
-        for page in self
-            .pages
-            .iter_mut()
-            .skip(first)
-            .take(last.saturating_sub(first) + 1)
-        {
-            *page = None;
+        let first = (lo.saturating_sub(MAX_SPAN_BYTES) >> 2) as usize;
+        let end = ((u64::from(hi) + 3) >> 2) as usize;
+        // Starts at or above this word index have their own word written.
+        let own = (lo >> 2) as usize;
+        let mut idx = first;
+        while idx < end {
+            let page_no = idx >> PAGE_SHIFT;
+            let Some(page) = self.pages.get_mut(page_no) else {
+                break;
+            };
+            let base = page_no << PAGE_SHIFT;
+            let stop = end.min(base + PAGE_SLOTS);
+            if let Some(slots) = page {
+                for i in idx..stop {
+                    let slot = &mut slots[i - base];
+                    let drop = match *slot {
+                        SLOT_UNKNOWN => false,
+                        SLOT_NOT_WORTH => i >= own,
+                        id => {
+                            let sb = &self.blocks[id as usize];
+                            let hit = sb.depends_on(lo, hi);
+                            if hit {
+                                self.threaded_drops += u64::from(sb.is_threaded());
+                                self.retired.push(id);
+                            }
+                            hit
+                        }
+                    };
+                    if drop {
+                        *slot = SLOT_UNKNOWN;
+                    }
+                }
+            }
+            idx = stop;
         }
-        // Cheap arena reclamation: once no page maps anything, every block
-        // is orphaned. SMC-heavy programs (which invalidate constantly)
-        // blow the whole small map away each time, so this keeps the arena
-        // from growing across patch storms.
-        if self.pages.iter().all(|p| p.is_none()) {
-            self.reclaim_arena();
-        }
-    }
-
-    /// Has lowering never been attempted at `pc` (since the last
-    /// invalidation covering it)?
-    #[inline]
-    pub(crate) fn is_unknown(&self, pc: u32) -> bool {
-        matches!(self.lookup(pc), Lookup::Unknown)
     }
 
     /// Single-walk slot state at `pc` — the run-loop top uses this so the
-    /// common "block already cached" case costs one page walk, not an
-    /// `is_unknown` walk followed by an `id_at` walk.
+    /// common "block already cached" case costs one page walk.
     #[inline]
     pub(crate) fn lookup(&self, pc: u32) -> Lookup {
         if self.is_pinned(pc) {
@@ -1881,11 +1935,21 @@ impl UopCache {
             self.pages.resize_with(page_no + 1, || None);
         }
         let page = self.pages[page_no].get_or_insert_with(|| Box::new([SLOT_UNKNOWN; PAGE_SLOTS]));
+        debug_assert_eq!(page[slot_no], SLOT_UNKNOWN, "insert over a live slot");
         let (slot, id) = match sb {
             Some(sb) => {
-                let id = self.blocks.len() as u32;
-                debug_assert!(id < SLOT_NOT_WORTH, "uop arena exhausted");
-                self.blocks.push(sb);
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        self.blocks[id as usize] = sb;
+                        id
+                    }
+                    None => {
+                        let id = self.blocks.len() as u32;
+                        debug_assert!(id < SLOT_NOT_WORTH, "uop arena exhausted");
+                        self.blocks.push(sb);
+                        id
+                    }
+                };
                 (id, Some(id))
             }
             None => (SLOT_NOT_WORTH, None),
@@ -2096,15 +2160,45 @@ mod tests {
 
     #[test]
     fn invalidate_span_widens_low_edge() {
-        let mut uc = UopCache::new();
-        let sb = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ret)]).unwrap();
-        uc.insert(0, Some(sb));
+        // A block depends on every word from its start through `exit_pc`:
+        // 60 body words, the `ret`, and the word after it.
+        let mut words: Vec<u32> = (0..60).map(|i| addi(Reg::T0, Reg::T0, i)).collect();
+        words.push(encode(Inst::Ret));
+        let fresh = || {
+            let mut uc = UopCache::new();
+            uc.insert(0, lowered(&words));
+            uc
+        };
+        let exit_pc = fresh().get(0).unwrap().exit_pc();
+        assert_eq!(exit_pc, 61 * 4);
+        // Any write into that range kills the block, even one more than
+        // 200 B past its start; a sub-word write counts for its word.
+        for (lo, hi) in [
+            (0, 4),
+            (236, 240),
+            (240, 244),
+            (exit_pc, exit_pc + 4),
+            (241, 242),
+        ] {
+            let mut uc = fresh();
+            uc.invalidate_span(lo, hi);
+            assert_eq!(uc.lookup(0), Lookup::Unknown, "write [{lo}, {hi})");
+        }
+        // A write one word past `exit_pc` leaves it alone.
+        let mut uc = fresh();
+        uc.invalidate_span(exit_pc + 4, exit_pc + 8);
         assert!(uc.get(0).is_some());
-        // A write far past the block start but within MAX_SPAN_BYTES must
-        // still kill the slot (the block could cover it).
-        uc.invalidate_span(MAX_SPAN_BYTES - 4, MAX_SPAN_BYTES);
-        assert!(uc.get(0).is_none());
-        assert!(uc.is_unknown(0));
+    }
+
+    #[test]
+    fn not_worth_memo_dies_only_with_its_own_word() {
+        let mut uc = UopCache::new();
+        uc.insert(8, None);
+        uc.invalidate_span(0, 8);
+        uc.invalidate_span(12, 16);
+        assert_eq!(uc.lookup(8), Lookup::NotWorth, "neighbours written");
+        uc.invalidate_span(8, 9);
+        assert_eq!(uc.lookup(8), Lookup::Unknown, "own word written");
     }
 
     #[test]
@@ -2212,7 +2306,7 @@ mod tests {
         let mut dc = DecodeCache::new(cost);
         let mut uc = UopCache::new();
         for pc in [0u32, 4, 8] {
-            if uc.is_unknown(pc) {
+            if uc.lookup(pc) == Lookup::Unknown {
                 let sb = lower(&mut dc, &mem, &cost, pc);
                 uc.insert(pc, sb);
             }
@@ -2301,13 +2395,29 @@ mod tests {
     }
 
     #[test]
-    fn arena_reclaimed_when_map_empties() {
+    fn arena_ids_reused_only_after_generation_advances() {
+        let block = || lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ret)]);
         let mut uc = UopCache::new();
-        let sb = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ret)]).unwrap();
-        uc.insert(0, Some(sb));
-        assert_eq!(uc.blocks.len(), 1);
+        let a = uc.insert(0, block()).unwrap();
         uc.invalidate_span(0, 4);
-        assert!(uc.get(0).is_none());
-        assert_eq!(uc.blocks.len(), 0, "orphaned arena entries reclaimed");
+        uc.set_generation(0);
+        // Same generation: a current-stamped link may still name `a`, so
+        // its id is not reused and its block stays intact.
+        let b = uc.insert(0, block()).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(uc.block(a).exit_pc(), 8);
+        uc.invalidate_span(0, 4);
+        uc.set_generation(1);
+        let c = uc.insert(0, block()).unwrap();
+        assert!(
+            c == a || c == b,
+            "retired ids reused once the generation moved"
+        );
+        for generation in 2..10_002 {
+            uc.invalidate_span(0, 4);
+            uc.set_generation(generation);
+            uc.insert(0, block());
+        }
+        assert!(uc.blocks.len() <= 2, "arena grew to {}", uc.blocks.len());
     }
 }

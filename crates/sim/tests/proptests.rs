@@ -755,6 +755,66 @@ proptest! {
             all + m0.trace.tier_interp_insts, "tier tallies conserve retirement");
     }
 
+    /// Precise invalidation against the slow path: a loop body of 2–40
+    /// straight-line `addi t1, t1, imm` words lowers to superblocks that
+    /// cover several body slots each, and external backpatches rewrite
+    /// body slots with fresh `addi`s between `run_block` bites. A write
+    /// must drop every block that depends on the patched word — blocks
+    /// starting below it included — so later iterations add the patched
+    /// immediate exactly as the slow path does: same stats and pc after
+    /// every bite, same exit value.
+    #[test]
+    fn backpatched_loop_body_matches_slow_path(
+        imms in prop::collection::vec(-512i32..512, 2..41),
+        patches in prop::collection::vec((0usize..40, -512i32..512), 1..8),
+        budget in 1u64..48,
+    ) {
+        use softcache_isa::{AluOp, Inst, Reg};
+        let body: String = imms.iter().map(|imm| format!(" addi t1, t1, {imm}\n")).collect();
+        let src = format!(
+            "_start: li t0, 50\n li t1, 0\n\
+             body:\n{body} addi t0, t0, -1\n bnez t0, body\n mv a0, t1\n ecall 0"
+        );
+        let image = softcache_asm::assemble(&src).unwrap();
+        let body_at = image.symbol("body").unwrap().addr;
+        let mut fast = Machine::load_native(&image, &[]);
+        let mut slow = Machine::load_native(&image, &[]);
+        let bite = |fast: &mut Machine, slow: &mut Machine| -> Result<Step, TestCaseError> {
+            let f = fast.run_block(budget).unwrap();
+            let mut s = Step::Running;
+            while slow.stats.instructions < fast.stats.instructions {
+                s = slow.step_slow().unwrap();
+            }
+            prop_assert_eq!(f, s, "step outcome diverged");
+            prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
+            prop_assert_eq!(fast.cpu.pc, slow.cpu.pc, "pc diverged");
+            Ok(f)
+        };
+        let mut outcome = Step::Running;
+        'patching: for &(slot, imm) in &patches {
+            for _ in 0..3 {
+                outcome = bite(&mut fast, &mut slow)?;
+                if outcome != Step::Running {
+                    break 'patching;
+                }
+            }
+            let word = softcache_isa::encode(Inst::AluImm {
+                op: AluOp::Add,
+                rd: Reg::T1,
+                rs1: Reg::T1,
+                imm,
+            });
+            let addr = body_at + 4 * (slot % imms.len()) as u32;
+            fast.mem.write_u32(addr, word).unwrap();
+            slow.mem.write_u32(addr, word).unwrap();
+        }
+        while outcome == Step::Running {
+            outcome = bite(&mut fast, &mut slow)?;
+        }
+        prop_assert!(matches!(outcome, Step::Exited(_)), "{outcome:?}");
+        prop_assert_eq!(fast.cpu.get(Reg::A0), slow.cpu.get(Reg::A0), "exit value diverged");
+    }
+
     /// Cycle accounting is monotone and at least one per instruction.
     #[test]
     fn cycles_dominate_instructions(n in 1u32..200) {
