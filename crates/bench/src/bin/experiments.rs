@@ -420,7 +420,7 @@ fn link() {
 }
 
 fn fanin(scale: bool) {
-    header("Fan-in — one threaded MC, N concurrent clients (adpcmenc)");
+    header("Fan-in — one MC poll loop, N concurrent clients (adpcmenc)");
     let rows = exp::fanin_sweep();
     let mut t = vec![vec![
         "clients".to_string(),

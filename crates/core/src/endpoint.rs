@@ -290,7 +290,8 @@ pub struct ServeReport {
     /// event-driven server rejects).
     pub admission_rejections: u64,
     /// Deepest request queue observed for this client (only the
-    /// event-driven server measures; the threaded path leaves it 0).
+    /// event-driven server measures; the single-tenant [`serve`] loop
+    /// leaves it 0).
     pub queue_hwm: u64,
     /// Pending frames found unmarked during an idle sweep of the event
     /// loop and rescued. Always 0 for a transport that honours the
@@ -344,8 +345,8 @@ pub fn serve_bounded(mc: &mut Mc, transport: &mut dyn Transport, max_requests: u
 /// at-most-once duplicate check against `last`, execute, seal. Returns
 /// the wire bytes to send back (`None` when the frame was dropped or was
 /// a stale duplicate needing no reply). Shared by [`serve_bounded`] and
-/// the event-driven [`crate::server::McServer`] poll loop so both serving
-/// modes answer byte-identically.
+/// the event-driven [`crate::server::McServer`] poll loop so the
+/// single-tenant and the multi-client server answer byte-identically.
 pub(crate) fn frame_reply(
     mc: &mut Mc,
     last: &mut Option<(u32, Vec<u8>)>,

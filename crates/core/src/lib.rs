@@ -19,7 +19,7 @@
 //!   extension).
 //! * [`mc`] / [`cc`] — the memory-controller and cache-controller halves.
 //! * [`server`] — an MC serving many CC clients from one shared image
-//!   ([`server::McServer`]), threaded or event-driven.
+//!   ([`server::McServer`]) from one event-driven poll loop.
 //! * [`xlate`] — the shared translation cache: translate each chunk
 //!   once, serve every tenant ([`xlate::SharedXlate`]).
 //! * [`protocol`] / [`endpoint`] — the wire protocol and the fused/remote

@@ -99,9 +99,9 @@ pub struct McStats {
 
 /// The memory controller.
 pub struct Mc {
-    /// The program image — shared (`Arc`) so a threaded server can serve
-    /// many clients from one copy of the text/data segments while each
-    /// client keeps its own `Mc` (the residence mirror is per-client).
+    /// The program image — shared (`Arc`) so a multi-client server can
+    /// serve many clients from one copy of the text/data segments while
+    /// each client keeps its own `Mc` (the residence mirror is per-client).
     image: Arc<Image>,
     /// Mirror of the client's tcache map: original pc → tcache address.
     mirror: HashMap<u32, u32>,
@@ -138,8 +138,8 @@ impl Mc {
     }
 
     /// Build an MC serving an already-shared image (one text segment, many
-    /// server threads). Data memory is still private per `Mc`: each client
-    /// of a threaded server gets an isolated data image.
+    /// tenants). Data memory is still private per `Mc`: each client of a
+    /// multi-client server gets an isolated data image.
     pub fn from_shared(image: Arc<Image>) -> Mc {
         let mut data = vec![0u8; (STACK_TOP - DATA_BASE) as usize];
         let off = (image.data_base - DATA_BASE) as usize;

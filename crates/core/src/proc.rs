@@ -425,10 +425,6 @@ struct ProcCc {
     heat: HashMap<u32, u64>,
 }
 
-fn trace_on() -> bool {
-    std::env::var_os("SOFTCACHE_TRACE").is_some()
-}
-
 impl ProcCc {
     fn new(cfg: ProcConfig) -> ProcCc {
         ProcCc {
@@ -595,12 +591,6 @@ impl ProcCc {
             if span.contains(&r.cont_orig) {
                 self.write_redir_word(machine, ridx, RedirSlot::Continuation);
             }
-        }
-        if trace_on() {
-            eprintln!(
-                "[proc] evict func {:#x} (tc {:#x}+{})",
-                func, proc.tc_start, proc.orig_size
-            );
         }
         self.stats.evictions += 1;
         self.stats.eviction_cycles.push(machine.stats.cycles);
@@ -791,15 +781,6 @@ impl ProcCc {
         }
         machine.predecode_range(tc_start, tc_start + bytes);
         self.seals.seal(machine, tc_start, bytes);
-        if trace_on() {
-            eprintln!(
-                "[proc] install func {:#x} at tc {:#x} size {} ({} exits)",
-                chunk.orig_start,
-                tc_start,
-                bytes,
-                chunk.exits.len()
-            );
-        }
         self.stats.fetches += 1;
         self.stats.words_installed += chunk.words.len() as u64;
         let cycles = self.cfg.miss_handler_cycles
@@ -821,12 +802,6 @@ impl ProcCc {
             .get(idx as usize)
             .cloned()
             .ok_or(CacheError::BadMissRecord(idx))?;
-        if trace_on() {
-            eprintln!(
-                "[proc] miss #{idx} at pc {:#x} -> target {:#x} site {:?}",
-                machine.cpu.pc, rec.target_orig, rec.site
-            );
-        }
         let target_tc = self.verified_target(machine, ep, rec.target_orig)?;
         match rec.site {
             Some((ridx, slot)) => {

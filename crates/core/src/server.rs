@@ -1,4 +1,4 @@
-//! Multi-client MC server — threaded or event-driven.
+//! Multi-client MC server: one event-driven poll loop.
 //!
 //! One memory controller process serving N embedded clients from a single
 //! shared program image — the fan-in configuration the paper's server-side
@@ -12,19 +12,14 @@
 //! so one client's stores can never leak into another's run — per-client
 //! outputs are byte-identical to single-client runs.
 //!
-//! Two serving modes:
-//!
-//! * [`McServer::serve_clients`] — one thread per client (the original
-//!   fan-in shape). Simple, but a thousand clients means a thousand
-//!   stacks and a thousand blocked `recv` calls.
-//! * [`McServer::serve_event`] — one poll loop over every client's
-//!   nonblocking [`Transport::try_recv`], multiplexing all per-client
-//!   session state (sequence/epoch, duplicate suppression, batch
-//!   budgets) from a single thread, with fair-share scheduling and
-//!   admission control ([`ServeQuotas`]). This is the shape that scales
-//!   to 1k+ clients.
+//! [`McServer::serve_event`] is the one fleet server: a single poll loop
+//! over every client's nonblocking [`Transport::try_recv`], multiplexing
+//! all per-client session state (sequence/epoch, duplicate suppression,
+//! batch budgets) from one thread, with fair-share scheduling and
+//! admission control ([`ServeQuotas`]). A thread-per-client deployment is
+//! N single-tenant [`crate::endpoint::serve`] loops.
 
-use crate::endpoint::{absorb_mc_stats, frame_reply, serve, ServeReport};
+use crate::endpoint::{absorb_mc_stats, frame_reply, ServeReport};
 use crate::mc::{ChunkStrategy, Mc};
 use crate::xlate::{SharedXlate, XlateStats};
 use softcache_isa::image::Image;
@@ -115,41 +110,15 @@ impl McServer {
         mc
     }
 
-    /// Serve one client per transport until each disconnects, one thread
-    /// per client (`std::thread::scope`), and return the per-client serve
-    /// reports in the same order as `transports`. All threads translate
-    /// through the shared cache; the cache lock is held across each
-    /// translation, so racing tenants never duplicate one.
-    pub fn serve_clients(&self, transports: Vec<Box<dyn Transport>>) -> Vec<ServeReport> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = transports
-                .into_iter()
-                .map(|mut t| {
-                    scope.spawn(move || {
-                        let mut mc = self.tenant_mc();
-                        serve(&mut mc, t.as_mut())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client serve thread panicked"))
-                .collect()
-        })
-    }
-
     /// Serve every client from **one** poll loop until all disconnect,
     /// and return the per-client serve reports in the same order as
     /// `transports`.
     ///
-    /// When every transport supports [`Transport::register_ready`], the
-    /// loop is edge-triggered: it blocks on a [`ReadySet`] and serves
-    /// only the clients whose transports marked themselves ready, so a
-    /// round costs O(active clients) no matter how many are connected.
-    /// Otherwise (e.g. fault-injection wrappers, whose delayed frames
-    /// surface on `recv` calls rather than queue pushes) it falls back
-    /// to scanning every live client per round, with an idle backoff
-    /// (yield, then a short sleep) when nothing moved.
+    /// The loop is edge-triggered: every transport registers readiness
+    /// into one [`ReadySet`] ([`Transport::register_ready`]), the loop
+    /// blocks on it and serves only the clients whose transports marked
+    /// themselves ready, so a round costs O(active clients) no matter
+    /// how many are connected.
     ///
     /// Serving a client measures its queue depth (high-water mark in
     /// [`ServeReport::queue_hwm`]), sheds any backlog beyond
@@ -159,91 +128,71 @@ impl McServer {
     /// [`Transport::try_recv`].
     ///
     /// Replies are produced by the same `frame_reply` path as the
-    /// threaded mode, over per-client `Mc` state, so the two modes are
-    /// byte-identical from any client's point of view.
+    /// single-tenant [`crate::endpoint::serve`] loop, over per-client `Mc`
+    /// state, so the two are byte-identical from any client's point of
+    /// view.
+    ///
+    /// # Panics
+    ///
+    /// If a transport declines [`Transport::register_ready`]: the loop
+    /// would never hear from it.
     pub fn serve_event(&self, transports: Vec<Box<dyn Transport>>) -> Vec<ServeReport> {
+        let set = ReadySet::new();
         let mut tenants: Vec<Tenant> = transports
             .into_iter()
-            .map(|transport| Tenant {
-                transport,
-                mc: self.tenant_mc(),
-                last: None,
-                report: ServeReport::default(),
-                live: true,
+            .enumerate()
+            .map(|(token, mut transport)| {
+                assert!(
+                    transport.register_ready(&set, token),
+                    "serve_event: transport {token} cannot register readiness"
+                );
+                Tenant {
+                    transport,
+                    mc: self.tenant_mc(),
+                    last: None,
+                    report: ServeReport::default(),
+                    live: true,
+                }
             })
             .collect();
         let mut live = tenants.len();
-
-        let set = ReadySet::new();
-        let evented = tenants
-            .iter_mut()
-            .enumerate()
-            .all(|(token, tn)| tn.transport.register_ready(&set, token));
-        if evented {
-            while live > 0 {
-                let drained = set.drain_wait(Duration::from_millis(100));
-                if drained.is_empty() {
-                    // Idle tick: nothing was ready for a full wait. Sweep
-                    // for lost wakeups — a live tenant with frames queued
-                    // but no mark can only mean its transport broke the
-                    // register_ready contract (marks accompany pushes
-                    // under the channel lock, so there is no benign race
-                    // that leaves this state). Rescue it rather than let
-                    // the client stall into its retransmit timeout, and
-                    // count the rescue so tests can assert it never
-                    // happens for well-behaved transports.
-                    for (token, tn) in tenants.iter_mut().enumerate() {
-                        if tn.live && tn.transport.pending() > 0 && !set.is_marked(token) {
-                            tn.report.lost_wakeups += 1;
-                            set.mark(token);
-                        }
-                    }
-                    continue;
-                }
-                for token in drained {
-                    let tn = &mut tenants[token];
-                    if !tn.live {
-                        continue;
-                    }
-                    let (_, saturated) = tn.poll(self.quotas);
-                    if !tn.live {
-                        live -= 1;
-                        continue;
-                    }
-                    // Edge residue: a poll that spent its whole fair
-                    // share without running dry may have left frames —
-                    // or an unobserved hangup — behind it, and nothing
-                    // will re-mark what was already queued before the
-                    // drain. Requeue the token ourselves.
-                    if saturated {
+        while live > 0 {
+            let drained = set.drain_wait(Duration::from_millis(100));
+            if drained.is_empty() {
+                // Idle tick: nothing was ready for a full wait. Sweep for
+                // lost wakeups — a live tenant with frames queued but no
+                // mark can only mean its transport broke the
+                // register_ready contract (marks accompany pushes under
+                // the channel lock, so there is no benign race that
+                // leaves this state). Rescue it rather than let the
+                // client stall into its retransmit timeout, and count the
+                // rescue so tests can assert it never happens for
+                // well-behaved transports.
+                for (token, tn) in tenants.iter_mut().enumerate() {
+                    if tn.live && tn.transport.pending() > 0 && !set.is_marked(token) {
+                        tn.report.lost_wakeups += 1;
                         set.mark(token);
                     }
                 }
+                continue;
             }
-        } else {
-            let mut idle_rounds = 0u32;
-            while live > 0 {
-                let mut moved = false;
-                for tn in tenants.iter_mut().filter(|tn| tn.live) {
-                    let (tn_moved, _) = tn.poll(self.quotas);
-                    moved |= tn_moved;
-                    if !tn.live {
-                        live -= 1;
-                    }
+            for token in drained {
+                let tn = &mut tenants[token];
+                if !tn.live {
+                    continue;
                 }
-                if moved {
-                    idle_rounds = 0;
-                } else {
-                    // Nothing anywhere: every live client is thinking.
-                    // Spin politely first (replies are usually wanted
-                    // soon), then back off so a big idle fleet does not
-                    // burn a core.
-                    idle_rounds += 1;
-                    if idle_rounds < 64 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
+                let saturated = tn.poll(self.quotas);
+                if !tn.live {
+                    live -= 1;
+                    continue;
+                }
+                // Edge residue: a poll that spent its whole fair share
+                // without running dry may have left frames — or an
+                // unobserved hangup — behind it, and nothing will re-mark
+                // what was already queued before the drain. Requeue the
+                // token ourselves.
+                if saturated {
+                    set.mark(token);
                 }
             }
         }
@@ -262,13 +211,11 @@ struct Tenant {
 
 impl Tenant {
     /// One service round for this client: admission shed, then up to a
-    /// fair share of replies. Flips `live` off on hangup. Returns
-    /// `(moved, saturated)`: whether any frame moved, and whether the
-    /// round spent its entire fair share without the queue running dry —
-    /// i.e. there may be more behind it that no send will announce.
-    fn poll(&mut self, quotas: ServeQuotas) -> (bool, bool) {
+    /// fair share of replies. Flips `live` off on hangup. Returns whether
+    /// the round spent its entire fair share without the queue running
+    /// dry — i.e. there may be more behind it that no send will announce.
+    fn poll(&mut self, quotas: ServeQuotas) -> bool {
         let before = self.mc.stats;
-        let mut moved = false;
         let mut hangup = false;
         let mut saturated = true;
         // Admission control: bound the backlog before serving it.
@@ -279,7 +226,6 @@ impl Tenant {
             match self.transport.try_recv() {
                 Ok(Some(_)) => {
                     self.report.admission_rejections += 1;
-                    moved = true;
                     shed -= 1;
                 }
                 Ok(None) => break,
@@ -296,7 +242,6 @@ impl Tenant {
             }
             match self.transport.try_recv() {
                 Ok(Some(frame)) => {
-                    moved = true;
                     if let Some(wire) =
                         frame_reply(&mut self.mc, &mut self.last, &frame, &mut self.report)
                     {
@@ -316,9 +261,8 @@ impl Tenant {
         if hangup {
             self.report.disconnected = true;
             self.live = false;
-            moved = true;
         }
-        (moved, saturated && !hangup)
+        saturated && !hangup
     }
 }
 
@@ -329,7 +273,7 @@ mod tests {
     use crate::endpoint::McEndpoint;
     use crate::icache::SoftIcacheSystem;
     use softcache_minic as minic;
-    use softcache_net::{policy_pair, LinkPolicy};
+    use softcache_net::{policy_pair, thread_pair, LinkPolicy, LossyTransport};
 
     const SRC: &str = r#"
 int main() {
@@ -340,34 +284,14 @@ int main() {
 }
 "#;
 
-    /// A wrapper that hides readiness support: `register_ready` stays
-    /// the declining default, forcing `serve_event` onto its scan
-    /// fallback, while `try_recv` stays genuinely non-blocking.
-    struct Opaque(Box<dyn Transport>);
-
-    impl Transport for Opaque {
-        fn send(&mut self, frame: Vec<u8>) -> Result<(), softcache_net::NetError> {
-            self.0.send(frame)
-        }
-        fn recv(&mut self) -> Result<Vec<u8>, softcache_net::NetError> {
-            self.0.recv()
-        }
-        fn pending(&self) -> usize {
-            self.0.pending()
-        }
-        fn try_recv(&mut self) -> Result<Option<Vec<u8>>, softcache_net::NetError> {
-            self.0.try_recv()
-        }
+    fn image() -> Image {
+        minic::compile_to_image(SRC, &minic::Options::default()).unwrap()
     }
 
-    fn run_fleet(
-        event_driven: bool,
-        n: usize,
-        opaque: bool,
-    ) -> (crate::icache::RunOutput, Vec<ServeReport>, XlateStats) {
-        let image = minic::compile_to_image(SRC, &minic::Options::default()).unwrap();
-
-        // Single-client reference run.
+    /// Serve `n` concurrent clients from one `serve_event` loop, assert
+    /// every client's output matches a single-client run, and return the
+    /// per-client serve reports and the shared-cache ledger.
+    fn run_fleet(image: &Image, n: usize) -> (Vec<ServeReport>, XlateStats) {
         let mut solo = SoftIcacheSystem::new(image.clone(), IcacheConfig::default());
         let want = solo.run(&[]).unwrap();
 
@@ -377,21 +301,11 @@ int main() {
         let mut client_ends = Vec::new();
         for _ in 0..n {
             let (cc_t, mc_t) = policy_pair(&policy);
-            if opaque {
-                server_ends.push(Box::new(Opaque(Box::new(mc_t))));
-            } else {
-                server_ends.push(Box::new(mc_t));
-            }
+            server_ends.push(Box::new(mc_t));
             client_ends.push(cc_t);
         }
         let reports = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(|| {
-                if event_driven {
-                    server.serve_event(server_ends)
-                } else {
-                    server.serve_clients(server_ends)
-                }
-            });
+            let server_thread = scope.spawn(|| server.serve_event(server_ends));
             let clients: Vec<_> = client_ends
                 .into_iter()
                 .map(|cc_t| {
@@ -413,35 +327,12 @@ int main() {
             }
             server_thread.join().unwrap()
         });
-        (want, reports, server.xlate_stats())
+        (reports, server.xlate_stats())
     }
 
     #[test]
-    fn serves_concurrent_clients_byte_identically() {
-        let (_, reports, xs) = run_fleet(false, 4, false);
-        assert_eq!(reports.len(), 4);
-        for (i, r) in reports.iter().enumerate() {
-            assert!(r.served > 0, "client {i} was served");
-            assert!(r.disconnected, "client {i} hung up cleanly");
-        }
-        // Translate-once across the threaded fleet: the cache lock is
-        // held across each translation, so even racing tenants never
-        // duplicate one. Identical fetch orders mean no variants.
-        assert!(xs.balanced());
-        assert_eq!(
-            xs.unique_translations,
-            xs.unique_chunks + xs.variant_translations
-        );
-        assert_eq!(xs.evictions, 0);
-        let translated: u64 = reports.iter().map(|r| r.shared_misses).sum();
-        assert_eq!(translated, xs.unique_translations);
-        let hits: u64 = reports.iter().map(|r| r.shared_hits).sum();
-        assert!(hits > 0, "later clients reuse the first one's work");
-    }
-
-    #[test]
-    fn event_loop_matches_threaded_serving() {
-        let (_, reports, xs) = run_fleet(true, 6, false);
+    fn event_loop_serves_concurrent_clients_byte_identically() {
+        let (reports, xs) = run_fleet(&image(), 6);
         assert_eq!(reports.len(), 6);
         for (i, r) in reports.iter().enumerate() {
             assert!(r.served > 0, "client {i} was served");
@@ -455,28 +346,24 @@ int main() {
         assert_eq!(xs.evictions, 0);
         let translated: u64 = reports.iter().map(|r| r.shared_misses).sum();
         assert_eq!(translated, xs.unique_chunks, "translate-once held");
+        let hits: u64 = reports.iter().map(|r| r.shared_hits).sum();
+        assert!(hits > 0, "later clients reuse the first one's work");
     }
 
     #[test]
-    fn event_loop_scan_fallback_serves_unregistrable_transports() {
-        // Transports that decline readiness registration push the whole
-        // loop onto the polling fallback — which must serve just as
-        // correctly, if less efficiently.
-        let (_, reports, xs) = run_fleet(true, 3, true);
-        assert_eq!(reports.len(), 3);
-        for (i, r) in reports.iter().enumerate() {
-            assert!(r.served > 0, "client {i} was served");
-            assert!(r.disconnected, "client {i} hung up cleanly");
-        }
-        assert!(xs.balanced());
-        let translated: u64 = reports.iter().map(|r| r.shared_misses).sum();
-        assert_eq!(translated, xs.unique_chunks, "translate-once held");
+    #[should_panic(expected = "transport 0 cannot register readiness")]
+    fn event_loop_refuses_transports_without_readiness() {
+        // `LossyTransport` keeps the trait's declining `register_ready`.
+        // The client end is already gone, so a loop that scanned instead
+        // of refusing would see the hangup and return normally.
+        let (cc_t, mc_t) = thread_pair(Duration::from_millis(10));
+        drop(cc_t);
+        McServer::new(image()).serve_event(vec![Box::new(LossyTransport::new(mc_t, 0, 0))]);
     }
 
     #[test]
     fn admission_control_sheds_flooding_client() {
-        let image = minic::compile_to_image(SRC, &minic::Options::default()).unwrap();
-        let mut server = McServer::new(image);
+        let mut server = McServer::new(image());
         server.set_quotas(ServeQuotas {
             fair_share: 4,
             max_pending: 8,
@@ -502,73 +389,17 @@ int main() {
         assert!(r.runt_frames > 0);
         assert_eq!(r.served, 0);
     }
-}
 
-#[cfg(test)]
-mod stress {
-    //! Lost-wakeup soak for the edge-triggered event loop. The oracle is
-    //! scheduling-independent: every fleet must complete with correct
-    //! outputs and **zero rescued wakeups** ([`ServeReport::lost_wakeups`])
-    //! — client-side retry counters are deliberately not asserted, because
-    //! on a loaded single-core host a descheduled server can push a clean
-    //! reply past any finite receive timeout without any mark being lost.
-    use super::*;
-    use crate::cc::IcacheConfig;
-    use crate::endpoint::McEndpoint;
-    use crate::icache::SoftIcacheSystem;
-    use softcache_minic as minic;
-    use softcache_net::{policy_pair, LinkPolicy};
-
-    const SRC: &str = r#"
-int main() {
-    int i; int s;
-    s = 0;
-    for (i = 0; i < 40; i = i + 1) { s = s + i * i; puti(s); putc(' '); }
-    return s & 0x7f;
-}
-"#;
-
-    fn fleet_round(image: &softcache_isa::image::Image, n: usize) -> Vec<ServeReport> {
-        let server = McServer::new(image.clone());
-        let policy = LinkPolicy::default();
-        let mut server_ends: Vec<Box<dyn Transport>> = Vec::new();
-        let mut client_ends = Vec::new();
-        for _ in 0..n {
-            let (cc_t, mc_t) = policy_pair(&policy);
-            server_ends.push(Box::new(mc_t));
-            client_ends.push(cc_t);
-        }
-        std::thread::scope(|scope| {
-            let server_thread = scope.spawn(|| server.serve_event(server_ends));
-            let clients: Vec<_> = client_ends
-                .into_iter()
-                .map(|cc_t| {
-                    let image = image.clone();
-                    scope.spawn(move || {
-                        let mut sys = SoftIcacheSystem::with_endpoint(
-                            image,
-                            IcacheConfig::default(),
-                            McEndpoint::remote(Box::new(cc_t)),
-                        );
-                        sys.run(&[]).unwrap()
-                    })
-                })
-                .collect();
-            for c in clients {
-                let out = c.join().unwrap();
-                assert_eq!(out.exit_code, (40 * 39 * 79 / 6) & 0x7f);
-            }
-            server_thread.join().unwrap()
-        })
-    }
-
-    /// A quick soak rides in tier-1; `stress_no_lost_wakeups` (ignored)
-    /// runs the long version on demand.
-    #[test]
-    fn event_loop_soak_never_rescues_a_wakeup() {
-        let image = minic::compile_to_image(SRC, &minic::Options::default()).unwrap();
-        for iter in 0..10 {
-            for (i, r) in fleet_round(&image, 16).iter().enumerate() {
+    /// Lost-wakeup soak for the edge-triggered loop. The oracle is
+    /// scheduling-independent: every fleet must complete with correct
+    /// outputs and **zero rescued wakeups** ([`ServeReport::lost_wakeups`])
+    /// — client-side retry counters are deliberately not asserted, because
+    /// on a loaded single-core host a descheduled server can push a clean
+    /// reply past any finite receive timeout without any mark being lost.
+    fn soak(fleets: usize) {
+        let image = image();
+        for iter in 0..fleets {
+            for (i, r) in run_fleet(&image, 16).0.iter().enumerate() {
                 assert_eq!(
                     r.lost_wakeups, 0,
                     "iter {iter} client {i}: rescued a lost mark"
@@ -578,17 +409,16 @@ int main() {
         }
     }
 
+    /// A quick soak rides in tier-1; `stress_no_lost_wakeups` (ignored)
+    /// runs the long version on demand.
+    #[test]
+    fn event_loop_soak_never_rescues_a_wakeup() {
+        soak(10);
+    }
+
     #[test]
     #[ignore]
     fn stress_no_lost_wakeups() {
-        let image = minic::compile_to_image(SRC, &minic::Options::default()).unwrap();
-        for iter in 0..300 {
-            for (i, r) in fleet_round(&image, 16).iter().enumerate() {
-                assert_eq!(
-                    r.lost_wakeups, 0,
-                    "iter {iter} client {i}: rescued a lost mark"
-                );
-            }
-        }
+        soak(300);
     }
 }

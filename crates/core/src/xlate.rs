@@ -17,8 +17,7 @@
 //! translated **exactly once** per (key, dependency context) no matter
 //! how many clients race for it — the translate-once ledger
 //! `unique_translations == unique_chunks + variant_translations` is
-//! exact in both the threaded and the event-driven server
-//! ([`crate::server::McServer`]).
+//! exact in the multi-client server ([`crate::server::McServer`]).
 //!
 //! Retention is TRRIP-flavored re-reference-interval prediction
 //! (PAPERS.md, "A TRRIP Down Memory Lane"): entries are admitted *warm*

@@ -68,10 +68,10 @@ pub trait Transport: Send {
     /// immediately, so no pre-registration traffic is lost.
     ///
     /// Returns `false` when the transport cannot support readiness (the
-    /// default); an event loop then falls back to polling `try_recv`
-    /// across its tenants. Fault-injection wrappers deliberately do not
-    /// support it — their delayed/reordered frames surface on `recv`
-    /// calls, not queue pushes.
+    /// default). The MC's event loop (`McServer::serve_event`) refuses
+    /// such a transport. The fault-injection wrappers decline: they only
+    /// ever wrap client ends, and their delayed or reordered frames
+    /// surface on `recv` calls, not queue pushes.
     fn register_ready(&mut self, set: &Arc<ReadySet>, token: usize) -> bool {
         let _ = (set, token);
         false

@@ -1,9 +1,9 @@
 //! Fan-in soak: one MC server ([`McServer`]) over a shared image, many
-//! concurrent CC clients on real channel transports — served either one
-//! thread per client or from a single event-driven poll loop. Every
-//! client's output must be byte-identical to a fused single-client run —
-//! with batching off, with speculative push on, and with a seeded fault
-//! plan injected into one client's link while its siblings run clean.
+//! concurrent CC clients on real channel transports, all served from one
+//! event-driven poll loop. Every client's output must be byte-identical
+//! to a fused single-client run — with batching off, with speculative
+//! push on, and with a seeded fault plan injected into one client's link
+//! while its siblings run clean.
 
 use softcache::core::endpoint::McEndpoint;
 use softcache::core::icache::SoftIcacheSystem;
@@ -30,12 +30,7 @@ fn wire_policy() -> LinkPolicy {
 /// Run `n` concurrent clients against one server at the given push depth,
 /// wrapping client `i`'s transport in `plans[i]` when present. Returns
 /// each client's (exit code, output, resyncs + retries observed).
-fn fan_in(
-    event_driven: bool,
-    n: usize,
-    depth: u32,
-    plans: &[Option<FaultPlan>],
-) -> Vec<(i32, Vec<u8>, u64)> {
+fn fan_in(n: usize, depth: u32, plans: &[Option<FaultPlan>]) -> Vec<(i32, Vec<u8>, u64)> {
     let w = by_name("adpcmenc").unwrap();
     let image = w.image(true);
     let input = (w.gen_input)(2);
@@ -49,13 +44,7 @@ fn fan_in(
         client_ends.push(cc_t);
     }
     std::thread::scope(|scope| {
-        let server_thread = scope.spawn(|| {
-            if event_driven {
-                server.serve_event(server_ends)
-            } else {
-                server.serve_clients(server_ends)
-            }
-        });
+        let server_thread = scope.spawn(|| server.serve_event(server_ends));
         let handles: Vec<_> = client_ends
             .into_iter()
             .enumerate()
@@ -120,7 +109,7 @@ fn solo() -> (i32, Vec<u8>) {
 fn four_clients_byte_identical_to_single_client() {
     let (want_code, want_out) = solo();
     for depth in [0u32, 2] {
-        for (i, (code, out, _)) in fan_in(false, 4, depth, &[]).into_iter().enumerate() {
+        for (i, (code, out, _)) in fan_in(4, depth, &[]).into_iter().enumerate() {
             assert_eq!(code, want_code, "client {i} depth {depth} (clean links)");
             assert_eq!(out, want_out, "client {i} depth {depth} (clean links)");
         }
@@ -130,7 +119,7 @@ fn four_clients_byte_identical_to_single_client() {
 #[test]
 fn eight_clients_with_speculative_push() {
     let (want_code, want_out) = solo();
-    for (i, (code, out, _)) in fan_in(false, 8, 2, &[]).into_iter().enumerate() {
+    for (i, (code, out, _)) in fan_in(8, 2, &[]).into_iter().enumerate() {
         assert_eq!(code, want_code, "client {i} depth 2 (clean links)");
         assert_eq!(out, want_out, "client {i} depth 2 (clean links)");
     }
@@ -148,7 +137,7 @@ fn four_clients_one_seeded_faulty_link() {
         dup_per_mille: 20,
         ..FaultPlan::clean(7)
     };
-    let outs = fan_in(false, 4, 2, &[Some(plan)]);
+    let outs = fan_in(4, 2, &[Some(plan)]);
     for (i, (code, out, _)) in outs.iter().enumerate() {
         assert_eq!(*code, want_code, "client {i} (client 0 under {plan:?})");
         assert_eq!(*out, want_out, "client {i} (client 0 under {plan:?})");
@@ -182,7 +171,7 @@ fn event_loop_soak_64_clients_one_seeded_faulty_link() {
         dup_per_mille: 40,
         ..FaultPlan::clean(11)
     };
-    let outs = fan_in(true, 64, 2, &[Some(plan)]);
+    let outs = fan_in(64, 2, &[Some(plan)]);
     assert_eq!(outs.len(), 64);
     for (i, (code, out, _)) in outs.iter().enumerate() {
         assert_eq!(*code, want_code, "client {i} (client 0 under {plan:?})");
