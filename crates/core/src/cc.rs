@@ -20,6 +20,8 @@ use softcache_isa::{cf, encode};
 use softcache_net::{LinkModel, LinkPolicy, LinkStats, NetError};
 use softcache_sim::{Machine, SimError};
 use std::collections::{HashMap, HashSet};
+use std::mem::take;
+use std::ops::Range;
 
 /// Replacement policy applied when the tcache fills.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,29 +74,32 @@ pub struct IcacheConfig {
     /// protocol).
     pub prefetch_depth: u32,
     /// Execute translated code through the simulator's superblock micro-op
-    /// engine (host-side speed only; simulated results are bit-identical
-    /// either way — tests and benches A/B it).
+    /// engine. Host-side speed only; simulated results are bit-identical
+    /// either way (`icache::tests::superblock_engine_is_bit_identical_at_system_level`).
     pub superblocks: bool,
     /// Chain superblocks across terminators with statically known targets
     /// (trace formation): whole traces run with one dispatch and one
     /// budget check per generation-stamped link. Composes with
     /// `superblocks` — ignored when that is off. Host-side speed only;
-    /// simulated results are bit-identical either way.
+    /// simulated results are bit-identical either way
+    /// (`icache::tests::chaining_is_bit_identical_at_system_level`).
     pub chaining: bool,
     /// Give register-indirect terminators (`jr`/`jalr`/`ret`) per-site
     /// inline caches so monomorphic indirects chain like static legs.
     /// Composes with `chaining` — ignored when that is off. Host-side
-    /// speed only; simulated results are bit-identical either way.
+    /// speed only; simulated results are bit-identical either way
+    /// (`icache::tests::indirect_ic_and_ras_are_bit_identical_at_system_level`).
     pub indirect_ic: bool,
     /// Return-address-stack depth for predicting `ret` targets from the
     /// matching call (0 disables the RAS). Host-side speed only; every
     /// prediction is validated, so simulated results are bit-identical at
-    /// any depth.
+    /// any depth (same test as `indirect_ic`).
     pub ras_depth: u32,
     /// Promote hot superblocks to the threaded-dispatch tier (flat
     /// handler-pointer arrays, no per-uop match — DESIGN.md §14).
     /// Composes with `superblocks` — ignored when that is off. Host-side
-    /// speed only; simulated results are bit-identical either way.
+    /// speed only; simulated results are bit-identical either way
+    /// (`icache::tests::threaded_tier_is_bit_identical_at_system_level`).
     pub threaded: bool,
     /// Entry-count a superblock must reach (under TRRIP-style epoch
     /// decay) before it is lowered to threaded form. 0 threads every
@@ -289,6 +294,18 @@ impl FreeList {
         self.holes.iter().map(|&(_, l)| l).sum()
     }
 
+    /// Bytes allocated out of the arena (which `new` rounded down to
+    /// whole words).
+    fn used_bytes(&self) -> u32 {
+        self.size - self.free_bytes()
+    }
+
+    /// Index of the arena word holding `addr`, if the arena holds it.
+    fn word_index(&self, addr: u32) -> Option<usize> {
+        let off = addr.checked_sub(self.base)?;
+        (off < self.size).then_some(off as usize / 4)
+    }
+
     /// The largest hole as `(start, len)` — `len` 0 when full. Ties go to
     /// the lowest address, so a fresh tcache yields its base.
     fn largest(&self) -> (u32, u32) {
@@ -347,14 +364,18 @@ impl FreeList {
             return false;
         };
         let (s, l) = self.holes[i];
-        let mut repl = Vec::with_capacity(2);
-        if start > s {
-            repl.push((s, start - s));
+        let end = start + bytes;
+        match (start > s, s + l > end) {
+            (true, true) => {
+                self.holes[i] = (s, start - s);
+                self.holes.insert(i + 1, (end, s + l - end));
+            }
+            (true, false) => self.holes[i] = (s, start - s),
+            (false, true) => self.holes[i] = (end, s + l - end),
+            (false, false) => {
+                self.holes.remove(i);
+            }
         }
-        if s + l > start + bytes {
-            repl.push((start + bytes, s + l - (start + bytes)));
-        }
-        self.holes.splice(i..=i, repl);
         true
     }
 
@@ -392,7 +413,7 @@ struct Incoming {
     kind: PatchKind,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 struct ChunkInfo {
     orig_start: u32,
     tc_start: u32,
@@ -400,6 +421,9 @@ struct ChunkInfo {
     body_words: u32,
     extra_orig: Vec<u32>,
     incoming: Vec<Incoming>,
+    /// Slots whose `incoming` lists this chunk has pushed onto (each
+    /// once): the only places its back-references can sit when it dies.
+    outgoing: Vec<usize>,
     records: Vec<u32>,
     alive: bool,
     /// Installation counter distinguishing reuses of this slot: a miss
@@ -413,6 +437,19 @@ struct ChunkInfo {
     /// `rrpv` snapshot taken when the current allocation-pressure fill
     /// began — the temperature the eviction histogram records.
     pressure_rrpv: u8,
+    /// Lifetime re-reference count of `orig_start` (see `Cc::heat`),
+    /// carried here while the chunk is resident.
+    heat: u64,
+    /// Equal to `Cc::fill_stamp` while the current fill must not evict
+    /// this chunk.
+    guard: u64,
+}
+
+impl ChunkInfo {
+    /// The tcache bytes the chunk occupies.
+    fn span(&self) -> Range<u32> {
+        self.tc_start..self.tc_start + self.n_words * 4
+    }
 }
 
 /// A single-word redirector: a return-address trampoline (permanent,
@@ -435,12 +472,13 @@ struct Redir {
 /// The cache controller state.
 pub struct Cc {
     cfg: IcacheConfig,
-    /// tcache map: original pc → tcache address (Figure 4's hash table).
-    map: HashMap<u32, u32>,
+    /// tcache map: original pc → live chunk slot, whose `tc_start` is
+    /// the translation (Figure 4's hash table).
+    map: HashMap<u32, usize>,
     chunks: Vec<ChunkInfo>,
-    /// Original pc → live chunk slot, kept in lockstep with `map` so the
-    /// hot paths can touch temperature without a linear chunk scan.
-    chunk_ids: HashMap<u32, usize>,
+    /// Per arena word: 1 + the slot of the live chunk covering it, 0 for
+    /// none — `chunk_at` in one load.
+    owner: Vec<u32>,
     records: Vec<Option<MissRecord>>,
     /// Return-address trampolines and standalone stubs. The record
     /// index lets a corrupted single-word span be regenerated purely
@@ -468,8 +506,13 @@ pub struct Cc {
     /// Survives evictions and flushes; under pressure the victim
     /// tie-break prefers the chunk whose code has re-referenced least
     /// over the whole run, so the churn concentrates on low-entry-rate
-    /// code and the hot loop stays resident.
+    /// code and the hot loop stays resident. Only references to resident
+    /// chunks count, so a resident chunk carries its count in
+    /// `ChunkInfo::heat`: taken from here at install, folded back when
+    /// it dies.
     heat: HashMap<u32, u64>,
+    /// Allocation-pressure fill counter backing `ChunkInfo::guard`.
+    fill_stamp: u64,
     generation: u64,
     /// Pushed chunks installed but not yet observed entered. An entry
     /// leaves as a *hit* when the program reaches the chunk (miss stub,
@@ -506,7 +549,7 @@ impl Cc {
             cfg,
             map: HashMap::new(),
             chunks: Vec::new(),
-            chunk_ids: HashMap::new(),
+            owner: vec![0; cfg.tcache_size as usize / 4],
             records: Vec::new(),
             trampolines: Vec::new(),
             free_chunk_slots: Vec::new(),
@@ -515,6 +558,7 @@ impl Cc {
             evict_seq: 0,
             history: HashMap::new(),
             heat: HashMap::new(),
+            fill_stamp: 0,
             generation: 0,
             pending_prefetch: HashSet::new(),
             power: None,
@@ -533,7 +577,7 @@ impl Cc {
 
     /// The tcache address `orig` is currently translated to, if resident.
     pub fn translation_of(&self, orig: u32) -> Option<u32> {
-        self.map.get(&orig).copied()
+        self.map.get(&orig).map(|&id| self.chunks[id].tc_start)
     }
 
     /// Attach a banked-SRAM power model; installs, flushes and
@@ -563,7 +607,7 @@ impl Cc {
 
     /// Bytes of tcache currently allocated.
     pub fn used_bytes(&self) -> u32 {
-        self.cfg.tcache_size - self.free.free_bytes()
+        self.free.used_bytes()
     }
 
     /// Number of live chunks.
@@ -595,9 +639,34 @@ impl Cc {
 
     /// Chunk id containing tcache address `addr`, if any.
     fn chunk_at(&self, addr: u32) -> Option<usize> {
+        let id = self
+            .free
+            .word_index(addr)
+            .and_then(|w| self.owner[w].checked_sub(1))
+            .map(|id| id as usize);
+        debug_assert_eq!(
+            id,
+            self.chunk_at_by_scan(addr),
+            "owner table disagrees with the live chunks at {addr:#x}"
+        );
+        id
+    }
+
+    /// The linear scan the owner table replaced, kept as its oracle.
+    fn chunk_at_by_scan(&self, addr: u32) -> Option<usize> {
         self.chunks
             .iter()
-            .position(|c| c.alive && addr >= c.tc_start && addr < c.tc_start + c.n_words * 4)
+            .position(|c| c.alive && c.span().contains(&addr))
+    }
+
+    /// Point the owner table's words under chunk `id` at `owner`.
+    fn set_owner(&mut self, id: usize, owner: u32) {
+        let c = &self.chunks[id];
+        let lo = self
+            .free
+            .word_index(c.tc_start)
+            .expect("chunks live in the arena");
+        self.owner[lo..lo + c.n_words as usize].fill(owner);
     }
 
     /// Map a tcache address back to the original-program resume address.
@@ -617,10 +686,6 @@ impl Cc {
             .map(|t| t.orig)
     }
 
-    fn in_tcache(&self, addr: u32) -> bool {
-        addr >= self.cfg.tcache_base && addr < self.end()
-    }
-
     /// Ensure the chunk starting at `orig` is resident; returns its tcache
     /// address. On pressure, makes room per the configured policy: evicts
     /// cold victims (`Trrip`) or flushes wholesale (`FlushAll`).
@@ -630,12 +695,12 @@ impl Cc {
         ep: &mut McEndpoint,
         orig: u32,
     ) -> Result<u32, CacheError> {
-        if let Some(&tc) = self.map.get(&orig) {
+        if let Some(&cid) = self.map.get(&orig) {
             // A map hit is an observed re-reference: reset temperature.
-            if let Some(&cid) = self.chunk_ids.get(&orig) {
-                self.chunks[cid].rrpv = RRPV_HOT;
-            }
-            *self.heat.entry(orig).or_insert(0) += 1;
+            let c = &mut self.chunks[cid];
+            c.rrpv = RRPV_HOT;
+            c.heat += 1;
+            let tc = c.tc_start;
             if self.pending_prefetch.remove(&orig) {
                 self.stats.link.prefetch_hits += 1;
             }
@@ -846,10 +911,11 @@ impl Cc {
         // is predicted to re-reference imminently; one ever evicted is
         // warm; a first-time fetch is in between; a speculative push has
         // shown no re-reference evidence at all.
+        let mut heat = self.heat.remove(&chunk.orig_start).unwrap_or(0);
         let rrpv = if speculative {
             RRPV_MAX
         } else {
-            *self.heat.entry(chunk.orig_start).or_insert(0) += 1;
+            heat += 1;
             let window = REREF_WINDOW;
             match self.history.get(&chunk.orig_start) {
                 Some(&seq) if self.evict_seq - seq <= window => RRPV_HOT,
@@ -858,44 +924,50 @@ impl Cc {
             }
         };
         self.epoch_counter += 1;
-        let info = ChunkInfo {
+        if id == self.chunks.len() {
+            self.chunks.push(ChunkInfo::default());
+        }
+        // A recycled slot hands its emptied lists on to the new tenant.
+        let c = &mut self.chunks[id];
+        let (incoming, outgoing) = (take(&mut c.incoming), take(&mut c.outgoing));
+        *c = ChunkInfo {
             orig_start: chunk.orig_start,
             tc_start: dest,
             n_words,
             body_words: chunk.body_words,
             extra_orig: chunk.extra_orig,
-            incoming: Vec::new(),
+            incoming,
+            outgoing,
             records: record_ids,
             alive: true,
             epoch: self.epoch_counter,
             rrpv,
             pressure_rrpv: rrpv,
+            heat,
+            guard: 0,
         };
-        if id == self.chunks.len() {
-            self.chunks.push(info);
-        } else {
-            self.chunks[id] = info;
-        }
-        self.map.insert(chunk.orig_start, dest);
-        self.chunk_ids.insert(chunk.orig_start, id);
+        self.set_owner(id, id as u32 + 1);
+        self.map.insert(chunk.orig_start, id);
         if let Some(p) = &mut self.power {
             p.occupy(dest, n_words * 4);
         }
         // Incoming pointers the MC resolved at rewrite time.
         for rr in &chunk.resolved {
-            if let Some(&tc) = self.map.get(&rr.orig_target) {
-                if let Some(tid) = self.chunk_at(tc) {
-                    self.chunks[tid].incoming.push(Incoming {
+            if let Some(&tid) = self.map.get(&rr.orig_target) {
+                self.link(
+                    tid,
+                    Incoming {
                         from_chunk: id,
                         addr: dest + rr.slot * 4,
                         kind: rr.kind,
-                    });
-                    if !speculative {
-                        // Demand code statically branching into a resident
-                        // chunk is about to re-reference it.
-                        self.chunks[tid].rrpv = RRPV_HOT;
-                        *self.heat.entry(rr.orig_target).or_insert(0) += 1;
-                    }
+                    },
+                );
+                if !speculative {
+                    // Demand code statically branching into a resident
+                    // chunk is about to re-reference it.
+                    let t = &mut self.chunks[tid];
+                    t.rrpv = RRPV_HOT;
+                    t.heat += 1;
                 }
             }
             // A demand chunk resolved straight into a pushed chunk reaches
@@ -912,6 +984,16 @@ impl Cc {
         self.stats.miss_cycles += cycles;
         machine.stats.cycles += cycles;
         Ok(())
+    }
+
+    /// Record a branch site in `inc.from_chunk` that jumps into chunk
+    /// `target`, so invalidating `target` can re-point it.
+    fn link(&mut self, target: usize, inc: Incoming) {
+        self.chunks[target].incoming.push(inc);
+        let out = &mut self.chunks[inc.from_chunk].outgoing;
+        if !out.contains(&target) {
+            out.push(target);
+        }
     }
 
     /// Service a `miss` trap: translate the target, patch the site that
@@ -934,8 +1016,7 @@ impl Cc {
         if let Some(c) = rec.home.and_then(|h| self.chunks.get_mut(h)) {
             if c.alive {
                 c.rrpv = RRPV_HOT;
-                let orig = c.orig_start;
-                *self.heat.entry(orig).or_insert(0) += 1;
+                c.heat += 1;
             }
         }
         let gen_before = self.generation;
@@ -958,11 +1039,15 @@ impl Cc {
             if let (Some((addr, kind)), true) = (rec.patch, home_now == home_epoch) {
                 self.apply_patch(machine, addr, kind, target_tc)?;
                 if let Some(tid) = self.chunk_at(target_tc) {
-                    self.chunks[tid].incoming.push(Incoming {
-                        from_chunk: rec.home.expect("checked"),
-                        addr,
-                        kind,
-                    });
+                    let from_chunk = rec.home.expect("checked");
+                    self.link(
+                        tid,
+                        Incoming {
+                            from_chunk,
+                            addr,
+                            kind,
+                        },
+                    );
                 }
                 // The branch now jumps direct: its standalone landing stub
                 // (if the record had one) is unreachable — retire the word
@@ -1065,29 +1150,22 @@ impl Cc {
     /// Enumerate return-address locations: the `ra` register plus the
     /// `fp-4` slot of every frame on the fp chain — exactly the stack-walk
     /// the paper's programming-model restrictions make possible.
-    fn ra_locations(&self, machine: &Machine) -> Vec<(RaLoc, u32)> {
-        let mut out = vec![(RaLoc::Reg, machine.cpu.get(Reg::RA) as u32)];
+    fn ra_locations(machine: &Machine) -> impl Iterator<Item = (RaLoc, u32)> + '_ {
         let mut fp = machine.cpu.get(Reg::FP) as u32;
-        for _ in 0..100_000 {
-            if fp == FP_SENTINEL {
-                break;
+        let frames = (0..100_000).map_while(move |_| {
+            if fp == FP_SENTINEL || !fp.is_multiple_of(4) || !(8..=STACK_TOP).contains(&fp) {
+                return None; // end of the chain, or a corrupt one
             }
-            if !fp.is_multiple_of(4) || !(8..=STACK_TOP).contains(&fp) {
-                break; // corrupt chain; stop walking
-            }
-            let Ok(ra) = machine.mem.read_u32(fp - 4) else {
-                break;
+            let slot = fp - 4;
+            let ra = machine.mem.read_u32(slot).ok()?;
+            fp = match machine.mem.read_u32(fp - 8) {
+                // Frames must grow downward; refuse cycles.
+                Ok(next) if next == FP_SENTINEL || next > fp => next,
+                _ => FP_SENTINEL,
             };
-            out.push((RaLoc::Mem(fp - 4), ra));
-            let Ok(next) = machine.mem.read_u32(fp - 8) else {
-                break;
-            };
-            if next != FP_SENTINEL && next <= fp {
-                break; // frames must grow downward; refuse cycles
-            }
-            fp = next;
-        }
-        out
+            Some((RaLoc::Mem(slot), ra))
+        });
+        std::iter::once((RaLoc::Reg, machine.cpu.get(Reg::RA) as u32)).chain(frames)
     }
 
     /// Allocate (or reuse) a return-address trampoline for `orig`. Only
@@ -1132,26 +1210,33 @@ impl Cc {
         self.stats.ra_redirects += 1;
     }
 
-    /// Collect live return addresses pointing into the tcache, mapped back
-    /// to original-program addresses (must run while the tc→orig mapping
-    /// still exists).
-    fn collect_tcache_ras(&self, machine: &Machine) -> Vec<(RaLoc, u32)> {
-        self.ra_locations(machine)
-            .into_iter()
-            .filter(|&(_, v)| self.in_tcache(v))
+    /// Collect live return addresses in `span` (pass the whole tcache
+    /// for every one), mapped back to original-program addresses (must
+    /// run while the tc→orig mapping still exists).
+    fn collect_ras(&self, machine: &Machine, span: Range<u32>) -> Vec<(RaLoc, u32)> {
+        Cc::ra_locations(machine)
+            .filter(|(_, v)| span.contains(v))
             .filter_map(|(loc, v)| self.tc_to_orig(v).map(|o| (loc, o)))
             .collect()
+    }
+
+    /// Collect live return addresses pointing into the tcache.
+    fn collect_tcache_ras(&self, machine: &Machine) -> Vec<(RaLoc, u32)> {
+        self.collect_ras(machine, self.cfg.tcache_base..self.end())
     }
 
     /// Drop every chunk, record and trampoline and reset the allocation
     /// pointer — the local half of both [`Cc::flush`] and [`Cc::resync`].
     fn reset_local(&mut self) {
         self.stats.link.prefetch_wastes += self.pending_prefetch.len() as u64;
-        self.stats.flush_losses += self.chunks.iter().filter(|c| c.alive).count() as u64;
+        for c in self.chunks.iter().filter(|c| c.alive) {
+            self.stats.flush_losses += 1;
+            self.heat.insert(c.orig_start, c.heat);
+        }
         self.pending_prefetch.clear();
         self.chunks.clear();
+        self.owner.fill(0);
         self.map.clear();
-        self.chunk_ids.clear();
         self.records.clear();
         self.trampolines.clear();
         self.free_chunk_slots.clear();
@@ -1235,10 +1320,7 @@ impl Cc {
         ep: &mut McEndpoint,
         orig: u32,
     ) -> Result<bool, CacheError> {
-        let Some(&tc) = self.map.get(&orig) else {
-            return Ok(false);
-        };
-        let Some(cid) = self.chunk_at(tc) else {
+        let Some(&cid) = self.map.get(&orig) else {
             return Ok(false);
         };
         // Counted up front so the install ledger stays exact even if the
@@ -1248,7 +1330,8 @@ impl Cc {
         if self.pending_prefetch.remove(&orig) {
             self.stats.link.prefetch_wastes += 1;
         }
-        self.detach_chunk(machine, ep, cid)?;
+        let ras = self.collect_ras(machine, self.chunks[cid].span());
+        self.detach_chunk(machine, ep, cid, ras)?;
         Ok(true)
     }
 
@@ -1277,7 +1360,7 @@ impl Cc {
         }
         // No guest instruction retires during a fill, so the protected
         // set (executing chunk, live-RA homes, watchdog pins) is stable.
-        let protected = self.protected_chunks(machine);
+        self.guard_chunks(machine);
         let gen = self.generation;
         // Seed + grow: the first victim is the globally coldest chunk;
         // while the hole it opened is still too small, prefer evicting
@@ -1290,30 +1373,8 @@ impl Cc {
             if self.free.largest().1 >= bytes {
                 return Ok(());
             }
-            let adjacent = grow_from
-                .and_then(|p| self.free.hole_at(p))
-                .and_then(|(s, l)| {
-                    // Growth may consume warm-or-colder neighbours for the
-                    // sake of contiguity, but never a currently-hot chunk:
-                    // at pathologically small sizes the retained hot set
-                    // is the only thing cutting refetches.
-                    let eligible =
-                        |i: &usize| !protected.contains(i) && self.chunks[*i].rrpv > RRPV_HOT;
-                    let left = s.checked_sub(4).and_then(|a| self.chunk_at(a));
-                    let right = self.chunk_at(s + l);
-                    match (left.filter(eligible), right.filter(eligible)) {
-                        (Some(a), Some(b)) => {
-                            let key = |i: usize| {
-                                let c = &self.chunks[i];
-                                let heat = self.heat.get(&c.orig_start).copied().unwrap_or(0);
-                                (std::cmp::Reverse(c.rrpv), heat)
-                            };
-                            Some(if key(a) <= key(b) { a } else { b })
-                        }
-                        (x, y) => x.or(y),
-                    }
-                });
-            let victim = match adjacent.or_else(|| self.pick_victim(&protected)) {
+            let adjacent = grow_from.and_then(|p| self.neighbour_victim(p));
+            let victim = match adjacent.or_else(|| self.pick_victim()) {
                 Some(v) => v,
                 None => break,
             };
@@ -1332,25 +1393,33 @@ impl Cc {
         self.flush(machine, ep)
     }
 
-    /// The chunks eviction must never select: the chunk the guest pc is
-    /// executing in, chunks holding live return addresses (the RA walk),
-    /// and watchdog-pinned chunks. Redirectors are not chunks and are
-    /// never victims.
-    fn protected_chunks(&self, machine: &Machine) -> HashSet<usize> {
-        let mut out: HashSet<usize> = self
-            .chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.alive && self.pinned_origs.contains(&c.orig_start))
-            .map(|(i, _)| i)
-            .collect();
-        out.extend(self.chunk_at(machine.cpu.pc));
-        for (_, ra) in self.ra_locations(machine) {
-            if self.in_tcache(ra) {
-                out.extend(self.chunk_at(ra));
+    /// Open a new fill and guard the chunks it must never evict: the
+    /// chunk the guest pc is executing in, chunks holding live return
+    /// addresses (one walk of the `ra` register and the fp chain), and
+    /// watchdog-pinned chunks. Redirectors are not chunks and are never
+    /// victims.
+    fn guard_chunks(&mut self, machine: &Machine) {
+        self.fill_stamp += 1;
+        let stamp = self.fill_stamp;
+        if !self.pinned_origs.is_empty() {
+            for c in self.chunks.iter_mut() {
+                if c.alive && self.pinned_origs.contains(&c.orig_start) {
+                    c.guard = stamp;
+                }
             }
         }
-        out
+        let ras = Cc::ra_locations(machine).map(|(_, ra)| ra);
+        for addr in std::iter::once(machine.cpu.pc).chain(ras) {
+            if let Some(id) = self.chunk_at(addr) {
+                self.chunks[id].guard = stamp;
+            }
+        }
+    }
+
+    /// May the current fill evict chunk `id`?
+    fn evictable(&self, id: usize) -> bool {
+        let c = &self.chunks[id];
+        c.alive && c.guard != self.fill_stamp
     }
 
     /// TRRIP victim selection: the eligible chunk with the maximum RRPV;
@@ -1358,14 +1427,13 @@ impl Cc {
     /// lowest tcache address. When no eligible chunk sits at the horizon
     /// yet, every resident ages by the shortfall first (the classic RRIP
     /// "increment all" step, batched into one pass).
-    fn pick_victim(&mut self, protected: &HashSet<usize>) -> Option<usize> {
+    fn pick_victim(&mut self) -> Option<usize> {
         let (mut best, mut best_key) = (None, (0u8, 0u64, 0u32));
         for (i, c) in self.chunks.iter().enumerate() {
-            if !c.alive || protected.contains(&i) {
+            if !self.evictable(i) {
                 continue;
             }
-            let heat = self.heat.get(&c.orig_start).copied().unwrap_or(0);
-            let key = (c.rrpv, u64::MAX - heat, u32::MAX - c.tc_start);
+            let key = (c.rrpv, u64::MAX - c.heat, u32::MAX - c.tc_start);
             if best.is_none() || key > best_key {
                 best = Some(i);
                 best_key = key;
@@ -1379,6 +1447,29 @@ impl Cc {
             }
         }
         Some(victim)
+    }
+
+    /// Neighbour growth: a chunk bordering the hole that contains `p`,
+    /// the more re-reference-distant side when both are eligible (ties to
+    /// the lower side). Growth may consume warm-or-colder neighbours for
+    /// the sake of contiguity, but never a currently-hot chunk: at
+    /// pathologically small sizes the retained hot set is the only thing
+    /// cutting refetches.
+    fn neighbour_victim(&self, p: u32) -> Option<usize> {
+        let (s, l) = self.free.hole_at(p)?;
+        let eligible = |i: &usize| self.evictable(*i) && self.chunks[*i].rrpv > RRPV_HOT;
+        let left = s.checked_sub(4).and_then(|a| self.chunk_at(a));
+        let right = self.chunk_at(s + l);
+        match (left.filter(eligible), right.filter(eligible)) {
+            (Some(a), Some(b)) => {
+                let key = |i: usize| {
+                    let c = &self.chunks[i];
+                    (std::cmp::Reverse(c.rrpv), c.heat)
+                };
+                Some(if key(a) <= key(b) { a } else { b })
+            }
+            (x, y) => x.or(y),
+        }
     }
 
     /// Evict one chunk under the `Trrip` policy: account it, remember its
@@ -1407,43 +1498,43 @@ impl Cc {
         }
         self.evict_seq += 1;
         self.history.insert(orig, self.evict_seq);
-        self.detach_chunk(machine, ep, cid)?;
+        // This fill guarded every chunk holding a live return address, so
+        // a victim holds none and its detach needs no walk of its own.
+        debug_assert!(
+            self.collect_ras(machine, self.chunks[cid].span())
+                .is_empty(),
+            "victim holds a live return address"
+        );
+        self.detach_chunk(machine, ep, cid, Vec::new())?;
         Ok(())
     }
 
     /// Detach the live chunk `cid` from every pointer that implicitly
     /// marks it valid — the shared core of [`Cc::invalidate_chunk`] (the
-    /// paper's SMC API) and policy eviction. The span is handed back to
-    /// the allocator *before* incoming sites are re-pointed, so the
-    /// replacement stubs and trampolines can land in the hole just freed
-    /// and detaching runs out of redirector space only when pins crowd
-    /// out the entire tcache. Returns `false` if it still did and the
-    /// detach degraded to a wholesale flush.
+    /// paper's SMC API) and policy eviction. `ra_pending` holds the live
+    /// return addresses inside the chunk, already resolved to original
+    /// targets. The span is handed back to the allocator *before*
+    /// incoming sites are re-pointed, so the replacement stubs and
+    /// trampolines can land in the hole just freed and detaching runs
+    /// out of redirector space only when pins crowd out the entire
+    /// tcache. Returns `false` if it still did and the detach degraded to
+    /// a wholesale flush.
     fn detach_chunk(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
         cid: usize,
+        ra_pending: Vec<(RaLoc, u32)>,
     ) -> Result<bool, CacheError> {
-        let chunk = self.chunks[cid].clone();
-        let orig = chunk.orig_start;
-        let span_start = chunk.tc_start;
-        let span_bytes = chunk.n_words * 4;
-
-        // Resolve live return addresses inside the dying span back to
-        // original targets while the tc→orig mapping still exists.
-        let span = span_start..span_start + span_bytes;
-        let ra_pending: Vec<(RaLoc, u32)> = self
-            .ra_locations(machine)
-            .into_iter()
-            .filter(|(_, v)| span.contains(v))
-            .filter_map(|(loc, v)| self.tc_to_orig(v).map(|o| (loc, o)))
-            .collect();
-
         // Unregister the chunk and reclaim its span.
-        self.chunks[cid].alive = false;
+        self.set_owner(cid, 0);
+        let c = &mut self.chunks[cid];
+        c.alive = false;
+        let (orig, span_start, span_bytes) = (c.orig_start, c.tc_start, c.n_words * 4);
+        let mut incoming = take(&mut c.incoming);
+        let mut outgoing = take(&mut c.outgoing);
+        self.heat.insert(orig, c.heat);
         self.map.remove(&orig);
-        self.chunk_ids.remove(&orig);
         self.seals.unseal(span_start);
         if self.pinned_origs.contains(&orig) {
             machine.unpin_slow_span(span_start, span_start + span_bytes);
@@ -1459,13 +1550,8 @@ impl Cc {
         self.free.release(span_start, span_bytes);
 
         // 1. Re-point incoming sites at fresh miss stubs.
-        for inc in &chunk.incoming {
-            if !self
-                .chunks
-                .get(inc.from_chunk)
-                .map(|c| c.alive)
-                .unwrap_or(false)
-            {
+        for inc in &incoming {
+            if !self.chunks[inc.from_chunk].alive {
                 continue;
             }
             let idx = self.alloc_record(MissRecord {
@@ -1494,8 +1580,14 @@ impl Cc {
                     machine.mem.write_u32(inc.addr, patched).expect("mapped");
                 }
             }
-            // The site's home chunk changed legitimately: reseal it.
-            self.seals.reseal_containing(machine, inc.addr);
+        }
+        // The sites' home chunks changed legitimately: reseal each once.
+        for (k, inc) in incoming.iter().enumerate() {
+            let home = inc.from_chunk;
+            if self.chunks[home].alive && !incoming[..k].iter().any(|i| i.from_chunk == home) {
+                let start = self.chunks[home].tc_start;
+                self.seals.reseal_containing(machine, start);
+            }
         }
 
         // 2. Redirect return addresses pointing into the dead span.
@@ -1510,11 +1602,23 @@ impl Cc {
         }
 
         // 3. Kill the chunk's records (retiring their standalone stubs),
-        //    prune its incoming entries elsewhere, recycle the slot.
+        //    drop its back-references from the chunks it linked into, and
+        //    recycle the slot with its emptied lists.
         self.kill_records_of(cid);
-        for other in self.chunks.iter_mut() {
-            other.incoming.retain(|i| i.from_chunk != cid);
+        for &t in &outgoing {
+            self.chunks[t].incoming.retain(|i| i.from_chunk != cid);
         }
+        debug_assert!(
+            self.chunks
+                .iter()
+                .all(|c| c.incoming.iter().all(|i| i.from_chunk != cid)),
+            "a back-reference from chunk {cid} outlived its outgoing list"
+        );
+        incoming.clear();
+        outgoing.clear();
+        let c = &mut self.chunks[cid];
+        c.incoming = incoming;
+        c.outgoing = outgoing;
         self.free_chunk_slots.push(cid);
 
         match self.rpc(ep, &Request::Invalidate { orig_pc: orig }) {
@@ -1799,12 +1903,7 @@ impl Cc {
     /// chunk, if resident).
     fn inject_code_flip(&mut self, machine: &mut Machine, inj: &mut MemFaultInjector) {
         let addr = if let Some(orig) = inj.plan.stuck_orig {
-            let Some(cid) = self
-                .map
-                .get(&orig)
-                .copied()
-                .and_then(|tc| self.chunk_at(tc))
-            else {
+            let Some(&cid) = self.map.get(&orig) else {
                 return;
             };
             let c = &self.chunks[cid];
@@ -1860,7 +1959,151 @@ enum RaLoc {
 
 #[cfg(test)]
 mod tests {
-    use super::FreeList;
+    use super::*;
+
+    /// A TRRIP controller over a 64-word arena at 0x1000. Victim selection
+    /// reads only CC metadata, so no machine is needed.
+    fn trrip_cc() -> Cc {
+        Cc::new(IcacheConfig {
+            tcache_base: 0x1000,
+            tcache_size: 0x100,
+            ..IcacheConfig::default()
+        })
+    }
+
+    /// Hand-build a resident chunk of `words` words at `tc` with the given
+    /// temperature and lifetime heat; returns its slot.
+    fn put_chunk(cc: &mut Cc, orig: u32, tc: u32, words: u32, rrpv: u8, heat: u64) -> usize {
+        assert!(cc.free.alloc_at(tc, words * 4));
+        let id = cc.chunks.len();
+        cc.chunks.push(ChunkInfo {
+            orig_start: orig,
+            tc_start: tc,
+            n_words: words,
+            body_words: words,
+            alive: true,
+            epoch: id as u64 + 1,
+            rrpv,
+            pressure_rrpv: rrpv,
+            heat,
+            ..ChunkInfo::default()
+        });
+        cc.set_owner(id, id as u32 + 1);
+        cc.map.insert(orig, id);
+        id
+    }
+
+    /// Open a fill that guards exactly the chunks in `guarded`.
+    fn open_fill(cc: &mut Cc, guarded: &[usize]) {
+        cc.fill_stamp += 1;
+        for &g in guarded {
+            cc.chunks[g].guard = cc.fill_stamp;
+        }
+    }
+
+    /// `pick_victim` with the chunks in `guarded` protected this fill.
+    fn victim(cc: &mut Cc, guarded: &[usize]) -> Option<usize> {
+        open_fill(cc, guarded);
+        cc.pick_victim()
+    }
+
+    /// Neighbour growth from the hole containing `p`, `guarded` protected.
+    fn neighbour(cc: &mut Cc, p: u32, guarded: &[usize]) -> Option<usize> {
+        open_fill(cc, guarded);
+        cc.neighbour_victim(p)
+    }
+
+    fn rrpvs(cc: &Cc) -> Vec<u8> {
+        cc.chunks.iter().map(|c| c.rrpv).collect()
+    }
+
+    #[test]
+    fn trrip_victim_order_aging_and_neighbour_growth() {
+        // Highest RRPV first; ties to the least heat, then the lowest
+        // address. A victim at the horizon means nobody ages.
+        let mut cc = trrip_cc();
+        let a = put_chunk(&mut cc, 0x100, 0x1000, 4, RRPV_MAX, 9);
+        let b = put_chunk(&mut cc, 0x200, 0x1010, 4, RRPV_MAX, 2);
+        let c = put_chunk(&mut cc, 0x300, 0x1020, 4, RRPV_MAX, 2);
+        let d = put_chunk(&mut cc, 0x400, 0x1030, 4, RRPV_FRESH, 0);
+        assert_eq!(
+            victim(&mut cc, &[]),
+            Some(b),
+            "least heat, then lowest address"
+        );
+        assert_eq!(victim(&mut cc, &[b]), Some(c), "guarded chunks are skipped");
+        assert_eq!(victim(&mut cc, &[b, c]), Some(a), "RRPV outranks heat");
+        assert_eq!(rrpvs(&cc), [RRPV_MAX, RRPV_MAX, RRPV_MAX, RRPV_FRESH]);
+        assert_eq!(victim(&mut cc, &[a, b, c]), Some(d));
+        assert_eq!(rrpvs(&cc), [RRPV_MAX; 4], "aged by the shortfall, capped");
+
+        // Aging: when no eligible chunk sits at the horizon, every
+        // resident (guarded ones too) ages by the eligible shortfall.
+        let mut cc = trrip_cc();
+        let h = put_chunk(&mut cc, 0x100, 0x1000, 4, RRPV_HOT, 7);
+        let w = put_chunk(&mut cc, 0x200, 0x1010, 4, RRPV_WARM, 1);
+        let g = put_chunk(&mut cc, 0x300, 0x1020, 4, RRPV_WARM, 0);
+        assert_eq!(victim(&mut cc, &[g]), Some(w));
+        assert_eq!(rrpvs(&cc), [RRPV_FRESH, RRPV_MAX, RRPV_MAX]);
+        assert_eq!(victim(&mut cc, &[g, w]), Some(h));
+        assert_eq!(rrpvs(&cc), [RRPV_MAX; 3]);
+        assert_eq!(victim(&mut cc, &[h, w, g]), None, "everything guarded");
+
+        // Neighbour growth around the hole [0x1010, 0x1020) between L at
+        // 0x1000 and R at 0x1020: the colder side, never a hot one.
+        let grow = |l: (u8, u64), r: (u8, u64), guard_r: bool| {
+            let mut cc = trrip_cc();
+            let lid = put_chunk(&mut cc, 0x100, 0x1000, 4, l.0, l.1);
+            let rid = put_chunk(&mut cc, 0x200, 0x1020, 4, r.0, r.1);
+            let guarded = if guard_r { vec![rid] } else { Vec::new() };
+            match neighbour(&mut cc, 0x1014, &guarded) {
+                Some(v) if v == lid => "left",
+                Some(v) if v == rid => "right",
+                Some(v) => panic!("unknown slot {v}"),
+                None => "none",
+            }
+        };
+        assert_eq!(grow((RRPV_MAX, 5), (RRPV_MAX, 2), false), "right");
+        assert_eq!(grow((RRPV_FRESH, 0), (RRPV_MAX, 9), false), "right");
+        assert_eq!(grow((RRPV_WARM, 3), (RRPV_WARM, 3), false), "left");
+        assert_eq!(grow((RRPV_HOT, 0), (RRPV_WARM, 9), false), "right");
+        assert_eq!(grow((RRPV_WARM, 9), (RRPV_HOT, 0), false), "left");
+        assert_eq!(grow((RRPV_HOT, 0), (RRPV_HOT, 0), false), "none");
+        assert_eq!(grow((RRPV_WARM, 9), (RRPV_MAX, 0), true), "left");
+
+        // Holes at the arena's edges have one neighbour; an address in no
+        // hole grows nothing.
+        let mut cc = trrip_cc();
+        let r = put_chunk(&mut cc, 0x100, 0x1010, 4, RRPV_MAX, 0);
+        assert_eq!(neighbour(&mut cc, 0x1000, &[]), Some(r));
+        assert_eq!(neighbour(&mut cc, 0x10fc, &[]), Some(r));
+        assert_eq!(neighbour(&mut cc, 0x1010, &[]), None);
+    }
+
+    #[test]
+    fn used_bytes_counts_against_the_word_rounded_arena() {
+        // 990 B (the compress95 cliff) is not a word multiple: the arena
+        // is 988 B, and an empty tcache has nothing allocated.
+        let mut cc = Cc::new(IcacheConfig {
+            tcache_size: 990,
+            ..IcacheConfig::default()
+        });
+        assert_eq!(cc.used_bytes(), 0);
+        let mut machine = Machine::load_client(&softcache_isa::Image::new(), &[]);
+        let dest = cc.cfg.tcache_base;
+        let chunk = ChunkPayload {
+            orig_start: 0x1000,
+            body_words: 5,
+            words: vec![encode(Inst::J { off: 0 }); 5],
+            exits: Vec::new(),
+            resolved: Vec::new(),
+            extra_orig: Vec::new(),
+        };
+        assert!(cc.free.alloc_at(dest, 20));
+        cc.install(&mut machine, chunk, dest, 0, false).unwrap();
+        assert_eq!(cc.used_bytes(), 20);
+        assert_eq!(cc.translation_of(0x1000), Some(dest));
+    }
 
     #[test]
     fn free_list_is_a_bump_pointer_until_released_into() {

@@ -25,8 +25,11 @@ pub const ENVELOPE_BYTES: u32 = 12;
 
 const CRC_POLY: u32 = 0xEDB8_8320; // reflected IEEE 802.3 polynomial
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `t[0]` is the classic bytewise table, and `t[k][i]`
+/// is the CRC of byte `i` followed by `k` zero bytes, so eight table
+/// lookups advance the CRC by eight bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -39,17 +42,42 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 fn crc_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    let t = &CRC_TABLES;
+    let byte = |w: u32, shift: u32| ((w >> shift) & 0xFF) as usize;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        state = t[0][byte(state ^ b as u32, 0)] ^ (state >> 8);
     }
     state
 }
@@ -135,6 +163,70 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 that slice-by-8 replaced, kept as its oracle.
+    fn crc_update_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state = CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    /// 264 bytes of seeded noise: any 0..=256-byte slice at offsets 0..8.
+    fn noise() -> Vec<u8> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..264)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_at_every_length_and_alignment() {
+        let buf = noise();
+        for start in 0..8 {
+            for len in 0..=256 {
+                let bytes = &buf[start..start + len];
+                for state in [!0, 0, 0x1234_5678] {
+                    assert_eq!(
+                        crc_update(state, bytes),
+                        crc_update_bytewise(state, bytes),
+                        "start {start}, len {len}, state {state:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_by_8_composes_across_split_updates() {
+        // `envelope_crc` feeds seq, epoch and payload as three slices; any
+        // split must give the CRC of the concatenation.
+        let buf = noise();
+        let whole = crc_update_bytewise(!0, &buf[..100]);
+        for a in 0..=100 {
+            for b in a..=100 {
+                let c = crc_update(
+                    crc_update(crc_update(!0, &buf[..a]), &buf[a..b]),
+                    &buf[b..100],
+                );
+                assert_eq!(c, whole, "split at {a}, {b}");
+            }
+        }
+        for len in 0..64 {
+            let payload = &buf[..len];
+            let framed = [&[1, 2, 3, 4, 5, 6, 7, 8][..], payload].concat();
+            assert_eq!(
+                envelope_crc(0x0403_0201, 0x0807_0605, payload),
+                !crc_update_bytewise(!0, &framed),
+                "payload of {len} bytes"
+            );
+        }
     }
 
     #[test]

@@ -305,20 +305,18 @@ pub struct Machine {
     /// micro-op arrays with precomputed cycle totals (same write barrier;
     /// the machine keeps both caches' generations in lockstep).
     uops: UopCache,
-    /// Superblock execution toggle (on by default; benches A/B it).
+    /// Superblock execution toggle (on by default).
     superblocks: bool,
     /// Superblock chaining toggle: follow generation-stamped successor
     /// links so whole traces run with one dispatch and one budget check
-    /// per link (on by default, meaningful only with `superblocks`;
-    /// benches A/B it).
+    /// per link (on by default, meaningful only with `superblocks`).
     chaining: bool,
     /// Indirect-branch inline-cache toggle: let `jr`/`jalr`/`ret`
     /// terminators chain through their per-site cached target (on by
-    /// default, meaningful only with `chaining`; benches A/B it).
+    /// default, meaningful only with `chaining`).
     indirect_ic: bool,
     /// Threaded-tier toggle: promote hot superblocks to pre-bound
-    /// handler arrays (on by default, meaningful only with `superblocks`;
-    /// benches A/B it).
+    /// handler arrays (on by default, meaningful only with `superblocks`).
     threaded: bool,
     /// Hotness threshold for threaded promotion (0 = thread at lowering,
     /// [`THREADED_NEVER`] = never).
@@ -519,23 +517,25 @@ impl Machine {
     }
 
     /// Enable or disable superblock execution in [`Machine::run_block`].
-    /// Accounting is bit-identical either way; benches A/B the two modes.
+    /// Accounting is bit-identical either way; `check_all_engines` in
+    /// `tests/end_to_end.rs` checks each dispatch setting against the
+    /// slow path.
     pub fn set_superblocks_enabled(&mut self, on: bool) {
         self.superblocks = on;
     }
 
     /// Enable or disable superblock *chaining* (trace formation across
     /// terminators with statically known targets). Only meaningful while
-    /// superblocks are enabled. Accounting is bit-identical either way;
-    /// benches A/B the two modes.
+    /// superblocks are enabled. Accounting is bit-identical either way
+    /// (`tests/end_to_end.rs::check_all_engines`).
     pub fn set_chaining_enabled(&mut self, on: bool) {
         self.chaining = on;
     }
 
     /// Enable or disable the indirect-branch inline caches (per-site
     /// cached targets for `jr`/`jalr`/`ret` terminators). Only meaningful
-    /// while chaining is enabled. Accounting is bit-identical either way;
-    /// benches A/B the two modes.
+    /// while chaining is enabled. Accounting is bit-identical either way
+    /// (`tests/end_to_end.rs::check_all_engines`).
     pub fn set_indirect_ic_enabled(&mut self, on: bool) {
         self.indirect_ic = on;
     }
@@ -543,7 +543,7 @@ impl Machine {
     /// Enable or disable the threaded (hot) tier: hotness-promoted
     /// superblocks dispatched through pre-bound handler arrays. Only
     /// meaningful while superblocks are enabled. Accounting is
-    /// bit-identical either way; benches A/B the two modes.
+    /// bit-identical either way (`tests/end_to_end.rs::check_all_engines`).
     pub fn set_threaded_enabled(&mut self, on: bool) {
         self.threaded = on;
     }
@@ -557,7 +557,7 @@ impl Machine {
 
     /// Set the return-address-stack depth (0 disables the predictor) and
     /// clear any outstanding predictions. Accounting is bit-identical at
-    /// any depth; benches A/B depths.
+    /// any depth (`tests/end_to_end.rs::check_all_engines` runs depth 0).
     pub fn set_ras_depth(&mut self, depth: u32) {
         self.ras = Ras::new(depth);
     }
