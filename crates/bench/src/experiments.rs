@@ -1039,7 +1039,7 @@ pub fn chaos_matrix() -> Vec<ChaosRow> {
         }
     }
 
-    // Paging procedure cache: flips land while LRU eviction recycles
+    // Paging procedure cache: flips land while TRRIP eviction recycles
     // addresses.
     {
         let arm_image = w.image(false);
@@ -2272,25 +2272,18 @@ mod tests {
                 .expect("softcache run")
         };
         let on = run(ample);
-        let ras_off = run(IcacheConfig {
-            ras_depth: 0,
-            ..ample
-        });
         let off = run(IcacheConfig {
             indirect_ic: false,
-            ras_depth: 0,
             ..ample
         });
         assert_eq!(run(ample).trace, on.trace, "trace counters must replay");
 
-        // The predictors are host-side dispatch only, and every walk
+        // The inline cache is host-side dispatch only, and every walk
         // entry ends in exactly one break or exit.
-        for (tag, o) in [("IC on, RAS off", &ras_off), ("IC and RAS off", &off)] {
-            assert_eq!(o.exec, on.exec, "{tag} changed simulated stats");
-            assert_eq!(o.cache, on.cache, "{tag} changed cache stats");
-            assert_eq!(o.output, on.output, "{tag} changed output");
-        }
-        for t in [&on.trace, &ras_off.trace, &off.trace] {
+        assert_eq!(off.exec, on.exec, "IC off changed simulated stats");
+        assert_eq!(off.cache, on.cache, "IC off changed cache stats");
+        assert_eq!(off.output, on.output, "IC off changed output");
+        for t in [&on.trace, &off.trace] {
             assert_eq!(
                 t.entries,
                 t.breaks.total() + t.code_write_exits + t.fault_exits,
@@ -2298,11 +2291,11 @@ mod tests {
             );
         }
 
-        // IC + RAS eliminate (nearly) every `ret` chain break.
+        // The inline cache eliminates (nearly) every `ret` chain break.
         let reduction = 1.0 - on.trace.breaks.ret as f64 / off.trace.breaks.ret as f64;
         assert!(
             reduction >= 0.8,
-            "IC + RAS remove only {reduction:.4} of ret breaks ({} -> {})",
+            "the IC removes only {reduction:.4} of ret breaks ({} -> {})",
             off.trace.breaks.ret,
             on.trace.breaks.ret
         );

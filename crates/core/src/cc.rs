@@ -88,12 +88,12 @@ pub struct IcacheConfig {
     /// inline caches so monomorphic indirects chain like static legs.
     /// Composes with `chaining` — ignored when that is off. Host-side
     /// speed only; simulated results are bit-identical either way
-    /// (`icache::tests::indirect_ic_and_ras_are_bit_identical_at_system_level`).
+    /// (`icache::tests::indirect_ic_is_bit_identical_at_system_level`).
     pub indirect_ic: bool,
-    /// Return-address-stack depth for predicting `ret` targets from the
-    /// matching call (0 disables the RAS). Host-side speed only; every
-    /// prediction is validated, so simulated results are bit-identical at
-    /// any depth (same test as `indirect_ic`).
+    /// Unused (default 0): `ret` chains through its inline cache, and
+    /// there is no return-address stack to size. Kept only because the
+    /// benchmark's traced run (`benchmark/src/solo.rs`) still reads it;
+    /// delete it with that read.
     pub ras_depth: u32,
     /// Promote hot superblocks to the threaded-dispatch tier (flat
     /// handler-pointer arrays, no per-uop match — DESIGN.md §14).
@@ -129,7 +129,7 @@ impl Default for IcacheConfig {
             superblocks: true,
             chaining: true,
             indirect_ic: true,
-            ras_depth: softcache_sim::DEFAULT_RAS_DEPTH,
+            ras_depth: 0,
             threaded: true,
             threaded_threshold: softcache_sim::DEFAULT_THREADED_THRESHOLD,
             integrity: IntegrityConfig::default(),
@@ -1269,11 +1269,9 @@ impl Cc {
         let pending = self.collect_tcache_ras(machine);
         self.reset_local();
         self.stats.link.session.resyncs += 1;
-        // Every tcache address is about to be recycled: predicted returns
-        // into the dead translations would only mispredict, and slow-path
-        // pins anchored to dead spans would wrongly slow fresh code (the
-        // pinned origs re-pin on reinstall).
-        machine.clear_ras();
+        // Every tcache address is about to be recycled: slow-path pins
+        // anchored to dead spans would wrongly slow fresh code (the pinned
+        // origs re-pin on reinstall).
         machine.clear_slow_pins();
         self.retrampoline(machine, pending);
     }
@@ -1286,9 +1284,7 @@ impl Cc {
         self.reset_local();
         self.stats.flushes += 1;
         // As in resync: the whole tcache is recycled, so drop every
-        // return-address prediction into it and every slow-path pin
-        // anchored to the dead spans.
-        machine.clear_ras();
+        // slow-path pin anchored to the dead spans.
         machine.clear_slow_pins();
         match self.rpc(ep, &Request::InvalidateAll) {
             Ok((reply, stall)) => {
@@ -1783,11 +1779,9 @@ impl Cc {
             }
             self.stats.integrity.quarantines += 1;
             // Quarantine: sever every pointer that marks the chunk valid
-            // (incoming branches, return addresses, map entry, records),
-            // drop predicted returns into the dying span, and tell the
-            // MC. The next entry refetches a clean copy on the ordinary
-            // miss path.
-            machine.clear_ras();
+            // (incoming branches, return addresses, map entry, records)
+            // and tell the MC. The next entry refetches a clean copy on
+            // the ordinary miss path.
             self.invalidate_chunk(machine, ep, orig)?;
         } else if let Some(&Redir { addr, idx, .. }) =
             self.trampolines.iter().find(|t| t.addr == start)

@@ -102,7 +102,7 @@ fn intercept_data_access(
                 machine.cpu.pc = pc.wrapping_add(INST_BYTES);
                 machine.stats.instructions += 1;
                 machine.stats.loads += 1;
-                machine.stats.cycles += machine.cost.cycles_for(inst, false) + extra;
+                machine.stats.cycles += machine.cost().cycles_for(inst, false) + extra;
                 return Ok(true);
             }
             if in_stack(addr) {
@@ -137,7 +137,7 @@ fn intercept_data_access(
                 machine.cpu.pc = pc.wrapping_add(INST_BYTES);
                 machine.stats.instructions += 1;
                 machine.stats.stores += 1;
-                machine.stats.cycles += machine.cost.cycles_for(inst, false) + extra;
+                machine.stats.cycles += machine.cost().cycles_for(inst, false) + extra;
                 return Ok(true);
             }
             if in_stack(addr) {

@@ -26,8 +26,9 @@ pub struct RunOutput {
     /// CPU execution statistics (cycles include miss service).
     pub exec: ExecStats,
     /// Superblock-engine telemetry (trace entries, chain breaks by
-    /// terminator kind, IC/RAS hits). Host-side only: *not* part of the
-    /// bit-identity contract the `exec`/`cache` ledgers carry.
+    /// terminator kind, inline-cache hits and fills). Host-side only:
+    /// *not* part of the bit-identity contract the `exec`/`cache` ledgers
+    /// carry.
     pub trace: TraceStats,
 }
 
@@ -176,7 +177,6 @@ impl SoftIcacheSystem {
         machine.set_superblocks_enabled(self.cfg.superblocks);
         machine.set_chaining_enabled(self.cfg.chaining);
         machine.set_indirect_ic_enabled(self.cfg.indirect_ic);
-        machine.set_ras_depth(self.cfg.ras_depth);
         machine.set_threaded_enabled(self.cfg.threaded);
         machine.set_threaded_threshold(self.cfg.threaded_threshold);
         let mut cc = Cc::new(self.cfg);
@@ -233,7 +233,7 @@ impl SoftIcacheSystem {
         };
         cc.finalize_prefetch();
         if let Some(p) = cc.power() {
-            let clock = machine.cost.clock_hz as f64;
+            let clock = machine.cost().clock_hz as f64;
             self.last_power = Some(PowerReport {
                 mean_awake_banks: p.mean_awake_banks(),
                 total_banks: p.config().banks,
@@ -407,7 +407,7 @@ int main() {
     /// Recursive fib over a table: the workload of the system-level knob
     /// tests below. Its 508 B of text fit the 48 KiB leg of
     /// [`KNOB_TCACHE_SIZES`] and overflow the 256 B leg, and the recursion
-    /// keeps the RAS busy (including overflow past shallow depths).
+    /// sends `fib`'s `ret` back to three call sites.
     const KNOB_SRC: &str = r#"
 int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
 int tab[32];
@@ -475,9 +475,8 @@ int main() {
     #[test]
     fn chaining_is_bit_identical_at_system_level() {
         // Superblock chaining on vs off: links are host-side speed only.
-        // On the tight leg links form at install time (`predecode_range`
-        // → `link_range`), sever on every eviction, and re-form lazily
-        // mid-run.
+        // On the tight leg links sever on every eviction and re-form the
+        // next time a walk takes their leg.
         for tcache_size in KNOB_TCACHE_SIZES {
             let base = knob_default(tcache_size);
             let on = run_knob(base);
@@ -489,31 +488,61 @@ int main() {
         }
     }
 
+    /// One callee called from two sites in a loop: its `ret` alternates
+    /// between two targets, so the inline cache misses on every return
+    /// and keeps the trace chained only by refilling in-walk.
+    const TWO_SITE_SRC: &str = r#"
+int f(int x) { return x + 1; }
+int main() {
+    int i; int s;
+    s = 0;
+    for (i = 0; i < 2000; i = i + 1) { s = s + f(i); s = s + f(s); }
+    return s % 251;
+}
+"#;
+
     #[test]
-    fn indirect_ic_and_ras_are_bit_identical_at_system_level() {
-        // Sweeping the indirect-branch inline caches and RAS depth: both
-        // are host-side dispatch only. The tight leg exercises the
-        // predictor-reset paths (`clear_ras` on flush/resync, severing of
-        // cached indirect targets on eviction).
+    fn indirect_ic_is_bit_identical_at_system_level() {
+        // The indirect-branch inline caches on vs off: host-side dispatch
+        // only. The tight leg severs cached targets on every eviction.
         for tcache_size in KNOB_TCACHE_SIZES {
             let base = knob_default(tcache_size);
+            let tag = format!("tcache={tcache_size}");
             let on = run_knob(base);
-            for (indirect_ic, ras_depth) in [(false, 0), (true, 0), (false, 16), (true, 1)] {
-                let other = run_knob(IcacheConfig {
-                    indirect_ic,
-                    ras_depth,
-                    ..base
-                });
-                let tag = format!("tcache={tcache_size} ic={indirect_ic} ras={ras_depth}");
-                assert_same_simulation(&on, &other, &tag);
-            }
+            let off = run_knob(IcacheConfig {
+                indirect_ic: false,
+                ..base
+            });
+            assert_same_simulation(&on, &off, &tag);
             // The telemetry (outside the bit-identity contract) shows the
-            // predictors actually fired.
-            assert!(on.trace.ras_hits > 0, "tcache={tcache_size}");
+            // inline cache actually fired.
+            assert!(on.trace.ic_hits > 0, "{tag}");
+            for t in [&on.trace, &off.trace] {
+                assert_eq!(
+                    t.entries,
+                    t.breaks.total() + t.code_write_exits + t.fault_exits,
+                    "{tag}: walk entries balance walk exits"
+                );
+            }
+
+            // A `ret` shared by two call sites still chains: each return
+            // refills the cache in-walk instead of breaking the trace.
+            let on = run_minic(TWO_SITE_SRC, base, &[]);
+            let off = run_minic(
+                TWO_SITE_SRC,
+                IcacheConfig {
+                    indirect_ic: false,
+                    ..base
+                },
+                &[],
+            );
+            assert_same_simulation(&on, &off, &tag);
+            let (t, returns) = (&on.trace, on.exec.returns);
+            assert!(t.breaks.ret <= 6, "{tag}: {returns} returns, {t:?}");
+            assert!(t.ic_fills * 10 >= returns * 9, "{tag}: {t:?}");
             assert_eq!(
-                on.trace.entries,
-                on.trace.breaks.total() + on.trace.code_write_exits + on.trace.fault_exits,
-                "walk entries balance walk exits"
+                off.trace.breaks.ret, returns,
+                "{tag}: with the IC off every return breaks"
             );
         }
     }
@@ -553,7 +582,6 @@ int main() {
                 assert_eq!(a.entries, b.entries, "{tag}: trace entries");
                 assert_eq!(a.chained, b.chained, "{tag}: chained");
                 assert_eq!(a.breaks, b.breaks, "{tag}: breaks");
-                assert_eq!(a.ras_hits, b.ras_hits, "{tag}: RAS hits");
                 assert_eq!(a.ic_hits, b.ic_hits, "{tag}: IC hits");
                 assert_eq!(
                     a.tier_interp_insts + a.tier_super_insts + a.tier_threaded_insts,

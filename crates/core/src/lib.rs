@@ -7,7 +7,7 @@
 //! * [`icache`] — the basic-block-granularity software instruction cache
 //!   (the SPARC prototype, §2.1–2.2): [`icache::SoftIcacheSystem`].
 //! * [`proc`] — the procedure-granularity variant with redirector stubs
-//!   and LRU eviction (the ARM prototype, §2.3–2.4):
+//!   and per-procedure TRRIP eviction (the ARM prototype, §2.3–2.4):
 //!   [`proc::ProcCacheSystem`].
 //! * [`dcache`] / [`scache`] — the software data cache and stack cache of
 //!   §3, fully implemented (the paper only sketched them).

@@ -24,12 +24,14 @@
 //!   `jump_tables: false`).
 //!
 //! Unlike the SPARC variant's flush-everything policy, this controller
-//! **evicts individual procedures LRU-first** from a first-fit heap, which
-//! is what produces the paging behaviour of Figure 8.
+//! **evicts individual procedures** from a first-fit heap, which is what
+//! produces the paging behaviour of Figure 8. `ProcCc::pick_victim`
+//! chooses the victim by TRRIP: re-reference prediction, then least
+//! lifetime heat, then least recent use (DESIGN.md §16).
 //!
 //! This cache receives no speculative pushes: it only ever issues
 //! `FetchProc`, so the batched `FetchBatch`/`Reply::Batch` protocol never
-//! competes with its pinned redirectors or LRU set — the
+//! competes with its pinned redirectors or resident procedures — the
 //! prefetch-never-evicts-pinned invariant holds here trivially.
 
 use crate::cc::CacheError;
@@ -193,7 +195,8 @@ struct Region {
     kind: RegionKind,
 }
 
-/// First-fit heap with LRU procedure eviction and pinned regions.
+/// First-fit heap of procedure, free and pinned regions. Which procedure
+/// to evict under pressure is `ProcCc::pick_victim`'s choice (TRRIP).
 struct Heap {
     regions: Vec<Region>,
 }
@@ -498,10 +501,8 @@ impl ProcCc {
             self.write_redir_word(machine, ridx, RedirSlot::Callee);
             self.write_redir_word(machine, ridx, RedirSlot::Continuation);
         }
-        // Resident procedures are gone: return-address predictions into
-        // their old tcache slots would only mispredict, and slow-path pins
-        // keyed by recycled addresses would suppress the wrong spans.
-        machine.clear_ras();
+        // Resident procedures are gone: slow-path pins keyed by recycled
+        // addresses would suppress the wrong spans.
         machine.clear_slow_pins();
         self.stats.link.session.resyncs += 1;
     }
@@ -772,10 +773,9 @@ impl ProcCc {
         // The procedure body and its rewired call sites are final. A
         // watchdog-pinned procedure is barred from superblock lowering
         // BEFORE predecode so no uops form for it; everything else gets
-        // predecoded at block starts from its entry, pre-linking the
-        // straight-line successors among them so the first call runs
-        // chained. Blocks at internal branch targets lower lazily on
-        // first entry.
+        // predecoded at block starts from its entry, so the first call
+        // chains across them as it runs. Blocks at internal branch
+        // targets lower lazily on first entry.
         if self.pinned_origs.contains(&chunk.orig_start) {
             machine.pin_slow_span(tc_start, tc_start + bytes);
         }
@@ -902,9 +902,6 @@ impl ProcCc {
                 self.stats.integrity.retranslations += 1;
             }
             self.stats.integrity.quarantines += 1;
-            // Return-address predictions into the quarantined body are
-            // poisoned along with it.
-            machine.clear_ras();
             let idx = self.heap.region_of_func(orig).expect("resident proc");
             self.evict_region(machine, ep, idx)?;
             return Ok(());

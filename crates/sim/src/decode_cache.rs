@@ -10,12 +10,12 @@
 //! Correctness under self-modifying code: the softcache cache controller
 //! backpatches branch words and miss stubs at runtime, so [`Memory`] keeps
 //! a generation counter and dirty span over its watched code ranges (see
-//! [`Memory::set_code_watch`]). [`DecodeCache::sync`] compares generations
-//! and clears exactly the slots of the words the dirty span overlaps — a
-//! stale decode can therefore never execute, and a one-word backpatch
-//! costs one slot, not the page around it. PCs outside the watched ranges
-//! are decoded on every fetch (never memoised), so narrowing the watch can
-//! only cost speed, never correctness.
+//! [`Memory::set_code_watch`]). [`DecodeCache::sync_code`] compares
+//! generations and clears exactly the slots of the words the dirty span
+//! overlaps — a stale decode can therefore never execute, and a one-word
+//! backpatch costs one slot, not the page around it. PCs outside the
+//! watched ranges are decoded on every fetch (never memoised), so
+//! narrowing the watch can only cost speed, never correctness.
 
 use crate::cost::CostModel;
 use crate::cpu::SimError;
@@ -27,11 +27,11 @@ use softcache_isa::inst::Inst;
 const PAGE_SLOTS: usize = 1024;
 const PAGE_SHIFT: u32 = 10;
 
-/// One predecoded instruction with its cycle costs under the cost model
-/// captured at fill time. Costs are stored compressed to keep the slot at
-/// 16 bytes (half the hot loop's cache traffic of an `Option`-per-slot
-/// layout); `cost == EMPTY` marks an unfilled slot, and instructions whose
-/// cost will not fit are simply never memoised.
+/// One predecoded instruction with its cycle costs under the cache's cost
+/// model. Costs are stored compressed to keep the slot at 16 bytes (half
+/// the hot loop's cache traffic of an `Option`-per-slot layout);
+/// `cost == EMPTY` marks an unfilled slot, and instructions whose cost
+/// will not fit are simply never memoised.
 #[derive(Clone, Copy)]
 struct Slot {
     inst: Inst,
@@ -56,7 +56,8 @@ pub struct DecodeCache {
     pages: Vec<Option<Page>>,
     /// The [`Memory::code_gen`] value the cached contents are valid for.
     gen: u64,
-    /// The cost model the cached cycle costs were computed under.
+    /// The cost model the cached cycle costs are computed under, fixed at
+    /// construction.
     cost: CostModel,
 }
 
@@ -70,24 +71,9 @@ impl DecodeCache {
         }
     }
 
-    /// Drop every cached decode.
-    pub fn flush(&mut self) {
-        self.pages.clear();
-    }
-
-    /// Bring the cache up to date with `mem`'s code generation and the
-    /// current cost model. Cheap when nothing changed (two compares); on a
-    /// code write, clears only the slots of the words it wrote.
-    #[inline]
-    pub fn sync(&mut self, mem: &mut Memory, cost: &CostModel) {
-        if self.cost != *cost {
-            self.cost = *cost;
-            self.flush();
-        }
-        self.sync_code(mem);
-    }
-
-    /// Generation-only resync (the cost model is known unchanged).
+    /// Bring the cache up to date with `mem`'s code generation. Cheap
+    /// when nothing changed (one compare); on a code write, clears only
+    /// the slots of the words it wrote.
     #[inline]
     pub fn sync_code(&mut self, mem: &mut Memory) {
         if self.gen != mem.code_gen() {
@@ -117,18 +103,6 @@ impl DecodeCache {
     #[inline]
     pub(crate) fn set_generation(&mut self, generation: u64) {
         self.gen = generation;
-    }
-
-    /// Does the cache hold costs for a different model than `cost`?
-    #[inline]
-    pub(crate) fn cost_stale(&self, cost: &CostModel) -> bool {
-        self.cost != *cost
-    }
-
-    /// Adopt `cost`, dropping every memoised decode.
-    pub(crate) fn set_cost(&mut self, cost: CostModel) {
-        self.cost = cost;
-        self.flush();
     }
 
     /// Clear the slot of every word overlapping the byte span `[lo, hi)`.
@@ -234,32 +208,31 @@ mod tests {
         let mut mem = Memory::new(8192);
         mem.write_u32(0, addi(1)).unwrap();
         let mut dc = DecodeCache::new(CostModel::default());
-        dc.sync(&mut mem, &CostModel::default());
+        dc.sync_code(&mut mem);
         let (i1, _, _) = dc.fetch(0, &mem).unwrap();
         assert!(matches!(i1, Inst::AluImm { imm: 1, .. }));
 
         // Patch the word; the cache must observe it after sync.
         mem.write_u32(0, addi(7)).unwrap();
         assert!(dc.stale(&mem));
-        dc.sync(&mut mem, &CostModel::default());
+        dc.sync_code(&mut mem);
         let (i2, _, _) = dc.fetch(0, &mem).unwrap();
         assert!(matches!(i2, Inst::AluImm { imm: 7, .. }));
     }
 
     #[test]
     fn invalidation_clears_only_written_words() {
-        let cost = CostModel::default();
         let mut mem = Memory::new(8192);
         for i in 0..4 {
             mem.write_u32(i * 4, addi(i as i32)).unwrap();
         }
-        let mut dc = DecodeCache::new(cost);
-        dc.sync(&mut mem, &cost);
+        let mut dc = DecodeCache::new(CostModel::default());
+        dc.sync_code(&mut mem);
         for i in 0..4 {
             dc.fetch(i * 4, &mem).unwrap();
         }
         mem.store(9, softcache_isa::inst::MemWidth::B, 0).unwrap();
-        dc.sync(&mut mem, &cost);
+        dc.sync_code(&mut mem);
         let cached: Vec<bool> = (0..4).map(|i| dc.is_cached(i * 4)).collect();
         assert_eq!(
             cached,
@@ -268,7 +241,7 @@ mod tests {
         );
         // A watch change dirties all of memory.
         mem.set_code_watch([(0, u32::MAX), (0, 0)]);
-        dc.sync(&mut mem, &cost);
+        dc.sync_code(&mut mem);
         assert!(!dc.is_cached(0) && !dc.is_cached(12));
     }
 
@@ -280,7 +253,7 @@ mod tests {
         mem.write_u32(100, addi(1)).unwrap(); // unwatched: silent
 
         let mut dc = DecodeCache::new(CostModel::default());
-        dc.sync(&mut mem, &CostModel::default());
+        dc.sync_code(&mut mem);
         let (i1, _, _) = dc.fetch(100, &mem).unwrap();
         assert!(matches!(i1, Inst::AluImm { imm: 1, .. }));
 
@@ -296,7 +269,7 @@ mod tests {
     fn errors_match_slow_path() {
         let mut mem = Memory::new(64);
         let mut dc = DecodeCache::new(CostModel::default());
-        dc.sync(&mut mem, &CostModel::default());
+        dc.sync_code(&mut mem);
         assert!(matches!(
             dc.fetch(2, &mem),
             Err(SimError::FetchFault { pc: 2, .. })
@@ -340,27 +313,11 @@ mod tests {
             };
             let want = model.cycle_pair(decode(branch).unwrap());
             let mut dc = DecodeCache::new(model);
-            dc.sync(&mut mem, &model);
+            dc.sync_code(&mut mem);
             for pass in 0..2 {
                 let (_, c, ct) = dc.fetch(0, &mem).unwrap();
                 assert_eq!((c, ct), want, "base={base} pass={pass}");
             }
         }
-    }
-
-    #[test]
-    fn cost_model_change_invalidates() {
-        let mut mem = Memory::new(64);
-        mem.write_u32(0, addi(1)).unwrap();
-        let mut dc = DecodeCache::new(CostModel::default());
-        dc.sync(&mut mem, &CostModel::default());
-        let (_, c1, _) = dc.fetch(0, &mem).unwrap();
-        let expensive = CostModel {
-            base: 10,
-            ..CostModel::default()
-        };
-        dc.sync(&mut mem, &expensive);
-        let (_, c2, _) = dc.fetch(0, &mem).unwrap();
-        assert_eq!(c1 + 9, c2);
     }
 }

@@ -22,7 +22,7 @@ pub use cost::CostModel;
 pub use cpu::{Cpu, Next, SimError, Trap};
 pub use decode_cache::DecodeCache;
 pub use machine::{
-    syscall, BreakStats, Env, ExecStats, Machine, RunError, Step, TraceStats, DEFAULT_RAS_DEPTH,
+    syscall, BreakStats, Env, ExecStats, Machine, RunError, Step, TraceStats,
     DEFAULT_THREADED_THRESHOLD, THREADED_NEVER,
 };
 pub use mem::{MemFault, Memory};

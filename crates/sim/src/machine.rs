@@ -3,13 +3,14 @@
 //! A [`Machine`] owns everything needed to run an [`Image`] *natively* (no
 //! software cache — the paper's "ideal" baseline) and exposes the pieces the
 //! softcache cache controller needs to drive execution itself: public
-//! [`Cpu`], [`Memory`], cost model and statistics.
+//! [`Cpu`], [`Memory`] and statistics, and the cost model through
+//! [`Machine::cost`].
 
 use crate::cost::CostModel;
 use crate::cpu::{Cpu, Next, SimError, Trap};
 use crate::decode_cache::DecodeCache;
 use crate::mem::Memory;
-use crate::uop::{self, BlockExit, Ras, TermKind, UopCache};
+use crate::uop::{self, BlockExit, TermKind, UopCache};
 use softcache_isa::cf::rel_target;
 use softcache_isa::image::Image;
 use softcache_isa::inst::Inst;
@@ -106,9 +107,9 @@ impl ExecStats {
 }
 
 /// Chain-break counts by terminator kind: how many trace walks ended at
-/// each class of terminator because no valid successor (static link,
-/// inline cache, or RAS prediction) was available — or because the step
-/// budget could not fit the successor block.
+/// each class of terminator because no valid successor (static link or
+/// inline cache) was available — or because the step budget could not fit
+/// the successor block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BreakStats {
     /// Block ended at a non-lowerable instruction (no terminator).
@@ -168,8 +169,8 @@ impl BreakStats {
 pub struct TraceStats {
     /// Trace walks entered from the loop-top lookup.
     pub entries: u64,
-    /// Block executions reached by following a link in-walk (static,
-    /// inline-cache, or RAS).
+    /// Block executions reached by following a link in-walk (static link
+    /// or inline cache).
     pub chained: u64,
     /// Walks ended with no valid successor, by terminator kind.
     pub breaks: BreakStats,
@@ -179,19 +180,9 @@ pub struct TraceStats {
     pub fault_exits: u64,
     /// Indirect terminators chained through their inline cache.
     pub ic_hits: u64,
-    /// Inline-cache fills (first observation or target change).
+    /// Inline-cache fills (first observation, target change, or a
+    /// refill after a code write).
     pub ic_fills: u64,
-    /// Returns chained through a RAS prediction.
-    pub ras_hits: u64,
-    /// RAS pops whose prediction was stale or wrong (walk fell back to
-    /// the inline cache).
-    pub ras_mispredicts: u64,
-    /// Returns that found the RAS empty.
-    pub ras_underflows: u64,
-    /// Calls that pushed a RAS prediction.
-    pub ras_pushes: u64,
-    /// Pushes that overwrote a live entry (stack at depth).
-    pub ras_overflows: u64,
     /// Instructions retired by the per-instruction path inside
     /// [`Machine::run_block`] (the cold tier). Tier counters cover
     /// `run_block` execution only — `step`/`step_slow` drivers bypass
@@ -208,10 +199,6 @@ pub struct TraceStats {
     /// heat if relowered).
     pub demotions: u64,
 }
-
-/// Default return-address-stack depth: deep enough for realistic call
-/// chains in the embedded workloads, tiny enough to live in cache.
-pub const DEFAULT_RAS_DEPTH: u32 = 16;
 
 /// Default hotness threshold for promoting a superblock to the threaded
 /// tier: low enough that steady-state code is threaded within a handful
@@ -294,8 +281,8 @@ pub struct Machine {
     pub mem: Memory,
     /// I/O environment.
     pub env: Env,
-    /// Cycle cost model.
-    pub cost: CostModel,
+    /// Cycle cost model, fixed at construction ([`Machine::cost`]).
+    cost: CostModel,
     /// Execution statistics.
     pub stats: ExecStats,
     /// Predecoded fast-path instruction cache (invalidated through the
@@ -325,13 +312,8 @@ pub struct Machine {
     /// heat crossed the threshold mid-walk, where the cache is borrowed
     /// shared); drained after the walk, where `&mut` is available.
     promote: Vec<u32>,
-    /// Return-address stack: predicts `ret` targets from the matching
-    /// `Call`/`CallReg` so call/return pairs chain even through
-    /// polymorphic return sites. Pure host-side prediction — every pop is
-    /// validated against the architectural return PC.
-    ras: Ras,
     /// Superblock-engine telemetry (trace entries, chain breaks by
-    /// terminator kind, IC/RAS hit counters). Not part of the
+    /// terminator kind, inline-cache counters). Not part of the
     /// architectural [`ExecStats`] ledger.
     pub trace: TraceStats,
 }
@@ -388,31 +370,16 @@ impl Machine {
             threaded: true,
             threaded_threshold: DEFAULT_THREADED_THRESHOLD,
             promote: Vec::new(),
-            ras: Ras::new(DEFAULT_RAS_DEPTH),
             trace: TraceStats::default(),
         }
     }
 
     /// Bring both predecode caches (instruction slots and superblocks) up
-    /// to date with the cost model and `mem`'s code generation. The dirty
-    /// span is destroyed on take, so this is the *only* place either cache
-    /// may consume it — both invalidate from the same span and adopt the
-    /// same generation.
+    /// to date with `mem`'s code generation. The dirty span is destroyed
+    /// on take, so this is the *only* place either cache may consume it —
+    /// both invalidate from the same span and adopt the same generation.
     #[inline]
     fn sync_caches(&mut self) {
-        if self.decode.cost_stale(&self.cost) {
-            self.decode.set_cost(self.cost);
-            // Flushing the arena without a generation bump can reuse ids,
-            // so RAS predictions (which carry arena ids) must die with it.
-            self.uops.flush();
-            self.ras.clear();
-        }
-        self.sync_code_caches();
-    }
-
-    /// Generation-only resync of both caches (cost model known unchanged).
-    #[inline]
-    fn sync_code_caches(&mut self) {
         let generation = self.mem.code_gen();
         if self.decode.generation() != generation || self.uops.generation() != generation {
             if let Some((lo, hi)) = self.mem.take_dirty_code() {
@@ -458,14 +425,6 @@ impl Machine {
     #[inline]
     pub fn step(&mut self) -> Result<Step, SimError> {
         self.sync_caches();
-        self.step_synced()
-    }
-
-    /// Fast-path step assuming the decode cache already matches the cost
-    /// model; only the (one-compare) code-generation check runs per step.
-    #[inline]
-    fn step_synced(&mut self) -> Result<Step, SimError> {
-        self.sync_code_caches();
         let (inst, cost, cost_taken) = self.decode.fetch(self.cpu.pc, &self.mem)?;
         let (next, taken) = self.cpu.execute(inst, &mut self.mem)?;
         self.stats.account(inst, taken);
@@ -505,15 +464,9 @@ impl Machine {
         self.decode.fetch(self.cpu.pc, &self.mem).map(|(i, _, _)| i)
     }
 
-    /// Drop every predecoded instruction and superblock (normally
-    /// unnecessary — the [`Memory`] write barrier invalidates
-    /// automatically).
-    pub fn flush_decode_cache(&mut self) {
-        self.decode.flush();
-        // The arena flush reuses ids without a generation bump: RAS
-        // entries pointing into the old arena must not survive it.
-        self.uops.flush();
-        self.ras.clear();
+    /// The cycle cost model, fixed at construction.
+    pub fn cost(&self) -> &CostModel {
+        &self.cost
     }
 
     /// Enable or disable superblock execution in [`Machine::run_block`].
@@ -555,22 +508,11 @@ impl Machine {
         self.threaded_threshold = threshold;
     }
 
-    /// Set the return-address-stack depth (0 disables the predictor) and
-    /// clear any outstanding predictions. Accounting is bit-identical at
-    /// any depth (`tests/end_to_end.rs::check_all_engines` runs depth 0).
-    pub fn set_ras_depth(&mut self, depth: u32) {
-        self.ras = Ras::new(depth);
-    }
-
-    /// Drop every outstanding return-address prediction. The cache
-    /// controller calls this on flush/resync/epoch change: tcache
-    /// addresses are about to be recycled, so predicted returns into dead
-    /// translations would only mispredict. Purely a predictor reset —
-    /// never required for correctness of architectural state (every pop
-    /// is validated), only for not chasing stale predictions.
-    pub fn clear_ras(&mut self) {
-        self.ras.clear();
-    }
+    /// Does nothing: `ret` chains through its inline cache like
+    /// `jr`/`jalr`, and there is no return-address stack to size. Kept
+    /// only because the benchmark's traced run (`benchmark/src/solo.rs`)
+    /// still calls it; delete it with that call.
+    pub fn set_ras_depth(&mut self, _depth: u32) {}
 
     /// Pin `[lo, hi)` to the per-instruction slow path: superblock
     /// lookups inside the span answer "not worth lowering", so no uop is
@@ -599,8 +541,8 @@ impl Machine {
     /// addresses are about to be recycled, so its host-side lowerings are
     /// garbage, but the rest of the tcache is untouched and survivors keep
     /// their slots, arena ids and threaded bodies. A dropped block's id is
-    /// not reused before the generation moves on, so links and RAS entries
-    /// into it stay safe to follow until the next write into the span —
+    /// not reused before the generation moves on, so links and inline
+    /// caches into it stay safe to follow until the next write into the span —
     /// a fresh install — severs them through the ordinary barrier. This
     /// is hygiene — reclaiming dead lowering state eagerly and keeping the
     /// demotion ledger exact — not a correctness requirement. Host-side
@@ -616,25 +558,24 @@ impl Machine {
 
     /// Eagerly predecode `[lo, hi)` at block starts: lower the superblock
     /// at `lo`, then the next at each lowered block's `exit_pc`, stepping
-    /// one word over words not worth lowering, and pre-link every static
-    /// terminator leg whose successor is already lowered. Each installed
-    /// word is decoded once. The cache controller calls this after
-    /// installing or backpatching a chunk — it knows the chunk boundaries,
-    /// so its straight-line path is lowered (and chained) once at install
-    /// time instead of lazily on first execution; blocks entered
-    /// mid-chunk (branch targets) still lower lazily on first entry.
-    /// Purely an optimisation: lazy fill behind the generation barrier
-    /// gives identical results. With the superblock engine off this is a
-    /// no-op — eager work on installed words that may never execute is
-    /// pure waste there, while the per-instruction path fills its decode
-    /// slots lazily at the same cost.
+    /// one word over words not worth lowering. Each installed word is
+    /// decoded once. The cache controller calls this after installing or
+    /// backpatching a chunk — it knows the chunk boundaries, so its
+    /// straight-line path is lowered once at install time instead of
+    /// lazily on first execution; blocks entered mid-chunk (branch
+    /// targets) still lower lazily on first entry. Links are not formed
+    /// here: the first walk through each leg forms it in-walk, since the
+    /// successor is already lowered. Purely an optimisation: lazy fill
+    /// behind the generation barrier gives identical results. With the
+    /// superblock engine off this is a no-op — eager work on installed
+    /// words that may never execute is pure waste there, while the
+    /// per-instruction path fills its decode slots lazily at the same cost.
     pub fn predecode_range(&mut self, lo: u32, hi: u32) {
         if !self.superblocks {
             return;
         }
         self.sync_caches();
-        let lo = lo & !3;
-        let mut pc = lo;
+        let mut pc = lo & !3;
         while pc < hi {
             let id = match self.uops.lookup(pc) {
                 uop::Lookup::Id(id) => Some(id),
@@ -646,9 +587,6 @@ impl Machine {
                 None => pc.wrapping_add(INST_BYTES),
             };
         }
-        if self.chaining {
-            self.uops.link_range(lo, hi);
-        }
     }
 
     /// Lower the superblock starting at `pc` and record the verdict,
@@ -656,7 +594,7 @@ impl Machine {
     /// threaded": handlers are bound at lowering time, whether eager or
     /// lazy.
     fn lower_at(&mut self, pc: u32) -> Option<u32> {
-        let sb = uop::lower(&mut self.decode, &self.mem, &self.cost, pc);
+        let sb = uop::lower(&mut self.decode, &self.mem, pc);
         let id = self.uops.insert(pc, sb)?;
         if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
             self.trace.promotions += 1;
@@ -777,7 +715,6 @@ impl Machine {
                                         &mut self.cpu,
                                         &mut self.mem,
                                         &mut self.stats,
-                                        &mut self.ras,
                                         self.indirect_ic,
                                         entry_gen,
                                         done,
@@ -788,9 +725,6 @@ impl Machine {
                                     insts += r.insts;
                                     cycles += r.cycles;
                                     self.trace.chained += r.chained;
-                                    self.trace.ras_pushes += r.ras_pushes;
-                                    self.trace.ras_overflows += r.ras_overflows;
-                                    self.trace.ras_hits += r.ras_hits;
                                     self.trace.ic_hits += r.ic_hits;
                                     t_thread += r.insts;
                                     id = r.cur;
@@ -820,117 +754,50 @@ impl Machine {
                                         let kind = sb.term_kind();
                                         let mut next = None;
                                         if self.chaining {
-                                            if matches!(kind, TermKind::Call | TermKind::CallReg)
-                                                && self.ras.depth() > 0
-                                            {
-                                                // Predict the matching
-                                                // return. The call site
-                                                // memoizes the return-site
-                                                // link, so the steady-state
-                                                // push is one stamp compare;
-                                                // an unlowered return PC
-                                                // pushes NEVER and the pop
-                                                // mispredicts instead of
-                                                // chasing a bogus id.
-                                                let entry = self.uops.ras_entry(id);
-                                                if self.ras.push(entry) {
-                                                    self.trace.ras_overflows += 1;
-                                                }
-                                                self.trace.ras_pushes += 1;
-                                            }
-                                            // `ras_entry` took `&mut uops`;
-                                            // re-index the block (one bounds
-                                            // check, no page walk).
-                                            let sb = self.uops.block(id);
                                             let link = sb.link(taken);
                                             if link.stamp == entry_gen {
                                                 next = Some(link.id);
-                                            } else {
-                                                match kind {
-                                                    // Indirect successor:
-                                                    // RAS first (ret only),
-                                                    // then the inline
-                                                    // cache. Both validate
-                                                    // against the PC the
-                                                    // terminator computed,
-                                                    // so a wrong prediction
-                                                    // only costs the chain.
-                                                    TermKind::Ret
+                                            } else if matches!(
+                                                kind,
+                                                TermKind::Ret
                                                     | TermKind::JumpReg
-                                                    | TermKind::CallReg => {
-                                                        if kind == TermKind::Ret
-                                                            && self.ras.depth() > 0
-                                                        {
-                                                            match self.ras.pop() {
-                                                                Some(e) => {
-                                                                    if e.link.stamp == entry_gen
-                                                                        && e.ret_pc == self.cpu.pc
-                                                                    {
-                                                                        self.trace.ras_hits += 1;
-                                                                        next = Some(e.link.id);
-                                                                    } else {
-                                                                        self.trace
-                                                                            .ras_mispredicts += 1;
-                                                                    }
-                                                                }
-                                                                None => {
-                                                                    self.trace.ras_underflows += 1;
-                                                                }
-                                                            }
-                                                        }
-                                                        if next.is_none() && self.indirect_ic {
-                                                            let (target, ic) = sb.ic();
-                                                            if ic.stamp == entry_gen
-                                                                && target == self.cpu.pc
-                                                            {
-                                                                self.trace.ic_hits += 1;
-                                                                next = Some(ic.id);
-                                                            } else if let Some(nid) =
-                                                                self.uops.id_at(self.cpu.pc)
-                                                            {
-                                                                // In-walk fill: the
-                                                                // successor is already
-                                                                // lowered, so refill
-                                                                // the inline cache and
-                                                                // keep walking instead
-                                                                // of breaking out.
-                                                                self.uops.set_ic(
-                                                                    id,
-                                                                    self.cpu.pc,
-                                                                    nid,
-                                                                );
-                                                                self.trace.ic_fills += 1;
-                                                                next = Some(nid);
-                                                            } else {
-                                                                pending =
-                                                                    Some(PendingFill::Indirect {
-                                                                        id,
-                                                                    });
-                                                            }
-                                                        }
+                                                    | TermKind::CallReg
+                                            ) {
+                                                // Indirect successor: the inline
+                                                // cache, validated against the PC
+                                                // the terminator computed, so a
+                                                // wrong prediction only costs the
+                                                // chain. A miss whose target is
+                                                // already lowered refills the cache
+                                                // in-walk and keeps walking.
+                                                if self.indirect_ic {
+                                                    let pc = self.cpu.pc;
+                                                    let (target, ic) = sb.ic();
+                                                    if ic.stamp == entry_gen && target == pc {
+                                                        self.trace.ic_hits += 1;
+                                                        next = Some(ic.id);
+                                                    } else if let Some(nid) = self.uops.id_at(pc) {
+                                                        self.uops.set_ic(id, pc, nid);
+                                                        self.trace.ic_fills += 1;
+                                                        next = Some(nid);
+                                                    } else {
+                                                        pending =
+                                                            Some(PendingFill::Indirect { id });
                                                     }
-                                                    // Static successor: no
-                                                    // valid link. Form it
-                                                    // in-walk when the
-                                                    // target block already
-                                                    // exists; otherwise let
-                                                    // the next loop-top
-                                                    // lookup lower it and
-                                                    // complete the fill.
-                                                    _ => {
-                                                        if let Some(t) = sb.leg_target(taken) {
-                                                            if let Some(nid) = self.uops.id_at(t) {
-                                                                self.uops.set_link(id, taken, nid);
-                                                                next = Some(nid);
-                                                            } else {
-                                                                pending =
-                                                                    Some(PendingFill::Static {
-                                                                        id,
-                                                                        taken,
-                                                                    });
-                                                            }
-                                                        }
-                                                    }
+                                                }
+                                            } else if let Some(t) = sb.leg_target(taken) {
+                                                // Static successor with no valid
+                                                // link: form it in-walk when the
+                                                // target block already exists;
+                                                // otherwise let the next loop-top
+                                                // lookup lower it and complete the
+                                                // fill.
+                                                if let Some(nid) = self.uops.id_at(t) {
+                                                    self.uops.set_link(id, taken, nid);
+                                                    next = Some(nid);
+                                                } else {
+                                                    pending =
+                                                        Some(PendingFill::Static { id, taken });
                                                 }
                                             }
                                         }
@@ -1006,7 +873,7 @@ impl Machine {
                         break 'run Err(err);
                     }
                     if resync {
-                        self.sync_code_caches();
+                        self.sync_caches();
                     }
                     if ran {
                         continue;
@@ -1067,7 +934,7 @@ impl Machine {
                                 // (self-modifying programs); one compare
                                 // when it did not.
                                 if self.decode.stale(&self.mem) {
-                                    self.sync_code_caches();
+                                    self.sync_caches();
                                 }
                             }
                             Err(fault) => break 'run Err(SimError::DataFault { pc, fault }),
@@ -1130,7 +997,7 @@ impl Machine {
                                 done += 1;
                                 t_interp += 1;
                                 // The handler may have touched memory.
-                                self.sync_code_caches();
+                                self.sync_caches();
                                 continue;
                             }
                             Ok(stop) => break 'run Ok(stop),
@@ -1179,10 +1046,9 @@ impl Machine {
         fuel: u64,
         mut fetch_hook: impl FnMut(u32),
     ) -> Result<i32, RunError> {
-        self.sync_caches();
         for _ in 0..fuel {
             fetch_hook(self.cpu.pc);
-            match self.step_synced()? {
+            match self.step()? {
                 Step::Running => {}
                 Step::Exited(code) => return Ok(code),
                 Step::Trapped(t) => return Err(RunError::UnexpectedTrap(t)),
@@ -1321,7 +1187,7 @@ _start: li s0, 200
 "#;
 
     #[test]
-    fn trace_telemetry_balances_and_ras_chains_returns() {
+    fn trace_telemetry_balances_and_ic_chains_returns() {
         let (code, m) = run(CALL_LOOP, &[]);
         assert_eq!(code, 200);
         let t = m.trace;
@@ -1333,41 +1199,29 @@ _start: li s0, 200
             t.breaks.total() + t.code_write_exits + t.fault_exits,
             "walk entries balance walk exits: {t:?}"
         );
-        assert_eq!(t.ras_pushes, 200, "every call predicts its return");
-        assert!(t.ras_hits >= 190, "returns chain via the RAS: {t:?}");
+        assert!(
+            t.ic_hits >= 190,
+            "returns chain via the inline cache: {t:?}"
+        );
         assert!(t.breaks.ret <= 3, "rets stop breaking traces: {t:?}");
-        assert!(t.ic_fills >= 1, "the first ret break fills the IC");
+        assert!(t.ic_fills >= 1, "the first ret fills the IC");
     }
 
     #[test]
-    fn ic_and_ras_knobs_do_not_change_architectural_state() {
+    fn ic_knob_does_not_change_architectural_state() {
         let img = assemble(CALL_LOOP).unwrap();
         let mut on = Machine::load_native(&img, &[]);
         on.run_native(1_000_000).unwrap();
         let mut off = Machine::load_native(&img, &[]);
         off.set_indirect_ic_enabled(false);
-        off.set_ras_depth(0);
         off.run_native(1_000_000).unwrap();
         assert_eq!(on.stats, off.stats, "pure dispatch optimisation");
         assert_eq!(on.env.output, off.env.output);
         assert!(
             off.trace.breaks.ret > on.trace.breaks.ret,
-            "with IC+RAS off every ret breaks its trace"
+            "with the IC off every ret breaks its trace"
         );
-        assert_eq!(off.trace.ras_pushes, 0);
         assert_eq!(off.trace.ic_hits, 0);
-    }
-
-    #[test]
-    fn ras_depth_one_still_validates_and_never_corrupts_state() {
-        let img = assemble(CALL_LOOP).unwrap();
-        let mut shallow = Machine::load_native(&img, &[]);
-        shallow.set_ras_depth(1);
-        let code = shallow.run_native(1_000_000).unwrap();
-        assert_eq!(code, 200);
-        let mut deep = Machine::load_native(&img, &[]);
-        deep.run_native(1_000_000).unwrap();
-        assert_eq!(shallow.stats, deep.stats, "depth is prediction-only");
     }
 
     #[test]
@@ -1418,7 +1272,7 @@ _start: li s0, 200
         let demotions = m.trace.demotions;
 
         m.mem.write_u32(base + 16, addi(Reg::T1, 5)).unwrap();
-        m.sync_code_caches();
+        m.sync_caches();
         assert_eq!(m.uops.id_at(base), Some(a), "A keeps its arena id");
         assert!(m.uops.block(a).is_threaded(), "A keeps its threaded body");
         assert!(
@@ -1458,11 +1312,33 @@ _start: li s0, 200
             let pc = base + 4 * k;
             assert_eq!(m.uops.lookup(pc), uop::Lookup::NotWorth, "stub {k}");
         }
-        let taken = m.uops.block(id).link(true);
-        assert_eq!(
-            (taken.id, taken.stamp),
-            (id, m.uops.generation()),
-            "loop pre-linked"
-        );
+    }
+
+    #[test]
+    fn predecoded_chunk_chains_on_its_first_walk() {
+        // A straight-line chunk of four blocks, each an ALU word and a
+        // jump to the next, the last ending at a halt. Predecode lowers
+        // every block; the first walk then runs the whole chunk as one
+        // trace, forming each static link as it takes the leg.
+        let blocks = 4u64;
+        let base = TCACHE_BASE;
+        let mut words = Vec::new();
+        for i in 0..blocks as i32 {
+            words.push(addi(Reg::T0, i));
+            if i + 1 < blocks as i32 {
+                words.push(softcache_isa::encode(Inst::J { off: 0 }));
+            }
+        }
+        words.push(softcache_isa::encode(Inst::Halt));
+        for threshold in [DEFAULT_THREADED_THRESHOLD, 0] {
+            let mut m = Machine::blank(&[]);
+            m.set_threaded_threshold(threshold);
+            m.mem.write_words(base, &words).unwrap();
+            m.predecode_range(base, base + 4 * words.len() as u32);
+            m.cpu.pc = base;
+            assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0));
+            assert_eq!(m.trace.entries, 1, "threshold {threshold}");
+            assert_eq!(m.trace.chained, blocks - 1, "threshold {threshold}");
+        }
     }
 }

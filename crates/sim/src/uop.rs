@@ -35,11 +35,13 @@
 //! follows a link with a *single* compare (`stamp == entry_gen`) and walks
 //! whole traces — one budget check and one arena index per link — without
 //! returning to its loop top. Any code write bumps the generation, so every
-//! existing link is severed by that same compare; links re-form lazily at
-//! the next loop-top lookup (and eagerly at chunk install time via
-//! [`UopCache::link_range`]). A dropped block's arena id is reused only
-//! after the generation has moved on, so a link stamped with the current
-//! generation always names a block whose contents are unchanged.
+//! existing link is severed by that same compare; a link re-forms the next
+//! time a walk takes its leg — in-walk when the successor is already
+//! lowered, else at the next loop-top lookup, which lowers it (the paper
+//! likewise rewrites a branch when it is first taken). A dropped block's
+//! arena id is reused only after the generation has moved on, so a link
+//! stamped with the current generation always names a block whose contents
+//! are unchanged.
 //!
 //! Register-indirect terminators (`jr`, `jalr`, `ret`) have no *static*
 //! link — their next PC is data-dependent — but each carries a per-site
@@ -47,13 +49,11 @@
 //! id, stamped with the forming generation and validated exactly like a
 //! static link (stamp compare, then a target-PC compare against the value
 //! the terminator just computed). Monomorphic indirects therefore chain
-//! without leaving the trace walk; a changed target or any code write
-//! falls back to the loop-top lookup, which refills the cache. `ret` sites
-//! additionally consult the machine's return-address stack ([`Ras`])
-//! before their inline cache, so call/return pairs chain even when one
-//! `ret` serves many callers.
+//! without leaving the trace walk. A changed target or a code write
+//! refills the cache the next time the terminator runs: in-walk when the
+//! new target is already lowered — so a `ret` shared by several call
+//! sites keeps chaining — else at the next loop-top lookup.
 
-use crate::cost::CostModel;
 use crate::cpu::{Cpu, SimError};
 use crate::decode_cache::DecodeCache;
 use crate::machine::ExecStats;
@@ -231,10 +231,6 @@ impl UopKind {
 /// billing accumulators for blocks the chain retires itself.
 struct Tctx<'a> {
     uops: &'a UopCache,
-    /// The walk's return-address stack: call/ret sentinels push and pop it
-    /// in-chain, but only on legs they fully commit to — a deferred leg
-    /// leaves the stack untouched for the walk.
-    ras: &'a mut Ras,
     indirect_ic: bool,
     entry_gen: u64,
     /// Arena id of the block the chain is currently inside. Exit
@@ -260,13 +256,10 @@ struct Tctx<'a> {
     taken_branches: u64,
     calls: u64,
     returns: u64,
-    /// RAS/IC telemetry for in-chain transitions, flushed into
-    /// [`TraceStats`] by the walk — counted under exactly the conditions
-    /// the walk itself would count them, so the trace ledger is identical
-    /// whichever dispatch strategy ran the blocks.
-    ras_pushes: u64,
-    ras_overflows: u64,
-    ras_hits: u64,
+    /// Inline-cache hits for in-chain transitions, flushed into
+    /// [`crate::TraceStats`] by the walk — counted under exactly the
+    /// conditions the walk itself would count them, so the trace ledger is
+    /// identical whichever dispatch strategy ran the blocks.
     ic_hits: u64,
     chaining: bool,
     /// Fault payload for a [`TExit::Fault`] return (kept out of `TExit`
@@ -287,8 +280,8 @@ struct Tctx<'a> {
 /// and the chain successor through [`Tctx::cur`].
 enum TExit {
     /// The terminator ran; the walk handles billing and the successor
-    /// (chain break, or a leg the chain does not follow itself: calls,
-    /// indirects, unthreaded or unformed targets, exhausted budget).
+    /// (chain break, or a leg the chain does not follow itself: unthreaded
+    /// or unformed targets, inline-cache misses, exhausted budget).
     Done { taken: bool },
     /// The terminator's static link is valid and its target is threaded:
     /// continue the chain in the successor's slot array — `Tctx::cur` is
@@ -501,13 +494,23 @@ fn try_chain(sb: &Superblock, taken: bool, branch: bool, ctx: &mut Tctx) -> TExi
     TExit::Done { taken }
 }
 
-/// Chain sentinel for direct calls: push the memoized return prediction
-/// and follow the static link, both in-chain — but only when every piece
-/// is already fresh (memoized ret link, static link, threaded target,
-/// budget). Any stale piece defers the *entire* leg to the walk, whose
-/// `ras_entry` path re-derives and memoizes it; committing the push only
-/// alongside the chain keeps the RAS byte-identical with the match
-/// engine's walk on every path.
+/// Follow block `sb`'s inline cache in-chain when it already predicts the
+/// target the indirect terminator just computed. Indirect terminators
+/// never acquire a static link, so this is their only in-chain leg. Fills
+/// and refills stay with the walk (they take `&mut` arena state).
+#[inline(always)]
+fn try_ic(sb: &Superblock, cpu: &Cpu, ctx: &mut Tctx) -> bool {
+    if ctx.chaining && ctx.indirect_ic {
+        let (target, ic) = sb.ic();
+        if ic.stamp == ctx.entry_gen && target == cpu.pc && chain_to(sb, ic.id, false, ctx) {
+            ctx.ic_hits += 1;
+            return true;
+        }
+    }
+    false
+}
+
+/// Chain sentinel for direct calls: follow the static callee link.
 fn t_exit_call(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -518,36 +521,15 @@ fn t_exit_call(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut 
         }
         _ => sb.finish_term(cpu),
     };
-    if ctx.chaining {
-        let link = sb.link(false);
-        if link.stamp == ctx.entry_gen {
-            if ctx.ras.depth() > 0 {
-                let memo = sb.ret_link;
-                if memo.stamp == ctx.entry_gen && chain_to(sb, link.id, false, ctx) {
-                    let overflowed = ctx.ras.push(RasEntry {
-                        ret_pc: sb.return_pc(),
-                        link: memo,
-                    });
-                    ctx.ras_overflows += u64::from(overflowed);
-                    ctx.ras_pushes += 1;
-                    ctx.calls += 1;
-                    return TExit::Chain;
-                }
-            } else if chain_to(sb, link.id, false, ctx) {
-                // RAS disabled: the walk would skip the push and follow
-                // the link directly.
-                ctx.calls += 1;
-                return TExit::Chain;
-            }
-        }
+    let exit = try_chain(sb, taken, false, ctx);
+    if matches!(exit, TExit::Chain) {
+        ctx.calls += 1;
     }
-    TExit::Done { taken }
+    exit
 }
 
-/// Chain sentinel for returns: validate the RAS top entry against the
-/// architectural return PC *before* popping, and pop only on a committed
-/// chain — a deferred leg leaves the stack for the walk to pop (and
-/// count) itself, so hit/mispredict telemetry is identical either way.
+/// Chain sentinel for returns: the same inline cache as any other
+/// register-indirect terminator.
 fn t_exit_ret(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -557,25 +539,15 @@ fn t_exit_ret(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut T
         }
         _ => sb.finish_term(cpu),
     };
-    if ctx.chaining && ctx.ras.depth() > 0 {
-        if let Some(e) = ctx.ras.peek() {
-            if e.link.stamp == ctx.entry_gen
-                && e.ret_pc == cpu.pc
-                && chain_to(sb, e.link.id, false, ctx)
-            {
-                ctx.ras.pop();
-                ctx.ras_hits += 1;
-                ctx.returns += 1;
-                return TExit::Chain;
-            }
-        }
+    if try_ic(sb, cpu, ctx) {
+        ctx.returns += 1;
+        return TExit::Chain;
     }
     TExit::Done { taken }
 }
 
 /// Chain sentinel for register-indirect jumps: follow the inline cache
-/// when it already predicts the computed target. Fills and mispredict
-/// bookkeeping stay with the walk (they take `&mut` arena state).
+/// when it already predicts the computed target.
 fn t_exit_jumpreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -585,22 +557,14 @@ fn t_exit_jumpreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &m
         }
         _ => sb.finish_term(cpu),
     };
-    // Indirect terminators never acquire a static link, so the inline
-    // cache is the only in-chain leg (mirroring the walk's order, whose
-    // static-link check can never fire here).
-    if ctx.chaining && ctx.indirect_ic {
-        let (target, ic) = sb.ic();
-        if ic.stamp == ctx.entry_gen && target == cpu.pc && chain_to(sb, ic.id, false, ctx) {
-            ctx.ic_hits += 1;
-            return TExit::Chain;
-        }
+    if try_ic(sb, cpu, ctx) {
+        return TExit::Chain;
     }
     TExit::Done { taken }
 }
 
-/// Chain sentinel for register-indirect calls: inline cache for the
-/// successor plus the memoized return prediction for the push, with the
-/// same commit-or-defer-whole-leg rule as [`t_exit_call`].
+/// Chain sentinel for register-indirect calls: the inline cache, like
+/// [`t_exit_jumpreg`], billing the call on the chain path.
 fn t_exit_callreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -612,28 +576,9 @@ fn t_exit_callreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &m
         }
         _ => sb.finish_term(cpu),
     };
-    if ctx.chaining && ctx.indirect_ic {
-        let (target, ic) = sb.ic();
-        if ic.stamp == ctx.entry_gen && target == cpu.pc {
-            if ctx.ras.depth() > 0 {
-                let memo = sb.ret_link;
-                if memo.stamp == ctx.entry_gen && chain_to(sb, ic.id, false, ctx) {
-                    let overflowed = ctx.ras.push(RasEntry {
-                        ret_pc: sb.return_pc(),
-                        link: memo,
-                    });
-                    ctx.ras_overflows += u64::from(overflowed);
-                    ctx.ras_pushes += 1;
-                    ctx.ic_hits += 1;
-                    ctx.calls += 1;
-                    return TExit::Chain;
-                }
-            } else if chain_to(sb, ic.id, false, ctx) {
-                ctx.ic_hits += 1;
-                ctx.calls += 1;
-                return TExit::Chain;
-            }
-        }
+    if try_ic(sb, cpu, ctx) {
+        ctx.calls += 1;
+        return TExit::Chain;
     }
     TExit::Done { taken }
 }
@@ -774,13 +719,6 @@ pub(crate) struct TraceRun {
     pub(crate) cycles: u64,
     /// In-chain block transitions, for `trace.chained`.
     pub(crate) chained: u64,
-    /// RAS pushes committed in-chain (call legs), for `trace.ras_pushes`.
-    pub(crate) ras_pushes: u64,
-    /// In-chain pushes that overwrote a live entry, for
-    /// `trace.ras_overflows`.
-    pub(crate) ras_overflows: u64,
-    /// Validated in-chain RAS pops (ret legs), for `trace.ras_hits`.
-    pub(crate) ras_hits: u64,
     /// In-chain inline-cache hits (indirect legs), for `trace.ic_hits`.
     pub(crate) ic_hits: u64,
     /// The final block's exit, to be handled by the walk as usual.
@@ -810,8 +748,8 @@ impl Link {
 }
 
 /// Terminator classification exposed to the trace walk: which successor
-/// mechanism applies (static link vs inline cache vs RAS) and which
-/// chain-break counter an ended walk bills to.
+/// mechanism applies (static link vs inline cache) and which chain-break
+/// counter an ended walk bills to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TermKind {
     /// [`Term::None`] — fall-through into a non-lowerable instruction.
@@ -820,103 +758,14 @@ pub(crate) enum TermKind {
     Branch,
     /// Direct jump.
     Jump,
-    /// Direct call (static callee leg; pushes the RAS).
+    /// Direct call (static callee leg).
     Call,
-    /// Register-indirect jump (inline cache only).
+    /// Register-indirect jump (inline cache).
     JumpReg,
-    /// Register-indirect call (inline cache; pushes the RAS).
+    /// Register-indirect call (inline cache).
     CallReg,
-    /// Return (RAS first, then inline cache).
+    /// Return (inline cache).
     Ret,
-}
-
-/// One return-address-stack entry: the predicted return PC plus a
-/// generation-stamped arena link to the superblock starting there (stamp
-/// [`NEVER`] when no block was lowered at push time).
-#[derive(Clone, Copy)]
-pub(crate) struct RasEntry {
-    pub(crate) ret_pc: u32,
-    pub(crate) link: Link,
-}
-
-/// Fixed-depth return-address stack: a pure host-side predictor layered
-/// over call/ret terminators in the trace walk. `Call`/`CallReg` push the
-/// return PC; `Ret` pops and chains only when both the generation stamp
-/// and the predicted PC match the architectural return target, so a wrong
-/// or stale entry costs nothing but the chain. Overflow overwrites the
-/// oldest entry (deep recursion keeps the innermost frames); underflow
-/// just misses. Depth 0 disables the predictor entirely.
-pub(crate) struct Ras {
-    entries: Box<[RasEntry]>,
-    /// Index of the next push slot (circular).
-    top: usize,
-    /// Live entries, at most `entries.len()`.
-    len: usize,
-}
-
-impl Ras {
-    pub(crate) fn new(depth: u32) -> Ras {
-        Ras {
-            entries: vec![
-                RasEntry {
-                    ret_pc: 0,
-                    link: Link::NONE,
-                };
-                depth as usize
-            ]
-            .into_boxed_slice(),
-            top: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn depth(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.top = 0;
-        self.len = 0;
-    }
-
-    /// Push a predicted return; returns `true` when an older live entry
-    /// was overwritten (overflow). Callers must not push at depth 0.
-    #[inline]
-    pub(crate) fn push(&mut self, entry: RasEntry) -> bool {
-        debug_assert!(!self.entries.is_empty());
-        let overflowed = self.len == self.entries.len();
-        self.entries[self.top] = entry;
-        self.top = (self.top + 1) % self.entries.len();
-        if !overflowed {
-            self.len += 1;
-        }
-        overflowed
-    }
-
-    /// The most recent prediction without consuming it — the threaded
-    /// chain validates the top entry *before* committing to the pop, so a
-    /// leg it defers to the walk leaves the stack exactly as the walk
-    /// expects it.
-    #[inline]
-    pub(crate) fn peek(&self) -> Option<RasEntry> {
-        if self.len == 0 {
-            return None;
-        }
-        let i = (self.top + self.entries.len() - 1) % self.entries.len();
-        Some(self.entries[i])
-    }
-
-    /// Pop the most recent prediction, if any.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<RasEntry> {
-        if self.len == 0 {
-            return None;
-        }
-        self.top = (self.top + self.entries.len() - 1) % self.entries.len();
-        self.len -= 1;
-        Some(self.entries[self.top])
-    }
 }
 
 /// A lowered straight-line region starting at `start`, plus everything the
@@ -952,11 +801,6 @@ pub(crate) struct Superblock {
     /// Inline cache link to the superblock at `ic_target`, stamped with
     /// the forming generation ([`Link::NONE`] until the first fill).
     ic_link: Link,
-    /// Memoized link to the block at a `call`/`callreg` terminator's
-    /// return PC — the RAS prediction this call site pushes. Refreshed
-    /// from the page map when stale, so steady-state pushes cost one
-    /// stamp compare and no page walk.
-    ret_link: Link,
     /// Threaded (hot-tier) form: one pre-bound handler slot per body
     /// micro-op, built at promotion time. `None` until the block's heat
     /// crosses the promotion threshold — warm blocks keep match dispatch.
@@ -1163,9 +1007,9 @@ impl Superblock {
                 u,
             })
             .collect();
-        // The block-exit sentinel: statically linked terminators get the
-        // in-chain continuation; calls and indirects hand back to the
-        // walk, whose RAS/IC machinery needs `&mut` arena state.
+        // The block-exit sentinel: evaluates the terminator, then follows
+        // the static link (or, for indirects, the inline cache) in-chain
+        // when it is valid; everything else goes back to the walk.
         let exit_h: Handler = match self.term_kind() {
             TermKind::Fallthrough => t_exit_fall,
             TermKind::Jump => t_exit_jump,
@@ -1336,17 +1180,6 @@ impl Superblock {
         }
     }
 
-    /// The return PC a `Call`/`CallReg` terminator wrote to `ra` — what a
-    /// matching `ret` will jump to (the RAS prediction).
-    #[inline]
-    pub(crate) fn return_pc(&self) -> u32 {
-        debug_assert!(matches!(
-            self.term,
-            Term::Call { .. } | Term::CallReg { .. }
-        ));
-        self.exit_pc
-    }
-
     /// The PC after the block when its terminator is not taken; for a
     /// block without a terminator, the first word it did not lower.
     #[inline]
@@ -1366,7 +1199,7 @@ impl Superblock {
     /// The statically known next PC for a terminator leg, when there is
     /// one. `None` for register-indirect terminators (and the vacuous
     /// `taken` leg of non-branches): those legs have no *static* link and
-    /// chain through their inline cache (and, for `ret`, the RAS) instead.
+    /// chain through their inline cache instead.
     pub(crate) fn leg_target(&self, taken: bool) -> Option<u32> {
         match self.term {
             Term::Branch { target, .. } => Some(if taken { target } else { self.exit_pc }),
@@ -1399,12 +1232,7 @@ impl Superblock {
 /// unwatched, undecodable, or a trap/halt class instruction) — callers
 /// memoise that verdict so the per-instruction path is taken without
 /// re-asking. The decode cache must already be synced.
-pub(crate) fn lower(
-    decode: &mut DecodeCache,
-    mem: &Memory,
-    _cost: &CostModel,
-    start: u32,
-) -> Option<Superblock> {
+pub(crate) fn lower(decode: &mut DecodeCache, mem: &Memory, start: u32) -> Option<Superblock> {
     debug_assert_eq!(start & 3, 0);
     let mut uops: Vec<Uop> = Vec::new();
     let mut cycles = 0u64;
@@ -1577,7 +1405,6 @@ pub(crate) fn lower(
         link_tk: Link::NONE,
         ic_target: 0,
         ic_link: Link::NONE,
-        ret_link: Link::NONE,
         threaded: None,
         heat: 0,
         heat_epoch: 0,
@@ -1612,10 +1439,9 @@ type Page = Box<[u32; PAGE_SLOTS]>;
 /// the trace fast path. Invalidation clears the page slots of the blocks
 /// that depend on the written words and retires their ids. A retired
 /// block stays intact, and its id is reused only once
-/// [`UopCache::set_generation`] moves to a new generation: so a link,
-/// inline cache or RAS entry stamped with the current generation can only
-/// name a block whose contents are unchanged, and every older stamp is
-/// already severed. [`UopCache::flush`] empties the arena.
+/// [`UopCache::set_generation`] moves to a new generation: so a link or
+/// inline cache stamped with the current generation can only name a block
+/// whose contents are unchanged, and every older stamp is already severed.
 pub(crate) struct UopCache {
     pages: Vec<Option<Page>>,
     /// Arena of lowered blocks; slot values and [`Link::id`] index here.
@@ -1633,7 +1459,7 @@ pub(crate) struct UopCache {
     /// hook). Pins survive invalidation and generation bumps — they are
     /// a policy, not a cache.
     pinned: Vec<(u32, u32)>,
-    /// Threaded blocks dropped by invalidation or flush: the demotion
+    /// Threaded blocks dropped by invalidation: the demotion
     /// side of the tier ledger, drained by the owning machine into its
     /// trace telemetry.
     threaded_drops: u64,
@@ -1673,22 +1499,6 @@ impl UopCache {
     /// Remove every slow-path pin.
     pub(crate) fn clear_pins(&mut self) {
         self.pinned.clear();
-    }
-
-    /// Drop every superblock (cost-model change or explicit flush). Ids
-    /// restart from zero without a generation bump, so the owning machine
-    /// must clear its RAS alongside.
-    pub(crate) fn flush(&mut self) {
-        for page in self.pages.drain(..).flatten() {
-            for &id in page.iter() {
-                if id < SLOT_NOT_WORTH && self.blocks[id as usize].is_threaded() {
-                    self.threaded_drops += 1;
-                }
-            }
-        }
-        self.blocks.clear();
-        self.free.clear();
-        self.retired.clear();
     }
 
     /// Drain the demotion counter (threaded blocks dropped since the last
@@ -1835,7 +1645,6 @@ impl UopCache {
         cpu: &mut Cpu,
         mem: &mut Memory,
         stats: &mut ExecStats,
-        ras: &mut Ras,
         indirect_ic: bool,
         entry_gen: u64,
         done: u64,
@@ -1850,7 +1659,6 @@ impl UopCache {
         debug_assert_eq!(cpu.pc, self.block(first).start);
         let mut ctx = Tctx {
             uops: self,
-            ras,
             indirect_ic,
             entry_gen,
             cur: first,
@@ -1865,9 +1673,6 @@ impl UopCache {
             taken_branches: 0,
             calls: 0,
             returns: 0,
-            ras_pushes: 0,
-            ras_overflows: 0,
-            ras_hits: 0,
             ic_hits: 0,
             chaining,
             fault: None,
@@ -1909,9 +1714,6 @@ impl UopCache {
             insts: ctx.insts,
             cycles: ctx.cycles,
             chained: ctx.chained,
-            ras_pushes: ctx.ras_pushes,
-            ras_overflows: ctx.ras_overflows,
-            ras_hits: ctx.ras_hits,
             ic_hits: ctx.ic_hits,
             exit,
         }
@@ -1994,57 +1796,6 @@ impl UopCache {
         sb.ic_target = target;
         sb.ic_link = link;
     }
-
-    /// The RAS prediction block `id`'s `call`/`callreg` terminator
-    /// pushes: its return PC plus a link to the block lowered there.
-    /// The link is memoized in the block ([`Superblock::ret_link`]) and
-    /// refreshed from the page map only when its stamp is stale, so a
-    /// steady-state push costs one stamp compare and no page walk. When
-    /// no block is lowered at the return PC the entry carries
-    /// [`Link::NONE`]; the eventual pop then mispredicts instead of
-    /// chasing a bogus id, and the next push retries the lookup.
-    #[inline]
-    pub(crate) fn ras_entry(&mut self, id: u32) -> RasEntry {
-        let sb = &self.blocks[id as usize];
-        let ret_pc = sb.return_pc();
-        let memo = sb.ret_link;
-        if memo.stamp == self.generation {
-            return RasEntry { ret_pc, link: memo };
-        }
-        match self.id_at(ret_pc) {
-            Some(rid) => {
-                let link = Link {
-                    id: rid,
-                    stamp: self.generation,
-                };
-                self.blocks[id as usize].ret_link = link;
-                RasEntry { ret_pc, link }
-            }
-            None => RasEntry {
-                ret_pc,
-                link: Link::NONE,
-            },
-        }
-    }
-
-    /// Eagerly link every static terminator leg of blocks starting in
-    /// `[lo, hi)` whose target already has a lowered block — called after
-    /// a chunk install so the first trace through it runs fully chained
-    /// (chunk-internal successors plus already-resident neighbours).
-    pub(crate) fn link_range(&mut self, lo: u32, hi: u32) {
-        let mut pc = lo;
-        while pc < hi {
-            if let Some(id) = self.id_at(pc) {
-                for taken in [false, true] {
-                    if let Some(next) = self.block(id).leg_target(taken).and_then(|t| self.id_at(t))
-                    {
-                        self.set_link(id, taken, next);
-                    }
-                }
-            }
-            pc = pc.wrapping_add(INST_BYTES);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2063,9 +1814,8 @@ mod tests {
 
     fn lowered(words: &[u32]) -> Option<Superblock> {
         let mem = mem_with(words);
-        let cost = CostModel::default();
-        let mut dc = DecodeCache::new(cost);
-        lower(&mut dc, &mem, &cost, 0)
+        let mut dc = DecodeCache::new(CostModel::default());
+        lower(&mut dc, &mem, 0)
     }
 
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> u32 {
@@ -2150,11 +1900,10 @@ mod tests {
     fn unwatched_code_is_never_lowered() {
         let mut mem = mem_with(&[addi(Reg::T0, Reg::T0, 1), addi(Reg::T0, Reg::T0, 2)]);
         mem.set_code_watch([(0, 4), (0, 0)]); // only the first word watched
-        let cost = CostModel::default();
-        let mut dc = DecodeCache::new(cost);
-        let sb = lower(&mut dc, &mem, &cost, 0).unwrap();
+        let mut dc = DecodeCache::new(CostModel::default());
+        let sb = lower(&mut dc, &mem, 0).unwrap();
         assert_eq!(sb.len, 1, "block stops at the unwatched word");
-        let none = lower(&mut dc, &mem, &cost, 4);
+        let none = lower(&mut dc, &mem, 4);
         assert!(none.is_none(), "unwatched start is not lowered");
     }
 
@@ -2293,38 +2042,6 @@ mod tests {
     }
 
     #[test]
-    fn link_range_prelinks_chunk_internal_successors() {
-        // Block at 0: `j` → 4. Block at 4: addi; ret (indirect: no
-        // out-link). Lower both, then eager-link the range.
-        let words = [
-            encode(Inst::J { off: 0 }),
-            addi(Reg::T0, Reg::T0, 1),
-            encode(Inst::Ret),
-        ];
-        let mem = mem_with(&words);
-        let cost = CostModel::default();
-        let mut dc = DecodeCache::new(cost);
-        let mut uc = UopCache::new();
-        for pc in [0u32, 4, 8] {
-            if uc.lookup(pc) == Lookup::Unknown {
-                let sb = lower(&mut dc, &mem, &cost, pc);
-                uc.insert(pc, sb);
-            }
-        }
-        uc.link_range(0, 12);
-        let id0 = uc.id_at(0).unwrap();
-        let id4 = uc.id_at(4).unwrap();
-        let l = uc.block(id0).link(false);
-        assert_eq!(l.id, id4, "jump leg pre-linked to the successor block");
-        assert_eq!(l.stamp, uc.generation());
-        assert_eq!(
-            uc.block(id4).link(false).stamp,
-            NEVER,
-            "ret leg stays unlinked"
-        );
-    }
-
-    #[test]
     fn inline_cache_fills_and_generation_stamp_severs() {
         let mut uc = UopCache::new();
         let a = lowered(&[encode(Inst::Ret)]).unwrap();
@@ -2352,46 +2069,12 @@ mod tests {
         assert_eq!(ret.term_kind(), TermKind::Ret);
         let call = lowered(&[encode(Inst::Jal { off: 2 })]).unwrap();
         assert_eq!(call.term_kind(), TermKind::Call);
-        assert_eq!(call.return_pc(), 4, "return lands after the call");
         let callr = lowered(&[encode(Inst::Jalr { rs: Reg::T0 })]).unwrap();
         assert_eq!(callr.term_kind(), TermKind::CallReg);
-        assert_eq!(callr.return_pc(), 4);
         let jr = lowered(&[encode(Inst::Jr { rs: Reg::T0 })]).unwrap();
         assert_eq!(jr.term_kind(), TermKind::JumpReg);
         let fall = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Halt)]).unwrap();
         assert_eq!(fall.term_kind(), TermKind::Fallthrough);
-    }
-
-    #[test]
-    fn ras_pushes_pop_in_lifo_order_and_overflow_keeps_newest() {
-        let entry = |pc: u32| RasEntry {
-            ret_pc: pc,
-            link: Link {
-                id: pc / 4,
-                stamp: 1,
-            },
-        };
-        let mut ras = Ras::new(2);
-        assert_eq!(ras.depth(), 2);
-        assert!(ras.pop().is_none(), "underflow on empty");
-        assert!(!ras.push(entry(4)));
-        assert!(!ras.push(entry(8)));
-        // Third push overflows: the oldest (4) is overwritten, the two
-        // newest survive — deep recursion keeps its innermost frames.
-        assert!(ras.push(entry(12)));
-        assert_eq!(ras.pop().unwrap().ret_pc, 12);
-        assert_eq!(ras.pop().unwrap().ret_pc, 8);
-        assert!(ras.pop().is_none(), "overwritten entry is gone");
-        ras.push(entry(16));
-        ras.clear();
-        assert!(ras.pop().is_none(), "clear empties the stack");
-    }
-
-    #[test]
-    fn ras_depth_zero_is_disabled() {
-        let mut ras = Ras::new(0);
-        assert_eq!(ras.depth(), 0);
-        assert!(ras.pop().is_none());
     }
 
     #[test]

@@ -358,7 +358,7 @@ proptest! {
         prop_assert_eq!(fast_exit, n as i32 * (1 + k));
     }
 
-    /// The indirect-branch inline caches and RAS are step-for-step
+    /// The indirect-branch inline caches are step-for-step
     /// identical to the IC-less chained engine and to the slow path on
     /// arbitrary programs with interleaved external backpatches: every
     /// cached indirect target is severed by the generation stamp the
@@ -378,12 +378,11 @@ proptest! {
             data: vec![],
             symbols: vec![],
         };
-        // Defaults: chaining + indirect ICs + RAS all on.
+        // Defaults: chaining + indirect ICs on.
         let mut fast = Machine::load_native(&image, b"in");
-        // Chained but with the indirect predictors off.
+        // Chained but with the inline caches off.
         let mut noic = Machine::load_native(&image, b"in");
         noic.set_indirect_ic_enabled(false);
-        noic.set_ras_depth(0);
         let mut slow = Machine::load_native(&image, b"in");
         let catch_up = |fast: &Machine, slow: &mut Machine,
                             f: &Result<Step, softcache_sim::SimError>|
@@ -434,7 +433,6 @@ proptest! {
         }
         prop_assert_eq!(fast.env.output, slow.env.output, "output diverged");
         prop_assert_eq!(noic.trace.ic_hits, 0, "disabled IC must never fire");
-        prop_assert_eq!(noic.trace.ras_pushes, 0, "disabled RAS must never push");
     }
 
     /// A loop that patches an instruction *inside the target block of a
@@ -519,16 +517,15 @@ proptest! {
         );
     }
 
-    /// Deep recursion at every RAS depth: overflow overwrites the oldest
-    /// prediction, the unwound tail underflows or mispredicts, and none
-    /// of it may leak into architectural state — stats match the slow
-    /// path at depth 0, 1, shallow, and deeper-than-recursion.
+    /// Deep recursion through one `ret` shared by two call sites, with
+    /// the inline cache on and off: stats match the slow path either way.
+    /// With the cache on, only the two returns into not-yet-lowered code
+    /// break their trace; with it off, every return does.
     #[test]
-    fn ras_overflow_underflow_and_deep_recursion_match_slow_path(
+    fn deep_recursion_returns_match_slow_path(
         depth in 1u32..40,
-        ras_sel in 0usize..5,
+        indirect_ic in any::<bool>(),
     ) {
-        let ras_depth = [0u32, 1, 2, 16, 64][ras_sel];
         let src = format!(
             "_start: li a0, {depth}\n jal .Lrec\n mv a0, t1\n ecall 0\n\
              .Lrec: addi t1, t1, 1\n beqz a0, .Lbase\n\
@@ -538,7 +535,7 @@ proptest! {
         );
         let image = softcache_asm::assemble(&src).unwrap();
         let mut fast = Machine::load_native(&image, &[]);
-        fast.set_ras_depth(ras_depth);
+        fast.set_indirect_ic_enabled(indirect_ic);
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
@@ -557,19 +554,10 @@ proptest! {
             t.breaks.total() + t.code_write_exits + t.fault_exits,
             "walk entries balance walk exits"
         );
-        if ras_depth == 0 {
-            prop_assert_eq!(t.ras_pushes, 0);
+        if indirect_ic {
+            prop_assert!(t.breaks.ret <= 2, "{t:?}");
         } else {
-            prop_assert_eq!(t.ras_pushes, u64::from(depth) + 1);
-            // Recursion deeper than the stack overwrites oldest entries;
-            // the corresponding outer unwinds then find the RAS empty.
-            if depth + 1 > ras_depth {
-                prop_assert!(t.ras_overflows > 0, "expected overflows: {t:?}");
-                prop_assert!(
-                    t.ras_underflows + t.ras_mispredicts > 0,
-                    "unwound tail must miss: {t:?}"
-                );
-            }
+            prop_assert_eq!(t.breaks.ret, u64::from(depth) + 1, "{:?}", t);
         }
     }
 
@@ -578,8 +566,8 @@ proptest! {
     /// the match-dispatched superblock engine and to the slow path on
     /// arbitrary programs with interleaved external backpatches. Every
     /// generation bump demotes stale threaded bodies via the stamp
-    /// barrier, and the in-chain RAS/IC sentinels must leave the trace
-    /// ledger bit-identical to the walk-side predictors.
+    /// barrier, and the in-chain sentinels must leave the trace ledger
+    /// bit-identical to the walk's own link and inline-cache checks.
     #[test]
     fn threaded_tier_matches_slow_path_on_garbage(
         words in prop::collection::vec(any::<u32>(), 1..64),
@@ -651,11 +639,10 @@ proptest! {
         prop_assert_eq!(thr.env.output, slow.env.output, "output diverged");
         // The dispatch strategy must not perturb the trace ledger: same
         // walk entries, same chain transitions, same break profile, same
-        // predictor hits — only the tier tallies may differ.
+        // inline-cache hits — only the tier tallies may differ.
         prop_assert_eq!(thr.trace.entries, off.trace.entries);
         prop_assert_eq!(thr.trace.chained, off.trace.chained);
         prop_assert_eq!(thr.trace.breaks, off.trace.breaks);
-        prop_assert_eq!(thr.trace.ras_hits, off.trace.ras_hits);
         prop_assert_eq!(thr.trace.ic_hits, off.trace.ic_hits);
         prop_assert_eq!(off.trace.tier_threaded_insts, 0,
             "suppressed tier must retire nothing");
@@ -742,7 +729,6 @@ proptest! {
             prop_assert_eq!(m.trace.entries, m0.trace.entries);
             prop_assert_eq!(m.trace.chained, m0.trace.chained);
             prop_assert_eq!(&m.trace.breaks, &m0.trace.breaks);
-            prop_assert_eq!(m.trace.ras_hits, m0.trace.ras_hits);
             prop_assert_eq!(m.trace.ic_hits, m0.trace.ic_hits);
         }
         // The tallies themselves shift with the threshold: instant

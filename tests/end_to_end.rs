@@ -49,9 +49,8 @@ fn check_all_engines(w: &Workload) {
             m.set_chaining_enabled(false);
             m.set_threaded_enabled(false);
         }),
-        ("IC off, RAS 0, threaded off", |m| {
+        ("IC off, threaded off", |m| {
             m.set_indirect_ic_enabled(false);
-            m.set_ras_depth(0);
             m.set_threaded_enabled(false);
         }),
         ("threaded off", |m| m.set_threaded_enabled(false)),

@@ -380,16 +380,16 @@ fn mc_crash_restart_under_a_lossy_link() {
     server.join().unwrap();
 }
 
-// ---- tcache address recycling: RAS / inline-cache hygiene ----
+// ---- tcache address recycling: link / inline-cache hygiene ----
 
-/// DESIGN.md §12 claims `ProcCc::resync` clears the return-address stack
-/// and severs superblock links when the tcache is rebuilt at the same
-/// addresses without a generation bump. Exercise that on the real resync
-/// path: crash the MC repeatedly mid-run so procedures are refetched onto
-/// recycled addresses, with the superblock engine on and off. A stale RAS
-/// or inline-cache entry surviving a resync would chain a return into
-/// dead (now reused) tcache memory — both runs must match native, and
-/// match each other in every simulated ledger.
+/// DESIGN.md §12 claims superblock links and inline caches never chain
+/// into dead code when `ProcCc::resync` rebuilds the tcache at the same
+/// addresses. Exercise that on the real resync path: crash the MC
+/// repeatedly mid-run so procedures are refetched onto recycled
+/// addresses, with the superblock engine on and off. A stale link or
+/// inline-cache entry surviving a resync would chain a return into dead
+/// (now reused) tcache memory — both runs must match native, and match
+/// each other in every simulated ledger.
 #[test]
 fn proc_resync_recycles_addresses_without_stale_ras() {
     let w = by_name("adpcmenc").unwrap();
@@ -426,8 +426,8 @@ fn proc_resync_recycles_addresses_without_stale_ras() {
     }
     let (on, off) = (&runs[0], &runs[1]);
     assert!(
-        on.trace.ras_pushes > 0,
-        "the superblock RAS must actually be in play: {:?}",
+        on.trace.chained > 0 && on.trace.ic_hits + on.trace.ic_fills > 0,
+        "superblock links and inline caches must actually be in play: {:?}",
         on.trace
     );
     assert_eq!(
@@ -438,8 +438,8 @@ fn proc_resync_recycles_addresses_without_stale_ras() {
 }
 
 /// The same hygiene on the basic-block path: a tcache small enough to
-/// flush repeatedly recycles every address with no generation bump, so
-/// `Cc::flush` must drop the RAS and superblock links each time.
+/// flush repeatedly recycles every address, and no superblock link or
+/// inline cache may survive a flush into the recycled code.
 #[test]
 fn bb_flush_recycles_addresses_without_stale_ras() {
     let w = by_name("adpcmenc").unwrap();
@@ -472,8 +472,8 @@ fn bb_flush_recycles_addresses_without_stale_ras() {
     }
     let (on, off) = (&runs[0], &runs[1]);
     assert!(
-        on.trace.ras_pushes > 0,
-        "the superblock RAS must actually be in play: {:?}",
+        on.trace.chained > 0 && on.trace.ic_hits + on.trace.ic_fills > 0,
+        "superblock links and inline caches must actually be in play: {:?}",
         on.trace
     );
     assert_eq!(on.exec, off.exec, "bit-identity across the engine toggle");
