@@ -210,8 +210,10 @@ impl SoftDcacheSystem {
         out
     }
 
-    /// Run from a cold data cache.
+    /// Run from a cold data cache and a fresh MC session, whose data
+    /// memory holds the image's initial data again.
     pub fn run(&mut self, input: &[u8]) -> Result<DataRunOutput, CacheError> {
+        self.endpoint.begin_session();
         let mut machine = Machine::load_native(&self.image, input);
         let mut dcache = Dcache::new(self.dcfg);
         let mut scache = Scache::new(self.scfg);
@@ -347,8 +349,10 @@ impl FullSoftCacheSystem {
         out
     }
 
-    /// Run from cold caches.
+    /// Run from cold caches and a fresh MC session: an empty residence
+    /// mirror and the image's initial data.
     pub fn run(&mut self, input: &[u8]) -> Result<DataRunOutput, CacheError> {
+        self.endpoint.begin_session();
         let mut machine = Machine::load_client(&self.image, input);
         let mut cc = Cc::new(self.icfg);
         let mut dcache = Dcache::new(self.dcfg);

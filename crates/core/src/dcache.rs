@@ -93,7 +93,7 @@ impl Default for DcacheConfig {
 }
 
 /// Data cache statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DcacheStats {
     /// Accesses serviced.
     pub accesses: u64,

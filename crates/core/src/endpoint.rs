@@ -5,8 +5,15 @@
 //! * **Fused** ([`McEndpoint::Direct`]): MC and CC in one process,
 //!   "communication ... is accomplished by jumping back and forth in places
 //!   where a real embedded system would have to perform an RPC" (§2.1,
-//!   SPARC prototype). Frames are still encoded/decoded so the protocol
-//!   path is exercised and byte-accounted identically.
+//!   SPARC prototype). Each RPC is a call: the request goes to
+//!   [`Mc::handle`] by reference and the [`Reply`] comes straight back.
+//!   Byte accounting uses [`Request::encoded_len`] and
+//!   [`Reply::encoded_len`], the exact sizes of the frames the remote
+//!   path would send, so both shapes account identically without the
+//!   fused one building a frame. Debug builds still encode both frames
+//!   and assert that the lengths match and that decoding gives back the
+//!   same request and reply: the codec round trip is a debug oracle on
+//!   every fused RPC, not a cost on every release one.
 //! * **Remote** ([`McEndpoint::Remote`]): MC behind a [`Transport`] —
 //!   typically a crossbeam channel pair with the MC's serve loop on another
 //!   thread (§2.3, ARM prototype: two Skiff boards on Ethernet).
@@ -38,7 +45,7 @@ use std::time::Duration;
 /// get it, and the recovery events it logged along the way.
 #[derive(Clone, Debug)]
 pub struct RpcOutcome {
-    /// The decoded reply.
+    /// The reply.
     pub reply: Reply,
     /// Request payload bytes (excluding the 12-byte envelope, which is
     /// part of the modeled per-message header).
@@ -119,6 +126,16 @@ impl McEndpoint {
         }
     }
 
+    /// Begin a client session that boots cold. A fused MC restarts its
+    /// session ([`Mc::restart_session`]): it forgets the previous run's
+    /// residence mirror and data writebacks, without an RPC. A remote
+    /// MC's session is its owner's to manage; nothing is sent.
+    pub(crate) fn begin_session(&mut self) {
+        if let McEndpoint::Direct(mc) = self {
+            mc.restart_session();
+        }
+    }
+
     /// The server epoch this endpoint last observed (None for the fused
     /// MC or before the first remote exchange).
     pub fn observed_epoch(&self) -> Option<u32> {
@@ -140,13 +157,14 @@ impl McEndpoint {
     pub fn rpc(&mut self, req: &Request) -> Result<RpcOutcome, CacheError> {
         match self {
             McEndpoint::Direct(mc) => {
-                let req_frame = req.encode();
-                let rep_frame = mc.handle_frame(&req_frame);
-                let reply = Reply::decode(&rep_frame).map_err(|_| CacheError::Proto)?;
+                let reply = mc.handle(req);
+                #[cfg(debug_assertions)]
+                codec_oracle(req, &reply);
+                let (req_bytes, rep_bytes) = (req.encoded_len(), reply.encoded_len());
                 Ok(RpcOutcome::direct(
                     reply,
-                    req_frame.len() as u32,
-                    rep_frame.len() as u32,
+                    req_bytes as u32,
+                    rep_bytes as u32,
                 ))
             }
             McEndpoint::Remote {
@@ -176,6 +194,19 @@ impl McEndpoint {
             }
         }
     }
+}
+
+/// The fused MC's codec check: the frames the remote path would carry for
+/// this exchange have the accounted lengths and decode back to the same
+/// request and reply.
+#[cfg(debug_assertions)]
+fn codec_oracle(req: &Request, reply: &Reply) {
+    let req_frame = req.encode();
+    assert_eq!(req_frame.len(), req.encoded_len(), "{req:?}");
+    assert_eq!(Request::decode(&req_frame).as_ref(), Ok(req));
+    let rep_frame = reply.encode();
+    assert_eq!(rep_frame.len(), reply.encoded_len(), "{reply:?}");
+    assert_eq!(Reply::decode(&rep_frame).as_ref(), Ok(reply));
 }
 
 /// One enveloped exchange over `transport` with retry, backoff, CRC-drop

@@ -73,7 +73,10 @@ impl SoftIcacheSystem {
 
     /// System with an explicit endpoint (e.g. a remote MC on another
     /// thread). The image is still needed locally for its *data* segment —
-    /// only text stays on the server.
+    /// only text stays on the server. A remote MC's session is the
+    /// caller's: each run starts from a cold tcache but sends no reset, so
+    /// a caller running more than once must give each run an MC with an
+    /// empty residence mirror (a fresh one, or one that saw `InvalidateAll`).
     pub fn with_endpoint(
         image: Image,
         cfg: IcacheConfig,
@@ -107,7 +110,8 @@ impl SoftIcacheSystem {
     }
 
     /// Run the program under the software cache. Each call starts from a
-    /// cold tcache.
+    /// cold tcache and, with the fused MC, a fresh MC session, so repeated
+    /// runs give identical results.
     pub fn run(&mut self, input: &[u8]) -> Result<RunOutput, CacheError> {
         self.run_with_hook(input, |_, _| {})
     }
@@ -181,6 +185,7 @@ impl SoftIcacheSystem {
         machine.set_threaded_threshold(self.cfg.threaded_threshold);
         let mut cc = Cc::new(self.cfg);
         self.endpoint.set_policy(self.cfg.link_policy);
+        self.endpoint.begin_session();
         let track_power = banks.is_some();
         if let Some(bcfg) = banks {
             cc.attach_power(BankModel::new(bcfg));

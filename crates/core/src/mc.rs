@@ -112,6 +112,9 @@ pub struct Mc {
     /// hierarchy), covering `DATA_BASE..STACK_TOP` so both the dcache and
     /// the scache can spill to it.
     data: Vec<u8>,
+    /// Set by the first writeback: `data` no longer equals the image's
+    /// initial data, so [`Mc::restart_session`] must restore it.
+    data_written: bool,
     /// Chunk-formation strategy.
     strategy: ChunkStrategy,
     /// Session epoch. A fresh MC process picks a new epoch; the CC sees it
@@ -142,13 +145,13 @@ impl Mc {
     /// multi-client server gets an isolated data image.
     pub fn from_shared(image: Arc<Image>) -> Mc {
         let mut data = vec![0u8; (STACK_TOP - DATA_BASE) as usize];
-        let off = (image.data_base - DATA_BASE) as usize;
-        data[off..off + image.data.len()].copy_from_slice(&image.data);
+        load_initial_data(&image, &mut data);
         Mc {
             image,
             mirror: HashMap::new(),
             block_len: HashMap::new(),
             data,
+            data_written: false,
             strategy: ChunkStrategy::BasicBlock,
             epoch: 1,
             stats: McStats::default(),
@@ -165,6 +168,19 @@ impl Mc {
     /// original rewrite made answers the same for this client.
     pub fn attach_shared_cache(&mut self, cache: Arc<SharedXlate>) {
         self.shared = Some(cache);
+    }
+
+    /// Start a new session with a client that boots cold: forget the
+    /// residence mirror and, if writebacks changed it, restore the image's
+    /// initial data. What a fresh `Mc` would answer, this one answers from
+    /// here on. Sends nothing and costs nothing on an unused MC; the
+    /// epoch, chunk strategy, block-scan memo and statistics carry over.
+    pub(crate) fn restart_session(&mut self) {
+        self.mirror.clear();
+        if std::mem::take(&mut self.data_written) {
+            self.data.fill(0);
+            load_initial_data(&self.image, &mut self.data);
+        }
     }
 
     /// This MC's session epoch.
@@ -199,15 +215,15 @@ impl Mc {
     /// Handle one encoded request frame, producing an encoded reply frame.
     pub fn handle_frame(&mut self, frame: &[u8]) -> Vec<u8> {
         let reply = match Request::decode(frame) {
-            Ok(req) => self.handle(req),
+            Ok(req) => self.handle(&req),
             Err(ProtoError) => Reply::Err(errcode::BAD_ADDRESS),
         };
         reply.encode()
     }
 
     /// Handle one decoded request.
-    pub fn handle(&mut self, req: Request) -> Reply {
-        match req {
+    pub fn handle(&mut self, req: &Request) -> Reply {
+        match *req {
             Request::FetchBlock { orig_pc, dest } => match self.rewrite_block(orig_pc, dest) {
                 Ok(chunk) => {
                     self.stats.blocks_served += 1;
@@ -260,11 +276,12 @@ impl Mc {
                     _ => Reply::Err(errcode::BAD_DATA_RANGE),
                 }
             }
-            Request::WriteData { addr, bytes } => {
+            Request::WriteData { addr, ref bytes } => {
                 let lo = addr.wrapping_sub(DATA_BASE) as usize;
                 match self.data.get_mut(lo..lo.saturating_add(bytes.len())) {
                     Some(slice) if addr >= DATA_BASE => {
-                        slice.copy_from_slice(&bytes);
+                        slice.copy_from_slice(bytes);
+                        self.data_written = true;
                         self.stats.data_writebacks += 1;
                         Reply::Ack
                     }
@@ -656,6 +673,13 @@ impl Mc {
     }
 }
 
+/// Copy `image`'s initial data segment into `data` (which starts at
+/// `DATA_BASE`).
+fn load_initial_data(image: &Image, data: &mut [u8]) {
+    let off = (image.data_base - DATA_BASE) as usize;
+    data[off..off + image.data.len()].copy_from_slice(&image.data);
+}
+
 /// Emit the fallthrough slot at `slot`: a direct jump when the continuation
 /// is resident, a miss placeholder otherwise.
 #[allow(clippy::too_many_arguments)]
@@ -725,7 +749,7 @@ _start: addi t0, t0, 1
         // The paper: "we add two new instructions per translated basic
         // block".
         let mut mc = mc_for("_start: addi t0, t0, -1\n bnez t0, _start\n halt");
-        let chunk = match mc.handle(Request::FetchBlock {
+        let chunk = match mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         }) {
@@ -760,7 +784,7 @@ _start: beqz t0, far
 far:    halt
 "#;
         let mut mc = mc_for(mc_src);
-        let chunk = match mc.handle(Request::FetchBlock {
+        let chunk = match mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0100,
         }) {
@@ -784,7 +808,7 @@ far:    halt
         let mut mc = mc_for("_start: nop\n j _start\n");
         // Fetch the block at the `j` (second block fetch covers whole block
         // from _start which ends at j).
-        let chunk = match mc.handle(Request::FetchBlock {
+        let chunk = match mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         }) {
@@ -801,7 +825,7 @@ far:    halt
     #[test]
     fn indirect_jump_rewritten_to_hash_form() {
         let mut mc = mc_for("_start: jr t0\nnext: jalr t1\n halt");
-        let c1 = match mc.handle(Request::FetchBlock {
+        let c1 = match mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         }) {
@@ -811,7 +835,7 @@ far:    halt
         assert!(matches!(decode(c1.words[0]).unwrap(), Inst::Jrh { .. }));
         assert_eq!(c1.words.len(), 1, "jr needs no continuation slot");
 
-        let c2 = match mc.handle(Request::FetchBlock {
+        let c2 = match mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE + 4,
             dest: 0x40_0100,
         }) {
@@ -827,11 +851,11 @@ far:    halt
     fn resident_targets_resolve_immediately() {
         let mut mc = mc_for("_start: j next\nnext: halt");
         // Translate `next` first.
-        let _ = mc.handle(Request::FetchBlock {
+        let _ = mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE + 4,
             dest: 0x40_0200,
         });
-        let chunk = match mc.handle(Request::FetchBlock {
+        let chunk = match mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         }) {
@@ -847,28 +871,28 @@ far:    halt
     #[test]
     fn invalidation_clears_mirror() {
         let mut mc = mc_for("_start: halt");
-        let _ = mc.handle(Request::FetchBlock {
+        let _ = mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         });
         assert_eq!(mc.mirror_len(), 1);
         assert_eq!(
-            mc.handle(Request::Invalidate { orig_pc: TEXT_BASE }),
+            mc.handle(&Request::Invalidate { orig_pc: TEXT_BASE }),
             Reply::Ack
         );
         assert_eq!(mc.mirror_len(), 0);
-        let _ = mc.handle(Request::FetchBlock {
+        let _ = mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         });
-        assert_eq!(mc.handle(Request::InvalidateAll), Reply::Ack);
+        assert_eq!(mc.handle(&Request::InvalidateAll), Reply::Ack);
         assert_eq!(mc.mirror_len(), 0);
     }
 
     #[test]
     fn data_fill_and_writeback() {
         let mut mc = mc_for("_start: halt\n.data\nx: .word 42, 43");
-        match mc.handle(Request::FetchData {
+        match mc.handle(&Request::FetchData {
             addr: DATA_BASE,
             len: 8,
         }) {
@@ -879,13 +903,13 @@ far:    halt
             other => panic!("{other:?}"),
         }
         assert_eq!(
-            mc.handle(Request::WriteData {
+            mc.handle(&Request::WriteData {
                 addr: DATA_BASE + 4,
                 bytes: 99u32.to_le_bytes().to_vec(),
             }),
             Reply::Ack
         );
-        match mc.handle(Request::FetchData {
+        match mc.handle(&Request::FetchData {
             addr: DATA_BASE + 4,
             len: 4,
         }) {
@@ -894,11 +918,11 @@ far:    halt
         }
         // Out of range.
         assert!(matches!(
-            mc.handle(Request::FetchData { addr: 0, len: 4 }),
+            mc.handle(&Request::FetchData { addr: 0, len: 4 }),
             Reply::Err(_)
         ));
         assert!(matches!(
-            mc.handle(Request::FetchData {
+            mc.handle(&Request::FetchData {
                 addr: STACK_TOP - 2,
                 len: 8
             }),
@@ -918,7 +942,7 @@ far:    addi t0, t0, 2
         halt
 "#,
         );
-        let chunks = match mc.handle(Request::FetchBatch {
+        let chunks = match mc.handle(&Request::FetchBatch {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
             max_chunks: 4,
@@ -958,7 +982,7 @@ far:    addi t0, t0, 2
         // Budget only covers the demanded chunk: nothing is pushed, and no
         // phantom residence entries remain.
         let mut mc = mc_for(src);
-        let chunks = match mc.handle(Request::FetchBatch {
+        let chunks = match mc.handle(&Request::FetchBatch {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
             max_chunks: 4,
@@ -972,11 +996,11 @@ far:    addi t0, t0, 2
 
         // Already-resident successors are not pushed again.
         let mut mc = mc_for(src);
-        let _ = mc.handle(Request::FetchBlock {
+        let _ = mc.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE + 4,
             dest: 0x40_2000,
         });
-        let chunks = match mc.handle(Request::FetchBatch {
+        let chunks = match mc.handle(&Request::FetchBatch {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
             max_chunks: 4,
@@ -1014,9 +1038,9 @@ far:    addi t0, t0, 2
         let mut b = mc_for(src);
         b.attach_shared_cache(Arc::clone(&cache));
         for &(orig_pc, dest) in &fetches {
-            let want = solo.handle(Request::FetchBlock { orig_pc, dest });
-            let got_a = a.handle(Request::FetchBlock { orig_pc, dest });
-            let got_b = b.handle(Request::FetchBlock { orig_pc, dest });
+            let want = solo.handle(&Request::FetchBlock { orig_pc, dest });
+            let got_a = a.handle(&Request::FetchBlock { orig_pc, dest });
+            let got_b = b.handle(&Request::FetchBlock { orig_pc, dest });
             assert_eq!(got_a, want, "tenant A diverged at {orig_pc:#x}");
             assert_eq!(got_b, want, "tenant B diverged at {orig_pc:#x}");
         }
@@ -1041,11 +1065,11 @@ far:    addi t0, t0, 2
         // Client A fetches `next` first, so `_start`'s jump resolves.
         let mut a = mc_for(src);
         a.attach_shared_cache(Arc::clone(&cache));
-        let ra = a.handle(Request::FetchBlock {
+        let ra = a.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE + 4,
             dest: 0x40_0200,
         });
-        let ja = a.handle(Request::FetchBlock {
+        let ja = a.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         });
@@ -1053,12 +1077,12 @@ far:    addi t0, t0, 2
         // even though A's resolved variant is cached under the same key.
         let mut b = mc_for(src);
         b.attach_shared_cache(Arc::clone(&cache));
-        let jb = b.handle(Request::FetchBlock {
+        let jb = b.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         });
         let mut solo = mc_for(src);
-        let want = solo.handle(Request::FetchBlock {
+        let want = solo.handle(&Request::FetchBlock {
             orig_pc: TEXT_BASE,
             dest: 0x40_0000,
         });

@@ -1041,7 +1041,10 @@ impl ProcCacheSystem {
         }
     }
 
-    /// System with an explicit endpoint (remote MC).
+    /// System with an explicit endpoint (remote MC). A remote MC's
+    /// session is the caller's: a run sends no reset, so a caller running
+    /// more than once must give each run an MC with an empty residence
+    /// mirror.
     pub fn with_endpoint(image: Image, cfg: ProcConfig, endpoint: McEndpoint) -> ProcCacheSystem {
         ProcCacheSystem {
             image,
@@ -1065,12 +1068,14 @@ impl ProcCacheSystem {
         out
     }
 
-    /// Run the program from a cold cache.
+    /// Run the program from a cold cache and, with the fused MC, a fresh
+    /// MC session.
     pub fn run(&mut self, input: &[u8]) -> Result<ProcRunOutput, CacheError> {
         let mut machine = Machine::load_client(&self.image, input);
         machine.set_superblocks_enabled(self.cfg.superblocks);
         let mut cc = ProcCc::new(self.cfg);
         self.endpoint.set_policy(self.cfg.link_policy);
+        self.endpoint.begin_session();
         let mut injector = self.chaos.map(MemFaultInjector::new);
         if injector.is_some() {
             cc.arm_integrity();

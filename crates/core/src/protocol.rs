@@ -180,10 +180,29 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// Encoded size of a length-prefixed word list.
+fn words_len(words: &[u32]) -> usize {
+    4 + 4 * words.len()
+}
+
 impl Request {
+    /// Exact size of [`Request::encode`]'s frame, computed without
+    /// building it: the fused MC accounts request bytes from this.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Request::InvalidateAll | Request::Hello => 1,
+            Request::Invalidate { .. } => 1 + 4,
+            Request::FetchBlock { .. } | Request::FetchProc { .. } | Request::FetchData { .. } => {
+                1 + 4 + 4
+            }
+            Request::WriteData { bytes, .. } => 1 + 4 + 4 + bytes.len(),
+            Request::FetchBatch { .. } => 1 + 4 * 4,
+        }
+    }
+
     /// Encode to a wire frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new();
+        let mut w = FrameWriter::with_capacity(self.encoded_len());
         match self {
             Request::FetchBlock { orig_pc, dest } => {
                 w.put_u8(1).put_u32(*orig_pc).put_u32(*dest);
@@ -263,6 +282,19 @@ impl Request {
     }
 }
 
+/// Bytes [`encode_chunk`] appends for `c`: two header words, the word
+/// list, 13 bytes per exit, 9 per resolved reference (each list
+/// count-prefixed) and the resume-address list.
+fn chunk_len(c: &ChunkPayload) -> usize {
+    4 + 4
+        + words_len(&c.words)
+        + 4
+        + 13 * c.exits.len()
+        + 4
+        + 9 * c.resolved.len()
+        + words_len(&c.extra_orig)
+}
+
 /// Append one chunk's encoding to an in-progress frame (shared by the
 /// single-chunk and batched reply forms).
 fn encode_chunk(w: &mut FrameWriter, c: &ChunkPayload) {
@@ -322,9 +354,21 @@ fn decode_chunk(r: &mut FrameReader<'_>) -> Result<ChunkPayload, ProtoError> {
 }
 
 impl Reply {
+    /// Exact size of [`Reply::encode`]'s frame, computed without building
+    /// it: the fused MC accounts reply bytes from this.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Reply::Chunk(c) => 1 + chunk_len(c),
+            Reply::Batch(chunks) => 1 + 4 + chunks.iter().map(chunk_len).sum::<usize>(),
+            Reply::Ack => 1,
+            Reply::Data(bytes) => 1 + 4 + bytes.len(),
+            Reply::Err(_) | Reply::Welcome { .. } => 1 + 4,
+        }
+    }
+
     /// Encode to a wire frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new();
+        let mut w = FrameWriter::with_capacity(self.encoded_len());
         match self {
             Reply::Chunk(c) => {
                 w.put_u8(1);
@@ -418,7 +462,9 @@ mod tests {
             },
         ];
         for r in reqs {
-            assert_eq!(Request::decode(&r.encode()).unwrap(), r);
+            let frame = r.encode();
+            assert_eq!(r.encoded_len(), frame.len(), "{r:?}");
+            assert_eq!(Request::decode(&frame).unwrap(), r);
         }
     }
 
@@ -448,7 +494,9 @@ mod tests {
             }),
         ];
         for r in reps {
-            assert_eq!(Reply::decode(&r.encode()).unwrap(), r);
+            let frame = r.encode();
+            assert_eq!(r.encoded_len(), frame.len(), "{r:?}");
+            assert_eq!(Reply::decode(&frame).unwrap(), r);
         }
     }
 
@@ -472,7 +520,9 @@ mod tests {
             Reply::Batch(vec![chunk(0x1000), chunk(0x1040), chunk(0x1080)]),
         ];
         for r in reps {
-            assert_eq!(Reply::decode(&r.encode()).unwrap(), r);
+            let frame = r.encode();
+            assert_eq!(r.encoded_len(), frame.len(), "{r:?}");
+            assert_eq!(Reply::decode(&frame).unwrap(), r);
         }
     }
 

@@ -42,7 +42,7 @@ impl Default for ScacheConfig {
 }
 
 /// Stack cache statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScacheStats {
     /// Accesses inside the window (free).
     pub window_hits: u64,

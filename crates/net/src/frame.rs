@@ -18,6 +18,14 @@ impl FrameWriter {
         FrameWriter::default()
     }
 
+    /// Empty frame with room for `bytes` bytes, so a writer that knows
+    /// its frame's size up front allocates once.
+    pub fn with_capacity(bytes: usize) -> FrameWriter {
+        FrameWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Append a byte.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -137,6 +145,15 @@ mod tests {
         assert_eq!(r.words().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert!(r.at_end());
+        // A writer sized up front builds the same frame without growing.
+        let mut w = FrameWriter::with_capacity(f.len());
+        w.put_u8(7)
+            .put_u32(0xDEADBEEF)
+            .put_words(&[1, 2, 3])
+            .put_bytes(b"hello");
+        let g = w.finish();
+        assert_eq!(g, f);
+        assert_eq!(g.capacity(), f.len(), "no reallocation");
     }
 
     #[test]

@@ -594,8 +594,7 @@ impl Machine {
     /// threaded": handlers are bound at lowering time, whether eager or
     /// lazy.
     fn lower_at(&mut self, pc: u32) -> Option<u32> {
-        let sb = uop::lower(&mut self.decode, &self.mem, pc);
-        let id = self.uops.insert(pc, sb)?;
+        let id = self.uops.lower(&mut self.decode, &self.mem, pc)?;
         if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
             self.trace.promotions += 1;
         }

@@ -71,11 +71,11 @@ const PAGE_SHIFT: u32 = 10;
 /// Longest superblock body (instructions before the terminator).
 pub(crate) const MAX_BODY: usize = 64;
 
-/// Widest span of code a single superblock depends on, in bytes: its
-/// words from `start` through `exit_pc`, at most [`MAX_BODY`] + 1 of them.
-/// Invalidation scans block starts from this far below a dirty span, so
-/// blocks that *start* before a patched word but *cover* it die.
-pub(crate) const MAX_SPAN_BYTES: u32 = ((MAX_BODY + 1) * INST_BYTES as usize) as u32;
+/// Widest span of code any superblock can depend on, in bytes: its words
+/// from `start` through `exit_pc`, at most [`MAX_BODY`] + 1 of them. An
+/// upper bound only: invalidation scans back by the widest span actually
+/// inserted ([`UopCache::invalidate_span`]), which never exceeds this.
+const MAX_SPAN_BYTES: u32 = ((MAX_BODY + 1) * INST_BYTES as usize) as u32;
 
 /// Flattened micro-op opcode. One flat tag per (operation × addressing
 /// form), so the executor dispatches exactly once per micro-op with no
@@ -1196,6 +1196,14 @@ impl Superblock {
         self.start < hi && u64::from(self.exit_pc) + u64::from(INST_BYTES) > u64::from(lo)
     }
 
+    /// Bytes of code the block depends on: `start` through `exit_pc`.
+    #[inline]
+    fn span_bytes(&self) -> u32 {
+        self.exit_pc
+            .wrapping_add(INST_BYTES)
+            .wrapping_sub(self.start)
+    }
+
     /// The statically known next PC for a terminator leg, when there is
     /// one. `None` for register-indirect terminators (and the vacuous
     /// `taken` leg of non-branches): those legs have no *static* link and
@@ -1227,14 +1235,21 @@ impl Superblock {
     }
 }
 
-/// Lower the straight-line region starting at `start` into a superblock.
+/// Lower the straight-line region starting at `start` into a superblock,
+/// building its micro-ops in `uops` (cleared first; a caller-owned scratch
+/// buffer, so the block's own array is one exact-size allocation).
 /// Returns `None` when nothing at `start` is worth lowering (first word
 /// unwatched, undecodable, or a trap/halt class instruction) — callers
 /// memoise that verdict so the per-instruction path is taken without
 /// re-asking. The decode cache must already be synced.
-pub(crate) fn lower(decode: &mut DecodeCache, mem: &Memory, start: u32) -> Option<Superblock> {
+fn lower(
+    decode: &mut DecodeCache,
+    mem: &Memory,
+    start: u32,
+    uops: &mut Vec<Uop>,
+) -> Option<Superblock> {
     debug_assert_eq!(start & 3, 0);
-    let mut uops: Vec<Uop> = Vec::new();
+    uops.clear();
     let mut cycles = 0u64;
     let mut loads = 0u32;
     let mut stores = 0u32;
@@ -1393,7 +1408,7 @@ pub(crate) fn lower(decode: &mut DecodeCache, mem: &Memory, start: u32) -> Optio
     };
     Some(Superblock {
         len: uops.len() as u32 + term_len,
-        uops: uops.into_boxed_slice(),
+        uops: Box::from(uops.as_slice()),
         term,
         start,
         exit_pc,
@@ -1463,6 +1478,11 @@ pub(crate) struct UopCache {
     /// side of the tier ledger, drained by the owning machine into its
     /// trace telemetry.
     threaded_drops: u64,
+    /// Widest span of code ([`Superblock::span_bytes`]) of any block ever
+    /// inserted: how far below a dirty span a dependent block can start.
+    reach: u32,
+    /// Scratch buffer [`UopCache::lower`] builds micro-ops in.
+    scratch: Vec<Uop>,
 }
 
 impl UopCache {
@@ -1475,6 +1495,8 @@ impl UopCache {
             generation: 0,
             pinned: Vec::new(),
             threaded_drops: 0,
+            reach: 0,
+            scratch: Vec::with_capacity(MAX_BODY),
         }
     }
 
@@ -1523,8 +1545,10 @@ impl UopCache {
     /// Drop every superblock that depends on a byte in `[lo, hi)` — one
     /// with a word from its start through its `exit_pc` in the span — and
     /// every "not worth lowering" memo whose own word is in it. Blocks are
-    /// indexed by their *start* PC but depend on up to [`MAX_SPAN_BYTES`]
-    /// ahead, so starts are scanned from that far below `lo`.
+    /// indexed by their *start* PC, so starts are scanned from `reach`
+    /// bytes below `lo`, `reach` being the widest span of any block
+    /// inserted so far (at most [`MAX_SPAN_BYTES`]). The bound is exact: a
+    /// block starting `reach` or more bytes below `lo` ends before it.
     ///
     /// Links need no per-span treatment: a dropped block's id is retired,
     /// not reused, until the generation moves on, so a link stamped with
@@ -1533,7 +1557,8 @@ impl UopCache {
     /// pins): the block still matches memory until the next write into
     /// its span, and that write severs every link at once.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
-        let first = (lo.saturating_sub(MAX_SPAN_BYTES) >> 2) as usize;
+        debug_assert!(self.reach <= MAX_SPAN_BYTES, "reach {}", self.reach);
+        let first = (lo.saturating_sub(self.reach) >> 2) as usize;
         let end = ((u64::from(hi) + 3) >> 2) as usize;
         // Starts at or above this word index have their own word written.
         let own = (lo >> 2) as usize;
@@ -1726,6 +1751,13 @@ impl UopCache {
         self.id_at(pc).map(|id| self.block(id))
     }
 
+    /// Lower the superblock starting at `pc` (through the cache's scratch
+    /// buffer) and record the verdict; returns the new block's arena id.
+    pub(crate) fn lower(&mut self, decode: &mut DecodeCache, mem: &Memory, pc: u32) -> Option<u32> {
+        let sb = lower(decode, mem, pc, &mut self.scratch);
+        self.insert(pc, sb)
+    }
+
     /// Record the outcome of a lowering attempt at `pc` (`None` memoises
     /// "not worth lowering"). Returns the arena id when a block was
     /// inserted, so the caller can dispatch into it without re-walking the
@@ -1740,6 +1772,7 @@ impl UopCache {
         debug_assert_eq!(page[slot_no], SLOT_UNKNOWN, "insert over a live slot");
         let (slot, id) = match sb {
             Some(sb) => {
+                self.reach = self.reach.max(sb.span_bytes());
                 let id = match self.free.pop() {
                     Some(id) => {
                         self.blocks[id as usize] = sb;
@@ -1815,7 +1848,7 @@ mod tests {
     fn lowered(words: &[u32]) -> Option<Superblock> {
         let mem = mem_with(words);
         let mut dc = DecodeCache::new(CostModel::default());
-        lower(&mut dc, &mem, 0)
+        lower(&mut dc, &mem, 0, &mut Vec::new())
     }
 
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> u32 {
@@ -1901,9 +1934,10 @@ mod tests {
         let mut mem = mem_with(&[addi(Reg::T0, Reg::T0, 1), addi(Reg::T0, Reg::T0, 2)]);
         mem.set_code_watch([(0, 4), (0, 0)]); // only the first word watched
         let mut dc = DecodeCache::new(CostModel::default());
-        let sb = lower(&mut dc, &mem, 0).unwrap();
+        let mut scratch = Vec::new();
+        let sb = lower(&mut dc, &mem, 0, &mut scratch).unwrap();
         assert_eq!(sb.len, 1, "block stops at the unwatched word");
-        let none = lower(&mut dc, &mem, 4);
+        let none = lower(&mut dc, &mem, 4, &mut scratch);
         assert!(none.is_none(), "unwatched start is not lowered");
     }
 
@@ -1937,6 +1971,24 @@ mod tests {
         let mut uc = fresh();
         uc.invalidate_span(exit_pc + 4, exit_pc + 8);
         assert!(uc.get(0).is_some());
+    }
+
+    #[test]
+    fn reach_covers_a_block_inserted_through_a_reused_id() {
+        // A narrow block (8 B) frees its id once the generation moves.
+        let mut uc = UopCache::new();
+        let narrow = uc.insert(0, lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ret)]));
+        uc.invalidate_span(0, 4);
+        uc.set_generation(1);
+        // The widest block takes that id instead of growing the arena,
+        // and `reach` must still widen to its 248 B span.
+        let mut words: Vec<u32> = (0..60).map(|i| addi(Reg::T0, Reg::T0, i)).collect();
+        words.push(encode(Inst::Ret));
+        let wide = uc.insert(0, lowered(&words));
+        assert_eq!(wide, narrow, "the freed id is reused");
+        let exit_pc = uc.get(0).unwrap().exit_pc();
+        uc.invalidate_span(exit_pc, exit_pc + 4);
+        assert_eq!(uc.lookup(0), Lookup::Unknown, "write at exit_pc");
     }
 
     #[test]

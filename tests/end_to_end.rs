@@ -9,6 +9,7 @@
 use softcache::core::datarun::FullSoftCacheSystem;
 use softcache::core::dcache::DcacheConfig;
 use softcache::core::icache::SoftIcacheSystem;
+use softcache::core::mc::ChunkStrategy;
 use softcache::core::proc::{ProcCacheSystem, ProcConfig};
 use softcache::core::scache::ScacheConfig;
 use softcache::core::IcacheConfig;
@@ -161,6 +162,65 @@ fn hextobdd_all_engines() {
 #[test]
 fn mpeg2enc_all_engines() {
     check_all_engines(&softcache::workloads::by_name("mpeg2enc").unwrap());
+}
+
+/// A system object can run its program more than once: each run starts
+/// from a cold cache and a fresh fused-MC session, so the second run
+/// repeats the first exactly — output, execution ledger and cache ledgers.
+#[test]
+fn compress95_reruns_on_one_system_are_identical() {
+    let w = softcache::workloads::by_name("compress95").unwrap();
+    let input = (w.gen_input)(4);
+    let image = w.image(true);
+    let icfg = |tcache_size| IcacheConfig {
+        tcache_size,
+        ..IcacheConfig::default()
+    };
+    let superblocks = ChunkStrategy::Superblock { max_blocks: 4 };
+    let systems = [
+        ("512 B", SoftIcacheSystem::new(image.clone(), icfg(512))),
+        ("990 B", SoftIcacheSystem::new(image.clone(), icfg(990))),
+        (
+            "256 KiB",
+            SoftIcacheSystem::new(image.clone(), icfg(256 * 1024)),
+        ),
+        (
+            "superblocks",
+            SoftIcacheSystem::new(image.clone(), IcacheConfig::default())
+                .chunk_strategy(superblocks),
+        ),
+    ];
+    for (tag, mut sys) in systems {
+        let first = sys
+            .run(&input)
+            .unwrap_or_else(|e| panic!("{tag} run 1: {e}"));
+        let second = sys
+            .run(&input)
+            .unwrap_or_else(|e| panic!("{tag} run 2: {e}"));
+        assert_eq!(second.exit_code, first.exit_code, "{tag} exit");
+        assert_eq!(second.output, first.output, "{tag} output");
+        assert_eq!(second.exec, first.exec, "{tag} exec ledger");
+        assert_eq!(second.cache, first.cache, "{tag} cache ledger");
+    }
+
+    let mut full = FullSoftCacheSystem::new(
+        image,
+        IcacheConfig::default(),
+        DcacheConfig::default(),
+        ScacheConfig::default(),
+    );
+    let first = full
+        .run(&input)
+        .unwrap_or_else(|e| panic!("full run 1: {e}"));
+    let second = full
+        .run(&input)
+        .unwrap_or_else(|e| panic!("full run 2: {e}"));
+    assert_eq!(second.exit_code, first.exit_code, "full exit");
+    assert_eq!(second.output, first.output, "full output");
+    assert_eq!(second.exec, first.exec, "full exec ledger");
+    assert_eq!(second.icache, first.icache, "full icache ledger");
+    assert_eq!(second.dcache, first.dcache, "full dcache ledger");
+    assert_eq!(second.scache, first.scache, "full scache ledger");
 }
 
 #[test]

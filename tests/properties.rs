@@ -320,8 +320,8 @@ proptest! {
                     } else {
                         Request::FetchBlock { orig_pc, dest }
                     };
-                    let want = plain[c].handle(req.clone());
-                    let got = cached[c].handle(req);
+                    let want = plain[c].handle(&req);
+                    let got = cached[c].handle(&req);
                     prop_assert_eq!(
                         &got, &want,
                         "client {} diverged at {:#x} (dest {:#x})", c, orig_pc, dest
@@ -338,7 +338,7 @@ proptest! {
                     let c = client as usize;
                     let orig_pc = pool[c][pick % pool[c].len()];
                     let req = Request::Invalidate { orig_pc };
-                    prop_assert_eq!(cached[c].handle(req.clone()), plain[c].handle(req));
+                    prop_assert_eq!(cached[c].handle(&req), plain[c].handle(&req));
                 }
                 XlateStep::Resync { client } => {
                     let c = client as usize;
@@ -346,7 +346,7 @@ proptest! {
                     cached[c].set_epoch(epoch[c]);
                     plain[c].set_epoch(epoch[c]);
                     let req = Request::InvalidateAll;
-                    prop_assert_eq!(cached[c].handle(req.clone()), plain[c].handle(req));
+                    prop_assert_eq!(cached[c].handle(&req), plain[c].handle(&req));
                 }
             }
         }
@@ -662,7 +662,9 @@ proptest! {
         budget_bytes in any::<u32>(),
     ) {
         let req = Request::FetchBatch { orig_pc, dest, max_chunks, budget_bytes };
-        prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        let frame = req.encode();
+        prop_assert_eq!(req.encoded_len(), frame.len());
+        prop_assert_eq!(Request::decode(&frame).unwrap(), req);
     }
 
     /// Batched replies round-trip for any chunk set, and a complete batch
@@ -675,6 +677,7 @@ proptest! {
     ) {
         let rep = Reply::Batch(chunks);
         let mut frame = rep.encode();
+        prop_assert_eq!(rep.encoded_len(), frame.len());
         prop_assert_eq!(&Reply::decode(&frame).unwrap(), &rep);
         frame.extend_from_slice(&junk);
         prop_assert!(Reply::decode(&frame).is_err());
