@@ -9,6 +9,7 @@
 //! valid" — incoming branches recorded at patch time, plus return addresses
 //! on the stack, which the known frame layout lets it walk.
 
+use crate::addr_map::{AddrMap, AddrSet};
 use crate::endpoint::McEndpoint;
 use crate::integrity::{IntegrityConfig, IntegrityStats, MemFaultInjector, SealTable};
 use crate::power::BankModel;
@@ -19,7 +20,6 @@ use softcache_isa::reg::Reg;
 use softcache_isa::{cf, encode};
 use softcache_net::{LinkModel, LinkPolicy, LinkStats, NetError};
 use softcache_sim::{Machine, SimError};
-use std::collections::{HashMap, HashSet};
 use std::mem::take;
 use std::ops::Range;
 
@@ -474,7 +474,7 @@ pub struct Cc {
     cfg: IcacheConfig,
     /// tcache map: original pc → live chunk slot, whose `tc_start` is
     /// the translation (Figure 4's hash table).
-    map: HashMap<u32, usize>,
+    map: AddrMap<usize>,
     chunks: Vec<ChunkInfo>,
     /// Per arena word: 1 + the slot of the live chunk covering it, 0 for
     /// none — `chunk_at` in one load.
@@ -500,7 +500,7 @@ pub struct Cc {
     /// history that drives hot/warm/cold insertion. Survives flushes —
     /// temperature is a property of the program, not of one tcache
     /// generation.
-    history: HashMap<u32, u64>,
+    history: AddrMap<u64>,
     /// Original pc → lifetime re-reference count (map hits, miss traps on
     /// the home site, demand installs and demand-resolved static refs).
     /// Survives evictions and flushes; under pressure the victim
@@ -510,7 +510,7 @@ pub struct Cc {
     /// chunks count, so a resident chunk carries its count in
     /// `ChunkInfo::heat`: taken from here at install, folded back when
     /// it dies.
-    heat: HashMap<u32, u64>,
+    heat: AddrMap<u64>,
     /// Allocation-pressure fill counter backing `ChunkInfo::guard`.
     fill_stamp: u64,
     generation: u64,
@@ -519,7 +519,7 @@ pub struct Cc {
     /// hash lookup, or a later demand chunk resolving into it) and as a
     /// *waste* when the chunk dies unentered (flush, resync, invalidation,
     /// end of run).
-    pending_prefetch: HashSet<u32>,
+    pending_prefetch: AddrSet,
     /// Optional banked-SRAM power model (§4): tracks which banks hold live
     /// tcache bytes so unused banks can be gated off.
     power: Option<BankModel>,
@@ -532,10 +532,10 @@ pub struct Cc {
     /// Watchdog: seal failures per original chunk address. Survives
     /// flushes — resetting it would let a stuck chunk livelock the
     /// retranslate loop across epochs.
-    fails: HashMap<u32, u32>,
+    fails: AddrMap<u32>,
     /// Chunks pinned to the slow-path interpreter by the watchdog,
     /// keyed by original address so the pin follows reinstallation.
-    pinned_origs: HashSet<u32>,
+    pinned_origs: AddrSet,
     /// Statistics.
     pub stats: IcacheStats,
 }
@@ -547,7 +547,7 @@ impl Cc {
             free: FreeList::new(cfg.tcache_base, cfg.tcache_size),
             armed: cfg.integrity.verify_traps,
             cfg,
-            map: HashMap::new(),
+            map: AddrMap::default(),
             chunks: Vec::new(),
             owner: vec![0; cfg.tcache_size as usize / 4],
             records: Vec::new(),
@@ -556,15 +556,15 @@ impl Cc {
             free_record_slots: Vec::new(),
             epoch_counter: 0,
             evict_seq: 0,
-            history: HashMap::new(),
-            heat: HashMap::new(),
+            history: AddrMap::default(),
+            heat: AddrMap::default(),
             fill_stamp: 0,
             generation: 0,
-            pending_prefetch: HashSet::new(),
+            pending_prefetch: AddrSet::default(),
             power: None,
             seals: SealTable::default(),
-            fails: HashMap::new(),
-            pinned_origs: HashSet::new(),
+            fails: AddrMap::default(),
+            pinned_origs: AddrSet::default(),
             stats: IcacheStats::default(),
         }
     }

@@ -340,11 +340,11 @@ pub struct ServeReport {
 /// the crash-restart harness uses the bound as a deterministic crash
 /// point.
 ///
-/// Execution is at-most-once per sequence number: the last sealed reply is
-/// cached, and a retransmission of the same request (the client lost our
-/// reply) is answered from the cache instead of being handled again. The
+/// Execution is at-most-once per sequence number: the last reply payload
+/// is kept, and a retransmission of the same request (the client lost our
+/// reply) is answered by resealing it instead of being handled again. The
 /// client's exchanges are strictly serial with increasing sequence
-/// numbers, so one cached reply suffices. Without this, re-handling a
+/// numbers, so one kept reply suffices. Without this, re-handling a
 /// retransmitted `FetchBatch` would record residence-mirror entries for
 /// pushed chunks the client never installed.
 pub fn serve_bounded(mc: &mut Mc, transport: &mut dyn Transport, max_requests: u64) -> ServeReport {
@@ -373,7 +373,10 @@ pub fn serve_bounded(mc: &mut Mc, transport: &mut dyn Transport, max_requests: u
 }
 
 /// Handle one raw wire frame for `mc`: open the envelope, apply the
-/// at-most-once duplicate check against `last`, execute, seal. Returns
+/// at-most-once duplicate check against `last` (the sequence number and
+/// payload of the last reply), execute, seal. A duplicate's reply is
+/// resealed from the kept payload — the same bytes, since the sequence
+/// number and the epoch are the same — so no reply is copied. Returns
 /// the wire bytes to send back (`None` when the frame was dropped or was
 /// a stale duplicate needing no reply). Shared by [`serve_bounded`] and
 /// the event-driven [`crate::server::McServer`] poll loop so the
@@ -386,10 +389,10 @@ pub(crate) fn frame_reply(
 ) -> Option<Vec<u8>> {
     match open(frame) {
         Ok(env) => {
-            if let Some((seq, wire)) = last {
+            if let Some((seq, rep)) = last {
                 if env.seq == *seq {
                     report.dup_requests += 1;
-                    return Some(wire.clone());
+                    return Some(seal(*seq, mc.epoch(), rep));
                 }
                 if env.seq < *seq {
                     // A late duplicate of an even older exchange: the
@@ -400,7 +403,7 @@ pub(crate) fn frame_reply(
             }
             let rep = mc.handle_frame(env.payload);
             let wire = seal(env.seq, mc.epoch(), &rep);
-            *last = Some((env.seq, wire.clone()));
+            *last = Some((env.seq, rep));
             report.served += 1;
             Some(wire)
         }

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod addr_map;
 pub mod cc;
 pub mod datarun;
 pub mod dcache;

@@ -15,13 +15,16 @@
 //! The MC also serves the data side of the hierarchy (fills and writebacks
 //! for the software data cache of §3).
 
-use crate::protocol::{ChunkPayload, ExitDesc, PatchKind, ProtoError, Reply, Request, ResolvedRef};
+use crate::addr_map::AddrMap;
+use crate::protocol::{self, ChunkPayload, ExitDesc, PatchKind, Reply, Request, ResolvedRef};
 use crate::xlate::SharedXlate;
 use softcache_isa::image::Image;
 use softcache_isa::inst::Inst;
 use softcache_isa::layout::{DATA_BASE, STACK_TOP};
 use softcache_isa::{cf, decode, encode};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Error codes carried in [`Reply::Err`].
@@ -104,10 +107,10 @@ pub struct Mc {
     /// each client keeps its own `Mc` (the residence mirror is per-client).
     image: Arc<Image>,
     /// Mirror of the client's tcache map: original pc → tcache address.
-    mirror: HashMap<u32, u32>,
+    mirror: AddrMap<u32>,
     /// Memoized basic-block scans keyed by start address: body length in
     /// words plus whether a terminator was found before the text end.
-    block_len: HashMap<u32, (u32, bool)>,
+    block_len: AddrMap<(u32, bool)>,
     /// The server's authoritative data memory (the lower level of the
     /// hierarchy), covering `DATA_BASE..STACK_TOP` so both the dcache and
     /// the scache can spill to it.
@@ -148,8 +151,8 @@ impl Mc {
         load_initial_data(&image, &mut data);
         Mc {
             image,
-            mirror: HashMap::new(),
-            block_len: HashMap::new(),
+            mirror: AddrMap::default(),
+            block_len: AddrMap::default(),
             data,
             data_written: false,
             strategy: ChunkStrategy::BasicBlock,
@@ -213,22 +216,43 @@ impl Mc {
     }
 
     /// Handle one encoded request frame, producing an encoded reply frame.
+    /// Served chunks are encoded by reference: a hit in the shared
+    /// translation cache is not copied.
     pub fn handle_frame(&mut self, frame: &[u8]) -> Vec<u8> {
-        let reply = match Request::decode(frame) {
-            Ok(req) => self.handle(&req),
-            Err(ProtoError) => Reply::Err(errcode::BAD_ADDRESS),
+        let Ok(req) = Request::decode(frame) else {
+            return Reply::Err(errcode::BAD_ADDRESS).encode();
         };
-        reply.encode()
+        match self.answer(&req) {
+            Answer::Chunk(chunk) => protocol::encode_chunk_reply(&chunk),
+            Answer::Batch(chunks) => protocol::encode_batch_reply(&chunks),
+            Answer::Other(reply) => reply.encode(),
+        }
     }
 
-    /// Handle one decoded request.
+    /// Handle one decoded request. The reply owns its chunks: one the MC
+    /// rewrote for this request moves into it, and only a chunk shared
+    /// with the translation cache is copied.
     pub fn handle(&mut self, req: &Request) -> Reply {
-        match *req {
+        match self.answer(req) {
+            // `Chunk` is the size of `ChunkPayload` (asserted below), so
+            // the batch is collected in place.
+            Answer::Chunk(chunk) => Reply::Chunk(chunk.into_owned()),
+            Answer::Batch(chunks) => {
+                Reply::Batch(chunks.into_iter().map(Chunk::into_owned).collect())
+            }
+            Answer::Other(reply) => reply,
+        }
+    }
+
+    /// Execute one request. Served chunks come back as [`Chunk`]s, so the
+    /// caller chooses between encoding them by reference and taking them.
+    fn answer(&mut self, req: &Request) -> Answer {
+        let reply = match *req {
             Request::FetchBlock { orig_pc, dest } => match self.rewrite_block(orig_pc, dest) {
                 Ok(chunk) => {
                     self.stats.blocks_served += 1;
                     self.stats.words_served += chunk.words.len() as u64;
-                    Reply::Chunk(chunk)
+                    return Answer::Chunk(chunk);
                 }
                 Err(code) => Reply::Err(code),
             },
@@ -244,7 +268,7 @@ impl Mc {
                     self.stats.chunks_pushed += chunks.len() as u64 - 1;
                     self.stats.words_served +=
                         chunks.iter().map(|c| c.words.len() as u64).sum::<u64>();
-                    Reply::Batch(chunks)
+                    return Answer::Batch(chunks);
                 }
                 Err(code) => Reply::Err(code),
             },
@@ -252,7 +276,7 @@ impl Mc {
                 Ok(chunk) => {
                     self.stats.procs_served += 1;
                     self.stats.words_served += chunk.words.len() as u64;
-                    Reply::Chunk(chunk)
+                    return Answer::Chunk(Chunk::Own(chunk));
                 }
                 Err(code) => Reply::Err(code),
             },
@@ -289,7 +313,8 @@ impl Mc {
                 }
             }
             Request::Hello => Reply::Welcome { epoch: self.epoch },
-        }
+        };
+        Answer::Other(reply)
     }
 
     /// Scan the basic block starting at `pc`; returns its body length in
@@ -334,9 +359,9 @@ impl Mc {
     /// lookup → translate → admit cycle, so concurrent tenants racing
     /// for the same chunk never translate it twice: the translate-once
     /// ledger ([`crate::xlate::XlateStats`]) is exact.
-    fn rewrite_block(&mut self, orig_pc: u32, dest: u32) -> Result<ChunkPayload, u32> {
+    fn rewrite_block(&mut self, orig_pc: u32, dest: u32) -> Result<Chunk, u32> {
         let Some(shared) = self.shared.clone() else {
-            return self.rewrite_block_uncached(orig_pc, dest);
+            return self.rewrite_block_uncached(orig_pc, dest).map(Chunk::Own);
         };
         let mut guard = shared.lock();
         let mirror = &self.mirror;
@@ -353,19 +378,15 @@ impl Mc {
         if let Some(payload) = hit {
             self.mirror.insert(orig_pc, dest);
             self.stats.shared_hits += 1;
-            return Ok(payload);
+            return Ok(Chunk::Shared(payload));
         }
         self.dep_log = Some(Vec::new());
         let result = self.rewrite_block_uncached(orig_pc, dest);
         let deps = self.dep_log.take().expect("dep log armed above");
-        match result {
-            Ok(payload) => {
-                self.stats.shared_misses += 1;
-                guard.admit(self.strategy, orig_pc, dest, deps, payload.clone());
-                Ok(payload)
-            }
-            Err(code) => Err(code),
-        }
+        let payload = Arc::new(result?);
+        self.stats.shared_misses += 1;
+        guard.admit(self.strategy, orig_pc, dest, deps, Arc::clone(&payload));
+        Ok(Chunk::Shared(payload))
     }
 
     /// Look `orig` up in the residence mirror, recording the probe in the
@@ -620,7 +641,7 @@ impl Mc {
         dest: u32,
         max_chunks: u32,
         budget_bytes: u32,
-    ) -> Result<Vec<ChunkPayload>, u32> {
+    ) -> Result<Vec<Chunk>, u32> {
         let demand = self.rewrite_block(orig_pc, dest)?;
         let mut used = demand.words.len() as u32 * 4;
         let mut frontier: VecDeque<u32> = demand.exits.iter().map(|e| e.orig_target).collect();
@@ -671,6 +692,51 @@ impl Mc {
     fn mirror_get(&self, orig: u32) -> Option<u32> {
         self.mirror.get(&orig).copied()
     }
+}
+
+/// A rewritten chunk as a request produced it: rewritten for this
+/// request, or shared with the translation cache.
+enum Chunk {
+    Own(ChunkPayload),
+    Shared(Arc<ChunkPayload>),
+}
+
+// `Mc::handle` collects a batch's chunks into payloads in place.
+const _: () = assert!(std::mem::size_of::<Chunk>() == std::mem::size_of::<ChunkPayload>());
+
+impl Chunk {
+    /// The payload by value: moved when owned, copied when shared (unless
+    /// the cache has already let go of it).
+    fn into_owned(self) -> ChunkPayload {
+        match self {
+            Chunk::Own(payload) => payload,
+            Chunk::Shared(payload) => Arc::unwrap_or_clone(payload),
+        }
+    }
+}
+
+impl Deref for Chunk {
+    type Target = ChunkPayload;
+
+    fn deref(&self) -> &ChunkPayload {
+        match self {
+            Chunk::Own(payload) => payload,
+            Chunk::Shared(payload) => payload,
+        }
+    }
+}
+
+impl Borrow<ChunkPayload> for Chunk {
+    fn borrow(&self) -> &ChunkPayload {
+        self
+    }
+}
+
+/// What one request produced, before it becomes a [`Reply`] or a frame.
+enum Answer {
+    Chunk(Chunk),
+    Batch(Vec<Chunk>),
+    Other(Reply),
 }
 
 /// Copy `image`'s initial data segment into `data` (which starts at

@@ -34,6 +34,7 @@
 //! competes with its pinned redirectors or resident procedures — the
 //! prefetch-never-evicts-pinned invariant holds here trivially.
 
+use crate::addr_map::{AddrMap, AddrSet};
 use crate::cc::CacheError;
 use crate::endpoint::McEndpoint;
 use crate::integrity::{
@@ -47,7 +48,6 @@ use softcache_isa::layout::TCACHE_BASE;
 use softcache_isa::{cf, decode, encode};
 use softcache_net::{LinkModel, LinkPolicy, LinkStats};
 use softcache_sim::{ExecStats, Machine, Step, TraceStats, Trap};
-use std::collections::{HashMap, HashSet};
 
 /// MC-side: rewrite the whole procedure containing `orig_pc`. The chunk is
 /// position-independent (`dest` is ignored); each call site is reported as
@@ -401,9 +401,9 @@ struct ProcCc {
     cfg: ProcConfig,
     heap: Heap,
     /// func entry → resident info.
-    resident: HashMap<u32, ResidentProc>,
+    resident: AddrMap<ResidentProc>,
     /// call-site original address → redirector index.
-    redir_by_site: HashMap<u32, usize>,
+    redir_by_site: AddrMap<usize>,
     redirectors: Vec<Redirector>,
     records: Vec<MissRec>,
     clock: u64,
@@ -416,16 +416,16 @@ struct ProcCc {
     /// Seal failures per ORIGINAL procedure entry. Deliberately survives
     /// resync so a stuck-at fault cannot livelock the retranslate loop
     /// across epochs.
-    fails: HashMap<u32, u32>,
+    fails: AddrMap<u32>,
     /// Procedures the watchdog has pinned to the slow path.
-    pinned_origs: HashSet<u32>,
+    pinned_origs: AddrSet,
     /// Re-reference prediction per resident procedure entry. Victim
     /// selection under heap pressure takes the highest RRPV instead of
     /// strict recency (DESIGN.md §16).
-    rrpv: HashMap<u32, u8>,
+    rrpv: AddrMap<u8>,
     /// Lifetime entries per procedure, never cleared — breaks RRPV ties
     /// towards the procedure entered least over the whole run.
-    heat: HashMap<u32, u64>,
+    heat: AddrMap<u64>,
 }
 
 impl ProcCc {
@@ -434,17 +434,17 @@ impl ProcCc {
             heap: Heap::new(cfg.base, cfg.memory_bytes),
             armed: cfg.integrity.verify_traps,
             cfg,
-            resident: HashMap::new(),
-            redir_by_site: HashMap::new(),
+            resident: AddrMap::default(),
+            redir_by_site: AddrMap::default(),
             redirectors: Vec::new(),
             records: Vec::new(),
             clock: 0,
             stats: ProcStats::default(),
             seals: SealTable::default(),
-            fails: HashMap::new(),
-            pinned_origs: HashSet::new(),
-            rrpv: HashMap::new(),
-            heat: HashMap::new(),
+            fails: AddrMap::default(),
+            pinned_origs: AddrSet::default(),
+            rrpv: AddrMap::default(),
+            heat: AddrMap::default(),
         }
     }
 

@@ -8,6 +8,7 @@
 //! unconstrained) server" (§1).
 
 use softcache_net::{FrameReader, FrameWriter};
+use std::borrow::Borrow;
 
 /// How a patch site is fixed up when its target becomes resident (and how
 /// it is re-pointed at a miss stub when its target is invalidated).
@@ -317,6 +318,43 @@ fn encode_chunk(w: &mut FrameWriter, c: &ChunkPayload) {
     w.put_words(&c.extra_orig);
 }
 
+/// Append a [`Reply::Chunk`] frame for `c`: its tag, then the chunk.
+fn put_chunk_reply(w: &mut FrameWriter, c: &ChunkPayload) {
+    w.put_u8(1);
+    encode_chunk(w, c);
+}
+
+/// Size of a [`Reply::Batch`] frame carrying `chunks`.
+fn batch_reply_len<C: Borrow<ChunkPayload>>(chunks: &[C]) -> usize {
+    1 + 4 + chunks.iter().map(|c| chunk_len(c.borrow())).sum::<usize>()
+}
+
+/// Append a [`Reply::Batch`] frame for `chunks`: its tag, the count,
+/// then each chunk.
+fn put_batch_reply<C: Borrow<ChunkPayload>>(w: &mut FrameWriter, chunks: &[C]) {
+    w.put_u8(6).put_u32(chunks.len() as u32);
+    for c in chunks {
+        encode_chunk(w, c.borrow());
+    }
+}
+
+/// The frame `Reply::Chunk(c)` encodes to, built from a borrowed chunk:
+/// the MC encodes the chunks it serves by reference, so a payload
+/// shared with the translation cache is never copied.
+pub(crate) fn encode_chunk_reply(c: &ChunkPayload) -> Vec<u8> {
+    let mut w = FrameWriter::with_capacity(1 + chunk_len(c));
+    put_chunk_reply(&mut w, c);
+    w.finish()
+}
+
+/// The frame `Reply::Batch` encodes to for `chunks`, built from
+/// borrowed chunks (see [`encode_chunk_reply`]).
+pub(crate) fn encode_batch_reply<C: Borrow<ChunkPayload>>(chunks: &[C]) -> Vec<u8> {
+    let mut w = FrameWriter::with_capacity(batch_reply_len(chunks));
+    put_batch_reply(&mut w, chunks);
+    w.finish()
+}
+
 /// Decode one chunk from an in-progress frame (shared by the single-chunk
 /// and batched reply forms).
 fn decode_chunk(r: &mut FrameReader<'_>) -> Result<ChunkPayload, ProtoError> {
@@ -359,7 +397,7 @@ impl Reply {
     pub fn encoded_len(&self) -> usize {
         match self {
             Reply::Chunk(c) => 1 + chunk_len(c),
-            Reply::Batch(chunks) => 1 + 4 + chunks.iter().map(chunk_len).sum::<usize>(),
+            Reply::Batch(chunks) => batch_reply_len(chunks),
             Reply::Ack => 1,
             Reply::Data(bytes) => 1 + 4 + bytes.len(),
             Reply::Err(_) | Reply::Welcome { .. } => 1 + 4,
@@ -370,16 +408,8 @@ impl Reply {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = FrameWriter::with_capacity(self.encoded_len());
         match self {
-            Reply::Chunk(c) => {
-                w.put_u8(1);
-                encode_chunk(&mut w, c);
-            }
-            Reply::Batch(chunks) => {
-                w.put_u8(6).put_u32(chunks.len() as u32);
-                for c in chunks {
-                    encode_chunk(&mut w, c);
-                }
-            }
+            Reply::Chunk(c) => put_chunk_reply(&mut w, c),
+            Reply::Batch(chunks) => put_batch_reply(&mut w, chunks),
             Reply::Ack => {
                 w.put_u8(2);
             }

@@ -204,6 +204,8 @@ impl McServer {
 struct Tenant {
     transport: Box<dyn Transport>,
     mc: Mc,
+    /// Sequence number and payload of the last reply, for duplicate
+    /// suppression (see `frame_reply`).
     last: Option<(u32, Vec<u8>)>,
     report: ServeReport,
     live: bool,

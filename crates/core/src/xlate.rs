@@ -12,6 +12,17 @@
 //! diverged (a resync, a different fetch order) simply translate their
 //! own variant, which is cached alongside.
 //!
+//! The probe sequence is a function of the key alone: the rewriter
+//! probes every direct exit once, in chunk order, whatever the answers.
+//! So every variant of a key records the same targets, which the key
+//! keeps once (debug builds assert it in [`XlateGuard::admit`]). A
+//! lookup probes each target once and picks the variant whose recorded
+//! answers equal the client's. Two variants never record equal answers
+//! — the second lookup would have hit the first — so at most one
+//! matches, and a hit costs one probe pass and a reference-count
+//! increment: entries hold their payload in an [`Arc`], which the
+//! serving MC encodes by reference.
+//!
 //! Lookup-miss-translate-admit happens under one lock
 //! ([`SharedXlate::lock`] is held across the translation), so a chunk is
 //! translated **exactly once** per (key, dependency context) no matter
@@ -29,8 +40,9 @@
 
 use crate::mc::ChunkStrategy;
 use crate::protocol::ChunkPayload;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: how the chunk was formed, where it starts, where it goes.
 type Key = (ChunkStrategy, u32, u32);
@@ -42,12 +54,21 @@ const RRPV_HOT: u8 = 0;
 const RRPV_INSERT: u8 = 2;
 const RRPV_COLD: u8 = 3;
 
+/// Everything cached under one key.
+struct Cached {
+    /// Mirror probes the rewriter made, in order — the same for every
+    /// variant of the key (see module docs).
+    targets: Box<[u32]>,
+    /// The variants, in admission order.
+    variants: Vec<Variant>,
+}
+
 /// One cached translation variant under a key.
-struct Entry {
-    /// Mirror probes the rewriter made, in order, with their answers.
-    deps: Vec<(u32, Option<u32>)>,
+struct Variant {
+    /// The mirror's answer to each of the key's `targets`.
+    answers: Box<[Option<u32>]>,
     /// The rewritten chunk.
-    payload: ChunkPayload,
+    payload: Arc<ChunkPayload>,
     /// Approximate resident footprint (payload words + dependency list).
     bytes: u64,
     /// TRRIP temperature (see module docs).
@@ -56,14 +77,6 @@ struct Entry {
     /// eviction candidates (`HashMap` iteration order must never pick
     /// the victim, or two identical runs diverge).
     seq: u64,
-}
-
-impl Entry {
-    fn matches(&self, probe: &mut dyn FnMut(u32) -> Option<u32>) -> bool {
-        self.deps
-            .iter()
-            .all(|&(target, want)| probe(target) == want)
-    }
 }
 
 /// Translate-once ledger and traffic counters, snapshotted by
@@ -105,6 +118,16 @@ impl XlateStats {
     pub fn balanced(&self) -> bool {
         self.unique_translations == self.unique_chunks + self.variant_translations
     }
+
+    /// Debug-build check of the ledger where it changes: balanced, and
+    /// hits and dependency conflicts both a subset of lookups.
+    fn debug_check(&self) {
+        debug_assert!(self.balanced(), "unbalanced xlate ledger: {self:?}");
+        debug_assert!(
+            self.hits + self.dep_conflicts <= self.lookups,
+            "more hits and conflicts than lookups: {self:?}"
+        );
+    }
 }
 
 /// Interior of the shared cache; obtained via [`SharedXlate::lock`] and
@@ -116,35 +139,49 @@ pub struct XlateGuard<'a> {
 }
 
 struct Inner {
-    map: HashMap<Key, Vec<Entry>>,
+    map: HashMap<Key, Cached>,
     stats: XlateStats,
     next_seq: u64,
+    /// The client's answers to the key's targets, for the lookup in
+    /// progress (kept to reuse its allocation).
+    answers: Vec<Option<u32>>,
 }
 
 impl XlateGuard<'_> {
     /// Look the key up; `probe` must answer residence queries from the
     /// calling client's mirror, with the chunk's own `(orig_pc → dest)`
     /// entry presumed present (the rewriter records residence before
-    /// probing, so self-loops depend on it).
+    /// probing, so self-loops depend on it). Each of the key's targets
+    /// is probed once.
     pub fn find(
         &mut self,
         strategy: ChunkStrategy,
         orig_pc: u32,
         dest: u32,
-        mut probe: impl FnMut(u32) -> Option<u32>,
-    ) -> Option<ChunkPayload> {
+        probe: impl FnMut(u32) -> Option<u32>,
+    ) -> Option<Arc<ChunkPayload>> {
         let inner = &mut *self.inner;
         inner.stats.lookups += 1;
-        let entries = inner.map.get_mut(&(strategy, orig_pc, dest))?;
-        for e in entries.iter_mut() {
-            if e.matches(&mut probe) {
-                e.rrpv = RRPV_HOT;
+        let cached = inner.map.get_mut(&(strategy, orig_pc, dest))?;
+        inner.answers.clear();
+        inner
+            .answers
+            .extend(cached.targets.iter().copied().map(probe));
+        match cached
+            .variants
+            .iter_mut()
+            .find(|v| *v.answers == *inner.answers)
+        {
+            Some(v) => {
+                v.rrpv = RRPV_HOT;
                 inner.stats.hits += 1;
-                return Some(e.payload.clone());
+                Some(Arc::clone(&v.payload))
+            }
+            None => {
+                inner.stats.dep_conflicts += 1;
+                None
             }
         }
-        inner.stats.dep_conflicts += 1;
-        None
     }
 
     /// Admit a freshly-performed translation with the dependency list its
@@ -156,7 +193,7 @@ impl XlateGuard<'_> {
         orig_pc: u32,
         dest: u32,
         deps: Vec<(u32, Option<u32>)>,
-        payload: ChunkPayload,
+        payload: Arc<ChunkPayload>,
     ) {
         let bytes = (payload.words.len() * 4 + deps.len() * 8 + 64) as u64;
         let inner = &mut *self.inner;
@@ -164,19 +201,35 @@ impl XlateGuard<'_> {
         inner.stats.resident_bytes += bytes;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let entries = inner.map.entry((strategy, orig_pc, dest)).or_default();
-        if entries.is_empty() {
-            inner.stats.unique_chunks += 1;
-        } else {
-            inner.stats.variant_translations += 1;
-        }
-        entries.push(Entry {
-            deps,
+        let variant = Variant {
+            answers: deps.iter().map(|&(_, answer)| answer).collect(),
             payload,
             bytes,
             rrpv: RRPV_INSERT,
             seq,
-        });
+        };
+        match inner.map.entry((strategy, orig_pc, dest)) {
+            Entry::Occupied(slot) => {
+                let cached = slot.into_mut();
+                debug_assert!(
+                    cached
+                        .targets
+                        .iter()
+                        .eq(deps.iter().map(|(target, _)| target)),
+                    "variant of {orig_pc:#x} -> {dest:#x} probed other targets"
+                );
+                inner.stats.variant_translations += 1;
+                cached.variants.push(variant);
+            }
+            Entry::Vacant(slot) => {
+                inner.stats.unique_chunks += 1;
+                slot.insert(Cached {
+                    targets: deps.iter().map(|&(target, _)| target).collect(),
+                    variants: vec![variant],
+                });
+            }
+        }
+        inner.stats.debug_check();
         while inner.stats.resident_bytes > self.capacity_bytes {
             // TRRIP victim scan: evict the oldest cold entry; age the
             // whole population when none is cold. The just-admitted
@@ -185,31 +238,33 @@ impl XlateGuard<'_> {
             let victim = inner
                 .map
                 .iter()
-                .flat_map(|(&k, v)| {
-                    v.iter()
+                .flat_map(|(&k, c)| {
+                    c.variants
+                        .iter()
                         .enumerate()
-                        .map(move |(i, e)| (k, i, e.rrpv, e.seq))
+                        .map(move |(i, v)| (k, i, v.rrpv, v.seq))
                 })
                 .filter(|&(_, _, rrpv, _)| rrpv >= RRPV_COLD)
                 .min_by_key(|&(_, _, _, seq)| seq);
             match victim {
                 Some((key, i, _, _)) => {
-                    let entries = inner.map.get_mut(&key).expect("victim key resident");
-                    let e = entries.remove(i);
-                    inner.stats.resident_bytes -= e.bytes;
+                    let cached = inner.map.get_mut(&key).expect("victim key resident");
+                    let v = cached.variants.remove(i);
+                    inner.stats.resident_bytes -= v.bytes;
                     inner.stats.evictions += 1;
-                    if entries.is_empty() {
+                    if cached.variants.is_empty() {
                         inner.map.remove(&key);
                     }
                 }
                 None => {
-                    for entries in inner.map.values_mut() {
-                        for e in entries.iter_mut() {
-                            e.rrpv = (e.rrpv + 1).min(RRPV_COLD);
+                    for cached in inner.map.values_mut() {
+                        for v in cached.variants.iter_mut() {
+                            v.rrpv = (v.rrpv + 1).min(RRPV_COLD);
                         }
                     }
                 }
             }
+            inner.stats.debug_check();
         }
     }
 }
@@ -235,6 +290,7 @@ impl SharedXlate {
                 map: HashMap::new(),
                 stats: XlateStats::default(),
                 next_seq: 0,
+                answers: Vec::new(),
             }),
             capacity_bytes,
         }
@@ -273,15 +329,15 @@ impl Default for SharedXlate {
 mod tests {
     use super::*;
 
-    fn payload(n: usize) -> ChunkPayload {
-        ChunkPayload {
+    fn payload(n: usize) -> Arc<ChunkPayload> {
+        Arc::new(ChunkPayload {
             orig_start: 0x1000,
             body_words: n as u32,
             words: vec![0x13; n],
             exits: Vec::new(),
             resolved: Vec::new(),
             extra_orig: Vec::new(),
-        }
+        })
     }
 
     const BB: ChunkStrategy = ChunkStrategy::BasicBlock;
@@ -355,6 +411,59 @@ mod tests {
         assert_eq!(s.unique_chunks, 1);
         assert_eq!(s.unique_translations, 2);
         assert_eq!(s.variant_translations, 1);
+        assert!(s.balanced());
+    }
+
+    #[test]
+    fn each_client_gets_its_own_variant_in_one_probe_pass() {
+        // One key, probed at the chunk itself and two exits; four clients
+        // whose mirrors answer the exits four different ways.
+        const TARGETS: [u32; 3] = [0x1000, 0x2000, 0x3000];
+        let mirrors: [[Option<u32>; 3]; 4] = [
+            [Some(0x40_0000), None, None],
+            [Some(0x40_0000), Some(0x41_0000), None],
+            [Some(0x40_0000), None, Some(0x42_0000)],
+            [Some(0x40_0000), Some(0x41_0000), Some(0x42_0000)],
+        ];
+        let probes = std::cell::Cell::new(0);
+        let mirror = |answers: [Option<u32>; 3]| {
+            let probes = &probes;
+            move |t: u32| {
+                probes.set(probes.get() + 1);
+                answers[TARGETS.iter().position(|&x| x == t).expect("known target")]
+            }
+        };
+        let cache = SharedXlate::default();
+        let mut g = cache.lock();
+        // Each client misses and admits its own variant (client i's
+        // payload has i + 1 words). The first miss finds no key; the
+        // other three find the key but no matching variant.
+        for (i, answers) in mirrors.into_iter().enumerate() {
+            assert!(g.find(BB, 0x1000, 0x40_0000, mirror(answers)).is_none());
+            let deps = TARGETS.into_iter().zip(answers).collect();
+            g.admit(BB, 0x1000, 0x40_0000, deps, payload(i + 1));
+        }
+        // Now every client hits its own variant, in any order.
+        for (i, answers) in mirrors.into_iter().enumerate().rev() {
+            let got = g.find(BB, 0x1000, 0x40_0000, mirror(answers));
+            assert_eq!(got.expect("own variant").words.len(), i + 1);
+        }
+        // A fifth mirror matches none of them.
+        let other = [Some(0x40_0000), Some(0x43_0000), None];
+        assert!(g.find(BB, 0x1000, 0x40_0000, mirror(other)).is_none());
+        drop(g);
+        // Eight lookups found the key; each probed every target once.
+        assert_eq!(probes.get(), 8 * TARGETS.len());
+        let s = cache.stats();
+        assert_eq!((s.lookups, s.hits, s.dep_conflicts), (9, 4, 4));
+        assert_eq!(
+            (
+                s.unique_chunks,
+                s.unique_translations,
+                s.variant_translations
+            ),
+            (1, 4, 3)
+        );
         assert!(s.balanced());
     }
 

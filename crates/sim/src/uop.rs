@@ -374,6 +374,30 @@ imm_handler!(h_imm_sra, |a, b| a >> (b as u32 & 31));
 imm_handler!(h_imm_slt, |a, b| (a < b) as i32);
 imm_handler!(h_imm_sltu, |a, b| ((a as u32) < (b as u32)) as i32);
 
+/// A memory micro-op faulted without retiring; the handler has parked
+/// the fault in [`Tctx::fault`]. This and [`exit_code_write`] are how a
+/// memory handler leaves early: out of line, cold and called in tail
+/// position, so every exit of the handler, its `chain` step included,
+/// compiles to a `jmp`. Built inline, the early exit's register packing
+/// differs from a call result's, and LLVM compiles the `chain` step to a
+/// `call`, a repack and a `ret`.
+#[cold]
+#[inline(never)]
+fn exit_fault(ops: &[ThreadedOp]) -> TExit {
+    TExit::Fault {
+        rem: ops.len() as u32,
+    }
+}
+
+/// A store patched code; the store itself retired (see [`exit_fault`]).
+#[cold]
+#[inline(never)]
+fn exit_code_write(ops: &[ThreadedOp]) -> TExit {
+    TExit::CodeWrite {
+        rem: ops.len() as u32,
+    }
+}
+
 macro_rules! load_handler {
     ($name:ident, $w:expr, $s:expr) => {
         fn $name(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) -> TExit {
@@ -386,9 +410,7 @@ macro_rules! load_handler {
                 }
                 Err(f) => {
                     ctx.fault = Some(f);
-                    TExit::Fault {
-                        rem: ops.len() as u32,
-                    }
+                    exit_fault(ops)
                 }
             }
         }
@@ -406,17 +428,13 @@ macro_rules! store_handler {
                     // placement as the match engine — retire the store,
                     // exit before the next micro-op.
                     if mem.code_gen() != ctx.entry_gen {
-                        return TExit::CodeWrite {
-                            rem: ops.len() as u32,
-                        };
+                        return exit_code_write(ops);
                     }
                     chain(ops, cpu, mem, ctx)
                 }
                 Err(f) => {
                     ctx.fault = Some(f);
-                    TExit::Fault {
-                        rem: ops.len() as u32,
-                    }
+                    exit_fault(ops)
                 }
             }
         }

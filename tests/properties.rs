@@ -283,7 +283,11 @@ proptest! {
     /// residence mirrors evolve in different orders, so dependency
     /// checks and variants are exercised), per-chunk invalidations,
     /// epoch bumps, and full resync flushes — and the translate-once
-    /// ledger balances at the end.
+    /// ledger balances at the end. A third pair, on a cache of its own,
+    /// answers the same streams through `handle_frame`: its frames must
+    /// equal the uncached replies' encodings, which holds the
+    /// by-reference chunk encoder to `Reply::encode` on hits and misses,
+    /// single and batched.
     #[test]
     fn shared_cache_replies_match_uncached_twins_under_interleaving(
         src in random_program(),
@@ -291,15 +295,17 @@ proptest! {
     ) {
         let image = Arc::new(minic::compile_to_image(&src, &minic::Options::default()).unwrap());
         let shared = Arc::new(SharedXlate::default());
-        let mk = |attach: bool| {
+        let framed_shared = Arc::new(SharedXlate::default());
+        let mk = |cache: Option<&Arc<SharedXlate>>| {
             let mut m = Mc::from_shared(Arc::clone(&image));
-            if attach {
-                m.attach_shared_cache(Arc::clone(&shared));
+            if let Some(cache) = cache {
+                m.attach_shared_cache(Arc::clone(cache));
             }
             m
         };
-        let mut cached = [mk(true), mk(true)];
-        let mut plain = [mk(false), mk(false)];
+        let mut cached = [mk(Some(&shared)), mk(Some(&shared))];
+        let mut framed = [mk(Some(&framed_shared)), mk(Some(&framed_shared))];
+        let mut plain = [mk(None), mk(None)];
         // Per-client pool of fetchable addresses, grown from chunk exits
         // — a deterministic random walk over the real CFG.
         let mut pool: [Vec<u32>; 2] = [vec![image.entry], vec![image.entry]];
@@ -326,6 +332,10 @@ proptest! {
                         &got, &want,
                         "client {} diverged at {:#x} (dest {:#x})", c, orig_pc, dest
                     );
+                    prop_assert_eq!(
+                        framed[c].handle_frame(&req.encode()), want.encode(),
+                        "client {} framed a different reply at {:#x}", c, orig_pc
+                    );
                     match &want {
                         Reply::Chunk(p) => pool[c].extend(p.exits.iter().map(|e| e.orig_target)),
                         Reply::Batch(ps) => pool[c].extend(
@@ -338,20 +348,27 @@ proptest! {
                     let c = client as usize;
                     let orig_pc = pool[c][pick % pool[c].len()];
                     let req = Request::Invalidate { orig_pc };
-                    prop_assert_eq!(cached[c].handle(&req), plain[c].handle(&req));
+                    let want = plain[c].handle(&req);
+                    prop_assert_eq!(framed[c].handle_frame(&req.encode()), want.encode());
+                    prop_assert_eq!(cached[c].handle(&req), want);
                 }
                 XlateStep::Resync { client } => {
                     let c = client as usize;
                     epoch[c] += 1;
                     cached[c].set_epoch(epoch[c]);
+                    framed[c].set_epoch(epoch[c]);
                     plain[c].set_epoch(epoch[c]);
                     let req = Request::InvalidateAll;
-                    prop_assert_eq!(cached[c].handle(&req), plain[c].handle(&req));
+                    let want = plain[c].handle(&req);
+                    prop_assert_eq!(framed[c].handle_frame(&req.encode()), want.encode());
+                    prop_assert_eq!(cached[c].handle(&req), want);
                 }
             }
         }
         let s = shared.stats();
         prop_assert!(s.balanced(), "unbalanced ledger: {:?}", s);
+        // The framed pair hit and missed exactly where the typed one did.
+        prop_assert_eq!(framed_shared.stats(), s);
         for c in 0..2 {
             prop_assert_eq!(
                 cached[c].stats.shared_hits + cached[c].stats.shared_misses > 0,
