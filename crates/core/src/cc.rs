@@ -74,8 +74,11 @@ pub struct IcacheConfig {
     /// protocol).
     pub prefetch_depth: u32,
     /// Execute translated code through the simulator's superblock micro-op
-    /// engine. Host-side speed only; simulated results are bit-identical
-    /// either way (`icache::tests::superblock_engine_is_bit_identical_at_system_level`).
+    /// engine. Off, every instruction runs on the reference interpreter
+    /// (`Machine::step`). Host-side speed only; simulated results are
+    /// bit-identical either way
+    /// (`icache::tests::superblock_engine_is_bit_identical_at_system_level`,
+    /// `tests/fault_soak.rs::bb_flush_recycles_addresses_without_stale_ras`).
     pub superblocks: bool,
     /// Chain superblocks across terminators with statically known targets
     /// (trace formation): whole traces run with one dispatch and one
@@ -893,16 +896,16 @@ impl Cc {
                 .expect("stub slot in range");
         }
         // A watchdog-pinned chunk is excluded from superblock lowering:
-        // its span runs on the per-instruction slow path wherever it gets
+        // its span runs on the reference interpreter wherever it gets
         // reinstalled.
         if self.pinned_origs.contains(&chunk.orig_start) {
             machine.pin_slow_span(dest, dest + n_words * 4);
         }
-        // The chunk body and its miss stubs are final: predecode the range
-        // eagerly at block starts (superblocks, their instruction slots and
-        // the links between them), so the first pass through freshly
-        // installed code already runs the fast path as one chained trace.
-        // A no-op when the superblock engine is off.
+        // The chunk body and its miss stubs are final: lower the range
+        // eagerly at block starts, so the first pass through freshly
+        // installed code already runs as one chained trace (each link
+        // forms the first time the walk takes its leg). A no-op when the
+        // superblock engine is off.
         machine.predecode_range(dest, dest + n_words * 4);
         // Seal the finished span — body plus stub words, read back from
         // simulated memory so the seal covers exactly what will execute.
@@ -1535,8 +1538,8 @@ impl Cc {
         if self.pinned_origs.contains(&orig) {
             machine.unpin_slow_span(span_start, span_start + span_bytes);
         }
-        // Host-side hygiene: drop cached decodes and superblocks over the
-        // span without a generation bump. Survivors keep their chain
+        // Host-side hygiene: drop the superblocks over the span without a
+        // generation bump. Survivors keep their chain
         // links — every route into the dead span is severed below (or was
         // already write-barriered by the re-pointing itself).
         machine.invalidate_code_span(span_start, span_start + span_bytes);
@@ -1682,7 +1685,7 @@ impl Cc {
     /// to the allocator. RA trampolines are never retired — a return
     /// address may hold their address indefinitely. The stale word stays
     /// in simulated memory until the hole is reused, at which point the
-    /// code-write barrier invalidates any cached decode of it.
+    /// code-write barrier drops any superblock lowered over it.
     fn retire_redirector(&mut self, pos: usize) {
         let t = self.trampolines.remove(pos);
         self.seals.unseal(t.addr);

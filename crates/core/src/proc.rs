@@ -126,8 +126,10 @@ pub struct ProcConfig {
     /// Cycles per installed word.
     pub install_cycles_per_word: u64,
     /// Execute translated code through the simulator's superblock micro-op
-    /// engine (host-side speed only; simulated results are bit-identical
-    /// either way — tests A/B it).
+    /// engine. Off, every instruction runs on the reference interpreter
+    /// (`Machine::step`). Host-side speed only; simulated results are
+    /// bit-identical either way
+    /// (`tests/fault_soak.rs::proc_resync_recycles_addresses_without_stale_ras`).
     pub superblocks: bool,
     /// Integrity-seal verification and corruption-watchdog knobs
     /// (DESIGN.md §13).

@@ -1,13 +1,15 @@
-//! The decode cache meets the rewriting runtime.
+//! The superblock engine meets the rewriting runtime.
 //!
 //! The CC modifies tcache code at runtime: miss stubs are backpatched into
 //! direct branches once the target chunk is resident, and invalidation
-//! rewrites resident words back into stubs. The predecoded fast path
-//! memoises decoded instructions, so these tests pin down the contract
-//! that every patch is observed — a stale predecoded word would either
-//! loop on a dead stub or jump into reclaimed tcache space.
+//! rewrites resident words back into stubs. `Machine::run_block` runs
+//! lowered superblocks — the simulator's only cache of decoded code — so
+//! these tests pin down the contract that every patch is observed: a stale
+//! lowering would either loop on a dead stub or jump into reclaimed tcache
+//! space. The reference interpreter (`Machine::step`) decodes every word
+//! afresh and is the oracle.
 
-use softcache_core::cc::{Cc, IcacheConfig};
+use softcache_core::cc::{Cc, IcacheConfig, IcacheStats};
 use softcache_core::endpoint::McEndpoint;
 use softcache_core::mc::Mc;
 use softcache_minic as minic;
@@ -70,16 +72,27 @@ fn service(step: Step, machine: &mut Machine, cc: &mut Cc, ep: &mut McEndpoint) 
     }
 }
 
-/// A miss stub that the fast path has already executed (and therefore
-/// predecoded) is backpatched by the CC; re-execution must observe the
-/// patched word, not the memoised stub.
+/// Drive the client one `run_block` batch at a time until it exits.
+fn run_blocks(machine: &mut Machine, cc: &mut Cc, ep: &mut McEndpoint) -> i32 {
+    loop {
+        let s = machine.run_block(Machine::BLOCK_STEPS).unwrap();
+        if let Some(code) = service(s, machine, cc, ep) {
+            return code;
+        }
+        assert!(machine.stats.instructions < 200_000_000, "runaway");
+    }
+}
+
+/// A miss stub reached through lowered superblocks is backpatched by the
+/// CC; the engine must observe the patched code, not its lowering of the
+/// old words.
 #[test]
-fn backpatched_stub_is_observed_by_predecoded_path() {
+fn backpatched_stub_is_observed_by_superblock_engine() {
     let (mut machine, mut cc, mut ep) = client(48 * 1024);
 
-    // Drive with the predecoded fast path until the first miss stub fires.
+    // Drive the block engine until the first miss stub fires.
     let (idx, at) = loop {
-        match machine.step().unwrap() {
+        match machine.run_block(Machine::BLOCK_STEPS).unwrap() {
             Step::Running => {}
             Step::Trapped(Trap::Miss { idx, at }) => break (idx, at),
             s => {
@@ -88,8 +101,7 @@ fn backpatched_stub_is_observed_by_predecoded_path() {
         }
     };
 
-    // The stub word reached execution through the decode cache (the trap
-    // proves it was fetched and decoded on the fast path).
+    // The trap proves the stub word was fetched and decoded.
     let stub_word = machine.mem.read_u32(at).unwrap();
     assert_eq!(
         softcache_isa::decode(stub_word).unwrap(),
@@ -103,8 +115,8 @@ fn backpatched_stub_is_observed_by_predecoded_path() {
 
     // Servicing the miss installs the target chunk and backpatches the
     // branch site that reached the stub — runtime writes into code the
-    // fast path has already memoised. Every such write must pass through
-    // the generation barrier so stale decodes are dropped.
+    // engine has already lowered. Every such write must pass through the
+    // generation barrier so stale superblocks are dropped.
     let gen_before = machine.mem.code_gen();
     cc.handle_miss(&mut machine, &mut ep, idx).unwrap();
     assert!(
@@ -112,68 +124,63 @@ fn backpatched_stub_is_observed_by_predecoded_path() {
         "CC code writes bump the invalidation generation"
     );
 
-    // Keep driving exclusively through the predecoded path. If a stale
-    // decode were replayed the program would re-trap on dead stubs or
-    // jump into reclaimed space; instead it must run to the native answer
-    // and exercise real backpatching along the way.
-    let mut exit = None;
-    for _ in 0..2_000_000 {
-        let s = machine.step().unwrap();
-        if let Some(code) = service(s, &mut machine, &mut cc, &mut ep) {
-            exit = Some(code);
-            break;
-        }
-    }
+    // Keep driving through the block engine. If a stale lowering were
+    // replayed the program would re-trap on dead stubs or jump into
+    // reclaimed space; instead it must run to the native answer and
+    // exercise real backpatching along the way.
+    let exit = run_blocks(&mut machine, &mut cc, &mut ep);
     assert!(cc.stats.patches > 0, "run exercised backpatching");
-    assert_eq!(exit, Some(native_exit()), "program semantics preserved");
+    assert_eq!(exit, native_exit(), "program semantics preserved");
 }
 
-/// Full differential run of the softcache client: predecoded fast path vs
-/// the original fetch+decode slow path must agree bit-for-bit — exit code,
-/// cycle count, every counter, and every CC statistic.
+/// Full differential run of the softcache client: the block engine
+/// (`run_block`) against the reference interpreter (`step`) must agree
+/// bit-for-bit — exit code, cycle count, every execution counter and every
+/// CC statistic — at an ample tcache and at a thrashing one.
 #[test]
-fn predecoded_client_matches_slow_path_exactly() {
-    let run = |fast: bool| -> (i32, ExecStats, u64, u64, u64) {
-        let (mut machine, mut cc, mut ep) = client(8 * 1024);
-        let exit = loop {
-            let s = if fast {
-                machine.step().unwrap()
-            } else {
-                machine.step_slow().unwrap()
-            };
-            if let Some(code) = service(s, &mut machine, &mut cc, &mut ep) {
-                break code;
+fn block_engine_client_matches_reference_exactly() {
+    let run = |tcache_size: u32, engine: bool| -> (i32, ExecStats, IcacheStats) {
+        let (mut machine, mut cc, mut ep) = client(tcache_size);
+        let exit = if engine {
+            run_blocks(&mut machine, &mut cc, &mut ep)
+        } else {
+            loop {
+                let s = machine.step().unwrap();
+                if let Some(code) = service(s, &mut machine, &mut cc, &mut ep) {
+                    break code;
+                }
+                assert!(machine.stats.instructions < 200_000_000, "runaway");
             }
-            assert!(machine.stats.instructions < 200_000_000, "runaway");
         };
-        (
-            exit,
-            machine.stats,
-            cc.stats.translations,
-            cc.stats.miss_traps,
-            cc.stats.patches,
-        )
+        cc.finalize_prefetch();
+        (exit, machine.stats, cc.stats)
     };
-    let fast = run(true);
-    let slow = run(false);
-    assert_eq!(fast, slow, "fast path diverged from slow path");
-    assert_eq!(fast.0, native_exit(), "softcache run matches native");
-    assert!(fast.4 > 0, "run exercised backpatching");
+    let want = native_exit();
+    for tcache_size in [8 * 1024, 2048] {
+        let engine = run(tcache_size, true);
+        let reference = run(tcache_size, false);
+        assert_eq!(
+            engine, reference,
+            "{tcache_size} B: block engine diverged from the reference"
+        );
+        assert_eq!(
+            engine.0, want,
+            "{tcache_size} B: softcache run matches native"
+        );
+        assert!(
+            engine.2.patches > 0,
+            "{tcache_size} B: run exercised backpatching"
+        );
+    }
 }
 
 /// The small-tcache regime forces eviction + retranslation: stub words are
-/// rewritten back and forth while the decode cache keeps memoising them.
+/// rewritten back and forth while the engine keeps lowering them.
 #[test]
-fn thrashing_tcache_never_replays_stale_decodes() {
+fn thrashing_tcache_never_replays_stale_superblocks() {
     let want = native_exit();
     let (mut machine, mut cc, mut ep) = client(2048);
-    let exit = loop {
-        let s = machine.step().unwrap();
-        if let Some(code) = service(s, &mut machine, &mut cc, &mut ep) {
-            break code;
-        }
-        assert!(machine.stats.instructions < 200_000_000, "runaway");
-    };
+    let exit = run_blocks(&mut machine, &mut cc, &mut ep);
     assert_eq!(exit, want);
     assert!(cc.stats.flushes + cc.stats.chunk_invalidations > 0 || cc.stats.translations > 3);
 }

@@ -64,10 +64,10 @@ impl CostModel {
         c
     }
 
-    /// Both cycle charges for `inst` as `(not_taken, taken)` — precomputed
-    /// once per decode by the predecoded fast path so the hot loop picks a
-    /// cost with one conditional move instead of re-matching the opcode.
-    /// The pair differs only for conditional branches.
+    /// Both cycle charges for `inst` as `(not_taken, taken)` — computed
+    /// once per word by superblock lowering, so a block's cycle totals are
+    /// known before it runs. The pair differs only for conditional
+    /// branches.
     #[inline]
     pub fn cycle_pair(&self, inst: Inst) -> (u64, u64) {
         (self.cycles_for(inst, false), self.cycles_for(inst, true))

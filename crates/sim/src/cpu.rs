@@ -102,6 +102,16 @@ pub enum Next {
     Trap(Trap),
 }
 
+/// Fetch and decode the instruction word at `pc` — the one decoder the
+/// interpreter ([`Cpu::step`]) and superblock lowering share.
+#[inline]
+pub(crate) fn fetch(mem: &Memory, pc: u32) -> Result<Inst, SimError> {
+    let word = mem
+        .read_u32(pc)
+        .map_err(|fault| SimError::FetchFault { pc, fault })?;
+    decode(word).map_err(|_| SimError::IllegalInst { pc, word })
+}
+
 /// Architectural CPU state.
 #[derive(Clone)]
 pub struct Cpu {
@@ -139,11 +149,7 @@ impl Cpu {
     /// conditional branch was taken.
     #[inline]
     pub fn step(&mut self, mem: &mut Memory) -> Result<(Inst, Next, bool), SimError> {
-        let pc = self.pc;
-        let word = mem
-            .read_u32(pc)
-            .map_err(|fault| SimError::FetchFault { pc, fault })?;
-        let inst = decode(word).map_err(|_| SimError::IllegalInst { pc, word })?;
+        let inst = fetch(mem, self.pc)?;
         let (next, taken) = self.execute(inst, mem)?;
         Ok((inst, next, taken))
     }

@@ -12,7 +12,6 @@
 
 pub mod cost;
 pub mod cpu;
-pub mod decode_cache;
 pub mod machine;
 pub mod mem;
 pub mod profile;
@@ -20,7 +19,6 @@ mod uop;
 
 pub use cost::CostModel;
 pub use cpu::{Cpu, Next, SimError, Trap};
-pub use decode_cache::DecodeCache;
 pub use machine::{
     syscall, BreakStats, Env, ExecStats, Machine, RunError, Step, TraceStats,
     DEFAULT_THREADED_THRESHOLD, THREADED_NEVER,

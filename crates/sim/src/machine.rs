@@ -5,13 +5,22 @@
 //! softcache cache controller needs to drive execution itself: public
 //! [`Cpu`], [`Memory`] and statistics, and the cost model through
 //! [`Machine::cost`].
+//!
+//! Two engines execute code. [`Machine::step`] is the reference
+//! interpreter: it fetches and decodes the word at the PC, executes it and
+//! bills it under the [`CostModel`], one instruction per call. It is the
+//! oracle the differential tests hold the production engine to, and the
+//! only per-instruction path. [`Machine::run_block`] is the production
+//! engine: it runs lowered superblocks (the `uop` module) as chained
+//! traces, on the match-dispatched tier or the threaded tier, and hands
+//! every instruction no superblock covers — traps, `ecall`s, halts and the
+//! tail of a step budget too short for the next block — to `step`, its
+//! cold tier. The superblock cache is the only cache of decoded code.
 
 use crate::cost::CostModel;
-use crate::cpu::{Cpu, Next, SimError, Trap};
-use crate::decode_cache::DecodeCache;
+use crate::cpu::{self, Cpu, Next, SimError, Trap};
 use crate::mem::Memory;
 use crate::uop::{self, BlockExit, TermKind, UopCache};
-use softcache_isa::cf::rel_target;
 use softcache_isa::image::Image;
 use softcache_isa::inst::Inst;
 use softcache_isa::layout::{
@@ -164,7 +173,8 @@ impl BreakStats {
 /// the walk, so the counters satisfy
 /// `entries == breaks.total() + code_write_exits + fault_exits`
 /// (each walk enters once and ends once; `chained` counts the in-walk
-/// hand-offs in between).
+/// hand-offs in between). A walk never outlives a [`Machine::run_block`]
+/// call, which debug-asserts the equation before it returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Trace walks entered from the loop-top lookup.
@@ -183,10 +193,11 @@ pub struct TraceStats {
     /// Inline-cache fills (first observation, target change, or a
     /// refill after a code write).
     pub ic_fills: u64,
-    /// Instructions retired by the per-instruction path inside
-    /// [`Machine::run_block`] (the cold tier). Tier counters cover
-    /// `run_block` execution only — `step`/`step_slow` drivers bypass
-    /// them.
+    /// Instructions retired by [`Machine::step`] on behalf of
+    /// [`Machine::run_block`] (the cold tier: traps, `ecall`s and budget
+    /// tails). A trap or exit that ends the call is not counted. Tier
+    /// counters cover `run_block` execution only; a caller that runs
+    /// `step` itself bypasses them.
     pub tier_interp_insts: u64,
     /// Instructions retired by match-dispatched (warm) superblocks.
     pub tier_super_insts: u64,
@@ -214,17 +225,6 @@ pub const THREADED_NEVER: u32 = u32::MAX;
 /// 2^16 trace entries, unpromoted blocks' heat halves per elapsed epoch,
 /// so only genuinely re-referenced code accumulates toward promotion.
 const HEAT_EPOCH_SHIFT: u32 = 16;
-
-/// A trace walk that broke on a formable successor leaves the fill
-/// request here; the very next loop-top lookup — still at the successor
-/// PC, nothing has run in between — completes it.
-enum PendingFill {
-    /// Form the static link for (`id`, `taken`) via `UopCache::set_link`.
-    Static { id: u32, taken: bool },
-    /// Fill block `id`'s indirect-terminator inline cache with the
-    /// current PC (the target the terminator just computed).
-    Indirect { id: u32 },
-}
 
 /// Outcome of a [`Machine::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,12 +285,9 @@ pub struct Machine {
     cost: CostModel,
     /// Execution statistics.
     pub stats: ExecStats,
-    /// Predecoded fast-path instruction cache (invalidated through the
-    /// [`Memory`] code-write barrier).
-    decode: DecodeCache,
     /// Superblock micro-op cache — straight-line runs lowered to flat
-    /// micro-op arrays with precomputed cycle totals (same write barrier;
-    /// the machine keeps both caches' generations in lockstep).
+    /// micro-op arrays with precomputed cycle totals, invalidated through
+    /// the [`Memory`] code-write barrier.
     uops: UopCache,
     /// Superblock execution toggle (on by default).
     superblocks: bool,
@@ -352,17 +349,15 @@ impl Machine {
         cpu.set(Reg::FP, FP_SENTINEL as i32);
         let mut mem = Memory::new(MEM_SIZE);
         // Code lives in original text (below the data segment) and in the
-        // translation cache; only writes there need to invalidate decodes,
-        // so the hot data/stack stores skip the generation bump.
+        // translation cache; only writes there need to invalidate lowered
+        // code, so the hot data/stack stores skip the generation bump.
         mem.set_code_watch([(0, DATA_BASE), (TCACHE_BASE, STACK_FLOOR)]);
-        let cost = CostModel::default();
         Machine {
             cpu,
             mem,
             env: Env::with_input(input),
-            cost,
+            cost: CostModel::default(),
             stats: ExecStats::default(),
-            decode: DecodeCache::new(cost),
             uops: UopCache::new(),
             superblocks: true,
             chaining: true,
@@ -374,20 +369,17 @@ impl Machine {
         }
     }
 
-    /// Bring both predecode caches (instruction slots and superblocks) up
-    /// to date with `mem`'s code generation. The dirty span is destroyed
-    /// on take, so this is the *only* place either cache may consume it —
-    /// both invalidate from the same span and adopt the same generation.
+    /// Bring the superblock cache up to date with `mem`'s code generation:
+    /// drop the blocks the dirty span wrote and adopt the new generation.
+    /// One compare when nothing changed.
     #[inline]
-    fn sync_caches(&mut self) {
+    fn sync_uops(&mut self) {
         let generation = self.mem.code_gen();
-        if self.decode.generation() != generation || self.uops.generation() != generation {
+        if self.uops.generation() != generation {
             if let Some((lo, hi)) = self.mem.take_dirty_code() {
-                self.decode.invalidate_span(lo, hi);
                 self.uops.invalidate_span(lo, hi);
                 self.trace.demotions += self.uops.take_threaded_drops();
             }
-            self.decode.set_generation(generation);
             self.uops.set_generation(generation);
         }
     }
@@ -419,49 +411,33 @@ impl Machine {
         Step::Running
     }
 
-    /// Execute one instruction through the predecoded fast path,
-    /// accounting statistics and servicing `ecall`s. Softcache traps
-    /// surface as [`Step::Trapped`].
-    #[inline]
+    /// Execute one instruction on the reference interpreter: fetch and
+    /// decode the word at the PC, execute it, account its statistics and
+    /// bill its cycles under the [`CostModel`], servicing `ecall`s.
+    /// Softcache traps surface as [`Step::Trapped`].
+    ///
+    /// This is the simulator's only per-instruction path. It is the
+    /// oracle the differential tests hold [`Machine::run_block`] to, and
+    /// `run_block`'s cold tier: the instructions no superblock covers run
+    /// here.
     pub fn step(&mut self) -> Result<Step, SimError> {
-        self.sync_caches();
-        let (inst, cost, cost_taken) = self.decode.fetch(self.cpu.pc, &self.mem)?;
-        let (next, taken) = self.cpu.execute(inst, &mut self.mem)?;
-        self.stats.account(inst, taken);
-        self.stats.cycles += if taken { cost_taken } else { cost };
-        self.finish(next)
-    }
-
-    /// Execute one instruction through the original fetch+decode slow path.
-    /// Kept alive as the reference semantics: differential tests assert the
-    /// fast path produces bit-identical cycles, stats and output.
-    pub fn step_slow(&mut self) -> Result<Step, SimError> {
         let (inst, next, taken) = self.cpu.step(&mut self.mem)?;
         self.stats.account(inst, taken);
         self.stats.cycles += self.cost.cycles_for(inst, taken);
-        self.finish(next)
-    }
-
-    #[inline]
-    fn finish(&mut self, next: Next) -> Result<Step, SimError> {
         match next {
             Next::Continue => Ok(Step::Running),
-            Next::Halted => {
-                let code = self.env.exit_code.unwrap_or(0);
-                Ok(Step::Exited(code))
-            }
+            Next::Halted => Ok(Step::Exited(self.env.exit_code.unwrap_or(0))),
             Next::Trap(Trap::Ecall { code }) => Ok(self.ecall(code)),
             Next::Trap(t) => Ok(Step::Trapped(t)),
         }
     }
 
-    /// The decoded instruction at the current PC, via the decode cache,
-    /// without executing it. Lets drivers that inspect every instruction
-    /// (the software data-cache runtimes) share the fast path.
-    #[inline]
-    pub fn peek_inst(&mut self) -> Result<Inst, SimError> {
-        self.sync_caches();
-        self.decode.fetch(self.cpu.pc, &self.mem).map(|(i, _, _)| i)
+    /// The decoded instruction at the current PC, without executing it:
+    /// the fetch and decode [`Machine::step`] would perform. Lets callers
+    /// that inspect every instruction (the software data-cache runtimes)
+    /// intercept it first.
+    pub fn peek_inst(&self) -> Result<Inst, SimError> {
+        cpu::fetch(&self.mem, self.cpu.pc)
     }
 
     /// The cycle cost model, fixed at construction.
@@ -470,9 +446,9 @@ impl Machine {
     }
 
     /// Enable or disable superblock execution in [`Machine::run_block`].
+    /// Off, every instruction runs on the reference [`Machine::step`].
     /// Accounting is bit-identical either way; `check_all_engines` in
-    /// `tests/end_to_end.rs` checks each dispatch setting against the
-    /// slow path.
+    /// `tests/end_to_end.rs` checks each dispatch setting against `step`.
     pub fn set_superblocks_enabled(&mut self, on: bool) {
         self.superblocks = on;
     }
@@ -514,7 +490,7 @@ impl Machine {
     /// still calls it; delete it with that call.
     pub fn set_ras_depth(&mut self, _depth: u32) {}
 
-    /// Pin `[lo, hi)` to the per-instruction slow path: superblock
+    /// Pin `[lo, hi)` to the reference [`Machine::step`]: superblock
     /// lookups inside the span answer "not worth lowering", so no uop is
     /// formed or dispatched there. The corruption watchdog uses this to
     /// degrade a repeatedly-corrupted chunk gracefully. Host-side policy
@@ -535,31 +511,30 @@ impl Machine {
         self.uops.clear_pins();
     }
 
-    /// Drop the cached decode slots and superblocks that depend on a word
-    /// in `[lo, hi)` *without* a code-write generation bump. The cache
-    /// controller calls this when it evicts a single chunk: the span's
-    /// addresses are about to be recycled, so its host-side lowerings are
-    /// garbage, but the rest of the tcache is untouched and survivors keep
-    /// their slots, arena ids and threaded bodies. A dropped block's id is
-    /// not reused before the generation moves on, so links and inline
-    /// caches into it stay safe to follow until the next write into the span —
-    /// a fresh install — severs them through the ordinary barrier. This
-    /// is hygiene — reclaiming dead lowering state eagerly and keeping the
-    /// demotion ledger exact — not a correctness requirement. Host-side
-    /// only: simulated results are bit-identical with or without the call.
+    /// Drop the superblocks that depend on a word in `[lo, hi)` *without*
+    /// a code-write generation bump. The cache controller calls this when
+    /// it evicts a single chunk: the span's addresses are about to be
+    /// recycled, so its host-side lowerings are garbage, but the rest of
+    /// the tcache is untouched and survivors keep their arena ids and
+    /// threaded bodies. A dropped block's id is not reused before the
+    /// generation moves on, so links and inline caches into it stay safe
+    /// to follow until the next write into the span — a fresh install —
+    /// severs them through the ordinary barrier. This is hygiene —
+    /// reclaiming dead lowering state eagerly and keeping the demotion
+    /// ledger exact — not a correctness requirement. Host-side only:
+    /// simulated results are bit-identical with or without the call.
     pub fn invalidate_code_span(&mut self, lo: u32, hi: u32) {
         // Consume any pending dirty span first so this invalidation cannot
         // race the barrier's own bookkeeping.
-        self.sync_caches();
-        self.decode.invalidate_span(lo, hi);
+        self.sync_uops();
         self.uops.invalidate_span(lo, hi);
         self.trace.demotions += self.uops.take_threaded_drops();
     }
 
-    /// Eagerly predecode `[lo, hi)` at block starts: lower the superblock
-    /// at `lo`, then the next at each lowered block's `exit_pc`, stepping
-    /// one word over words not worth lowering. Each installed word is
-    /// decoded once. The cache controller calls this after installing or
+    /// Eagerly lower `[lo, hi)` at block starts: lower the superblock at
+    /// `lo`, then the next at each lowered block's `exit_pc`, stepping one
+    /// word over words not worth lowering. Each installed word is decoded
+    /// once. The cache controller calls this after installing or
     /// backpatching a chunk — it knows the chunk boundaries, so its
     /// straight-line path is lowered once at install time instead of
     /// lazily on first execution; blocks entered mid-chunk (branch
@@ -567,14 +542,13 @@ impl Machine {
     /// here: the first walk through each leg forms it in-walk, since the
     /// successor is already lowered. Purely an optimisation: lazy fill
     /// behind the generation barrier gives identical results. With the
-    /// superblock engine off this is a no-op — eager work on installed
-    /// words that may never execute is pure waste there, while the
-    /// per-instruction path fills its decode slots lazily at the same cost.
+    /// superblock engine off this is a no-op: every instruction then runs
+    /// on [`Machine::step`], which caches nothing.
     pub fn predecode_range(&mut self, lo: u32, hi: u32) {
         if !self.superblocks {
             return;
         }
-        self.sync_caches();
+        self.sync_uops();
         let mut pc = lo & !3;
         while pc < hi {
             let id = match self.uops.lookup(pc) {
@@ -594,59 +568,41 @@ impl Machine {
     /// threaded": handlers are bound at lowering time, whether eager or
     /// lazy.
     fn lower_at(&mut self, pc: u32) -> Option<u32> {
-        let id = self.uops.lower(&mut self.decode, &self.mem, pc)?;
+        let id = self.uops.lower(&self.cost, &self.mem, pc)?;
         if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
             self.trace.promotions += 1;
         }
         Some(id)
     }
 
-    /// Generic tail of a fast-path step for the variants the fused
-    /// [`Machine::run_block`] loop does not inline (traps, halts,
-    /// environment calls): execute + classify + bill, exactly as
-    /// [`Machine::step`] would.
-    fn step_rest(&mut self, inst: Inst, cost: u64, cost_taken: u64) -> Result<Step, SimError> {
-        let (next, taken) = self.cpu.execute(inst, &mut self.mem)?;
-        self.stats.account(inst, taken);
-        self.stats.cycles += if taken { cost_taken } else { cost };
-        self.finish(next)
-    }
-
-    /// Run up to `max_steps` fast-path steps, stopping early on exit or
-    /// trap. Returns [`Step::Running`] exactly when the whole budget was
-    /// consumed. This is the interpreter's hot loop: the common instruction
-    /// variants are executed inline off the predecoded slot with their
-    /// statistics bumped in the matching arm, so each retired instruction
-    /// dispatches on its opcode once (instead of execute + account + cost
-    /// re-matching it), and the instruction/cycle totals accumulate in
-    /// locals flushed at block exit. Accounting is bit-identical to
-    /// [`Machine::step_slow`] — the differential tests hold it there.
+    /// Run up to `max_steps` instructions, stopping early on exit or trap.
+    /// Returns [`Step::Running`] exactly when the whole budget was
+    /// consumed. This is the production engine: at each loop top it looks
+    /// up (or lowers) the superblock at the PC and walks a chained trace
+    /// from it, one dispatch walk and one cycle add per block, on the
+    /// match-dispatched tier or the threaded tier. Instructions no
+    /// superblock covers — traps, halts, `ecall`s, words not worth
+    /// lowering, and a budget tail too short for the next whole block —
+    /// run on [`Machine::step`], the cold tier. Block instruction and
+    /// cycle totals accumulate in locals flushed before each cold step
+    /// and at the end. Accounting is bit-identical to driving `step`
+    /// alone; the differential tests hold it there.
     pub fn run_block(&mut self, max_steps: u64) -> Result<Step, SimError> {
-        self.sync_caches();
+        self.sync_uops();
         let mut done = 0u64; // steps retired this block
         let mut insts = 0u64; // retired since the last stats flush
         let mut cycles = 0u64;
-        // A trace that broke on a formable successor (unformed static
-        // link, or an indirect terminator whose inline cache missed)
-        // leaves the fill request here; the very next loop-top block
-        // lookup — still at the successor PC, nothing has run in between
-        // — completes it so the next walk through this terminator chains
-        // straight across.
-        let mut pending: Option<PendingFill> = None;
-        // Instructions retired on the per-instruction (interpreter) tier
-        // this call; flushed with the stats locals below.
-        let mut t_interp = 0u64;
         let result = 'run: {
             while done < max_steps {
                 let pc = self.cpu.pc;
-                // Superblock fast path: execute a whole lowered run with
-                // one dispatch walk and one cycle add, then *chain* into
-                // the successor block while its generation-stamped link is
+                // Superblock path: execute a whole lowered run with one
+                // dispatch walk and one cycle add, then *chain* into the
+                // successor block while its generation-stamped link is
                 // valid — one budget check and one arena index per link,
-                // no loop-top lookup. Falls through to the per-instruction
-                // path at unlowerable slots and when the remaining budget
-                // cannot fit the next whole block (so `Step::Running`
-                // still means the budget was consumed exactly).
+                // no loop-top lookup. Falls through to the cold tier at
+                // unlowerable slots and when the remaining budget cannot
+                // fit the next whole block (so `Step::Running` still means
+                // the budget was consumed exactly).
                 if self.superblocks && pc & 3 == 0 {
                     // One page walk covers the common "already cached"
                     // case; a miss lowers and dispatches straight into the
@@ -660,26 +616,13 @@ impl Machine {
                     let mut resync = false;
                     let mut fault = None;
                     if let Some(first) = hit {
-                        match pending.take() {
-                            Some(PendingFill::Static { id, taken }) => {
-                                self.uops.set_link(id, taken, first);
-                            }
-                            Some(PendingFill::Indirect { id }) => {
-                                // `pc` is the target the indirect
-                                // terminator computed one iteration ago.
-                                self.uops.set_ic(id, pc, first);
-                                self.trace.ic_fills += 1;
-                            }
-                            None => {}
-                        }
                         // Valid for the whole walk: a code write exits the
                         // trace (BlockExit::CodeWrite) before the stamp
                         // could go stale.
                         let entry_gen = self.mem.code_gen();
                         let mut id = first;
                         // The first block must fit the remaining budget;
-                        // the per-instruction path consumes a too-small
-                        // tail exactly.
+                        // the cold tier consumes a too-small tail exactly.
                         if u64::from(self.uops.block(id).len) <= max_steps - done {
                             self.trace.entries += 1;
                             ran = true;
@@ -779,25 +722,20 @@ impl Machine {
                                                         self.uops.set_ic(id, pc, nid);
                                                         self.trace.ic_fills += 1;
                                                         next = Some(nid);
-                                                    } else {
-                                                        pending =
-                                                            Some(PendingFill::Indirect { id });
                                                     }
                                                 }
-                                            } else if let Some(t) = sb.leg_target(taken) {
+                                            } else if let Some(nid) = sb
+                                                .leg_target(taken)
+                                                .and_then(|t| self.uops.id_at(t))
+                                            {
                                                 // Static successor with no valid
-                                                // link: form it in-walk when the
-                                                // target block already exists;
-                                                // otherwise let the next loop-top
-                                                // lookup lower it and complete the
-                                                // fill.
-                                                if let Some(nid) = self.uops.id_at(t) {
-                                                    self.uops.set_link(id, taken, nid);
-                                                    next = Some(nid);
-                                                } else {
-                                                    pending =
-                                                        Some(PendingFill::Static { id, taken });
-                                                }
+                                                // link, already lowered: form the
+                                                // link in-walk. Otherwise the walk
+                                                // breaks, the loop top lowers the
+                                                // target, and the next walk through
+                                                // this leg forms the link here.
+                                                self.uops.set_link(id, taken, nid);
+                                                next = Some(nid);
                                             }
                                         }
                                         if let Some(nid) = next {
@@ -872,148 +810,37 @@ impl Machine {
                         break 'run Err(err);
                     }
                     if resync {
-                        self.sync_caches();
+                        self.sync_uops();
                     }
                     if ran {
                         continue;
                     }
                 }
-                // Per-instruction path: any fill half-requested above is
-                // stale the moment an unchained instruction retires.
-                pending = None;
-                let (inst, cost, cost_taken) = match self.decode.fetch(pc, &self.mem) {
-                    Ok(t) => t,
-                    Err(e) => break 'run Err(e),
-                };
-                let next_pc = pc.wrapping_add(INST_BYTES);
-                match inst {
-                    Inst::Alu { op, rd, rs1, rs2 } => {
-                        let v = op.eval(self.cpu.get(rs1), self.cpu.get(rs2));
-                        self.cpu.set(rd, v);
-                        self.cpu.pc = next_pc;
+                // Cold tier: the reference interpreter. Flush the block
+                // totals first: `step` bills `self.stats` directly, and an
+                // `ecall` may read the cycle counter.
+                self.stats.instructions += std::mem::take(&mut insts);
+                self.stats.cycles += std::mem::take(&mut cycles);
+                match self.step() {
+                    Ok(Step::Running) => {
+                        done += 1;
+                        self.trace.tier_interp_insts += 1;
+                        // The instruction may have written code.
+                        self.sync_uops();
                     }
-                    Inst::AluImm { op, rd, rs1, imm } => {
-                        let v = op.eval(self.cpu.get(rs1), imm);
-                        self.cpu.set(rd, v);
-                        self.cpu.pc = next_pc;
-                    }
-                    Inst::Lui { rd, imm } => {
-                        self.cpu.set(rd, ((imm as u32) << 16) as i32);
-                        self.cpu.pc = next_pc;
-                    }
-                    Inst::Load {
-                        width,
-                        signed,
-                        rd,
-                        base,
-                        off,
-                    } => {
-                        let addr = (self.cpu.get(base) as u32).wrapping_add(off as i32 as u32);
-                        match self.mem.load(addr, width, signed) {
-                            Ok(v) => {
-                                self.cpu.set(rd, v);
-                                self.cpu.pc = next_pc;
-                                self.stats.loads += 1;
-                            }
-                            Err(fault) => break 'run Err(SimError::DataFault { pc, fault }),
-                        }
-                    }
-                    Inst::Store {
-                        width,
-                        src,
-                        base,
-                        off,
-                    } => {
-                        let addr = (self.cpu.get(base) as u32).wrapping_add(off as i32 as u32);
-                        match self.mem.store(addr, width, self.cpu.get(src)) {
-                            Ok(()) => {
-                                self.cpu.pc = next_pc;
-                                self.stats.stores += 1;
-                                // The store may have patched code
-                                // (self-modifying programs); one compare
-                                // when it did not.
-                                if self.decode.stale(&self.mem) {
-                                    self.sync_caches();
-                                }
-                            }
-                            Err(fault) => break 'run Err(SimError::DataFault { pc, fault }),
-                        }
-                    }
-                    Inst::Branch {
-                        cond,
-                        rs1,
-                        rs2,
-                        off,
-                    } => {
-                        self.stats.branches += 1;
-                        if cond.eval(self.cpu.get(rs1), self.cpu.get(rs2)) {
-                            self.stats.taken_branches += 1;
-                            self.cpu.pc = rel_target(pc, off as i32);
-                            done += 1;
-                            insts += 1;
-                            t_interp += 1;
-                            cycles += cost_taken;
-                            continue;
-                        }
-                        self.cpu.pc = next_pc;
-                    }
-                    Inst::J { off } => {
-                        self.cpu.pc = rel_target(pc, off);
-                    }
-                    Inst::Jal { off } => {
-                        self.cpu.set(Reg::RA, next_pc as i32);
-                        self.cpu.pc = rel_target(pc, off);
-                        self.stats.calls += 1;
-                    }
-                    Inst::Jr { rs } => {
-                        self.cpu.pc = self.cpu.get(rs) as u32;
-                    }
-                    Inst::Jalr { rs } => {
-                        let target = self.cpu.get(rs) as u32;
-                        self.cpu.set(Reg::RA, next_pc as i32);
-                        self.cpu.pc = target;
-                        self.stats.calls += 1;
-                    }
-                    Inst::Ret => {
-                        self.cpu.pc = self.cpu.get(Reg::RA) as u32;
-                        self.stats.returns += 1;
-                    }
-                    Inst::Nop => {
-                        self.cpu.pc = next_pc;
-                    }
-                    // Rare control — halts, environment calls, softcache
-                    // traps — takes the generic path. Flush the local
-                    // accumulators first: `step_rest` bills through
-                    // `self.stats`, and an `ecall` may read the cycle
-                    // counter.
-                    other => {
-                        self.stats.instructions += insts;
-                        self.stats.cycles += cycles;
-                        insts = 0;
-                        cycles = 0;
-                        match self.step_rest(other, cost, cost_taken) {
-                            Ok(Step::Running) => {
-                                done += 1;
-                                t_interp += 1;
-                                // The handler may have touched memory.
-                                self.sync_caches();
-                                continue;
-                            }
-                            Ok(stop) => break 'run Ok(stop),
-                            Err(e) => break 'run Err(e),
-                        }
-                    }
+                    stop => break 'run stop,
                 }
-                done += 1;
-                insts += 1;
-                t_interp += 1;
-                cycles += cost;
             }
             Ok(Step::Running)
         };
         self.stats.instructions += insts;
         self.stats.cycles += cycles;
-        self.trace.tier_interp_insts += t_interp;
+        debug_assert_eq!(
+            self.trace.entries,
+            self.trace.breaks.total() + self.trace.code_write_exits + self.trace.fault_exits,
+            "every trace walk enters once and ends once: {:?}",
+            self.trace
+        );
         result
     }
 
@@ -1271,18 +1098,10 @@ _start: li s0, 200
         let demotions = m.trace.demotions;
 
         m.mem.write_u32(base + 16, addi(Reg::T1, 5)).unwrap();
-        m.sync_caches();
+        m.sync_uops();
         assert_eq!(m.uops.id_at(base), Some(a), "A keeps its arena id");
         assert!(m.uops.block(a).is_threaded(), "A keeps its threaded body");
-        assert!(
-            (0..3).all(|i| m.decode.is_cached(base + 4 * i)),
-            "A's decodes kept"
-        );
         assert_eq!(m.uops.lookup(base + 12), uop::Lookup::Unknown, "B dropped");
-        assert!(
-            !m.decode.is_cached(base + 16),
-            "the written word's decode dropped"
-        );
         assert_eq!(m.trace.demotions, demotions + 1, "exactly B demoted");
     }
 

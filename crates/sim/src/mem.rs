@@ -34,11 +34,11 @@ impl std::error::Error for MemFault {}
 
 /// Byte-addressable little-endian memory with a code-write barrier.
 ///
-/// The barrier exists for the predecoded fast path: any write landing in a
-/// *watched* range (by default, all of memory; the [`crate::Machine`]
+/// The barrier exists for the machine's superblock cache: any write landing
+/// in a *watched* range (by default, all of memory; the [`crate::Machine`]
 /// narrows it to the text + tcache regions) bumps a generation counter and
-/// widens a dirty span, so a decode cache can invalidate exactly the code
-/// the cache controller backpatched and nothing else.
+/// widens a dirty span, so the cache can drop exactly the lowered code the
+/// cache controller backpatched and nothing else.
 #[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
@@ -69,10 +69,9 @@ impl Memory {
     }
 
     /// Restrict the code-write barrier to the given `[lo, hi)` ranges.
-    /// Writes outside every range no longer bump the generation — callers
-    /// must guarantee no code is ever fetched from unwatched addresses
-    /// while a decode cache is live (the decode cache refuses to memoise
-    /// unwatched PCs, so a wrong guess costs speed, not correctness).
+    /// Writes outside every range no longer bump the generation. Superblock
+    /// lowering refuses unwatched PCs, which then run on the reference
+    /// interpreter, so a wrong guess costs speed, not correctness.
     pub fn set_code_watch(&mut self, ranges: [(u32, u32); 2]) {
         self.watch = ranges;
         // Anything cached under the old watch policy may now be invisible

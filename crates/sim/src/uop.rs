@@ -1,32 +1,33 @@
-//! Superblock micro-op engine — the interpreter's fastest path.
+//! Superblock micro-op engine — the simulator's cache of decoded code.
 //!
-//! The predecode cache ([`crate::DecodeCache`]) removed fetch+decode from
-//! the hot loop but still pays an `Inst` enum match, operand extraction and
-//! a cycle add on every retired instruction. This module lowers each
-//! straight-line run of instructions (a *superblock*, in the Dynamo /
-//! Embra sense) into a flat array of micro-ops — compact opcode tag plus
-//! pre-extracted register indices and immediates — with a **precomputed
-//! per-block cycle total**, so [`crate::Machine::run_block`] executes a
-//! whole superblock with one dispatch walk and one cycle add.
+//! The reference interpreter ([`crate::Machine::step`]) fetches, decodes,
+//! matches on the `Inst` enum and bills a cycle cost for every retired
+//! instruction. This module lowers each straight-line run of instructions
+//! (a *superblock*, in the Dynamo / Embra sense) into a flat array of
+//! micro-ops — compact opcode tag plus pre-extracted register indices and
+//! immediates — with a **precomputed per-block cycle total**, so
+//! [`crate::Machine::run_block`] executes a whole superblock with one
+//! dispatch walk and one cycle add. Lowering reads each word from
+//! [`Memory`], decodes it and prices it under the machine's
+//! [`CostModel`], once per word per code write.
 //!
 //! A superblock is a body of simple instructions (ALU, load, store, `lui`,
 //! `nop`) ended by at most one control-flow terminator (branch / jump /
 //! call / return) whose targets are resolved to absolute PCs at lowering
 //! time. Anything that can trap or halt (`ecall`, `halt`, `miss`,
-//! `jrh`/`jalrh`) is never lowered — execution falls back to the
-//! per-instruction path there, exactly as it does at unfilled slots and on
-//! the remainder of an almost-exhausted step budget.
+//! `jrh`/`jalrh`) is never lowered — execution falls back to
+//! `Machine::step` there, exactly as it does at words not worth lowering
+//! and on the remainder of an almost-exhausted step budget.
 //!
-//! Correctness under self-modifying code rides on the same [`Memory`]
-//! code-write generation barrier that guards the decode cache: the machine
-//! keeps both caches' generations in lockstep, and a dirty span drops
-//! exactly the superblocks that depend on a written word — every word from
-//! a block's start through its `exit_pc` — and the "not worth lowering"
-//! memos of the written words themselves. Blocks elsewhere, in the same
-//! page included, keep their arena ids and threaded bodies. Stores inside
-//! a block re-check the generation and retire only the prefix when they
-//! patch code, so CC backpatching and SMC remain bit-identical to the slow
-//! path.
+//! Correctness under self-modifying code rides on the [`Memory`]
+//! code-write generation barrier, whose only consumer this cache is: a
+//! dirty span drops exactly the superblocks that depend on a written word
+//! — every word from a block's start through its `exit_pc` — and the "not
+//! worth lowering" memos of the written words themselves. Blocks
+//! elsewhere, in the same page included, keep their arena ids and
+//! threaded bodies. Stores inside a block re-check the generation and
+//! retire only the prefix when they patch code, so CC backpatching and SMC
+//! remain bit-identical to the reference interpreter.
 //!
 //! **Chaining (trace formation).** Each terminator leg with a statically
 //! known next PC (fall-through, direct branch taken/not-taken, direct
@@ -36,12 +37,12 @@
 //! whole traces — one budget check and one arena index per link — without
 //! returning to its loop top. Any code write bumps the generation, so every
 //! existing link is severed by that same compare; a link re-forms the next
-//! time a walk takes its leg — in-walk when the successor is already
-//! lowered, else at the next loop-top lookup, which lowers it (the paper
-//! likewise rewrites a branch when it is first taken). A dropped block's
-//! arena id is reused only after the generation has moved on, so a link
-//! stamped with the current generation always names a block whose contents
-//! are unchanged.
+//! time a walk takes its leg and finds the successor lowered. If it is not,
+//! the walk breaks, the next loop-top lookup lowers the successor, and the
+//! next walk through the leg forms the link (the paper likewise rewrites a
+//! branch when it is first taken). A dropped block's arena id is reused
+//! only after the generation has moved on, so a link stamped with the
+//! current generation always names a block whose contents are unchanged.
 //!
 //! Register-indirect terminators (`jr`, `jalr`, `ret`) have no *static*
 //! link — their next PC is data-dependent — but each carries a per-site
@@ -50,12 +51,12 @@
 //! static link (stamp compare, then a target-PC compare against the value
 //! the terminator just computed). Monomorphic indirects therefore chain
 //! without leaving the trace walk. A changed target or a code write
-//! refills the cache the next time the terminator runs: in-walk when the
-//! new target is already lowered — so a `ret` shared by several call
-//! sites keeps chaining — else at the next loop-top lookup.
+//! refills the cache the next time the terminator runs and finds the new
+//! target lowered, in-walk — so a `ret` shared by several call sites keeps
+//! chaining.
 
-use crate::cpu::{Cpu, SimError};
-use crate::decode_cache::DecodeCache;
+use crate::cost::CostModel;
+use crate::cpu::{self, Cpu, SimError};
 use crate::machine::ExecStats;
 use crate::mem::{MemFault, Memory};
 use softcache_isa::cf::rel_target;
@@ -63,8 +64,7 @@ use softcache_isa::inst::{AluOp, BranchCond, Inst, MemWidth};
 use softcache_isa::reg::Reg;
 use softcache_isa::INST_BYTES;
 
-/// Superblock slots per page: 1024 slots = 4 KiB of code, matching the
-/// decode cache.
+/// Superblock slots per page: 1024 slots = 4 KiB of code.
 const PAGE_SLOTS: usize = 1024;
 const PAGE_SHIFT: u32 = 10;
 
@@ -705,7 +705,7 @@ pub(crate) enum BlockExit {
     Done { taken: bool },
     /// A store inside the body patched watched code: the prefix including
     /// the store retired, `cpu.pc` points at the next instruction, and the
-    /// caller must resync both predecode caches before continuing.
+    /// caller must resync the superblock cache before continuing.
     CodeWrite { retired: u32 },
     /// A load/store faulted: `retired` prior micro-ops retired and
     /// `cpu.pc` is left on the faulting instruction, exactly like the
@@ -1254,18 +1254,14 @@ impl Superblock {
 }
 
 /// Lower the straight-line region starting at `start` into a superblock,
-/// building its micro-ops in `uops` (cleared first; a caller-owned scratch
-/// buffer, so the block's own array is one exact-size allocation).
+/// reading each word from `mem`, decoding it and pricing it under `cost`,
+/// and building its micro-ops in `uops` (cleared first; a caller-owned
+/// scratch buffer, so the block's own array is one exact-size allocation).
 /// Returns `None` when nothing at `start` is worth lowering (first word
 /// unwatched, undecodable, or a trap/halt class instruction) — callers
-/// memoise that verdict so the per-instruction path is taken without
-/// re-asking. The decode cache must already be synced.
-fn lower(
-    decode: &mut DecodeCache,
-    mem: &Memory,
-    start: u32,
-    uops: &mut Vec<Uop>,
-) -> Option<Superblock> {
+/// memoise that verdict so the reference interpreter is taken without
+/// re-asking.
+fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Option<Superblock> {
     debug_assert_eq!(start & 3, 0);
     uops.clear();
     let mut cycles = 0u64;
@@ -1281,13 +1277,13 @@ fn lower(
         if uops.len() >= MAX_BODY || !mem.is_code_watched(pc) {
             break;
         }
-        let Ok((inst, c, ct)) = decode.fetch(pc, mem) else {
+        let Ok(inst) = cpu::fetch(mem, pc) else {
             break;
         };
-        if c > u64::from(u32::MAX) {
+        let (c, ct) = cost.cycle_pair(inst);
+        let Ok(cost) = u32::try_from(c) else {
             break; // cost model too wide for the per-uop slot
-        }
-        let cost = c as u32;
+        };
         let z = Reg::ZERO;
         let u = match inst {
             Inst::Alu { op, rd, rs1, rs2 } => Uop {
@@ -1462,10 +1458,10 @@ pub(crate) enum Lookup {
 
 type Page = Box<[u32; PAGE_SLOTS]>;
 
-/// Paged side-array of superblocks indexed by `pc >> 2`, invalidated in
-/// lockstep with the decode cache through the same [`Memory`] code-write
-/// generation barrier (the owning [`crate::Machine`] distributes each
-/// dirty span to both caches before either observes the new generation).
+/// Paged side-array of superblocks indexed by `pc >> 2`, invalidated
+/// through the [`Memory`] code-write generation barrier (the owning
+/// [`crate::Machine`] hands it each dirty span before it adopts the new
+/// generation).
 ///
 /// Blocks live in a flat arena and pages map `pc >> 2` to arena ids, so a
 /// chained successor is one bounds-checked index away — no page walk on
@@ -1486,11 +1482,11 @@ pub(crate) struct UopCache {
     retired: Vec<u32>,
     /// The [`Memory::code_gen`] value the cached blocks are valid for.
     generation: u64,
-    /// Half-open PC spans pinned to the slow path: lookups inside them
-    /// answer [`Lookup::NotWorth`], so no superblock is ever formed or
-    /// dispatched there (the corruption watchdog's graceful-degradation
-    /// hook). Pins survive invalidation and generation bumps — they are
-    /// a policy, not a cache.
+    /// Half-open PC spans pinned to the reference interpreter: lookups
+    /// inside them answer [`Lookup::NotWorth`], so no superblock is ever
+    /// formed or dispatched there (the corruption watchdog's
+    /// graceful-degradation hook). Pins survive invalidation and
+    /// generation bumps — they are a policy, not a cache.
     pinned: Vec<(u32, u32)>,
     /// Threaded blocks dropped by invalidation: the demotion
     /// side of the tier ledger, drained by the owning machine into its
@@ -1518,14 +1514,15 @@ impl UopCache {
         }
     }
 
-    /// Is `pc` inside a slow-path-pinned span? One `is_empty` test in the
+    /// Is `pc` inside a pinned span? One `is_empty` test in the
     /// common (no pins) case keeps this off the hot path's budget.
     #[inline]
     fn is_pinned(&self, pc: u32) -> bool {
         !self.pinned.is_empty() && self.pinned.iter().any(|&(lo, hi)| pc >= lo && pc < hi)
     }
 
-    /// Pin `[lo, hi)` to the slow path and drop any blocks covering it.
+    /// Pin `[lo, hi)` to the reference interpreter and drop any blocks
+    /// covering it.
     pub(crate) fn pin_span(&mut self, lo: u32, hi: u32) {
         self.pinned.push((lo, hi));
         self.invalidate_span(lo, hi);
@@ -1536,7 +1533,7 @@ impl UopCache {
         self.pinned.retain(|&(l, h)| !(l >= lo && h <= hi));
     }
 
-    /// Remove every slow-path pin.
+    /// Remove every pin.
     pub(crate) fn clear_pins(&mut self) {
         self.pinned.clear();
     }
@@ -1571,8 +1568,8 @@ impl UopCache {
     /// Links need no per-span treatment: a dropped block's id is retired,
     /// not reused, until the generation moves on, so a link stamped with
     /// the current generation still names the same, unchanged block. That
-    /// makes this safe without a code write too (chunk eviction, slow-path
-    /// pins): the block still matches memory until the next write into
+    /// makes this safe without a code write too (chunk eviction,
+    /// interpreter pins): the block still matches memory until the next write into
     /// its span, and that write severs every link at once.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
         debug_assert!(self.reach <= MAX_SPAN_BYTES, "reach {}", self.reach);
@@ -1771,8 +1768,8 @@ impl UopCache {
 
     /// Lower the superblock starting at `pc` (through the cache's scratch
     /// buffer) and record the verdict; returns the new block's arena id.
-    pub(crate) fn lower(&mut self, decode: &mut DecodeCache, mem: &Memory, pc: u32) -> Option<u32> {
-        let sb = lower(decode, mem, pc, &mut self.scratch);
+    pub(crate) fn lower(&mut self, cost: &CostModel, mem: &Memory, pc: u32) -> Option<u32> {
+        let sb = lower(cost, mem, pc, &mut self.scratch);
         self.insert(pc, sb)
     }
 
@@ -1852,7 +1849,6 @@ impl UopCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use softcache_isa::encode;
 
     fn mem_with(words: &[u32]) -> Memory {
@@ -1865,8 +1861,7 @@ mod tests {
 
     fn lowered(words: &[u32]) -> Option<Superblock> {
         let mem = mem_with(words);
-        let mut dc = DecodeCache::new(CostModel::default());
-        lower(&mut dc, &mem, 0, &mut Vec::new())
+        lower(&CostModel::default(), &mem, 0, &mut Vec::new())
     }
 
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> u32 {
@@ -1951,11 +1946,11 @@ mod tests {
     fn unwatched_code_is_never_lowered() {
         let mut mem = mem_with(&[addi(Reg::T0, Reg::T0, 1), addi(Reg::T0, Reg::T0, 2)]);
         mem.set_code_watch([(0, 4), (0, 0)]); // only the first word watched
-        let mut dc = DecodeCache::new(CostModel::default());
+        let cost = CostModel::default();
         let mut scratch = Vec::new();
-        let sb = lower(&mut dc, &mem, 0, &mut scratch).unwrap();
+        let sb = lower(&cost, &mem, 0, &mut scratch).unwrap();
         assert_eq!(sb.len, 1, "block stops at the unwatched word");
-        let none = lower(&mut dc, &mem, 4, &mut scratch);
+        let none = lower(&cost, &mem, 4, &mut scratch);
         assert!(none.is_none(), "unwatched start is not lowered");
     }
 

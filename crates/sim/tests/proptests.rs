@@ -1,6 +1,8 @@
 //! Property tests for the machine simulator: no input — even adversarial
 //! garbage memory — may panic the interpreter; faults must surface as
-//! typed errors.
+//! typed errors. The production engine (`Machine::run_block`) must match
+//! the reference interpreter (`Machine::step`, called `slow` below) in
+//! every outcome, fault, counter and cycle.
 
 use proptest::prelude::*;
 use softcache_sim::{Cpu, Machine, Memory, RunError, Step};
@@ -48,57 +50,8 @@ proptest! {
         }
     }
 
-    /// The predecoded fast path is bit-identical to the fetch+decode slow
-    /// path on arbitrary programs: same step outcomes, same faults, same
-    /// registers, same stats, same cycles — even on garbage code, and even
-    /// when the program overwrites its own text (the write barrier must
-    /// invalidate memoised decodes).
-    #[test]
-    fn fast_path_matches_slow_path_on_garbage(
-        words in prop::collection::vec(any::<u32>(), 1..64),
-        patches in prop::collection::vec((0u32..64, any::<u32>()), 0..4),
-    ) {
-        let image = softcache_isa::Image {
-            entry: softcache_isa::layout::TEXT_BASE,
-            text_base: softcache_isa::layout::TEXT_BASE,
-            text: words.clone(),
-            data_base: softcache_isa::layout::DATA_BASE,
-            data: vec![],
-            symbols: vec![],
-        };
-        let mut fast = Machine::load_native(&image, b"in");
-        let mut slow = Machine::load_native(&image, b"in");
-        for (i, &(slot, val)) in patches.iter().enumerate() {
-            // Interleave external code writes (as the CC does when it
-            // backpatches) with execution.
-            let steps = 40 * (i + 1);
-            for _ in 0..steps {
-                let f = fast.step();
-                let s = slow.step_slow();
-                prop_assert_eq!(&f, &s, "step outcome diverged");
-                if !matches!(f, Ok(Step::Running)) {
-                    break;
-                }
-            }
-            let addr = image.text_base + (slot % words.len() as u32) * 4;
-            let _ = fast.mem.write_u32(addr, val);
-            let _ = slow.mem.write_u32(addr, val);
-        }
-        for _ in 0..300 {
-            let f = fast.step();
-            let s = slow.step_slow();
-            prop_assert_eq!(&f, &s, "step outcome diverged");
-            if !matches!(f, Ok(Step::Running)) {
-                break;
-            }
-        }
-        prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
-        prop_assert_eq!(fast.cpu.pc, slow.cpu.pc);
-        prop_assert_eq!(fast.env.output, slow.env.output);
-    }
-
-    /// Same equivalence on well-formed programs run to completion via the
-    /// batched block runner (`run_native`) rather than single-stepping.
+    /// The batched block runner (`run_native`) matches the reference
+    /// interpreter on well-formed programs run to completion.
     #[test]
     fn block_runner_matches_slow_path_on_real_programs(
         n in 1u32..120,
@@ -113,7 +66,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -124,8 +77,8 @@ proptest! {
         prop_assert_eq!(fast_exit, n as i32 * stride);
     }
 
-    /// The superblock micro-op engine (the `run_block` fast path) is
-    /// step-for-step identical to the fetch+decode slow path on arbitrary
+    /// The superblock micro-op engine (`run_block`) is step-for-step
+    /// identical to the reference interpreter (`step`) on arbitrary
     /// programs — same retired counts, same faults, same stats — with
     /// external backpatches interleaved (as the CC does) and with varying
     /// block budgets so superblocks split at every possible boundary.
@@ -155,7 +108,7 @@ proptest! {
             // the outcome matching `f`.
             let mut last = Ok(Step::Running);
             while slow.stats.instructions < fast.stats.instructions {
-                last = slow.step_slow();
+                last = slow.step();
                 prop_assert!(
                     last.is_ok(),
                     "slow faulted while behind: {last:?} at {} < {} (fast: {f:?})",
@@ -166,7 +119,7 @@ proptest! {
                 // A fault does not retire the faulting instruction, so the
                 // counters already agree; the next slow step must fault
                 // identically.
-                let s = slow.step_slow();
+                let s = slow.step();
                 prop_assert_eq!(f, &s, "fault diverged");
             } else {
                 prop_assert_eq!(f, &last, "step outcome diverged");
@@ -226,7 +179,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -268,14 +221,14 @@ proptest! {
          -> Result<(), TestCaseError> {
             let mut last = Ok(Step::Running);
             while slow.stats.instructions < fast.stats.instructions {
-                last = slow.step_slow();
+                last = slow.step();
                 prop_assert!(
                     last.is_ok(),
                     "slow faulted while behind: {last:?} (fast: {f:?})"
                 );
             }
             if f.is_err() {
-                let s = slow.step_slow();
+                let s = slow.step();
                 prop_assert_eq!(f, &s, "fault diverged");
             } else {
                 prop_assert_eq!(f, &last, "step outcome diverged");
@@ -345,7 +298,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -389,14 +342,14 @@ proptest! {
          -> Result<(), TestCaseError> {
             let mut last = Ok(Step::Running);
             while slow.stats.instructions < fast.stats.instructions {
-                last = slow.step_slow();
+                last = slow.step();
                 prop_assert!(
                     last.is_ok(),
                     "slow faulted while behind: {last:?} (fast: {f:?})"
                 );
             }
             if f.is_err() {
-                let s = slow.step_slow();
+                let s = slow.step();
                 prop_assert_eq!(f, &s, "fault diverged");
             } else {
                 prop_assert_eq!(f, &last, "step outcome diverged");
@@ -464,7 +417,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -498,7 +451,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -539,7 +492,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -594,14 +547,14 @@ proptest! {
          -> Result<(), TestCaseError> {
             let mut last = Ok(Step::Running);
             while slow.stats.instructions < thr.stats.instructions {
-                last = slow.step_slow();
+                last = slow.step();
                 prop_assert!(
                     last.is_ok(),
                     "slow faulted while behind: {last:?} (threaded: {f:?})"
                 );
             }
             if f.is_err() {
-                let s = slow.step_slow();
+                let s = slow.step();
                 prop_assert_eq!(f, &s, "fault diverged");
             } else {
                 prop_assert_eq!(f, &last, "step outcome diverged");
@@ -678,7 +631,7 @@ proptest! {
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
-            match slow.step_slow().unwrap() {
+            match slow.step().unwrap() {
                 Step::Running => {}
                 Step::Exited(code) => break code,
                 s => return Err(TestCaseError::fail(format!("{s:?}"))),
@@ -769,7 +722,7 @@ proptest! {
             let f = fast.run_block(budget).unwrap();
             let mut s = Step::Running;
             while slow.stats.instructions < fast.stats.instructions {
-                s = slow.step_slow().unwrap();
+                s = slow.step().unwrap();
             }
             prop_assert_eq!(f, s, "step outcome diverged");
             prop_assert_eq!(fast.stats, slow.stats, "stats diverged");

@@ -1,10 +1,10 @@
 //! Cross-crate integration: every workload must produce byte-identical
 //! output on (a) the AST interpreter, (b) the native simulator — on the
-//! per-step slow path and on every fast dispatch configuration, which must
-//! also retire identical `ExecStats` — (c) the software instruction cache,
-//! (d) the full software cache (instructions + data + stack), and — for
-//! ARM-compatible workloads — (e) the procedure-granularity cache with
-//! eviction.
+//! per-step reference interpreter and on every dispatch configuration of
+//! the block engine, which must also retire identical `ExecStats` — (c)
+//! the software instruction cache, (d) the full software cache
+//! (instructions + data + stack), and — for ARM-compatible workloads —
+//! (e) the procedure-granularity cache with eviction.
 
 use softcache::core::datarun::FullSoftCacheSystem;
 use softcache::core::dcache::DcacheConfig;
@@ -28,12 +28,12 @@ fn check_all_engines(w: &Workload) {
     let input = (w.gen_input)(scale_for(w));
     let (want_code, want_out) = w.expected(&input, 2_000_000_000);
 
-    // Native, on the slow path (decode on every step): the oracle every
-    // fast dispatch configuration below must reproduce exactly.
+    // Native, on the reference interpreter (decode on every step): the
+    // oracle every dispatch configuration below must reproduce exactly.
     let image = w.image(true);
     let mut slow = Machine::load_native(&image, &input);
     let code = loop {
-        match slow.step_slow() {
+        match slow.step() {
             Ok(Step::Running) => {}
             Ok(Step::Exited(code)) => break code,
             Ok(Step::Trapped(trap)) => panic!("{} slow path: unexpected {trap:?}", w.name),

@@ -437,9 +437,9 @@ proptest! {
     /// (single flips per checkpoint, compounding into multi-bit corruption
     /// when code and redirector faults land together), every corrupted
     /// span is caught and healed before any instruction from it retires —
-    /// the chaos run's architectural results equal the interpreter's, on
-    /// the superblock fast path and the slow dispatch path alike, and the
-    /// recovery ledger balances.
+    /// the chaos run's architectural results equal the interpreter's, with
+    /// the superblock engine on and with every instruction on the
+    /// reference `Machine::step`, and the recovery ledger balances.
     #[test]
     fn seeded_memory_faults_never_retire_corrupted_instructions(
         src in random_program(),
