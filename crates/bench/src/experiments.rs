@@ -672,44 +672,31 @@ pub struct FaultRow {
 /// the clean run in every row — faults degrade into latency, never into
 /// wrong results — and the extra latency is exactly the recovery ledger.
 pub fn fault_tolerance() -> Vec<FaultRow> {
-    use softcache_core::endpoint::{serve_bounded, McEndpoint};
+    use softcache_core::endpoint::{InThreadMc, McEndpoint};
     use softcache_core::mc::Mc;
-    use softcache_net::{thread_pair, FaultPlan, FaultyTransport, LinkPolicy};
-    use std::time::Duration;
+    use softcache_net::{FaultPlan, FaultyTransport, LinkPolicy};
 
     let w = by_name("adpcmenc").expect("workload");
     let image = w.image(true);
     let input = (w.gen_input)(2);
 
-    // `crashes > 0`: the MC serves 12 requests, dies, and comes back with
-    // the next epoch — that many times — then stays up.
+    // The MC answers on this thread, so the link schedule is a pure
+    // function of the plan. `crashes > 0`: the MC serves 12 requests,
+    // dies, and comes back with the next epoch — that many times — then
+    // stays up.
     let run = |plan: FaultPlan, crashes: u32| {
-        let (cc_t, mut mc_t) = thread_pair(Duration::from_millis(10));
-        let img = image.clone();
-        let server = std::thread::spawn(move || {
-            for life in 0..=crashes {
-                let mut mc = Mc::new(img.clone());
-                mc.set_epoch(life + 1);
-                let bound = if life == crashes { u64::MAX } else { 12 };
-                if serve_bounded(&mut mc, &mut mc_t, bound).disconnected {
-                    return;
-                }
-            }
-        });
+        let mc = InThreadMc::crashing(Mc::new(image.clone()), 12, crashes);
         let cfg = IcacheConfig {
             link_policy: LinkPolicy::eager(400),
             ..IcacheConfig::default()
         };
-        let faulty = FaultyTransport::new(cc_t, plan);
+        let faulty = FaultyTransport::new(mc, plan);
         let mut sys = SoftIcacheSystem::with_endpoint(
             image.clone(),
             cfg,
             McEndpoint::remote(Box::new(faulty)),
         );
-        let out = sys.run(&input).expect("run survives the fault plan");
-        drop(sys);
-        server.join().expect("server thread");
-        out
+        sys.run(&input).expect("run survives the fault plan")
     };
 
     let plans: [(&'static str, FaultPlan, u32); 5] = [

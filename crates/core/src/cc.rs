@@ -11,11 +11,11 @@
 
 use crate::addr_map::{AddrMap, AddrSet};
 use crate::endpoint::McEndpoint;
-use crate::integrity::{IntegrityConfig, IntegrityStats, MemFaultInjector, SealTable};
+use crate::integrity::{IntegrityStats, MemFaultInjector, SealTable, TickFire, WATCHDOG_THRESHOLD};
 use crate::power::BankModel;
 use crate::protocol::{ChunkPayload, PatchKind, Reply, Request};
 use softcache_isa::inst::Inst;
-use softcache_isa::layout::{FP_SENTINEL, STACK_TOP};
+use softcache_isa::layout::{FP_SENTINEL, STACK_TOP, TCACHE_BASE};
 use softcache_isa::reg::Reg;
 use softcache_isa::{cf, encode};
 use softcache_net::{LinkModel, LinkPolicy, LinkStats, NetError};
@@ -39,21 +39,21 @@ pub enum TcachePolicy {
 }
 
 /// TRRIP re-reference horizon: victims are taken at this value.
-const RRPV_MAX: u8 = 3;
+pub(crate) const RRPV_MAX: u8 = 3;
 /// Insertion value for a chunk refetched soon after its eviction.
-const RRPV_HOT: u8 = 0;
+pub(crate) const RRPV_HOT: u8 = 0;
 /// Insertion value for a chunk that has been evicted before.
-const RRPV_WARM: u8 = 1;
+pub(crate) const RRPV_WARM: u8 = 1;
 /// Insertion value for a never-evicted demand fetch.
-const RRPV_FRESH: u8 = 2;
+pub(crate) const RRPV_FRESH: u8 = 2;
 /// Evictions within which a refetch counts as an imminent re-reference.
 const REREF_WINDOW: u64 = 64;
 
-/// Configuration of the software instruction cache.
+/// Configuration of the software instruction cache. The tcache always
+/// starts at [`TCACHE_BASE`]: the simulator watches code writes and
+/// lowers superblocks only in `TCACHE_BASE..STACK_FLOOR`.
 #[derive(Clone, Copy, Debug)]
 pub struct IcacheConfig {
-    /// Base address of the tcache region in client memory.
-    pub tcache_base: u32,
     /// Size of the tcache in bytes.
     pub tcache_size: u32,
     /// MC↔CC link cost model.
@@ -109,9 +109,6 @@ pub struct IcacheConfig {
     /// block at lowering time; [`softcache_sim::THREADED_NEVER`] never
     /// promotes.
     pub threaded_threshold: u32,
-    /// Integrity-seal verification and corruption-watchdog knobs
-    /// (DESIGN.md §13).
-    pub integrity: IntegrityConfig,
     /// Replacement policy on tcache pressure (DESIGN.md §16).
     pub tcache_policy: TcachePolicy,
     /// Instruction budget for a run.
@@ -121,7 +118,6 @@ pub struct IcacheConfig {
 impl Default for IcacheConfig {
     fn default() -> IcacheConfig {
         IcacheConfig {
-            tcache_base: softcache_isa::layout::TCACHE_BASE,
             tcache_size: 48 * 1024,
             link: LinkModel::default(),
             link_policy: LinkPolicy::default(),
@@ -135,7 +131,6 @@ impl Default for IcacheConfig {
             ras_depth: 0,
             threaded: true,
             threaded_threshold: softcache_sim::DEFAULT_THREADED_THRESHOLD,
-            integrity: IntegrityConfig::default(),
             tcache_policy: TcachePolicy::default(),
             fuel: 2_000_000_000,
         }
@@ -187,8 +182,8 @@ pub struct IcacheStats {
     pub miss_cycles: u64,
     /// Link traffic.
     pub link: LinkStats,
-    /// Integrity-seal / self-healing ledger (all zero unless faults are
-    /// injected or trap-entry verification is armed).
+    /// Integrity-seal / self-healing ledger (all zero unless the run is
+    /// a `run_chaos` under a memory-fault plan).
     pub integrity: IntegrityStats,
 }
 
@@ -530,7 +525,7 @@ pub struct Cc {
     /// simulated memory (DESIGN.md §13).
     seals: SealTable,
     /// Verify seals at trap entry before redirecting the PC. Armed by
-    /// [`Cc::arm_integrity`] or `cfg.integrity.verify_traps`.
+    /// [`Cc::arm_integrity`], which only a `run_chaos` calls.
     armed: bool,
     /// Watchdog: seal failures per original chunk address. Survives
     /// flushes — resetting it would let a stuck chunk livelock the
@@ -547,8 +542,8 @@ impl Cc {
     /// Fresh controller.
     pub fn new(cfg: IcacheConfig) -> Cc {
         Cc {
-            free: FreeList::new(cfg.tcache_base, cfg.tcache_size),
-            armed: cfg.integrity.verify_traps,
+            free: FreeList::new(TCACHE_BASE, cfg.tcache_size),
+            armed: false,
             cfg,
             map: AddrMap::default(),
             chunks: Vec::new(),
@@ -572,9 +567,9 @@ impl Cc {
         }
     }
 
-    /// Arm trap-entry seal verification (done automatically when a
-    /// memory-fault plan is injected into a run).
-    pub fn arm_integrity(&mut self) {
+    /// Arm trap-entry seal verification: the run is under a memory-fault
+    /// plan.
+    pub(crate) fn arm_integrity(&mut self) {
         self.armed = true;
     }
 
@@ -613,18 +608,13 @@ impl Cc {
         self.free.used_bytes()
     }
 
-    /// Number of live chunks.
-    pub fn resident_chunks(&self) -> usize {
-        self.chunks.iter().filter(|c| c.alive).count()
-    }
-
     /// Is `orig` currently translated?
     pub fn is_resident(&self, orig: u32) -> bool {
         self.map.contains_key(&orig)
     }
 
     fn end(&self) -> u32 {
-        self.cfg.tcache_base + self.cfg.tcache_size
+        TCACHE_BASE + self.cfg.tcache_size
     }
 
     fn rpc(&mut self, ep: &mut McEndpoint, req: &Request) -> Result<(Reply, u64), CacheError> {
@@ -1225,7 +1215,7 @@ impl Cc {
 
     /// Collect live return addresses pointing into the tcache.
     fn collect_tcache_ras(&self, machine: &Machine) -> Vec<(RaLoc, u32)> {
-        self.collect_ras(machine, self.cfg.tcache_base..self.end())
+        self.collect_ras(machine, TCACHE_BASE..self.end())
     }
 
     /// Drop every chunk, record and trampoline and reset the allocation
@@ -1770,8 +1760,7 @@ impl Cc {
             let orig = self.chunks[cid].orig_start;
             let fails = self.fails.entry(orig).or_insert(0);
             *fails += 1;
-            let newly_pinned =
-                *fails > self.cfg.integrity.watchdog_threshold && self.pinned_origs.insert(orig);
+            let newly_pinned = *fails > WATCHDOG_THRESHOLD && self.pinned_origs.insert(orig);
             if newly_pinned {
                 // Watchdog: this chunk keeps failing its seal — degrade
                 // it to the slow-path interpreter wherever it lands next
@@ -1807,18 +1796,21 @@ impl Cc {
     }
 
     /// One fault-injection checkpoint: consume the plan's rolls, apply
-    /// any bit flips through simulated memory (the write barrier bumps
-    /// the code generation, modelling a refetch from the corrupted
-    /// SRAM), then scrub-and-heal before the guest resumes.
-    pub fn chaos_tick(
+    /// any code and redirector flips through simulated memory (the write
+    /// barrier bumps the code generation, modelling a refetch from the
+    /// corrupted SRAM), then scrub-and-heal before the guest resumes.
+    /// Returns what the tick fired, so a system with a data cache lands
+    /// the dcache roll next; the heal draws nothing from the injector,
+    /// so the draws stay in roll order.
+    pub(crate) fn chaos_tick(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
         inj: &mut MemFaultInjector,
-    ) -> Result<(), CacheError> {
+    ) -> Result<TickFire, CacheError> {
         let fire = inj.begin_tick();
         if !fire.any() {
-            return Ok(());
+            return Ok(fire);
         }
         // Resolve the guest pc to its original address BEFORE anything is
         // corrupted: if healing quarantines the very chunk being executed,
@@ -1832,45 +1824,7 @@ impl Cc {
         }
         self.verify_and_heal(machine, ep)?;
         self.fixup_pc(machine, ep, pc_orig)?;
-        Ok(())
-    }
-
-    /// Like [`Cc::chaos_tick`], but also lands scheduled dcache flips in
-    /// the software data cache and scrubs it — the full-system
-    /// ("all-at-once") injection checkpoint.
-    pub fn chaos_tick_full(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        inj: &mut MemFaultInjector,
-        dcache: &mut crate::dcache::Dcache,
-    ) -> Result<(), CacheError> {
-        let fire = inj.begin_tick();
-        if !fire.any() {
-            return Ok(());
-        }
-        let pc_orig = self.tc_to_orig(machine.cpu.pc);
-        if fire.code {
-            self.inject_code_flip(machine, inj);
-        }
-        if fire.redirector {
-            self.inject_redirector_flip(machine, inj);
-        }
-        if fire.dcache && dcache.inject_flip(inj) {
-            self.stats.integrity.dcache_flips += 1;
-        }
-        self.verify_and_heal(machine, ep)?;
-        self.fixup_pc(machine, ep, pc_orig)?;
-        if fire.dcache {
-            let (checked, violations) = dcache.scrub();
-            self.stats.integrity.seals_checked += checked;
-            self.stats.integrity.seal_hits += checked - violations;
-            self.stats.integrity.violations += violations;
-            // A dropped clean line refills from the server on next
-            // access — the data-side analogue of a retranslation.
-            self.stats.integrity.retranslations += violations;
-        }
-        Ok(())
+        Ok(fire)
     }
 
     /// After a heal pass, re-route the guest pc if the span it was
@@ -1958,15 +1912,17 @@ enum RaLoc {
 mod tests {
     use super::*;
 
-    /// A TRRIP controller over a 64-word arena at 0x1000. Victim selection
+    /// A TRRIP controller over a 64-word arena at `B`. Victim selection
     /// reads only CC metadata, so no machine is needed.
     fn trrip_cc() -> Cc {
         Cc::new(IcacheConfig {
-            tcache_base: 0x1000,
             tcache_size: 0x100,
             ..IcacheConfig::default()
         })
     }
+
+    /// The tcache base, where every test arena starts.
+    const B: u32 = TCACHE_BASE;
 
     /// Hand-build a resident chunk of `words` words at `tc` with the given
     /// temperature and lifetime heat; returns its slot.
@@ -2019,10 +1975,10 @@ mod tests {
         // Highest RRPV first; ties to the least heat, then the lowest
         // address. A victim at the horizon means nobody ages.
         let mut cc = trrip_cc();
-        let a = put_chunk(&mut cc, 0x100, 0x1000, 4, RRPV_MAX, 9);
-        let b = put_chunk(&mut cc, 0x200, 0x1010, 4, RRPV_MAX, 2);
-        let c = put_chunk(&mut cc, 0x300, 0x1020, 4, RRPV_MAX, 2);
-        let d = put_chunk(&mut cc, 0x400, 0x1030, 4, RRPV_FRESH, 0);
+        let a = put_chunk(&mut cc, 0x100, B, 4, RRPV_MAX, 9);
+        let b = put_chunk(&mut cc, 0x200, B + 0x10, 4, RRPV_MAX, 2);
+        let c = put_chunk(&mut cc, 0x300, B + 0x20, 4, RRPV_MAX, 2);
+        let d = put_chunk(&mut cc, 0x400, B + 0x30, 4, RRPV_FRESH, 0);
         assert_eq!(
             victim(&mut cc, &[]),
             Some(b),
@@ -2037,23 +1993,23 @@ mod tests {
         // Aging: when no eligible chunk sits at the horizon, every
         // resident (guarded ones too) ages by the eligible shortfall.
         let mut cc = trrip_cc();
-        let h = put_chunk(&mut cc, 0x100, 0x1000, 4, RRPV_HOT, 7);
-        let w = put_chunk(&mut cc, 0x200, 0x1010, 4, RRPV_WARM, 1);
-        let g = put_chunk(&mut cc, 0x300, 0x1020, 4, RRPV_WARM, 0);
+        let h = put_chunk(&mut cc, 0x100, B, 4, RRPV_HOT, 7);
+        let w = put_chunk(&mut cc, 0x200, B + 0x10, 4, RRPV_WARM, 1);
+        let g = put_chunk(&mut cc, 0x300, B + 0x20, 4, RRPV_WARM, 0);
         assert_eq!(victim(&mut cc, &[g]), Some(w));
         assert_eq!(rrpvs(&cc), [RRPV_FRESH, RRPV_MAX, RRPV_MAX]);
         assert_eq!(victim(&mut cc, &[g, w]), Some(h));
         assert_eq!(rrpvs(&cc), [RRPV_MAX; 3]);
         assert_eq!(victim(&mut cc, &[h, w, g]), None, "everything guarded");
 
-        // Neighbour growth around the hole [0x1010, 0x1020) between L at
-        // 0x1000 and R at 0x1020: the colder side, never a hot one.
+        // Neighbour growth around the hole [B + 0x10, B + 0x20) between L at
+        // B and R at B + 0x20: the colder side, never a hot one.
         let grow = |l: (u8, u64), r: (u8, u64), guard_r: bool| {
             let mut cc = trrip_cc();
-            let lid = put_chunk(&mut cc, 0x100, 0x1000, 4, l.0, l.1);
-            let rid = put_chunk(&mut cc, 0x200, 0x1020, 4, r.0, r.1);
+            let lid = put_chunk(&mut cc, 0x100, B, 4, l.0, l.1);
+            let rid = put_chunk(&mut cc, 0x200, B + 0x20, 4, r.0, r.1);
             let guarded = if guard_r { vec![rid] } else { Vec::new() };
-            match neighbour(&mut cc, 0x1014, &guarded) {
+            match neighbour(&mut cc, B + 0x14, &guarded) {
                 Some(v) if v == lid => "left",
                 Some(v) if v == rid => "right",
                 Some(v) => panic!("unknown slot {v}"),
@@ -2071,10 +2027,10 @@ mod tests {
         // Holes at the arena's edges have one neighbour; an address in no
         // hole grows nothing.
         let mut cc = trrip_cc();
-        let r = put_chunk(&mut cc, 0x100, 0x1010, 4, RRPV_MAX, 0);
-        assert_eq!(neighbour(&mut cc, 0x1000, &[]), Some(r));
-        assert_eq!(neighbour(&mut cc, 0x10fc, &[]), Some(r));
-        assert_eq!(neighbour(&mut cc, 0x1010, &[]), None);
+        let r = put_chunk(&mut cc, 0x100, B + 0x10, 4, RRPV_MAX, 0);
+        assert_eq!(neighbour(&mut cc, B, &[]), Some(r));
+        assert_eq!(neighbour(&mut cc, B + 0xfc, &[]), Some(r));
+        assert_eq!(neighbour(&mut cc, B + 0x10, &[]), None);
     }
 
     #[test]
@@ -2087,7 +2043,7 @@ mod tests {
         });
         assert_eq!(cc.used_bytes(), 0);
         let mut machine = Machine::load_client(&softcache_isa::Image::new(), &[]);
-        let dest = cc.cfg.tcache_base;
+        let dest = TCACHE_BASE;
         let chunk = ChunkPayload {
             orig_start: 0x1000,
             body_words: 5,

@@ -21,7 +21,7 @@
 use crate::cc::{CacheError, Cc, IcacheConfig, IcacheStats};
 use crate::dcache::{Dcache, DcacheConfig, DcacheStats};
 use crate::endpoint::McEndpoint;
-use crate::integrity::{IntegrityStats, MemFaultInjector, MemFaultPlan};
+use crate::integrity::{IntegrityStats, MemFaultInjector, MemFaultPlan, TickFire};
 use crate::mc::Mc;
 use crate::scache::{Scache, ScacheConfig, ScacheStats};
 use softcache_isa::image::{Image, SymKind};
@@ -157,7 +157,8 @@ fn intercept_data_access(
 }
 
 /// Pin every 4-byte global object (scalar) — the Figure 10 "constant
-/// address known to be in-cache" specialisation target set.
+/// address known to be in-cache" specialisation target set. Both systems
+/// pin them at the start of every run.
 fn pin_scalars(image: &Image, dcache: &mut Dcache, ep: &mut McEndpoint) -> Result<u64, CacheError> {
     let mut cycles = 0;
     for sym in &image.symbols {
@@ -174,8 +175,6 @@ pub struct SoftDcacheSystem {
     dcfg: DcacheConfig,
     scfg: ScacheConfig,
     endpoint: McEndpoint,
-    /// Pin scalar globals for specialised (check-free) access.
-    pub pin_scalar_globals: bool,
     /// Instruction budget.
     pub fuel: u64,
     chaos: Option<MemFaultPlan>,
@@ -190,7 +189,6 @@ impl SoftDcacheSystem {
             dcfg,
             scfg,
             endpoint: McEndpoint::direct(mc),
-            pin_scalar_globals: true,
             fuel: 2_000_000_000,
             chaos: None,
         }
@@ -219,37 +217,38 @@ impl SoftDcacheSystem {
         let mut scache = Scache::new(self.scfg);
         let mut injector = self.chaos.map(MemFaultInjector::new);
         let mut integrity = IntegrityStats::default();
-        if self.pin_scalar_globals {
-            let cyc = pin_scalars(&self.image, &mut dcache, &mut self.endpoint)?;
-            machine.stats.cycles += cyc;
-        }
+        machine.stats.cycles += pin_scalars(&self.image, &mut dcache, &mut self.endpoint)?;
         let exit_code = loop {
             if machine.stats.instructions >= self.fuel {
                 return Err(CacheError::OutOfFuel);
             }
             let pc = machine.cpu.pc;
             let inst = machine.peek_inst().map_err(CacheError::Sim)?;
-            if intercept_data_access(
+            let handled = intercept_data_access(
                 &mut machine,
                 &mut dcache,
                 &mut scache,
                 &mut self.endpoint,
                 inst,
-            )? {
-                dcache_chaos_tick(&mut injector, &mut dcache, &mut integrity);
-                continue;
-            }
-            match machine.step()? {
-                Step::Running => {}
-                Step::Exited(code) => break code,
-                Step::Trapped(t) => {
-                    return Err(CacheError::Sim(SimError::IllegalInst {
-                        pc,
-                        word: encode_trap(t),
-                    }))
+            )?;
+            if !handled {
+                match machine.step()? {
+                    Step::Running => {}
+                    Step::Exited(code) => break code,
+                    Step::Trapped(t) => {
+                        return Err(CacheError::Sim(SimError::IllegalInst {
+                            pc,
+                            word: encode_trap(t),
+                        }))
+                    }
                 }
             }
-            dcache_chaos_tick(&mut injector, &mut dcache, &mut integrity);
+            // Fault-injection checkpoint: code and redirector rolls are
+            // consumed but have no target without a tcache.
+            if let Some(inj) = injector.as_mut() {
+                let fire = inj.begin_tick();
+                dcache_checkpoint(fire, inj, &mut dcache, &mut integrity);
+            }
         };
         dcache.flush_dirty(&mut self.endpoint)?;
         dcache.check_invariants();
@@ -267,31 +266,29 @@ impl SoftDcacheSystem {
     }
 }
 
-/// Data-only fault-injection checkpoint: land this tick's scheduled
-/// dcache flip (code/redirector rolls are consumed but have no target
-/// here), then scrub so a corrupted line is dropped before the next
-/// access can read it.
-fn dcache_chaos_tick(
-    injector: &mut Option<MemFaultInjector>,
+/// The data side of a fault-injection checkpoint, shared by both systems
+/// and run after the tick's code-side work: land the tick's scheduled
+/// dcache flip, then scrub so a corrupted line is dropped before the
+/// next access can read it.
+fn dcache_checkpoint(
+    fire: TickFire,
+    inj: &mut MemFaultInjector,
     dcache: &mut Dcache,
     integrity: &mut IntegrityStats,
 ) {
-    let Some(inj) = injector.as_mut() else {
+    if !fire.dcache {
         return;
-    };
-    let fire = inj.begin_tick();
-    if fire.dcache {
-        if dcache.inject_flip(inj) {
-            integrity.dcache_flips += 1;
-        }
-        let (checked, violations) = dcache.scrub();
-        integrity.seals_checked += checked;
-        integrity.seal_hits += checked - violations;
-        integrity.violations += violations;
-        // A dropped clean line refills from the server on next access —
-        // the data-side analogue of a retranslation.
-        integrity.retranslations += violations;
     }
+    if dcache.inject_flip(inj) {
+        integrity.dcache_flips += 1;
+    }
+    let (checked, violations) = dcache.scrub();
+    integrity.seals_checked += checked;
+    integrity.seal_hits += checked - violations;
+    integrity.violations += violations;
+    // A dropped clean line refills from the server on next access — the
+    // data-side analogue of a retranslation.
+    integrity.retranslations += violations;
 }
 
 fn encode_trap(t: Trap) -> u32 {
@@ -310,8 +307,6 @@ pub struct FullSoftCacheSystem {
     dcfg: DcacheConfig,
     scfg: ScacheConfig,
     endpoint: McEndpoint,
-    /// Pin scalar globals for specialised (check-free) access.
-    pub pin_scalar_globals: bool,
     chaos: Option<MemFaultPlan>,
 }
 
@@ -330,7 +325,6 @@ impl FullSoftCacheSystem {
             dcfg,
             scfg,
             endpoint: McEndpoint::direct(mc),
-            pin_scalar_globals: true,
             chaos: None,
         }
     }
@@ -361,10 +355,7 @@ impl FullSoftCacheSystem {
         if injector.is_some() {
             cc.arm_integrity();
         }
-        if self.pin_scalar_globals {
-            let cyc = pin_scalars(&self.image, &mut dcache, &mut self.endpoint)?;
-            machine.stats.cycles += cyc;
-        }
+        machine.stats.cycles += pin_scalars(&self.image, &mut dcache, &mut self.endpoint)?;
         let entry = cc.ensure(&mut machine, &mut self.endpoint, self.image.entry)?;
         machine.cpu.pc = entry;
         let fuel = self.icfg.fuel;
@@ -398,7 +389,8 @@ impl FullSoftCacheSystem {
             // Fault-injection checkpoint: flips land and are healed here,
             // before the next instruction can fetch corrupted state.
             if let Some(inj) = injector.as_mut() {
-                cc.chaos_tick_full(&mut machine, &mut self.endpoint, inj, &mut dcache)?;
+                let fire = cc.chaos_tick(&mut machine, &mut self.endpoint, inj)?;
+                dcache_checkpoint(fire, inj, &mut dcache, &mut cc.stats.integrity);
             }
         };
         dcache.flush_dirty(&mut self.endpoint)?;

@@ -261,11 +261,6 @@ impl Dcache {
         &self.cfg
     }
 
-    /// Blocks currently resident.
-    pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Pin an address range: its blocks are fetched eagerly, never evicted,
     /// and accesses to them cost nothing extra (the Figure 10 specialised
     /// form). Pinned blocks count against capacity.

@@ -16,7 +16,9 @@
 //!   every fused RPC, not a cost on every release one.
 //! * **Remote** ([`McEndpoint::Remote`]): MC behind a [`Transport`] —
 //!   typically a crossbeam channel pair with the MC's serve loop on another
-//!   thread (§2.3, ARM prototype: two Skiff boards on Ethernet).
+//!   thread (§2.3, ARM prototype: two Skiff boards on Ethernet), or an
+//!   [`InThreadMc`] that answers on the caller's thread, so a fault plan
+//!   on the link replays without depending on thread timing.
 //!
 //! The remote path wraps every frame in the session envelope
 //! (`seq | epoch | crc32 | payload`, see `softcache_net::envelope`):
@@ -38,6 +40,7 @@ use crate::mc::Mc;
 use crate::protocol::{Reply, Request};
 use softcache_net::envelope::{open, seal, EnvelopeError};
 use softcache_net::{LinkPolicy, NetError, SessionCounters, Transport};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Everything one request/reply exchange produced: the reply, the payload
@@ -317,8 +320,8 @@ pub struct ServeReport {
     /// shared cache when one is attached).
     pub shared_misses: u64,
     /// Frames shed unprocessed by admission control because the client's
-    /// queue exceeded its quota (the retry layer recovers them; only the
-    /// event-driven server rejects).
+    /// queue exceeded the backlog bound (the retry layer recovers them;
+    /// only the event-driven server rejects).
     pub admission_rejections: u64,
     /// Deepest request queue observed for this client (only the
     /// event-driven server measures; the single-tenant [`serve`] loop
@@ -432,12 +435,82 @@ pub fn serve(mc: &mut Mc, transport: &mut dyn Transport) -> ServeReport {
     serve_bounded(mc, transport, u64::MAX)
 }
 
+/// An MC served on the caller's thread, as the CC's end of the link:
+/// `send` answers the request frame at once through the step
+/// [`serve_bounded`] runs (open the envelope, suppress duplicates,
+/// handle, seal), and `recv` hands back the oldest queued reply, or times
+/// out at once when there is none. Its replies are byte-identical to a
+/// [`serve_bounded`] loop's, and nothing waits on another thread, so a
+/// run over it, under a `FaultyTransport` plan too, is a pure function
+/// of its inputs.
+pub struct InThreadMc {
+    mc: Mc,
+    /// Sequence number and payload of the last reply (see `frame_reply`).
+    last: Option<(u32, Vec<u8>)>,
+    replies: VecDeque<Vec<u8>>,
+    /// This MC life's serve report.
+    report: ServeReport,
+    /// Requests served per life before a crash.
+    bound: u64,
+    /// Crash-restarts left.
+    crashes: u32,
+}
+
+impl InThreadMc {
+    /// Serve `mc` for as long as the link lives.
+    pub fn new(mc: Mc) -> InThreadMc {
+        InThreadMc::crashing(mc, u64::MAX, 0)
+    }
+
+    /// Serve `mc` under the crash-restart schedule a caller of
+    /// [`serve_bounded`] drives: after every `bound` served requests the
+    /// MC crashes and comes back as a fresh MC with the next epoch,
+    /// `crashes` times, then stays up.
+    pub fn crashing(mc: Mc, bound: u64, crashes: u32) -> InThreadMc {
+        InThreadMc {
+            mc,
+            last: None,
+            replies: VecDeque::new(),
+            report: ServeReport::default(),
+            bound,
+            crashes,
+        }
+    }
+}
+
+impl Transport for InThreadMc {
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
+        if let Some(wire) = frame_reply(&mut self.mc, &mut self.last, &frame, &mut self.report) {
+            self.replies.push_back(wire);
+        }
+        if self.crashes > 0 && self.report.served == self.bound {
+            // A restarted MC answers as a fresh one: no residence mirror,
+            // initial data, no kept reply, and an epoch the CC has not
+            // seen.
+            self.crashes -= 1;
+            self.mc.restart_session();
+            self.mc.set_epoch(self.mc.epoch() + 1);
+            self.last = None;
+            self.report = ServeReport::default();
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
+        self.replies.pop_front().ok_or(NetError::Timeout)
+    }
+
+    fn pending(&self) -> usize {
+        self.replies.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use softcache_asm::assemble;
     use softcache_isa::layout::TEXT_BASE;
-    use softcache_net::{thread_pair, FaultPlan, FaultyTransport, LossyTransport};
+    use softcache_net::{thread_pair, FaultPlan, FaultyTransport};
     use std::time::Duration;
 
     fn test_mc() -> Mc {
@@ -483,14 +556,15 @@ mod tests {
 
     #[test]
     fn lossy_link_recovers_via_retry() {
-        let (cc_t, mut mc_t) = thread_pair(Duration::from_millis(30));
-        let server = std::thread::spawn(move || {
-            let mut mc = test_mc();
-            serve(&mut mc, &mut mc_t);
-        });
-        // Drop every 2nd frame and duplicate every 3rd: the RPC layer must
-        // still complete every exchange, in order.
-        let lossy = LossyTransport::new(cc_t, 2, 3);
+        // Drop and duplicate 30 % of the frames each way: the RPC layer
+        // must still complete every exchange, in order.
+        let plan = FaultPlan {
+            drop_per_mille: 300,
+            dup_per_mille: 300,
+            ..FaultPlan::clean(7)
+        };
+        let lossy = FaultyTransport::new(InThreadMc::new(test_mc()), plan);
+        let counters = lossy.counters();
         let mut ep = McEndpoint::remote_with_policy(Box::new(lossy), LinkPolicy::eager(16));
         let mut events = 0;
         for i in 0..8 {
@@ -503,9 +577,58 @@ mod tests {
             assert!(matches!(out.reply, Reply::Chunk(_)), "rpc {i}");
             events += out.session.events();
         }
+        let injected = *counters.lock().unwrap();
+        assert!(
+            injected.dropped > 0 && injected.duplicated > 0,
+            "{injected:?}"
+        );
         assert!(events > 0, "drops must be visible as recovery events");
-        drop(ep);
-        server.join().unwrap();
+    }
+
+    #[test]
+    fn in_thread_mc_answers_byte_identically_to_serve_bounded() {
+        // One request stream holding every kind of frame `frame_reply`
+        // tells apart.
+        let fetch = |dest: u32| {
+            Request::FetchBlock {
+                orig_pc: TEXT_BASE,
+                dest,
+            }
+            .encode()
+        };
+        let mut corrupt = seal(3, 0, &fetch(0x40_0020));
+        *corrupt.last_mut().unwrap() ^= 1;
+        let stream = vec![
+            seal(1, 0, &fetch(0x40_0000)),
+            seal(1, 0, &fetch(0x40_0000)), // retransmitted: resealed reply
+            seal(2, 0, &fetch(0x40_0010)),
+            seal(1, 0, &fetch(0x40_0000)), // stale older duplicate: no reply
+            corrupt,                       // CRC drop: no reply
+            vec![0; 4],                    // runt: no reply
+            seal(3, 0, &fetch(0x40_0020)),
+        ];
+
+        let (mut cc_t, mut mc_t) = thread_pair(Duration::from_secs(5));
+        let server = std::thread::spawn(move || {
+            let mut mc = test_mc();
+            serve_bounded(&mut mc, &mut mc_t, u64::MAX)
+        });
+        for frame in &stream {
+            cc_t.send(frame.clone()).unwrap();
+        }
+        let threaded: Vec<Vec<u8>> = (0..4).map(|_| cc_t.recv().unwrap()).collect();
+        drop(cc_t);
+        let report = server.join().unwrap();
+        assert_eq!(report.served, 3);
+        assert_eq!(report.dup_requests, 2);
+        assert_eq!((report.crc_drops, report.runt_frames), (1, 1));
+
+        let mut in_thread = InThreadMc::new(test_mc());
+        for frame in stream {
+            in_thread.send(frame).unwrap();
+        }
+        let replies: Vec<Vec<u8>> = std::iter::from_fn(|| in_thread.recv().ok()).collect();
+        assert_eq!(replies, threaded);
     }
 
     #[test]

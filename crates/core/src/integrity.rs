@@ -35,29 +35,11 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Integrity/watchdog knobs, carried by the cache configs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IntegrityConfig {
-    /// Verify the seal of the trap target at every miss/hash trap entry
-    /// before redirecting the PC into it. Armed automatically whenever a
-    /// fault plan is injected; off by default so clean-run figures and
-    /// steady-state throughput are untouched (hash traps survive into
-    /// steady state, and a CRC per dispatch is not free).
-    pub verify_traps: bool,
-    /// A chunk whose seal fails more than this many times is pinned to
-    /// the slow-path interpreter instead of being retranslated again —
-    /// graceful degradation, never a retranslate livelock.
-    pub watchdog_threshold: u32,
-}
-
-impl Default for IntegrityConfig {
-    fn default() -> IntegrityConfig {
-        IntegrityConfig {
-            verify_traps: false,
-            watchdog_threshold: 3,
-        }
-    }
-}
+/// Seal failures a chunk may accumulate before the watchdog pins it to
+/// the slow-path interpreter: past this many, it is degraded instead of
+/// retranslated again, so a stuck chunk can never livelock the
+/// retranslate loop.
+pub(crate) const WATCHDOG_THRESHOLD: u32 = 3;
 
 /// The self-healing ledger. All counters are host-side bookkeeping:
 /// sealing and scrubbing charge zero simulated cycles (the model assumes
@@ -292,33 +274,6 @@ impl SealTable {
     /// Start addresses of every sealed span, in address order.
     pub fn starts(&self) -> Vec<u32> {
         self.spans.keys().copied().collect()
-    }
-
-    /// Number of sealed spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Total sealed words (the injection target space).
-    pub fn total_words(&self) -> u64 {
-        self.spans.values().map(|e| (e.len_bytes / 4) as u64).sum()
-    }
-
-    /// Address of the `k`-th sealed word, in address order.
-    pub fn word_at(&self, mut k: u64) -> Option<u32> {
-        for (&start, e) in &self.spans {
-            let words = (e.len_bytes / 4) as u64;
-            if k < words {
-                return Some(start + (k as u32) * 4);
-            }
-            k -= words;
-        }
-        None
     }
 }
 

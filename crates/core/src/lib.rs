@@ -46,9 +46,9 @@ pub mod xlate;
 pub use cc::{CacheError, Cc, IcacheConfig, IcacheStats, TcachePolicy};
 pub use datarun::{DataRunOutput, SoftDcacheSystem};
 pub use dcache::{Dcache, DcacheConfig, DcacheStats, Prediction, WritePolicy};
-pub use endpoint::{serve, serve_bounded, McEndpoint, RpcOutcome, ServeReport};
+pub use endpoint::{serve, serve_bounded, InThreadMc, McEndpoint, RpcOutcome, ServeReport};
 pub use icache::{RunOutput, SoftIcacheSystem};
-pub use integrity::{IntegrityConfig, IntegrityStats, MemFaultInjector, MemFaultPlan};
+pub use integrity::{IntegrityStats, MemFaultInjector, MemFaultPlan};
 pub use mc::{ChunkStrategy, Mc, McStats};
 pub use power::{BankConfig, BankModel};
 pub use proc::{ProcCacheSystem, ProcConfig, ProcRunOutput, ProcStats};

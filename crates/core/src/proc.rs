@@ -35,10 +35,10 @@
 //! prefetch-never-evicts-pinned invariant holds here trivially.
 
 use crate::addr_map::{AddrMap, AddrSet};
-use crate::cc::CacheError;
+use crate::cc::{CacheError, RRPV_FRESH, RRPV_HOT, RRPV_MAX, RRPV_WARM};
 use crate::endpoint::McEndpoint;
 use crate::integrity::{
-    IntegrityConfig, IntegrityStats, MemFaultInjector, MemFaultPlan, SealTable,
+    IntegrityStats, MemFaultInjector, MemFaultPlan, SealTable, WATCHDOG_THRESHOLD,
 };
 use crate::mc::{errcode, Mc};
 use crate::protocol::{ChunkPayload, ExitDesc, PatchKind, Reply, Request};
@@ -108,11 +108,10 @@ pub(crate) fn rewrite_proc(mc: &mut Mc, orig_pc: u32, _dest: u32) -> Result<Chun
     })
 }
 
-/// Configuration of the procedure-granularity cache.
+/// Configuration of the procedure-granularity cache. The CC code memory
+/// starts at [`TCACHE_BASE`], where the simulator watches code writes.
 #[derive(Clone, Copy, Debug)]
 pub struct ProcConfig {
-    /// Base of the CC code memory.
-    pub base: u32,
     /// Total CC code memory in bytes (redirectors + procedures) — the
     /// "CC memory" swept in Figure 8.
     pub memory_bytes: u32,
@@ -131,9 +130,6 @@ pub struct ProcConfig {
     /// bit-identical either way
     /// (`tests/fault_soak.rs::proc_resync_recycles_addresses_without_stale_ras`).
     pub superblocks: bool,
-    /// Integrity-seal verification and corruption-watchdog knobs
-    /// (DESIGN.md §13).
-    pub integrity: IntegrityConfig,
     /// Instruction budget.
     pub fuel: u64,
 }
@@ -141,14 +137,12 @@ pub struct ProcConfig {
 impl Default for ProcConfig {
     fn default() -> ProcConfig {
         ProcConfig {
-            base: TCACHE_BASE,
             memory_bytes: 16 * 1024,
             link: LinkModel::default(),
             link_policy: LinkPolicy::default(),
             miss_handler_cycles: 60,
             install_cycles_per_word: 2,
             superblocks: true,
-            integrity: IntegrityConfig::default(),
             fuel: 2_000_000_000,
         }
     }
@@ -335,14 +329,6 @@ impl Heap {
     }
 }
 
-/// TRRIP buckets for the procedure tier (DESIGN.md §16), mirroring the
-/// basic-block tier: touched procedures go hot, previously evicted ones
-/// reinstall warm, first-time installs land near-distant.
-const PROC_RRPV_MAX: u8 = 3;
-const PROC_RRPV_HOT: u8 = 0;
-const PROC_RRPV_WARM: u8 = 1;
-const PROC_RRPV_FRESH: u8 = 2;
-
 #[derive(Clone, Copy, Debug)]
 enum RedirSlot {
     /// First word: `jal callee`.
@@ -413,7 +399,7 @@ struct ProcCc {
     /// CRC-32 seals over installed procedures and redirector words. Lives
     /// in CC metadata, never in simulated memory (DESIGN.md §13).
     seals: SealTable,
-    /// Verify seals at trap entry (armed when a fault plan is active).
+    /// Verify seals at trap entry. Armed only by `run_chaos`.
     armed: bool,
     /// Seal failures per ORIGINAL procedure entry. Deliberately survives
     /// resync so a stuck-at fault cannot livelock the retranslate loop
@@ -421,9 +407,11 @@ struct ProcCc {
     fails: AddrMap<u32>,
     /// Procedures the watchdog has pinned to the slow path.
     pinned_origs: AddrSet,
-    /// Re-reference prediction per resident procedure entry. Victim
-    /// selection under heap pressure takes the highest RRPV instead of
-    /// strict recency (DESIGN.md §16).
+    /// Re-reference prediction per resident procedure entry, in the
+    /// basic-block tier's buckets (`cc::RRPV_*`): touched procedures go
+    /// hot, previously evicted ones reinstall warm, first-time installs
+    /// land near-distant. Victim selection under heap pressure takes the
+    /// highest RRPV instead of strict recency (DESIGN.md §16).
     rrpv: AddrMap<u8>,
     /// Lifetime entries per procedure, never cleared — breaks RRPV ties
     /// towards the procedure entered least over the whole run.
@@ -433,8 +421,8 @@ struct ProcCc {
 impl ProcCc {
     fn new(cfg: ProcConfig) -> ProcCc {
         ProcCc {
-            heap: Heap::new(cfg.base, cfg.memory_bytes),
-            armed: cfg.integrity.verify_traps,
+            heap: Heap::new(TCACHE_BASE, cfg.memory_bytes),
+            armed: false,
             cfg,
             resident: AddrMap::default(),
             redir_by_site: AddrMap::default(),
@@ -448,12 +436,6 @@ impl ProcCc {
             rrpv: AddrMap::default(),
             heat: AddrMap::default(),
         }
-    }
-
-    /// Turn on seal verification at every trap entry (implied by running
-    /// under a fault plan).
-    fn arm_integrity(&mut self) {
-        self.armed = true;
     }
 
     fn rpc(
@@ -521,7 +503,7 @@ impl ProcCc {
         self.clock += 1;
         let now = self.clock;
         self.heap.touch(func, now);
-        self.rrpv.insert(func, PROC_RRPV_HOT);
+        self.rrpv.insert(func, RRPV_HOT);
         *self.heat.entry(func).or_insert(0) += 1;
         Some(tc)
     }
@@ -627,18 +609,18 @@ impl ProcCc {
             .collect();
         let max = procs
             .iter()
-            .map(|&(_, f, _)| self.rrpv.get(&f).copied().unwrap_or(PROC_RRPV_FRESH))
+            .map(|&(_, f, _)| self.rrpv.get(&f).copied().unwrap_or(RRPV_FRESH))
             .max()?;
-        if max < PROC_RRPV_MAX {
-            let delta = PROC_RRPV_MAX - max;
+        if max < RRPV_MAX {
+            let delta = RRPV_MAX - max;
             for v in self.rrpv.values_mut() {
-                *v = (*v + delta).min(PROC_RRPV_MAX);
+                *v = (*v + delta).min(RRPV_MAX);
             }
         }
         procs
             .into_iter()
             .max_by_key(|&(i, f, lu)| {
-                let r = self.rrpv.get(&f).copied().unwrap_or(PROC_RRPV_FRESH);
+                let r = self.rrpv.get(&f).copied().unwrap_or(RRPV_FRESH);
                 let heat = self.heat.get(&f).copied().unwrap_or(0);
                 use std::cmp::Reverse;
                 (r, Reverse(heat), Reverse(lu), Reverse(i))
@@ -753,9 +735,9 @@ impl ProcCc {
         // A procedure seen before reinstalls warm; a first-time install
         // lands near-distant until it proves itself.
         let insert = if self.heat.contains_key(&chunk.orig_start) {
-            PROC_RRPV_WARM
+            RRPV_WARM
         } else {
-            PROC_RRPV_FRESH
+            RRPV_FRESH
         };
         self.rrpv.insert(chunk.orig_start, insert);
         *self.heat.entry(chunk.orig_start).or_insert(0) += 1;
@@ -896,8 +878,7 @@ impl ProcCc {
         if let Some(orig) = hit {
             let fails = self.fails.entry(orig).or_insert(0);
             *fails += 1;
-            let newly_pinned =
-                *fails > self.cfg.integrity.watchdog_threshold && self.pinned_origs.insert(orig);
+            let newly_pinned = *fails > WATCHDOG_THRESHOLD && self.pinned_origs.insert(orig);
             if newly_pinned {
                 self.stats.integrity.slow_path_pins += 1;
             } else {
@@ -1079,9 +1060,7 @@ impl ProcCacheSystem {
         self.endpoint.set_policy(self.cfg.link_policy);
         self.endpoint.begin_session();
         let mut injector = self.chaos.map(MemFaultInjector::new);
-        if injector.is_some() {
-            cc.arm_integrity();
-        }
+        cc.armed = injector.is_some();
         let entry = cc.ensure(&mut machine, &mut self.endpoint, self.image.entry)?;
         machine.cpu.pc = entry;
         let fuel = self.cfg.fuel;
@@ -1361,11 +1340,11 @@ int main() { return f(getc()); }
             cc.heap.carve(idx, 16, RegionKind::Proc { func, last_use });
         }
         // 0x100 is entered constantly; the others installed and idled.
-        cc.rrpv.insert(0x100, PROC_RRPV_HOT);
+        cc.rrpv.insert(0x100, RRPV_HOT);
         cc.heat.insert(0x100, 50);
-        cc.rrpv.insert(0x200, PROC_RRPV_FRESH);
+        cc.rrpv.insert(0x200, RRPV_FRESH);
         cc.heat.insert(0x200, 3);
-        cc.rrpv.insert(0x300, PROC_RRPV_FRESH);
+        cc.rrpv.insert(0x300, RRPV_FRESH);
         cc.heat.insert(0x300, 1);
         // Max RRPV is FRESH (2), so everyone ages by 1; the victim is the
         // distant proc with the least lifetime heat — NOT the LRU (0x100).
@@ -1374,8 +1353,8 @@ int main() { return f(getc()); }
             cc.heap.regions[v].kind,
             RegionKind::Proc { func: 0x300, .. }
         ));
-        assert_eq!(cc.rrpv[&0x100], PROC_RRPV_HOT + 1);
-        assert_eq!(cc.rrpv[&0x200], PROC_RRPV_MAX);
+        assert_eq!(cc.rrpv[&0x100], RRPV_HOT + 1);
+        assert_eq!(cc.rrpv[&0x200], RRPV_MAX);
         // Recency still breaks exact (rrpv, heat) ties.
         cc.heat.insert(0x300, 3);
         let v = cc.pick_victim().unwrap();

@@ -15,9 +15,10 @@
 //! [`McServer::serve_event`] is the one fleet server: a single poll loop
 //! over every client's nonblocking [`Transport::try_recv`], multiplexing
 //! all per-client session state (sequence/epoch, duplicate suppression,
-//! batch budgets) from one thread, with fair-share scheduling and
-//! admission control ([`ServeQuotas`]). A thread-per-client deployment is
-//! N single-tenant [`crate::endpoint::serve`] loops.
+//! batch budgets) from one thread, with fair-share scheduling
+//! (`FAIR_SHARE`) and admission control (`MAX_PENDING`). A
+//! thread-per-client deployment is N single-tenant
+//! [`crate::endpoint::serve`] loops.
 
 use crate::endpoint::{absorb_mc_stats, frame_reply, ServeReport};
 use crate::mc::{ChunkStrategy, Mc};
@@ -27,31 +28,17 @@ use softcache_net::{ReadySet, Transport};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-client scheduling and admission quotas for
-/// [`McServer::serve_event`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeQuotas {
-    /// Requests served per client per poll round before the loop moves
-    /// on — fair-share batching so one chatty client cannot starve the
-    /// rest of the round.
-    pub fair_share: u32,
-    /// Queued frames a client may accumulate; the excess beyond this is
-    /// shed unprocessed (counted as admission rejections) instead of
-    /// growing an unbounded queue. Shedding is safe: a well-behaved CC
-    /// has at most one exchange in flight, so only a flooding client
-    /// ever exceeds a sane bound, and its session retry layer recovers
-    /// exactly as from wire loss.
-    pub max_pending: usize,
-}
+/// Requests served per client per poll round of
+/// [`McServer::serve_event`] before the loop moves on — fair-share
+/// batching so one chatty client cannot starve the rest of the round.
+const FAIR_SHARE: u32 = 8;
 
-impl Default for ServeQuotas {
-    fn default() -> ServeQuotas {
-        ServeQuotas {
-            fair_share: 8,
-            max_pending: 64,
-        }
-    }
-}
+/// Queued frames a client may accumulate; the excess beyond this is shed
+/// unprocessed (counted as admission rejections) instead of growing an
+/// unbounded queue. Shedding is safe: a well-behaved CC has at most one
+/// exchange in flight, so only a flooding client ever exceeds the bound,
+/// and its session retry layer recovers exactly as from wire loss.
+const MAX_PENDING: usize = 64;
 
 /// A multi-client MC server over one shared program image.
 pub struct McServer {
@@ -59,19 +46,17 @@ pub struct McServer {
     epoch: u32,
     strategy: ChunkStrategy,
     shared: Arc<SharedXlate>,
-    quotas: ServeQuotas,
 }
 
 impl McServer {
-    /// Server over `image`, epoch 1, basic-block chunks, an
-    /// amply-budgeted shared translation cache and default quotas.
+    /// Server over `image`, epoch 1, basic-block chunks and an
+    /// amply-budgeted shared translation cache.
     pub fn new(image: Image) -> McServer {
         McServer {
             image: Arc::new(image),
             epoch: 1,
             strategy: ChunkStrategy::BasicBlock,
             shared: Arc::new(SharedXlate::default()),
-            quotas: ServeQuotas::default(),
         }
     }
 
@@ -83,12 +68,6 @@ impl McServer {
     /// Set the chunk-formation strategy for every per-client MC.
     pub fn set_strategy(&mut self, strategy: ChunkStrategy) {
         self.strategy = strategy;
-    }
-
-    /// Replace the per-client quotas used by [`McServer::serve_event`].
-    pub fn set_quotas(&mut self, quotas: ServeQuotas) {
-        assert!(quotas.fair_share >= 1, "a round must serve something");
-        self.quotas = quotas;
     }
 
     /// The shared image (for spinning up clients against the same text).
@@ -121,10 +100,9 @@ impl McServer {
     /// how many are connected.
     ///
     /// Serving a client measures its queue depth (high-water mark in
-    /// [`ServeReport::queue_hwm`]), sheds any backlog beyond
-    /// [`ServeQuotas::max_pending`]
-    /// ([`ServeReport::admission_rejections`]), then answers up to
-    /// [`ServeQuotas::fair_share`] requests via the nonblocking
+    /// [`ServeReport::queue_hwm`]), sheds any backlog beyond 64 frames
+    /// (`MAX_PENDING`, counted in [`ServeReport::admission_rejections`]),
+    /// then answers up to 8 requests (`FAIR_SHARE`) via the nonblocking
     /// [`Transport::try_recv`].
     ///
     /// Replies are produced by the same `frame_reply` path as the
@@ -181,7 +159,7 @@ impl McServer {
                 if !tn.live {
                     continue;
                 }
-                let saturated = tn.poll(self.quotas);
+                let saturated = tn.poll();
                 if !tn.live {
                     live -= 1;
                     continue;
@@ -216,14 +194,14 @@ impl Tenant {
     /// fair share of replies. Flips `live` off on hangup. Returns whether
     /// the round spent its entire fair share without the queue running
     /// dry — i.e. there may be more behind it that no send will announce.
-    fn poll(&mut self, quotas: ServeQuotas) -> bool {
+    fn poll(&mut self) -> bool {
         let before = self.mc.stats;
         let mut hangup = false;
         let mut saturated = true;
         // Admission control: bound the backlog before serving it.
         let depth = self.transport.pending();
         self.report.queue_hwm = self.report.queue_hwm.max(depth as u64);
-        let mut shed = depth.saturating_sub(quotas.max_pending);
+        let mut shed = depth.saturating_sub(MAX_PENDING);
         while shed > 0 {
             match self.transport.try_recv() {
                 Ok(Some(_)) => {
@@ -238,7 +216,7 @@ impl Tenant {
             }
         }
         // Fair share: at most this many answers per round.
-        for _ in 0..quotas.fair_share {
+        for _ in 0..FAIR_SHARE {
             if hangup {
                 break;
             }
@@ -275,7 +253,7 @@ mod tests {
     use crate::endpoint::McEndpoint;
     use crate::icache::SoftIcacheSystem;
     use softcache_minic as minic;
-    use softcache_net::{policy_pair, thread_pair, LinkPolicy, LossyTransport};
+    use softcache_net::{policy_pair, thread_pair, FaultPlan, FaultyTransport, LinkPolicy};
 
     const SRC: &str = r#"
 int main() {
@@ -355,35 +333,37 @@ int main() {
     #[test]
     #[should_panic(expected = "transport 0 cannot register readiness")]
     fn event_loop_refuses_transports_without_readiness() {
-        // `LossyTransport` keeps the trait's declining `register_ready`.
+        // `FaultyTransport` keeps the trait's declining `register_ready`.
         // The client end is already gone, so a loop that scanned instead
         // of refusing would see the hangup and return normally.
         let (cc_t, mc_t) = thread_pair(Duration::from_millis(10));
         drop(cc_t);
-        McServer::new(image()).serve_event(vec![Box::new(LossyTransport::new(mc_t, 0, 0))]);
+        let faulty = FaultyTransport::new(mc_t, FaultPlan::clean(1));
+        McServer::new(image()).serve_event(vec![Box::new(faulty)]);
     }
 
     #[test]
     fn admission_control_sheds_flooding_client() {
-        let mut server = McServer::new(image());
-        server.set_quotas(ServeQuotas {
-            fair_share: 4,
-            max_pending: 8,
-        });
+        let server = McServer::new(image());
         let policy = LinkPolicy::default();
         let (mut cc_t, mc_t) = policy_pair(&policy);
-        // Flood 64 garbage frames before the server even starts: far
-        // over max_pending, so the backlog beyond the quota is shed.
-        for _ in 0..64 {
+        // Flood twice the backlog bound in garbage frames before the
+        // server even starts, so the backlog beyond the bound is shed.
+        let flood = 2 * MAX_PENDING;
+        for _ in 0..flood {
             cc_t.send(vec![0u8; 4]).unwrap();
         }
         drop(cc_t);
         let reports = server.serve_event(vec![Box::new(mc_t)]);
         let r = reports[0];
         assert!(r.disconnected);
-        assert!(r.queue_hwm >= 64, "backlog observed: {}", r.queue_hwm);
         assert!(
-            r.admission_rejections >= 32,
+            r.queue_hwm >= flood as u64,
+            "backlog observed: {}",
+            r.queue_hwm
+        );
+        assert!(
+            r.admission_rejections >= MAX_PENDING as u64,
             "excess shed: {}",
             r.admission_rejections
         );

@@ -308,15 +308,6 @@ impl SharedXlate {
     pub fn stats(&self) -> XlateStats {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).stats
     }
-
-    /// Distinct keys currently resident.
-    pub fn resident_chunks(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
-    }
 }
 
 impl Default for SharedXlate {

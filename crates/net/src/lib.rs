@@ -8,9 +8,8 @@
 //! * [`frame`] — byte-level message framing (the wire format is plain
 //!   little-endian fields, like the prototype's TCP messages);
 //! * [`transport`] — duplex transports: in-process queues (the fused SPARC
-//!   prototype "jumps back and forth"), crossbeam channels (the two-board
-//!   ARM setup, one thread per controller), and a lossy wrapper for
-//!   failure-injection tests;
+//!   prototype "jumps back and forth") and crossbeam channels (the
+//!   two-board ARM setup, one thread per controller);
 //! * [`envelope`] — the session-layer wire envelope (sequence number,
 //!   server epoch, CRC-32) that turns corruption into detectable loss and
 //!   makes MC restarts observable;
@@ -35,6 +34,5 @@ pub use fault::{FaultCounters, FaultPlan, FaultyTransport};
 pub use frame::{FrameReader, FrameWriter};
 pub use session::{LinkPolicy, SessionCounters};
 pub use transport::{
-    loopback_pair, policy_pair, thread_pair, LossyTransport, NetError, ReadySet, Transport,
-    HEADER_BYTES,
+    loopback_pair, policy_pair, thread_pair, NetError, ReadySet, Transport, HEADER_BYTES,
 };

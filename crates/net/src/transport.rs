@@ -20,8 +20,8 @@ pub const HEADER_BYTES: u32 = 30;
 pub enum NetError {
     /// The peer is gone (channel closed).
     Disconnected,
-    /// No frame arrived in time (used by the lossy transport and the
-    /// threaded transport's timeout).
+    /// No frame arrived in time (the threaded transport's timeout, an
+    /// empty loopback queue, or a frame lost to fault injection).
     Timeout,
 }
 
@@ -69,9 +69,10 @@ pub trait Transport: Send {
     ///
     /// Returns `false` when the transport cannot support readiness (the
     /// default). The MC's event loop (`McServer::serve_event`) refuses
-    /// such a transport. The fault-injection wrappers decline: they only
-    /// ever wrap client ends, and their delayed or reordered frames
-    /// surface on `recv` calls, not queue pushes.
+    /// such a transport. The fault-injection wrapper
+    /// ([`crate::FaultyTransport`]) declines: it only ever wraps client
+    /// ends, and its delayed or reordered frames surface on `recv` calls,
+    /// not queue pushes.
     fn register_ready(&mut self, set: &Arc<ReadySet>, token: usize) -> bool {
         let _ = (set, token);
         false
@@ -379,53 +380,6 @@ impl Transport for ChannelTransport {
     }
 }
 
-// ---- failure injection ----
-
-/// Wraps a transport and deterministically drops or duplicates outgoing
-/// frames, for testing that the RPC layer recovers without corrupting
-/// cache state.
-pub struct LossyTransport<T: Transport> {
-    inner: T,
-    counter: u64,
-    /// Drop every n-th outgoing frame (0 = never).
-    pub drop_every: u64,
-    /// Duplicate every n-th outgoing frame (0 = never).
-    pub dup_every: u64,
-}
-
-impl<T: Transport> LossyTransport<T> {
-    /// Wrap `inner`.
-    pub fn new(inner: T, drop_every: u64, dup_every: u64) -> LossyTransport<T> {
-        LossyTransport {
-            inner,
-            counter: 0,
-            drop_every,
-            dup_every,
-        }
-    }
-}
-
-impl<T: Transport> Transport for LossyTransport<T> {
-    fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        self.counter += 1;
-        if self.drop_every != 0 && self.counter.is_multiple_of(self.drop_every) {
-            return Ok(()); // silently dropped on the wire
-        }
-        if self.dup_every != 0 && self.counter.is_multiple_of(self.dup_every) {
-            self.inner.send(frame.clone())?;
-        }
-        self.inner.send(frame)
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        self.inner.recv()
-    }
-
-    fn pending(&self) -> usize {
-        self.inner.pending()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,26 +550,5 @@ mod tests {
         assert_eq!(set.drain_wait(Duration::from_secs(10)), vec![5]);
         assert!(t0.elapsed() < Duration::from_secs(10));
         h.join().unwrap();
-    }
-
-    #[test]
-    fn lossy_drops_and_duplicates() {
-        let (cc, mut mc) = loopback_pair();
-        let mut lossy = LossyTransport::new(cc, 3, 0);
-        lossy.send(vec![1]).unwrap();
-        lossy.send(vec![2]).unwrap();
-        lossy.send(vec![3]).unwrap(); // dropped
-        lossy.send(vec![4]).unwrap();
-        assert_eq!(mc.recv().unwrap(), vec![1]);
-        assert_eq!(mc.recv().unwrap(), vec![2]);
-        assert_eq!(mc.recv().unwrap(), vec![4]);
-
-        let (cc, mut mc) = loopback_pair();
-        let mut dupy = LossyTransport::new(cc, 0, 2);
-        dupy.send(vec![1]).unwrap();
-        dupy.send(vec![2]).unwrap(); // duplicated
-        assert_eq!(mc.recv().unwrap(), vec![1]);
-        assert_eq!(mc.recv().unwrap(), vec![2]);
-        assert_eq!(mc.recv().unwrap(), vec![2]);
     }
 }

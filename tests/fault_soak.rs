@@ -5,16 +5,14 @@
 //! tcache corruption), and the session layer must account for what it
 //! survived.
 
-use softcache::core::endpoint::{serve, serve_bounded, McEndpoint};
+use softcache::core::endpoint::{serve, serve_bounded, InThreadMc, McEndpoint};
 use softcache::core::icache::SoftIcacheSystem;
 use softcache::core::mc::Mc;
 use softcache::core::proc::{ProcCacheSystem, ProcConfig};
 use softcache::core::{IcacheConfig, TcachePolicy};
 use softcache::isa::Image;
 use softcache::net::transport::{ChannelTransport, NetError};
-use softcache::net::{
-    policy_pair, FaultPlan, FaultyTransport, LinkPolicy, LossyTransport, Transport,
-};
+use softcache::net::{policy_pair, FaultPlan, FaultyTransport, LinkPolicy, Transport};
 use softcache::sim::Machine;
 use softcache::workloads::by_name;
 use std::time::Duration;
@@ -568,32 +566,34 @@ fn transient_partition_mid_run_heals_via_retry() {
 
 // ---- simulated-time accounting ----
 
-/// Satellite check for the stall-cycle ledger: under `drop_every = 2`
-/// every lost exchange is charged full extra round trips in simulated
-/// time, and the extra is exactly the `backoff_cycles` ledger — so lossy
-/// stall == clean stall + ledger, cycle for cycle.
+/// Satellite check for the stall-cycle ledger: when 30 % of the frames
+/// are lost each way, every lost exchange is charged full extra round
+/// trips in simulated time, and the extra is exactly the `backoff_cycles`
+/// ledger — so lossy stall == clean stall + ledger, cycle for cycle. The
+/// MC answers on the test's thread, so no recovery event can come from a
+/// late thread instead of the plan.
 #[test]
 fn retry_stalls_are_accounted_in_simulated_time() {
     let w = by_name("adpcmenc").unwrap();
     let image = w.image(true);
     let input = (w.gen_input)(1);
 
-    let run = |drop_every: u64| {
-        let (server, cc_t) = spawn_server(image.clone());
-        let lossy = LossyTransport::new(cc_t, drop_every, 0);
+    let run = |plan: FaultPlan| {
+        let mc = InThreadMc::new(Mc::new(image.clone()));
+        let link = FaultyTransport::new(mc, plan);
         let mut sys = SoftIcacheSystem::with_endpoint(
             image.clone(),
             soak_config(),
-            McEndpoint::remote(Box::new(lossy)),
+            McEndpoint::remote(Box::new(link)),
         );
-        let out = sys.run(&input).unwrap();
-        drop(sys);
-        server.join().unwrap();
-        out
+        sys.run(&input).unwrap()
     };
 
-    let clean = run(0);
-    let lossy = run(2);
+    let clean = run(FaultPlan::clean(2));
+    let lossy = run(FaultPlan {
+        drop_per_mille: 300,
+        ..FaultPlan::clean(2)
+    });
     assert_eq!(clean.output, lossy.output);
     assert_eq!(
         clean.cache.link.session.events(),

@@ -8,7 +8,7 @@ use softcache::core::icache::SoftIcacheSystem;
 use softcache::core::mc::Mc;
 use softcache::core::proc::{ProcCacheSystem, ProcConfig};
 use softcache::core::IcacheConfig;
-use softcache::net::{thread_pair, LossyTransport};
+use softcache::net::{thread_pair, FaultPlan, FaultyTransport};
 use softcache::sim::Machine;
 use softcache::workloads::by_name;
 use std::time::Duration;
@@ -59,9 +59,15 @@ fn workload_over_lossy_remote_icache() {
     let want = native.run_native(100_000_000).unwrap();
 
     let (server, cc_t) = spawn_server(image.clone());
-    // Drop every 5th frame, duplicate every 7th: the RPC layer's
-    // sequence-number retry protocol must absorb both.
-    let lossy = LossyTransport::new(cc_t, 5, 7);
+    // Drop about every 5th frame and duplicate about every 7th: the RPC
+    // layer's sequence-number retry protocol must absorb both.
+    let plan = FaultPlan {
+        drop_per_mille: 200,
+        dup_per_mille: 140,
+        ..FaultPlan::clean(57)
+    };
+    let lossy = FaultyTransport::new(cc_t, plan);
+    let injected = lossy.counters();
     let mut sys = SoftIcacheSystem::with_endpoint(
         image,
         IcacheConfig::default(),
@@ -70,6 +76,11 @@ fn workload_over_lossy_remote_icache() {
     let out = sys.run(&input).unwrap();
     assert_eq!(out.exit_code, want, "losses must never corrupt the tcache");
     assert_eq!(out.output, native.env.output);
+    let injected = *injected.lock().unwrap();
+    assert!(
+        injected.dropped > 0 && injected.duplicated > 0,
+        "{injected:?}"
+    );
     drop(sys);
     server.join().unwrap();
 }
