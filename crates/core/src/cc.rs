@@ -522,11 +522,11 @@ pub struct Cc {
     /// tcache bytes so unused banks can be gated off.
     power: Option<BankModel>,
     /// CRC-32 seals over every installed span — CC metadata, never
-    /// simulated memory (DESIGN.md §13).
-    seals: SealTable,
-    /// Verify seals at trap entry before redirecting the PC. Armed by
-    /// [`Cc::arm_integrity`], which only a `run_chaos` calls.
-    armed: bool,
+    /// simulated memory (DESIGN.md §13). `Some` only once
+    /// [`Cc::arm_integrity`] armed verification, which only a `run_chaos`
+    /// does: an unarmed run computes and stores no seal, because nothing
+    /// would read one.
+    seals: Option<SealTable>,
     /// Watchdog: seal failures per original chunk address. Survives
     /// flushes — resetting it would let a stuck chunk livelock the
     /// retranslate loop across epochs.
@@ -543,7 +543,6 @@ impl Cc {
     pub fn new(cfg: IcacheConfig) -> Cc {
         Cc {
             free: FreeList::new(TCACHE_BASE, cfg.tcache_size),
-            armed: false,
             cfg,
             map: AddrMap::default(),
             chunks: Vec::new(),
@@ -560,17 +559,22 @@ impl Cc {
             generation: 0,
             pending_prefetch: AddrSet::default(),
             power: None,
-            seals: SealTable::default(),
+            seals: None,
             fails: AddrMap::default(),
             pinned_origs: AddrSet::default(),
             stats: IcacheStats::default(),
         }
     }
 
-    /// Arm trap-entry seal verification: the run is under a memory-fault
-    /// plan.
+    /// Arm seal upkeep and trap-entry verification: the run is under a
+    /// memory-fault plan. Call it before the first install, so that every
+    /// installed span is sealed.
     pub(crate) fn arm_integrity(&mut self) {
-        self.armed = true;
+        debug_assert!(
+            self.chunks.is_empty() && self.trampolines.is_empty(),
+            "armed after the first install"
+        );
+        self.seals = Some(SealTable::default());
     }
 
     /// The tcache address `orig` is currently translated to, if resident.
@@ -899,7 +903,9 @@ impl Cc {
         machine.predecode_range(dest, dest + n_words * 4);
         // Seal the finished span — body plus stub words, read back from
         // simulated memory so the seal covers exactly what will execute.
-        self.seals.seal(machine, dest, n_words * 4);
+        if let Some(seals) = &mut self.seals {
+            seals.seal(machine, dest, n_words * 4);
+        }
         // Insertion temperature: a chunk refetched soon after an eviction
         // is predicted to re-reference imminently; one ever evicted is
         // warm; a first-time fetch is in between; a speculative push has
@@ -1075,14 +1081,14 @@ impl Cc {
                 machine.mem.write_u32(addr, j).expect("mapped");
             }
         }
-        // Re-predecode the patched word immediately — backpatching is the
-        // common warm-up write, and the patched site sits in code the
-        // client is about to re-enter. (The write bumped the code
-        // generation, severing every superblock link; survivors re-chain
-        // lazily on their next dispatch.)
-        machine.predecode_range(addr, addr + 4);
+        // The write went through the code-write barrier, which drops the
+        // blocks that depend on the patched word and severs every
+        // superblock link; the next walk through the site lowers and
+        // re-chains them.
         // The containing chunk changed legitimately: recompute its seal.
-        self.seals.reseal_containing(machine, addr);
+        if let Some(seals) = &mut self.seals {
+            seals.reseal_containing(machine, addr);
+        }
         self.stats.patches += 1;
         Ok(())
     }
@@ -1120,19 +1126,12 @@ impl Cc {
     ) -> Result<u32, CacheError> {
         loop {
             let tc = self.ensure(machine, ep, orig)?;
-            if !self.armed {
-                return Ok(tc);
-            }
-            let Some((start, _)) = self.seals.containing(tc) else {
+            let Some((start, _)) = self.seals.as_ref().and_then(|s| s.containing(tc)) else {
                 return Ok(tc);
             };
-            self.stats.integrity.seals_checked += 1;
-            if self.seals.verify(machine, start) {
-                self.stats.integrity.seal_hits += 1;
+            if self.check_seal(machine, ep, start)? {
                 return Ok(tc);
             }
-            self.stats.integrity.violations += 1;
-            self.heal_span(machine, ep, start)?;
             // The heal dropped the corrupted translation; go around to
             // refetch a clean copy.
         }
@@ -1188,7 +1187,9 @@ impl Cc {
             idx,
             stub: false,
         });
-        self.seals.seal(machine, addr, 4);
+        if let Some(seals) = &mut self.seals {
+            seals.seal(machine, addr, 4);
+        }
         Some(addr)
     }
 
@@ -1234,7 +1235,9 @@ impl Cc {
         self.trampolines.clear();
         self.free_chunk_slots.clear();
         self.free_record_slots.clear();
-        self.seals.clear();
+        if let Some(seals) = &mut self.seals {
+            seals.clear();
+        }
         self.free.reset();
         self.generation += 1;
         if let Some(p) = &mut self.power {
@@ -1524,15 +1527,16 @@ impl Cc {
         let mut outgoing = take(&mut c.outgoing);
         self.heat.insert(orig, c.heat);
         self.map.remove(&orig);
-        self.seals.unseal(span_start);
+        if let Some(seals) = &mut self.seals {
+            seals.unseal(span_start);
+        }
         if self.pinned_origs.contains(&orig) {
             machine.unpin_slow_span(span_start, span_start + span_bytes);
         }
-        // Host-side hygiene: drop the superblocks over the span without a
-        // generation bump. Survivors keep their chain
-        // links — every route into the dead span is severed below (or was
-        // already write-barriered by the re-pointing itself).
-        machine.invalidate_code_span(span_start, span_start + span_bytes);
+        // The superblocks over the span stay cached: they still match the
+        // unchanged words, and every route into the span is severed below.
+        // The next install there writes the words, and the code-write
+        // barrier drops them then.
         if let Some(p) = &mut self.power {
             p.release(span_start, span_bytes);
         }
@@ -1571,11 +1575,12 @@ impl Cc {
             }
         }
         // The sites' home chunks changed legitimately: reseal each once.
-        for (k, inc) in incoming.iter().enumerate() {
-            let home = inc.from_chunk;
-            if self.chunks[home].alive && !incoming[..k].iter().any(|i| i.from_chunk == home) {
-                let start = self.chunks[home].tc_start;
-                self.seals.reseal_containing(machine, start);
+        if let Some(seals) = &mut self.seals {
+            for (k, inc) in incoming.iter().enumerate() {
+                let home = &self.chunks[inc.from_chunk];
+                if home.alive && !incoming[..k].iter().any(|i| i.from_chunk == inc.from_chunk) {
+                    seals.reseal_containing(machine, home.tc_start);
+                }
             }
         }
 
@@ -1678,7 +1683,9 @@ impl Cc {
     /// code-write barrier drops any superblock lowered over it.
     fn retire_redirector(&mut self, pos: usize) {
         let t = self.trampolines.remove(pos);
-        self.seals.unseal(t.addr);
+        if let Some(seals) = &mut self.seals {
+            seals.unseal(t.addr);
+        }
         self.free.release(t.addr, 4);
     }
 
@@ -1712,7 +1719,9 @@ impl Cc {
             idx,
             stub: true,
         });
-        self.seals.seal(machine, addr, 4);
+        if let Some(seals) = &mut self.seals {
+            seals.seal(machine, addr, 4);
+        }
         Some(addr)
     }
 
@@ -1724,27 +1733,53 @@ impl Cc {
     /// are regenerated from CC metadata. Called after every injection
     /// checkpoint — before the guest resumes — so no corrupted
     /// instruction ever retires; the armed trap-entry checks are
-    /// defense-in-depth on top.
-    pub fn verify_and_heal(
+    /// defense-in-depth on top. An unarmed CC holds no seals and checks
+    /// nothing.
+    pub(crate) fn verify_and_heal(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
     ) -> Result<(), CacheError> {
-        for start in self.seals.starts() {
+        let starts = self
+            .seals
+            .as_ref()
+            .map(SealTable::starts)
+            .unwrap_or_default();
+        for start in starts {
             // An earlier heal this pass (quarantine, or its degrade-to-
             // flush) may have dropped this span already.
-            if !self.seals.sealed_at(start) {
-                continue;
+            if self.seals.as_ref().is_some_and(|s| s.sealed_at(start)) {
+                self.check_seal(machine, ep, start)?;
             }
-            self.stats.integrity.seals_checked += 1;
-            if self.seals.verify(machine, start) {
-                self.stats.integrity.seal_hits += 1;
-                continue;
-            }
-            self.stats.integrity.violations += 1;
-            self.heal_span(machine, ep, start)?;
         }
         Ok(())
+    }
+
+    /// Verify the sealed span starting at `start` and heal it on a
+    /// mismatch, recording the verdict in the integrity ledger. Returns
+    /// whether the span matched its seal. Only an armed CC verifies.
+    fn check_seal(
+        &mut self,
+        machine: &mut Machine,
+        ep: &mut McEndpoint,
+        start: u32,
+    ) -> Result<bool, CacheError> {
+        let seals = self.seals.as_ref().expect("only an armed CC verifies");
+        let intact = seals.verify(machine, start);
+        let ledger = &mut self.stats.integrity;
+        ledger.seals_checked += 1;
+        if intact {
+            ledger.seal_hits += 1;
+        } else {
+            ledger.violations += 1;
+            self.heal_span(machine, ep, start)?;
+        }
+        debug_assert!(
+            self.stats.integrity.balanced(),
+            "unbalanced integrity ledger: {:?}",
+            self.stats.integrity
+        );
+        Ok(intact)
     }
 
     /// Recover the corrupted sealed span starting at `start`. Exactly one
@@ -1784,12 +1819,15 @@ impl Cc {
                 .mem
                 .write_u32(addr, encode(Inst::Miss { idx }))
                 .expect("tcache mapped");
-            machine.predecode_range(addr, addr + 4);
-            self.seals.seal(machine, addr, 4);
+            if let Some(seals) = &mut self.seals {
+                seals.seal(machine, addr, 4);
+            }
             self.stats.integrity.retranslations += 1;
         } else {
             // Unreachable with consistent metadata: drop the orphan seal.
-            self.seals.unseal(start);
+            if let Some(seals) = &mut self.seals {
+                seals.unseal(start);
+            }
             self.stats.integrity.retranslations += 1;
         }
         Ok(())
@@ -1911,6 +1949,7 @@ enum RaLoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softcache_sim::{Step, Trap};
 
     /// A TRRIP controller over a 64-word arena at `B`. Victim selection
     /// reads only CC metadata, so no machine is needed.
@@ -2056,6 +2095,122 @@ mod tests {
         cc.install(&mut machine, chunk, dest, 0, false).unwrap();
         assert_eq!(cc.used_bytes(), 20);
         assert_eq!(cc.translation_of(0x1000), Some(dest));
+    }
+
+    /// Two nested loops whose translation overflows a 384 B tcache, so a
+    /// run installs, backpatches and evicts.
+    const LOOPS: &str = r#"
+int mix(int x) { return x * 7 + 3; }
+int spin(int x) {
+    int i;
+    for (i = 0; i < 40; i = i + 1) x = mix(x) % 9973;
+    return x;
+}
+int main() {
+    int i; int s;
+    s = 1;
+    for (i = 0; i < 50; i = i + 1) s = (s + spin(s + i)) % 100000;
+    return s % 128;
+}
+"#;
+
+    /// Run `LOOPS` on the block engine through a TRRIP CC of 384 B,
+    /// armed before its first install or not, calling `check` after the
+    /// first install and after every serviced trap.
+    fn drive_loops(armed: bool, mut check: impl FnMut(&Cc, &Machine)) -> Cc {
+        let image =
+            softcache_minic::compile_to_image(LOOPS, &softcache_minic::Options::default()).unwrap();
+        let mut machine = Machine::load_client(&image, &[]);
+        let mut cc = Cc::new(IcacheConfig {
+            tcache_size: 384,
+            link: LinkModel::free(),
+            ..IcacheConfig::default()
+        });
+        if armed {
+            cc.arm_integrity();
+        }
+        let mut ep = McEndpoint::direct(crate::mc::Mc::new(image.clone()));
+        machine.cpu.pc = cc.ensure(&mut machine, &mut ep, image.entry).unwrap();
+        check(&cc, &machine);
+        loop {
+            match machine.run_block(Machine::BLOCK_STEPS).unwrap() {
+                Step::Running => {}
+                Step::Exited(_) => break,
+                Step::Trapped(Trap::Miss { idx, .. }) => {
+                    cc.handle_miss(&mut machine, &mut ep, idx).unwrap();
+                }
+                Step::Trapped(Trap::HashJump { target, .. })
+                | Step::Trapped(Trap::HashCall { target, .. }) => {
+                    machine.cpu.pc = cc.hash_jump(&mut machine, &mut ep, target).unwrap();
+                }
+                Step::Trapped(t) => panic!("unexpected trap {t:?}"),
+            }
+            check(&cc, &machine);
+        }
+        assert!(
+            cc.stats.patches > 0 && cc.stats.evictions > 0,
+            "the run backpatched and evicted: {:?}",
+            cc.stats
+        );
+        cc
+    }
+
+    #[test]
+    fn an_unarmed_cc_keeps_no_seals() {
+        let cc = drive_loops(false, |cc, _| assert!(cc.seals.is_none()));
+        assert_eq!(cc.stats.integrity, IntegrityStats::default());
+    }
+
+    #[test]
+    fn an_armed_cc_seals_every_live_chunk_and_redirector() {
+        let mut redirectors_seen = 0;
+        let cc = drive_loops(true, |cc, machine| {
+            let seals = cc.seals.as_ref().expect("armed");
+            let mut live: Vec<u32> = cc
+                .chunks
+                .iter()
+                .filter(|c| c.alive)
+                .map(|c| c.tc_start)
+                .collect();
+            live.extend(cc.trampolines.iter().map(|t| t.addr));
+            live.sort_unstable();
+            assert_eq!(
+                seals.starts(),
+                live,
+                "one seal per live chunk and redirector"
+            );
+            assert!(
+                live.iter().all(|&start| seals.verify(machine, start)),
+                "every seal is current"
+            );
+            redirectors_seen = redirectors_seen.max(cc.trampolines.len());
+        });
+        assert!(redirectors_seen > 0, "the run placed redirectors");
+        let s = cc.stats.integrity;
+        assert!(
+            s.seals_checked > 0 && s.seal_hits == s.seals_checked,
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "armed after the first install")]
+    fn arming_after_an_install_is_refused() {
+        let mut cc = Cc::new(IcacheConfig::default());
+        let mut machine = Machine::load_client(&softcache_isa::Image::new(), &[]);
+        let chunk = ChunkPayload {
+            orig_start: 0x1000,
+            body_words: 1,
+            words: vec![encode(Inst::J { off: 0 })],
+            exits: Vec::new(),
+            resolved: Vec::new(),
+            extra_orig: Vec::new(),
+        };
+        assert!(cc.free.alloc_at(TCACHE_BASE, 4));
+        cc.install(&mut machine, chunk, TCACHE_BASE, 0, false)
+            .unwrap();
+        cc.arm_integrity();
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   trampoline, stub, redirector), computed from simulated memory at
 //!   install/backpatch time and stored **in CC metadata**, not in
 //!   simulated memory — the paper's memory-footprint figures are
-//!   unchanged, exactly as for the tcache map itself.
+//!   unchanged, exactly as for the tcache map itself. A cache controller
+//!   keeps one only on a run armed for verification.
 //! * [`MemFaultPlan`] / [`MemFaultInjector`] — a seeded, deterministic
 //!   SplitMix64 schedule of bit flips aimed at tcache code, redirector
 //!   words and dcache lines: the memory-side mirror of the link layer's
@@ -58,7 +59,7 @@ pub struct IntegrityStats {
     /// stub word from CC metadata.
     pub retranslations: u64,
     /// Chunks quarantined: arena links severed, map entry and records
-    /// killed, decode/uop spans invalidated.
+    /// killed.
     pub quarantines: u64,
     /// Violations resolved by the watchdog pinning the chunk to the
     /// slow-path interpreter.

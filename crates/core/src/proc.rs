@@ -397,10 +397,10 @@ struct ProcCc {
     clock: u64,
     stats: ProcStats,
     /// CRC-32 seals over installed procedures and redirector words. Lives
-    /// in CC metadata, never in simulated memory (DESIGN.md §13).
-    seals: SealTable,
-    /// Verify seals at trap entry. Armed only by `run_chaos`.
-    armed: bool,
+    /// in CC metadata, never in simulated memory (DESIGN.md §13). `Some`
+    /// only once `arm_integrity` armed verification, which only
+    /// `run_chaos` does: an unarmed run keeps no seal.
+    seals: Option<SealTable>,
     /// Seal failures per ORIGINAL procedure entry. Deliberately survives
     /// resync so a stuck-at fault cannot livelock the retranslate loop
     /// across epochs.
@@ -422,7 +422,6 @@ impl ProcCc {
     fn new(cfg: ProcConfig) -> ProcCc {
         ProcCc {
             heap: Heap::new(TCACHE_BASE, cfg.memory_bytes),
-            armed: false,
             cfg,
             resident: AddrMap::default(),
             redir_by_site: AddrMap::default(),
@@ -430,12 +429,23 @@ impl ProcCc {
             records: Vec::new(),
             clock: 0,
             stats: ProcStats::default(),
-            seals: SealTable::default(),
+            seals: None,
             fails: AddrMap::default(),
             pinned_origs: AddrSet::default(),
             rrpv: AddrMap::default(),
             heat: AddrMap::default(),
         }
+    }
+
+    /// Arm seal upkeep and trap-entry verification: the run is under a
+    /// memory-fault plan. Call it before the first install, so that every
+    /// installed span is sealed.
+    fn arm_integrity(&mut self) {
+        debug_assert!(
+            self.resident.is_empty() && self.redirectors.is_empty(),
+            "armed after the first install"
+        );
+        self.seals = Some(SealTable::default());
     }
 
     fn rpc(
@@ -480,7 +490,9 @@ impl ProcCc {
         // Every seal is stale: the procedure seals cover now-freed regions
         // and the redirector words are about to be rewritten (resealing
         // them below). The `fails` ledger is deliberately kept.
-        self.seals.clear();
+        if let Some(seals) = &mut self.seals {
+            seals.clear();
+        }
         for ridx in 0..self.redirectors.len() {
             self.write_redir_word(machine, ridx, RedirSlot::Callee);
             self.write_redir_word(machine, ridx, RedirSlot::Continuation);
@@ -545,7 +557,9 @@ impl ProcCc {
         machine.predecode_range(addr, addr + 4);
         // Each redirector word is independently regenerable from CC
         // metadata, so it gets its own one-word seal.
-        self.seals.seal(machine, addr, 4);
+        if let Some(seals) = &mut self.seals {
+            seals.seal(machine, addr, 4);
+        }
     }
 
     /// Evict the procedure in heap region `idx`, fixing every redirector
@@ -563,7 +577,9 @@ impl ProcCc {
         let proc = self.resident.remove(&func).expect("resident");
         self.heap.release(idx);
         self.rrpv.remove(&func);
-        self.seals.unseal(proc.tc_start);
+        if let Some(seals) = &mut self.seals {
+            seals.unseal(proc.tc_start);
+        }
         if self.pinned_origs.contains(&func) {
             machine.unpin_slow_span(proc.tc_start, proc.tc_start + proc.orig_size);
         }
@@ -764,7 +780,9 @@ impl ProcCc {
             machine.pin_slow_span(tc_start, tc_start + bytes);
         }
         machine.predecode_range(tc_start, tc_start + bytes);
-        self.seals.seal(machine, tc_start, bytes);
+        if let Some(seals) = &mut self.seals {
+            seals.seal(machine, tc_start, bytes);
+        }
         self.stats.fetches += 1;
         self.stats.words_installed += chunk.words.len() as u64;
         let cycles = self.cfg.miss_handler_cycles
@@ -820,43 +838,61 @@ impl ProcCc {
     ) -> Result<u32, CacheError> {
         loop {
             let tc = self.ensure(machine, ep, orig)?;
-            if !self.armed {
-                return Ok(tc);
-            }
-            let Some((start, _)) = self.seals.containing(tc) else {
+            let Some((start, _)) = self.seals.as_ref().and_then(|s| s.containing(tc)) else {
                 return Ok(tc);
             };
-            self.stats.integrity.seals_checked += 1;
-            if self.seals.verify(machine, start) {
-                self.stats.integrity.seal_hits += 1;
+            if self.check_seal(machine, ep, start)? {
                 return Ok(tc);
             }
-            self.stats.integrity.violations += 1;
-            self.heal_span(machine, ep, start)?;
         }
     }
 
     /// Verify every live seal, healing each failed span before the guest
-    /// can resume.
+    /// can resume. An unarmed CC holds no seals and checks nothing.
     fn verify_and_heal(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
     ) -> Result<(), CacheError> {
-        for start in self.seals.starts() {
+        let starts = self
+            .seals
+            .as_ref()
+            .map(SealTable::starts)
+            .unwrap_or_default();
+        for start in starts {
             // Healing earlier spans may have unsealed this one.
-            if !self.seals.sealed_at(start) {
-                continue;
+            if self.seals.as_ref().is_some_and(|s| s.sealed_at(start)) {
+                self.check_seal(machine, ep, start)?;
             }
-            self.stats.integrity.seals_checked += 1;
-            if self.seals.verify(machine, start) {
-                self.stats.integrity.seal_hits += 1;
-                continue;
-            }
-            self.stats.integrity.violations += 1;
-            self.heal_span(machine, ep, start)?;
         }
         Ok(())
+    }
+
+    /// Verify the sealed span starting at `start` and heal it on a
+    /// mismatch, recording the verdict in the integrity ledger. Returns
+    /// whether the span matched its seal. Only an armed CC verifies.
+    fn check_seal(
+        &mut self,
+        machine: &mut Machine,
+        ep: &mut McEndpoint,
+        start: u32,
+    ) -> Result<bool, CacheError> {
+        let seals = self.seals.as_ref().expect("only an armed CC verifies");
+        let intact = seals.verify(machine, start);
+        let ledger = &mut self.stats.integrity;
+        ledger.seals_checked += 1;
+        if intact {
+            ledger.seal_hits += 1;
+        } else {
+            ledger.violations += 1;
+            self.heal_span(machine, ep, start)?;
+        }
+        debug_assert!(
+            self.stats.integrity.balanced(),
+            "unbalanced integrity ledger: {:?}",
+            self.stats.integrity
+        );
+        Ok(intact)
     }
 
     /// Quarantine and repair one corrupted sealed span. Procedures are
@@ -903,7 +939,9 @@ impl ProcCc {
             return Ok(());
         }
         // Stale bookkeeping (span no longer owned by anything): drop it.
-        self.seals.unseal(start);
+        if let Some(seals) = &mut self.seals {
+            seals.unseal(start);
+        }
         self.stats.integrity.retranslations += 1;
         Ok(())
     }
@@ -1060,7 +1098,9 @@ impl ProcCacheSystem {
         self.endpoint.set_policy(self.cfg.link_policy);
         self.endpoint.begin_session();
         let mut injector = self.chaos.map(MemFaultInjector::new);
-        cc.armed = injector.is_some();
+        if injector.is_some() {
+            cc.arm_integrity();
+        }
         let entry = cc.ensure(&mut machine, &mut self.endpoint, self.image.entry)?;
         machine.cpu.pc = entry;
         let fuel = self.cfg.fuel;

@@ -133,10 +133,15 @@ fn backpatched_stub_is_observed_by_superblock_engine() {
     assert_eq!(exit, native_exit(), "program semantics preserved");
 }
 
+/// A TRRIP tcache small enough that fills evict: freed spans keep their
+/// lowered superblocks until the next install writes over them.
+const EVICTING: u32 = 384;
+
 /// Full differential run of the softcache client: the block engine
 /// (`run_block`) against the reference interpreter (`step`) must agree
 /// bit-for-bit — exit code, cycle count, every execution counter and every
-/// CC statistic — at an ample tcache and at a thrashing one.
+/// CC statistic — at an ample tcache, at a thrashing one, and at one
+/// where eviction frees spans that other chunks then refill.
 #[test]
 fn block_engine_client_matches_reference_exactly() {
     let run = |tcache_size: u32, engine: bool| -> (i32, ExecStats, IcacheStats) {
@@ -156,7 +161,7 @@ fn block_engine_client_matches_reference_exactly() {
         (exit, machine.stats, cc.stats)
     };
     let want = native_exit();
-    for tcache_size in [8 * 1024, 2048] {
+    for tcache_size in [8 * 1024, 2048, EVICTING] {
         let engine = run(tcache_size, true);
         let reference = run(tcache_size, false);
         assert_eq!(
@@ -171,6 +176,9 @@ fn block_engine_client_matches_reference_exactly() {
             engine.2.patches > 0,
             "{tcache_size} B: run exercised backpatching"
         );
+        if tcache_size == EVICTING {
+            assert!(engine.2.evictions > 0, "{tcache_size} B: run evicted");
+        }
     }
 }
 

@@ -511,34 +511,14 @@ impl Machine {
         self.uops.clear_pins();
     }
 
-    /// Drop the superblocks that depend on a word in `[lo, hi)` *without*
-    /// a code-write generation bump. The cache controller calls this when
-    /// it evicts a single chunk: the span's addresses are about to be
-    /// recycled, so its host-side lowerings are garbage, but the rest of
-    /// the tcache is untouched and survivors keep their arena ids and
-    /// threaded bodies. A dropped block's id is not reused before the
-    /// generation moves on, so links and inline caches into it stay safe
-    /// to follow until the next write into the span — a fresh install —
-    /// severs them through the ordinary barrier. This is hygiene —
-    /// reclaiming dead lowering state eagerly and keeping the demotion
-    /// ledger exact — not a correctness requirement. Host-side only:
-    /// simulated results are bit-identical with or without the call.
-    pub fn invalidate_code_span(&mut self, lo: u32, hi: u32) {
-        // Consume any pending dirty span first so this invalidation cannot
-        // race the barrier's own bookkeeping.
-        self.sync_uops();
-        self.uops.invalidate_span(lo, hi);
-        self.trace.demotions += self.uops.take_threaded_drops();
-    }
-
     /// Eagerly lower `[lo, hi)` at block starts: lower the superblock at
     /// `lo`, then the next at each lowered block's `exit_pc`, stepping one
     /// word over words not worth lowering. Each installed word is decoded
-    /// once. The cache controller calls this after installing or
-    /// backpatching a chunk — it knows the chunk boundaries, so its
-    /// straight-line path is lowered once at install time instead of
-    /// lazily on first execution; blocks entered mid-chunk (branch
-    /// targets) still lower lazily on first entry. Links are not formed
+    /// once. The cache controller calls this after installing a chunk —
+    /// it knows the chunk boundaries, so its straight-line path is
+    /// lowered once at install time instead of lazily on first execution;
+    /// blocks entered mid-chunk (branch targets) still lower lazily on
+    /// first entry. Links are not formed
     /// here: the first walk through each leg forms it in-walk, since the
     /// successor is already lowered. Purely an optimisation: lazy fill
     /// behind the generation barrier gives identical results. With the

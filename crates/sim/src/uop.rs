@@ -1568,9 +1568,9 @@ impl UopCache {
     /// Links need no per-span treatment: a dropped block's id is retired,
     /// not reused, until the generation moves on, so a link stamped with
     /// the current generation still names the same, unchanged block. That
-    /// makes this safe without a code write too (chunk eviction,
-    /// interpreter pins): the block still matches memory until the next write into
-    /// its span, and that write severs every link at once.
+    /// makes this safe without a code write too (interpreter pins): the
+    /// block still matches memory until the next write into its span, and
+    /// that write severs every link at once.
     pub(crate) fn invalidate_span(&mut self, lo: u32, hi: u32) {
         debug_assert!(self.reach <= MAX_SPAN_BYTES, "reach {}", self.reach);
         let first = (lo.saturating_sub(self.reach) >> 2) as usize;
