@@ -10,8 +10,9 @@
 //! on the stack, which the known frame layout lets it walk.
 
 use crate::addr_map::{AddrMap, AddrSet};
+use crate::arena::{Arena, Tier};
 use crate::endpoint::McEndpoint;
-use crate::integrity::{IntegrityStats, MemFaultInjector, SealTable, TickFire, WATCHDOG_THRESHOLD};
+use crate::integrity::IntegrityStats;
 use crate::power::BankModel;
 use crate::protocol::{ChunkPayload, PatchKind, Reply, Request};
 use softcache_isa::inst::Inst;
@@ -258,143 +259,6 @@ impl From<SimError> for CacheError {
     }
 }
 
-/// First-fit free-list allocator over the tcache region: sorted,
-/// coalesced, non-adjacent holes. With the `FlushAll` policy the list
-/// always holds one tail hole and degenerates to the paper's bump
-/// pointer; eviction punches reusable holes into the middle.
-#[derive(Clone, Debug)]
-struct FreeList {
-    base: u32,
-    size: u32,
-    /// `(start, len)` holes, sorted by start, never empty-length.
-    holes: Vec<(u32, u32)>,
-}
-
-impl FreeList {
-    fn new(base: u32, size: u32) -> FreeList {
-        // Word granularity: an unaligned tail byte count could never hold
-        // an instruction, and high-end allocation must stay 4-aligned.
-        let size = size & !3;
-        FreeList {
-            base,
-            size,
-            holes: vec![(base, size)],
-        }
-    }
-
-    /// Forget every allocation (the local half of a flush/resync).
-    fn reset(&mut self) {
-        self.holes.clear();
-        self.holes.push((self.base, self.size));
-    }
-
-    fn free_bytes(&self) -> u32 {
-        self.holes.iter().map(|&(_, l)| l).sum()
-    }
-
-    /// Bytes allocated out of the arena (which `new` rounded down to
-    /// whole words).
-    fn used_bytes(&self) -> u32 {
-        self.size - self.free_bytes()
-    }
-
-    /// Index of the arena word holding `addr`, if the arena holds it.
-    fn word_index(&self, addr: u32) -> Option<usize> {
-        let off = addr.checked_sub(self.base)?;
-        (off < self.size).then_some(off as usize / 4)
-    }
-
-    /// The largest hole as `(start, len)` — `len` 0 when full. Ties go to
-    /// the lowest address, so a fresh tcache yields its base.
-    fn largest(&self) -> (u32, u32) {
-        self.holes
-            .iter()
-            .copied()
-            .max_by_key(|&(s, l)| (l, std::cmp::Reverse(s)))
-            .unwrap_or((self.base, 0))
-    }
-
-    /// First-fit allocation at the lowest address with room. The install
-    /// path carves holes directly (`largest` + `alloc_at`); this remains
-    /// as the reference allocator exercised by the free-list unit tests.
-    #[cfg(test)]
-    fn alloc(&mut self, bytes: u32) -> Option<u32> {
-        let i = self.holes.iter().position(|&(_, l)| l >= bytes)?;
-        let (s, l) = self.holes[i];
-        if l == bytes {
-            self.holes.remove(i);
-        } else {
-            self.holes[i] = (s + bytes, l - bytes);
-        }
-        Some(s)
-    }
-
-    /// Allocation from the top of the highest hole with room — used for
-    /// redirector words, which collect at the high end of the arena so
-    /// the holes eviction opens for chunk-sized fills stay coalescible.
-    fn alloc_high(&mut self, bytes: u32) -> Option<u32> {
-        let i = self.holes.iter().rposition(|&(_, l)| l >= bytes)?;
-        let (s, l) = self.holes[i];
-        if l == bytes {
-            self.holes.remove(i);
-        } else {
-            self.holes[i] = (s, l - bytes);
-        }
-        Some(s + l - bytes)
-    }
-
-    /// The hole containing `addr`, if any.
-    fn hole_at(&self, addr: u32) -> Option<(u32, u32)> {
-        self.holes
-            .iter()
-            .copied()
-            .find(|&(s, l)| s <= addr && addr < s + l)
-    }
-
-    /// Carve the exact range `[start, start + bytes)` out of whichever
-    /// hole contains it; `false` if no hole does.
-    fn alloc_at(&mut self, start: u32, bytes: u32) -> bool {
-        let Some(i) = self
-            .holes
-            .iter()
-            .position(|&(s, l)| s <= start && start + bytes <= s + l)
-        else {
-            return false;
-        };
-        let (s, l) = self.holes[i];
-        let end = start + bytes;
-        match (start > s, s + l > end) {
-            (true, true) => {
-                self.holes[i] = (s, start - s);
-                self.holes.insert(i + 1, (end, s + l - end));
-            }
-            (true, false) => self.holes[i] = (s, start - s),
-            (false, true) => self.holes[i] = (end, s + l - end),
-            (false, false) => {
-                self.holes.remove(i);
-            }
-        }
-        true
-    }
-
-    /// Return `[start, start + len)` to the list, coalescing neighbours.
-    fn release(&mut self, start: u32, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let i = self.holes.partition_point(|&(s, _)| s < start);
-        self.holes.insert(i, (start, len));
-        if i + 1 < self.holes.len() && self.holes[i].0 + self.holes[i].1 == self.holes[i + 1].0 {
-            self.holes[i].1 += self.holes[i + 1].1;
-            self.holes.remove(i + 1);
-        }
-        if i > 0 && self.holes[i - 1].0 + self.holes[i - 1].1 == self.holes[i].0 {
-            self.holes[i - 1].1 += self.holes[i].1;
-            self.holes.remove(i);
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct MissRecord {
     orig_target: u32,
@@ -482,8 +346,9 @@ pub struct Cc {
     /// index lets a corrupted single-word span be regenerated purely
     /// from this metadata, no refetch needed.
     trampolines: Vec<Redir>,
-    /// tcache allocator (a bump pointer until eviction punches holes).
-    free: FreeList,
+    /// The tcache's free list (a bump pointer until eviction punches
+    /// holes), seals and watchdog.
+    arena: Arena,
     /// Dead `chunks` slots available for reuse — under `Trrip` the vec
     /// would otherwise grow (and `chunk_at` slow down) forever.
     free_chunk_slots: Vec<usize>,
@@ -521,19 +386,6 @@ pub struct Cc {
     /// Optional banked-SRAM power model (§4): tracks which banks hold live
     /// tcache bytes so unused banks can be gated off.
     power: Option<BankModel>,
-    /// CRC-32 seals over every installed span — CC metadata, never
-    /// simulated memory (DESIGN.md §13). `Some` only once
-    /// [`Cc::arm_integrity`] armed verification, which only a `run_chaos`
-    /// does: an unarmed run computes and stores no seal, because nothing
-    /// would read one.
-    seals: Option<SealTable>,
-    /// Watchdog: seal failures per original chunk address. Survives
-    /// flushes — resetting it would let a stuck chunk livelock the
-    /// retranslate loop across epochs.
-    fails: AddrMap<u32>,
-    /// Chunks pinned to the slow-path interpreter by the watchdog,
-    /// keyed by original address so the pin follows reinstallation.
-    pinned_origs: AddrSet,
     /// Statistics.
     pub stats: IcacheStats,
 }
@@ -542,7 +394,7 @@ impl Cc {
     /// Fresh controller.
     pub fn new(cfg: IcacheConfig) -> Cc {
         Cc {
-            free: FreeList::new(TCACHE_BASE, cfg.tcache_size),
+            arena: Arena::new(TCACHE_BASE, cfg.tcache_size),
             cfg,
             map: AddrMap::default(),
             chunks: Vec::new(),
@@ -559,22 +411,8 @@ impl Cc {
             generation: 0,
             pending_prefetch: AddrSet::default(),
             power: None,
-            seals: None,
-            fails: AddrMap::default(),
-            pinned_origs: AddrSet::default(),
             stats: IcacheStats::default(),
         }
-    }
-
-    /// Arm seal upkeep and trap-entry verification: the run is under a
-    /// memory-fault plan. Call it before the first install, so that every
-    /// installed span is sealed.
-    pub(crate) fn arm_integrity(&mut self) {
-        debug_assert!(
-            self.chunks.is_empty() && self.trampolines.is_empty(),
-            "armed after the first install"
-        );
-        self.seals = Some(SealTable::default());
     }
 
     /// The tcache address `orig` is currently translated to, if resident.
@@ -609,7 +447,7 @@ impl Cc {
 
     /// Bytes of tcache currently allocated.
     pub fn used_bytes(&self) -> u32 {
-        self.free.used_bytes()
+        self.arena.free.used_bytes()
     }
 
     /// Is `orig` currently translated?
@@ -623,20 +461,14 @@ impl Cc {
 
     fn rpc(&mut self, ep: &mut McEndpoint, req: &Request) -> Result<(Reply, u64), CacheError> {
         let out = ep.rpc(req)?;
-        let stall = self.stats.link.record_attempts(
-            &self.cfg.link,
-            out.req_bytes,
-            out.rep_bytes,
-            out.attempts,
-            out.backoff,
-        );
-        self.stats.link.session.absorb(&out.session);
+        let stall = out.charge(&mut self.stats.link, &self.cfg.link);
         Ok((out.reply, stall))
     }
 
     /// Chunk id containing tcache address `addr`, if any.
     fn chunk_at(&self, addr: u32) -> Option<usize> {
         let id = self
+            .arena
             .free
             .word_index(addr)
             .and_then(|w| self.owner[w].checked_sub(1))
@@ -660,6 +492,7 @@ impl Cc {
     fn set_owner(&mut self, id: usize, owner: u32) {
         let c = &self.chunks[id];
         let lo = self
+            .arena
             .free
             .word_index(c.tc_start)
             .expect("chunks live in the arena");
@@ -700,6 +533,7 @@ impl Cc {
             let tc = c.tc_start;
             if self.pending_prefetch.remove(&orig) {
                 self.stats.link.prefetch_hits += 1;
+                self.debug_check_prefetch_ledger();
             }
             return Ok(tc);
         }
@@ -714,7 +548,7 @@ impl Cc {
         let mut roomed: u32 = 0;
         let mut batch_ok = self.cfg.prefetch_depth > 0;
         loop {
-            let (dest, budget) = self.free.largest();
+            let (dest, budget) = self.arena.free.largest();
             let req = if batch_ok {
                 Request::FetchBatch {
                     orig_pc: orig,
@@ -793,7 +627,7 @@ impl Cc {
                 self.stats.link.batches += 1;
             }
             let demand = it.next().expect("checked non-empty");
-            let carved = self.free.alloc_at(dest, bytes);
+            let carved = self.arena.free.alloc_at(dest, bytes);
             debug_assert!(carved, "largest hole must fit a checked demand");
             self.install(machine, demand, dest, self.cfg.miss_handler_cycles, false)?;
             // Opportunistically install the pushed chunks right behind the
@@ -804,16 +638,17 @@ impl Cc {
             for chunk in it {
                 let d = cursor;
                 let bytes = chunk.words.len() as u32 * 4;
-                if self.map.contains_key(&chunk.orig_start) || !self.free.alloc_at(d, bytes) {
+                if self.map.contains_key(&chunk.orig_start) || !self.arena.free.alloc_at(d, bytes) {
                     // Unreachable with an honest MC: pushes are budget-
                     // bounded and skip resident chunks.
                     return Err(CacheError::Proto);
                 }
                 let orig_start = chunk.orig_start;
+                self.install(machine, chunk, d, 0, true)?;
                 self.stats.link.prefetched_chunks += 1;
                 self.stats.link.prefetched_bytes += bytes as u64;
-                self.install(machine, chunk, d, 0, true)?;
                 self.pending_prefetch.insert(orig_start);
+                self.debug_check_ledgers();
                 cursor = d + bytes;
             }
             return Ok(dest);
@@ -889,23 +724,10 @@ impl Cc {
                 .write_u32(dest + exit.stub_slot * 4, encode(Inst::Miss { idx }))
                 .expect("stub slot in range");
         }
-        // A watchdog-pinned chunk is excluded from superblock lowering:
-        // its span runs on the reference interpreter wherever it gets
-        // reinstalled.
-        if self.pinned_origs.contains(&chunk.orig_start) {
-            machine.pin_slow_span(dest, dest + n_words * 4);
-        }
-        // The chunk body and its miss stubs are final: lower the range
-        // eagerly at block starts, so the first pass through freshly
-        // installed code already runs as one chained trace (each link
-        // forms the first time the walk takes its leg). A no-op when the
-        // superblock engine is off.
-        machine.predecode_range(dest, dest + n_words * 4);
-        // Seal the finished span — body plus stub words, read back from
-        // simulated memory so the seal covers exactly what will execute.
-        if let Some(seals) = &mut self.seals {
-            seals.seal(machine, dest, n_words * 4);
-        }
+        // The chunk body and its miss stubs are final: place the span
+        // (each trace link forms the first time the walk takes its leg).
+        self.arena
+            .place(machine, chunk.orig_start, dest, n_words * 4);
         // Insertion temperature: a chunk refetched soon after an eviction
         // is predicted to re-reference imminently; one ever evicted is
         // warm; a first-time fetch is in between; a speculative push has
@@ -982,7 +804,33 @@ impl Cc {
         let cycles = handler_cycles + self.cfg.install_cycles_per_word * n_words as u64;
         self.stats.miss_cycles += cycles;
         machine.stats.cycles += cycles;
+        self.debug_check_ledgers();
         Ok(())
+    }
+
+    /// Debug check of the install ledger (every translation is live,
+    /// evicted, invalidated or lost to a flush) and the prefetch ledger,
+    /// run where their counters change. Release builds skip the count.
+    fn debug_check_ledgers(&self) {
+        if cfg!(debug_assertions) {
+            let residents = self.chunks.iter().filter(|c| c.alive).count() as u64;
+            let s = IcacheStats {
+                residents,
+                ..self.stats
+            };
+            assert!(s.install_ledger_balanced(), "install ledger: {s:?}");
+            self.debug_check_prefetch_ledger();
+        }
+    }
+
+    /// Debug check: every pushed chunk is a hit, a waste or still pending.
+    fn debug_check_prefetch_ledger(&self) {
+        let l = &self.stats.link;
+        debug_assert_eq!(
+            l.prefetch_hits + l.prefetch_wastes + self.pending_prefetch.len() as u64,
+            l.prefetched_chunks,
+            "prefetch ledger: {l:?}"
+        );
     }
 
     /// Record a branch site in `inc.from_chunk` that jumps into chunk
@@ -1086,9 +934,7 @@ impl Cc {
         // superblock link; the next walk through the site lowers and
         // re-chains them.
         // The containing chunk changed legitimately: recompute its seal.
-        if let Some(seals) = &mut self.seals {
-            seals.reseal_containing(machine, addr);
-        }
+        self.arena.reseal_containing(machine, addr);
         self.stats.patches += 1;
         Ok(())
     }
@@ -1112,29 +958,6 @@ impl Cc {
         // `ensure` (inside `verified_target`) settles the prefetch ledger
         // on the map-hit path.
         self.verified_target(machine, ep, orig_target)
-    }
-
-    /// [`Cc::ensure`] plus — when integrity verification is armed — a
-    /// seal check of the target span *before* the PC is redirected into
-    /// it. A corrupted target is quarantined and refetched through the
-    /// ordinary miss path, so the trap never lands in corrupted code.
-    fn verified_target(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        orig: u32,
-    ) -> Result<u32, CacheError> {
-        loop {
-            let tc = self.ensure(machine, ep, orig)?;
-            let Some((start, _)) = self.seals.as_ref().and_then(|s| s.containing(tc)) else {
-                return Ok(tc);
-            };
-            if self.check_seal(machine, ep, start)? {
-                return Ok(tc);
-            }
-            // The heal dropped the corrupted translation; go around to
-            // refetch a clean copy.
-        }
     }
 
     // ---- invalidation ----
@@ -1168,7 +991,7 @@ impl Cc {
         if let Some(t) = self.trampolines.iter().find(|t| !t.stub && t.orig == orig) {
             return Some(t.addr);
         }
-        let addr = self.free.alloc_high(4)?;
+        let addr = self.arena.free.alloc_high(4)?;
         if let Some(p) = &mut self.power {
             p.occupy(addr, 4);
         }
@@ -1187,9 +1010,7 @@ impl Cc {
             idx,
             stub: false,
         });
-        if let Some(seals) = &mut self.seals {
-            seals.seal(machine, addr, 4);
-        }
+        self.arena.seal(machine, addr, 4);
         Some(addr)
     }
 
@@ -1235,14 +1056,13 @@ impl Cc {
         self.trampolines.clear();
         self.free_chunk_slots.clear();
         self.free_record_slots.clear();
-        if let Some(seals) = &mut self.seals {
-            seals.clear();
-        }
-        self.free.reset();
+        self.arena.clear_seals();
+        self.arena.free.reset();
         self.generation += 1;
         if let Some(p) = &mut self.power {
             p.release_all();
         }
+        self.debug_check_ledgers();
     }
 
     /// Re-point previously collected return addresses at fresh trampolines
@@ -1362,7 +1182,7 @@ impl Cc {
         // neighbour is evictable the policy reseeds globally.
         let mut grow_from: Option<u32> = None;
         loop {
-            if self.free.largest().1 >= bytes {
+            if self.arena.free.largest().1 >= bytes {
                 return Ok(());
             }
             let adjacent = grow_from.and_then(|p| self.neighbour_victim(p));
@@ -1393,9 +1213,9 @@ impl Cc {
     fn guard_chunks(&mut self, machine: &Machine) {
         self.fill_stamp += 1;
         let stamp = self.fill_stamp;
-        if !self.pinned_origs.is_empty() {
+        if !self.arena.pinned.is_empty() {
             for c in self.chunks.iter_mut() {
-                if c.alive && self.pinned_origs.contains(&c.orig_start) {
+                if c.alive && self.arena.pinned.contains(&c.orig_start) {
                     c.guard = stamp;
                 }
             }
@@ -1448,7 +1268,7 @@ impl Cc {
     /// pathologically small sizes the retained hot set is the only thing
     /// cutting refetches.
     fn neighbour_victim(&self, p: u32) -> Option<usize> {
-        let (s, l) = self.free.hole_at(p)?;
+        let (s, l) = self.arena.free.hole_at(p)?;
         let eligible = |i: &usize| self.evictable(*i) && self.chunks[*i].rrpv > RRPV_HOT;
         let left = s.checked_sub(4).and_then(|a| self.chunk_at(a));
         let right = self.chunk_at(s + l);
@@ -1527,20 +1347,10 @@ impl Cc {
         let mut outgoing = take(&mut c.outgoing);
         self.heat.insert(orig, c.heat);
         self.map.remove(&orig);
-        if let Some(seals) = &mut self.seals {
-            seals.unseal(span_start);
-        }
-        if self.pinned_origs.contains(&orig) {
-            machine.unpin_slow_span(span_start, span_start + span_bytes);
-        }
-        // The superblocks over the span stay cached: they still match the
-        // unchanged words, and every route into the span is severed below.
-        // The next install there writes the words, and the code-write
-        // barrier drops them then.
+        self.arena.vacate(machine, orig, span_start, span_bytes);
         if let Some(p) = &mut self.power {
             p.release(span_start, span_bytes);
         }
-        self.free.release(span_start, span_bytes);
 
         // 1. Re-point incoming sites at fresh miss stubs.
         for inc in &incoming {
@@ -1575,11 +1385,11 @@ impl Cc {
             }
         }
         // The sites' home chunks changed legitimately: reseal each once.
-        if let Some(seals) = &mut self.seals {
+        if self.arena.seals.is_some() {
             for (k, inc) in incoming.iter().enumerate() {
                 let home = &self.chunks[inc.from_chunk];
                 if home.alive && !incoming[..k].iter().any(|i| i.from_chunk == inc.from_chunk) {
-                    seals.reseal_containing(machine, home.tc_start);
+                    self.arena.reseal_containing(machine, home.tc_start);
                 }
             }
         }
@@ -1627,6 +1437,7 @@ impl Cc {
             Err(CacheError::McRestarted) => self.resync(machine),
             Err(e) => return Err(e),
         }
+        self.debug_check_ledgers();
         Ok(true)
     }
 
@@ -1683,10 +1494,8 @@ impl Cc {
     /// code-write barrier drops any superblock lowered over it.
     fn retire_redirector(&mut self, pos: usize) {
         let t = self.trampolines.remove(pos);
-        if let Some(seals) = &mut self.seals {
-            seals.unseal(t.addr);
-        }
-        self.free.release(t.addr, 4);
+        self.arena.unseal(t.addr);
+        self.arena.free.release(t.addr, 4);
     }
 
     /// Settle the speculation ledger at the end of a run: pushed chunks
@@ -1695,6 +1504,7 @@ impl Cc {
     pub fn finalize_prefetch(&mut self) {
         self.stats.link.prefetch_wastes += self.pending_prefetch.len() as u64;
         self.pending_prefetch.clear();
+        self.debug_check_prefetch_ledger();
         // Settle the install ledger: every translation is now resident,
         // evicted, invalidated, or flush-lost — exactly once.
         self.stats.residents = self.chunks.iter().filter(|c| c.alive).count() as u64;
@@ -1702,7 +1512,7 @@ impl Cc {
 
     /// Allocate a standalone miss-stub word for record `idx`.
     fn alloc_stub(&mut self, machine: &mut Machine, idx: u32) -> Option<u32> {
-        let addr = self.free.alloc_high(4)?;
+        let addr = self.arena.free.alloc_high(4)?;
         machine
             .mem
             .write_u32(addr, encode(Inst::Miss { idx }))
@@ -1719,224 +1529,85 @@ impl Cc {
             idx,
             stub: true,
         });
-        if let Some(seals) = &mut self.seals {
-            seals.seal(machine, addr, 4);
-        }
+        self.arena.seal(machine, addr, 4);
         Some(addr)
     }
+}
 
-    // ---- integrity: verification, healing, fault injection ----
+impl Tier for Cc {
+    fn arena(&mut self) -> &mut Arena {
+        &mut self.arena
+    }
 
-    /// Verify every sealed span against simulated memory and heal any
-    /// mismatch: corrupted chunks are quarantined and left to refetch
-    /// through the ordinary miss path; corrupted trampoline/stub words
-    /// are regenerated from CC metadata. Called after every injection
-    /// checkpoint — before the guest resumes — so no corrupted
-    /// instruction ever retires; the armed trap-entry checks are
-    /// defense-in-depth on top. An unarmed CC holds no seals and checks
-    /// nothing.
-    pub(crate) fn verify_and_heal(
+    fn ledger(&mut self) -> &mut IntegrityStats {
+        &mut self.stats.integrity
+    }
+
+    fn ensure_resident(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
-    ) -> Result<(), CacheError> {
-        let starts = self
-            .seals
-            .as_ref()
-            .map(SealTable::starts)
-            .unwrap_or_default();
-        for start in starts {
-            // An earlier heal this pass (quarantine, or its degrade-to-
-            // flush) may have dropped this span already.
-            if self.seals.as_ref().is_some_and(|s| s.sealed_at(start)) {
-                self.check_seal(machine, ep, start)?;
-            }
-        }
-        Ok(())
+        orig: u32,
+    ) -> Result<u32, CacheError> {
+        self.ensure(machine, ep, orig)
     }
 
-    /// Verify the sealed span starting at `start` and heal it on a
-    /// mismatch, recording the verdict in the integrity ledger. Returns
-    /// whether the span matched its seal. Only an armed CC verifies.
-    fn check_seal(
+    /// Corrupted chunks are quarantined and left to refetch through the
+    /// ordinary miss path; corrupted trampoline and stub words regenerate
+    /// from CC metadata.
+    fn heal(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
         start: u32,
     ) -> Result<bool, CacheError> {
-        let seals = self.seals.as_ref().expect("only an armed CC verifies");
-        let intact = seals.verify(machine, start);
-        let ledger = &mut self.stats.integrity;
-        ledger.seals_checked += 1;
-        if intact {
-            ledger.seal_hits += 1;
-        } else {
-            ledger.violations += 1;
-            self.heal_span(machine, ep, start)?;
-        }
-        debug_assert!(
-            self.stats.integrity.balanced(),
-            "unbalanced integrity ledger: {:?}",
-            self.stats.integrity
-        );
-        Ok(intact)
-    }
-
-    /// Recover the corrupted sealed span starting at `start`. Exactly one
-    /// of `retranslations` / `slow_path_pins` is incremented per call,
-    /// keeping the ledger invariant exact.
-    fn heal_span(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        start: u32,
-    ) -> Result<(), CacheError> {
         if let Some(cid) = self.chunk_at(start) {
             let orig = self.chunks[cid].orig_start;
-            let fails = self.fails.entry(orig).or_insert(0);
-            *fails += 1;
-            let newly_pinned = *fails > WATCHDOG_THRESHOLD && self.pinned_origs.insert(orig);
-            if newly_pinned {
-                // Watchdog: this chunk keeps failing its seal — degrade
-                // it to the slow-path interpreter wherever it lands next
-                // instead of optimistically retranslating forever.
-                self.stats.integrity.slow_path_pins += 1;
-            } else {
-                self.stats.integrity.retranslations += 1;
-            }
-            self.stats.integrity.quarantines += 1;
-            // Quarantine: sever every pointer that marks the chunk valid
-            // (incoming branches, return addresses, map entry, records)
-            // and tell the MC. The next entry refetches a clean copy on
-            // the ordinary miss path.
+            self.arena.quarantine(orig, &mut self.stats.integrity);
+            // Sever every pointer that marks the chunk valid (incoming
+            // branches, return addresses, map entry, records) and tell the
+            // MC. The next entry refetches a clean copy.
             self.invalidate_chunk(machine, ep, orig)?;
         } else if let Some(&Redir { addr, idx, .. }) =
             self.trampolines.iter().find(|t| t.addr == start)
         {
-            // A single-word trampoline/stub: regenerate it from CC
-            // metadata — no refetch needed.
             machine
                 .mem
                 .write_u32(addr, encode(Inst::Miss { idx }))
                 .expect("tcache mapped");
-            if let Some(seals) = &mut self.seals {
-                seals.seal(machine, addr, 4);
-            }
+            self.arena.seal(machine, addr, 4);
             self.stats.integrity.retranslations += 1;
         } else {
-            // Unreachable with consistent metadata: drop the orphan seal.
-            if let Some(seals) = &mut self.seals {
-                seals.unseal(start);
-            }
-            self.stats.integrity.retranslations += 1;
+            return Ok(false);
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// One fault-injection checkpoint: consume the plan's rolls, apply
-    /// any code and redirector flips through simulated memory (the write
-    /// barrier bumps the code generation, modelling a refetch from the
-    /// corrupted SRAM), then scrub-and-heal before the guest resumes.
-    /// Returns what the tick fired, so a system with a data cache lands
-    /// the dcache roll next; the heal draws nothing from the injector,
-    /// so the draws stay in roll order.
-    pub(crate) fn chaos_tick(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        inj: &mut MemFaultInjector,
-    ) -> Result<TickFire, CacheError> {
-        let fire = inj.begin_tick();
-        if !fire.any() {
-            return Ok(fire);
-        }
-        // Resolve the guest pc to its original address BEFORE anything is
-        // corrupted: if healing quarantines the very chunk being executed,
-        // execution is re-routed through the ordinary miss path.
-        let pc_orig = self.tc_to_orig(machine.cpu.pc);
-        if fire.code {
-            self.inject_code_flip(machine, inj);
-        }
-        if fire.redirector {
-            self.inject_redirector_flip(machine, inj);
-        }
-        self.verify_and_heal(machine, ep)?;
-        self.fixup_pc(machine, ep, pc_orig)?;
-        Ok(fire)
+    fn orig_of(&self, tc: u32) -> Option<u32> {
+        self.tc_to_orig(tc)
     }
 
-    /// After a heal pass, re-route the guest pc if the span it was
-    /// executing in was quarantined out from under it. `pc_orig` is the
-    /// pre-heal resolution of the pc to its original-program address.
-    fn fixup_pc(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        pc_orig: Option<u32>,
-    ) -> Result<(), CacheError> {
-        let pc = machine.cpu.pc;
-        if self.chunk_at(pc).is_some() {
-            return Ok(()); // still inside a live chunk
-        }
-        if self.trampolines.iter().any(|t| t.addr == pc) {
-            return Ok(()); // trampolines/stubs heal in place
-        }
-        let Some(orig) = pc_orig else {
-            return Ok(()); // pc was never in translated code
-        };
-        machine.cpu.pc = self.ensure(machine, ep, orig)?;
-        Ok(())
+    fn live_at(&self, tc: u32) -> bool {
+        self.chunk_at(tc).is_some() || self.trampolines.iter().any(|t| t.addr == tc)
     }
 
-    /// Flip one seeded bit in an installed chunk (or in the plan's stuck
-    /// chunk, if resident).
-    fn inject_code_flip(&mut self, machine: &mut Machine, inj: &mut MemFaultInjector) {
-        let addr = if let Some(orig) = inj.plan.stuck_orig {
-            let Some(&cid) = self.map.get(&orig) else {
-                return;
-            };
-            let c = &self.chunks[cid];
-            c.tc_start + inj.pick(c.n_words as u64) as u32 * 4
-        } else {
-            let total: u64 = self
-                .chunks
-                .iter()
-                .filter(|c| c.alive)
-                .map(|c| c.n_words as u64)
-                .sum();
-            if total == 0 {
-                return;
-            }
-            let mut k = inj.pick(total);
-            let mut addr = 0;
-            for c in self.chunks.iter().filter(|c| c.alive) {
-                if k < c.n_words as u64 {
-                    addr = c.tc_start + k as u32 * 4;
-                    break;
-                }
-                k -= c.n_words as u64;
-            }
-            addr
-        };
-        self.flip_bit(machine, addr, inj);
-        self.stats.integrity.code_flips += 1;
-    }
-
-    /// Flip one seeded bit in a trampoline / standalone-stub word.
-    fn inject_redirector_flip(&mut self, machine: &mut Machine, inj: &mut MemFaultInjector) {
-        if self.trampolines.is_empty() {
-            return;
+    /// Live chunks in slot order.
+    fn code_spans(&self, stuck: Option<u32>) -> Vec<(u32, u32)> {
+        let span = |c: &ChunkInfo| (c.tc_start, c.n_words);
+        match stuck {
+            Some(orig) => self
+                .map
+                .get(&orig)
+                .map(|&id| span(&self.chunks[id]))
+                .into_iter()
+                .collect(),
+            None => self.chunks.iter().filter(|c| c.alive).map(span).collect(),
         }
-        let k = inj.pick(self.trampolines.len() as u64) as usize;
-        let addr = self.trampolines[k].addr;
-        self.flip_bit(machine, addr, inj);
-        self.stats.integrity.redirector_flips += 1;
     }
 
-    fn flip_bit(&mut self, machine: &mut Machine, addr: u32, inj: &mut MemFaultInjector) {
-        let word = machine.mem.read_u32(addr).expect("tcache mapped");
-        let flipped = word ^ (1u32 << inj.pick(32));
-        machine.mem.write_u32(addr, flipped).expect("tcache mapped");
+    /// Trampoline and stub words in placement order.
+    fn redirector_spans(&self) -> Vec<(u32, u32)> {
+        self.trampolines.iter().map(|t| (t.addr, 1)).collect()
     }
 }
 
@@ -1966,7 +1637,7 @@ mod tests {
     /// Hand-build a resident chunk of `words` words at `tc` with the given
     /// temperature and lifetime heat; returns its slot.
     fn put_chunk(cc: &mut Cc, orig: u32, tc: u32, words: u32, rrpv: u8, heat: u64) -> usize {
-        assert!(cc.free.alloc_at(tc, words * 4));
+        assert!(cc.arena.free.alloc_at(tc, words * 4));
         let id = cc.chunks.len();
         cc.chunks.push(ChunkInfo {
             orig_start: orig,
@@ -2091,7 +1762,7 @@ mod tests {
             resolved: Vec::new(),
             extra_orig: Vec::new(),
         };
-        assert!(cc.free.alloc_at(dest, 20));
+        assert!(cc.arena.free.alloc_at(dest, 20));
         cc.install(&mut machine, chunk, dest, 0, false).unwrap();
         assert_eq!(cc.used_bytes(), 20);
         assert_eq!(cc.translation_of(0x1000), Some(dest));
@@ -2157,7 +1828,7 @@ int main() {
 
     #[test]
     fn an_unarmed_cc_keeps_no_seals() {
-        let cc = drive_loops(false, |cc, _| assert!(cc.seals.is_none()));
+        let cc = drive_loops(false, |cc, _| assert!(cc.arena.seals.is_none()));
         assert_eq!(cc.stats.integrity, IntegrityStats::default());
     }
 
@@ -2165,7 +1836,7 @@ int main() {
     fn an_armed_cc_seals_every_live_chunk_and_redirector() {
         let mut redirectors_seen = 0;
         let cc = drive_loops(true, |cc, machine| {
-            let seals = cc.seals.as_ref().expect("armed");
+            let seals = cc.arena.seals.as_ref().expect("armed");
             let mut live: Vec<u32> = cc
                 .chunks
                 .iter()
@@ -2207,66 +1878,9 @@ int main() {
             resolved: Vec::new(),
             extra_orig: Vec::new(),
         };
-        assert!(cc.free.alloc_at(TCACHE_BASE, 4));
+        assert!(cc.arena.free.alloc_at(TCACHE_BASE, 4));
         cc.install(&mut machine, chunk, TCACHE_BASE, 0, false)
             .unwrap();
         cc.arm_integrity();
-    }
-
-    #[test]
-    fn free_list_is_a_bump_pointer_until_released_into() {
-        let mut f = FreeList::new(0x1000, 0x100);
-        assert_eq!(f.largest(), (0x1000, 0x100));
-        assert_eq!(f.alloc(0x40), Some(0x1000));
-        assert_eq!(f.alloc(4), Some(0x1040));
-        assert_eq!(f.largest(), (0x1044, 0xbc));
-        assert_eq!(f.free_bytes(), 0xbc);
-    }
-
-    #[test]
-    fn free_list_release_coalesces_both_sides() {
-        let mut f = FreeList::new(0, 0x100);
-        assert!(f.alloc_at(0x00, 0x40));
-        assert!(f.alloc_at(0x40, 0x40));
-        assert!(f.alloc_at(0x80, 0x40));
-        // Free the outer two: the upper one coalesces with the tail hole.
-        f.release(0x00, 0x40);
-        f.release(0x80, 0x40);
-        assert_eq!(f.holes, vec![(0x00, 0x40), (0x80, 0x80)]);
-        assert_eq!(f.largest(), (0x80, 0x80));
-        // Freeing the middle merges all three into one arena-sized hole.
-        f.release(0x40, 0x40);
-        assert_eq!(f.holes, vec![(0x00, 0x100)]);
-    }
-
-    #[test]
-    fn free_list_largest_prefers_lowest_address_on_ties() {
-        let mut f = FreeList::new(0, 0x100);
-        assert!(f.alloc_at(0x40, 0x40)); // holes: [0,0x40) and [0x80,0x100)
-        assert!(f.alloc_at(0xc0, 0x40)); // holes: [0,0x40) and [0x80,0xc0)
-        assert_eq!(f.largest(), (0x00, 0x40));
-    }
-
-    #[test]
-    fn free_list_alloc_at_rejects_straddles_and_taken_ranges() {
-        let mut f = FreeList::new(0, 0x100);
-        assert!(f.alloc_at(0x20, 0x20));
-        assert!(!f.alloc_at(0x10, 0x20), "straddles a taken range");
-        assert!(!f.alloc_at(0x20, 0x10), "already taken");
-        assert!(f.alloc_at(0x00, 0x20));
-        assert!(f.alloc_at(0x40, 0xc0));
-        assert_eq!(f.free_bytes(), 0);
-        assert_eq!(f.largest().1, 0);
-        assert_eq!(f.alloc(4), None);
-    }
-
-    #[test]
-    fn free_list_first_fit_lands_in_earliest_hole_with_room() {
-        let mut f = FreeList::new(0, 0x100);
-        assert!(f.alloc_at(0x00, 0x10));
-        assert!(f.alloc_at(0x20, 0xd0)); // hole [0x10,0x20) then tail [0xf0,0x100)
-        assert_eq!(f.alloc(0x20), None);
-        assert_eq!(f.alloc(0x10), Some(0x10));
-        assert_eq!(f.alloc(0x10), Some(0xf0));
     }
 }

@@ -18,6 +18,7 @@
 //! semantically identical to rewriting each load/store into the
 //! Figure 10 sequences; the cycle charges come from those sequences.
 
+use crate::arena::Tier;
 use crate::cc::{CacheError, Cc, IcacheConfig, IcacheStats};
 use crate::dcache::{Dcache, DcacheConfig, DcacheStats};
 use crate::endpoint::McEndpoint;
@@ -216,6 +217,9 @@ impl SoftDcacheSystem {
         let mut dcache = Dcache::new(self.dcfg);
         let mut scache = Scache::new(self.scfg);
         let mut injector = self.chaos.map(MemFaultInjector::new);
+        if injector.is_some() {
+            dcache.arm_seals();
+        }
         let mut integrity = IntegrityStats::default();
         machine.stats.cycles += pin_scalars(&self.image, &mut dcache, &mut self.endpoint)?;
         let exit_code = loop {
@@ -354,6 +358,7 @@ impl FullSoftCacheSystem {
         let mut injector = self.chaos.map(MemFaultInjector::new);
         if injector.is_some() {
             cc.arm_integrity();
+            dcache.arm_seals();
         }
         machine.stats.cycles += pin_scalars(&self.image, &mut dcache, &mut self.endpoint)?;
         let entry = cc.ensure(&mut machine, &mut self.endpoint, self.image.entry)?;

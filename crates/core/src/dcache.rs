@@ -127,10 +127,11 @@ struct DBlock {
     data: Vec<u8>,
     dirty: bool,
     last_use: u64,
-    /// CRC-32 of `data`, maintained at fill and on every store. Lives in
-    /// CC metadata (this struct), never in simulated memory; `scrub`
-    /// verifies it (DESIGN.md §13).
-    seal: u32,
+    /// CRC-32 of `data`, computed at fill and on every store once
+    /// [`Dcache::arm_seals`] armed sealing: `None` on an unarmed cache,
+    /// where nothing would read it. Lives in CC metadata (this struct),
+    /// never in simulated memory; `scrub` verifies it (DESIGN.md §13).
+    seal: Option<u32>,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -237,6 +238,9 @@ pub struct Dcache {
     /// Pinned address ranges (inclusive start, exclusive end).
     pinned: Vec<(u32, u32)>,
     clock: u64,
+    /// Whether lines carry seals: set by [`Dcache::arm_seals`] on a run
+    /// under a fault plan.
+    sealed: bool,
     /// Statistics.
     pub stats: DcacheStats,
 }
@@ -252,8 +256,16 @@ impl Dcache {
             predictions: PredTable::new(),
             pinned: Vec::new(),
             clock: 0,
+            sealed: false,
             stats: DcacheStats::default(),
         }
+    }
+
+    /// Seal every line from now on, for [`Dcache::scrub`]: the run is
+    /// under a fault plan. Call it before the first fill.
+    pub(crate) fn arm_seals(&mut self) {
+        debug_assert!(self.blocks.is_empty(), "armed after the first fill");
+        self.sealed = true;
     }
 
     /// The configuration.
@@ -343,14 +355,7 @@ impl Dcache {
                     addr,
                     bytes: b.data,
                 })?;
-                *extra_cycles += self.stats.link.record_attempts(
-                    &self.cfg.link,
-                    out.req_bytes,
-                    out.rep_bytes,
-                    out.attempts,
-                    out.backoff,
-                );
-                self.stats.link.session.absorb(&out.session);
+                *extra_cycles += out.charge(&mut self.stats.link, &self.cfg.link);
                 if !matches!(out.reply, Reply::Ack) {
                     return Err(CacheError::Proto);
                 }
@@ -362,14 +367,7 @@ impl Dcache {
             addr,
             len: self.cfg.block_bytes,
         })?;
-        *extra_cycles += self.stats.link.record_attempts(
-            &self.cfg.link,
-            out.req_bytes,
-            out.rep_bytes,
-            out.attempts,
-            out.backoff,
-        );
-        self.stats.link.session.absorb(&out.session);
+        *extra_cycles += out.charge(&mut self.stats.link, &self.cfg.link);
         let data = match out.reply {
             Reply::Data(d) if d.len() == self.cfg.block_bytes as usize => d,
             Reply::Err(code) => return Err(CacheError::Mc(code)),
@@ -377,7 +375,7 @@ impl Dcache {
         };
         self.clock += 1;
         let pos = self.search(tag).expect_err("filling a missing tag");
-        let seal = crc32(&data);
+        let seal = self.sealed.then(|| crc32(&data));
         self.blocks.insert(
             pos,
             DBlock {
@@ -523,20 +521,15 @@ impl Dcache {
         for i in 0..width as usize {
             b.data[off + i] = (value >> (8 * i)) as u8;
         }
-        b.seal = crc32(&b.data);
+        if let Some(seal) = &mut b.seal {
+            *seal = crc32(&b.data);
+        }
         match self.cfg.write_policy {
             WritePolicy::WriteBack => b.dirty = true,
             WritePolicy::WriteThrough => {
                 let bytes = value.to_le_bytes()[..width as usize].to_vec();
                 let out = ep.rpc(&Request::WriteData { addr, bytes })?;
-                extra += self.stats.link.record_attempts(
-                    &self.cfg.link,
-                    out.req_bytes,
-                    out.rep_bytes,
-                    out.attempts,
-                    out.backoff,
-                );
-                self.stats.link.session.absorb(&out.session);
+                extra += out.charge(&mut self.stats.link, &self.cfg.link);
                 if !matches!(out.reply, Reply::Ack) {
                     return Err(CacheError::Proto);
                 }
@@ -557,14 +550,7 @@ impl Dcache {
                     addr,
                     bytes: b.data.clone(),
                 })?;
-                let _ = self.stats.link.record_attempts(
-                    &self.cfg.link,
-                    out.req_bytes,
-                    out.rep_bytes,
-                    out.attempts,
-                    out.backoff,
-                );
-                self.stats.link.session.absorb(&out.session);
+                let _ = out.charge(&mut self.stats.link, &self.cfg.link);
                 if !matches!(out.reply, Reply::Ack) {
                     return Err(CacheError::Proto);
                 }
@@ -602,19 +588,20 @@ impl Dcache {
     /// Verify every clean, unpinned line against its seal, dropping
     /// corrupted ones — a clean line is a pure copy of server memory, so
     /// recovery is simply a refill on next access. Returns
-    /// `(lines_checked, violations)` for the caller's integrity ledger.
+    /// `(lines_checked, violations)` for the caller's integrity ledger. An
+    /// unarmed cache holds no seals and checks nothing.
     pub fn scrub(&mut self) -> (u64, u64) {
         let mut checked = 0u64;
         let mut violations = 0u64;
         let mut i = 0;
         while i < self.blocks.len() {
-            let tag = self.blocks[i].tag;
-            if self.blocks[i].dirty || self.block_pinned(tag) {
+            let b = &self.blocks[i];
+            let Some(seal) = b.seal.filter(|_| !b.dirty && !self.block_pinned(b.tag)) else {
                 i += 1;
                 continue;
-            }
+            };
             checked += 1;
-            if crc32(&self.blocks[i].data) == self.blocks[i].seal {
+            if crc32(&b.data) == seal {
                 i += 1;
             } else {
                 violations += 1;
@@ -651,6 +638,31 @@ mod tests {
     fn setup(cfg: DcacheConfig) -> (Dcache, McEndpoint) {
         let image = assemble("_start: halt\n.data\narr: .space 4096").unwrap();
         (Dcache::new(cfg), McEndpoint::direct(Mc::new(image)))
+    }
+
+    #[test]
+    fn an_unarmed_dcache_keeps_no_seals() {
+        // Four fills, then stores into two of the lines.
+        let run = |armed: bool| {
+            let (mut dc, mut ep) = setup(DcacheConfig::default());
+            if armed {
+                dc.arm_seals();
+            }
+            for line in 0..4 {
+                dc.read(&mut ep, 0x100, DATA_BASE + line * 32, 4).unwrap();
+            }
+            dc.write(&mut ep, 0x104, DATA_BASE + 8, 4, 7).unwrap();
+            dc.write(&mut ep, 0x104, DATA_BASE + 72, 4, 9).unwrap();
+            assert_eq!(dc.blocks.len(), 4);
+            dc
+        };
+        let dc = run(false);
+        assert!(dc.blocks.iter().all(|b| b.seal.is_none()));
+        let dc = run(true);
+        assert!(
+            dc.blocks.iter().all(|b| b.seal == Some(crc32(&b.data))),
+            "an armed dcache seals every line, and reseals it on a store"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::cc::CacheError;
 use crate::mc::Mc;
 use crate::protocol::{Reply, Request};
 use softcache_net::envelope::{open, seal, EnvelopeError};
-use softcache_net::{LinkPolicy, NetError, SessionCounters, Transport};
+use softcache_net::{LinkModel, LinkPolicy, LinkStats, NetError, SessionCounters, Transport};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -73,6 +73,21 @@ impl RpcOutcome {
             backoff: Duration::ZERO,
             session: SessionCounters::default(),
         }
+    }
+
+    /// Account this exchange in `link` under `model`: every attempt's
+    /// traffic and round trip, the backoff between them, and the session
+    /// events it logged. Returns the stall cycles it cost the client.
+    pub(crate) fn charge(&self, link: &mut LinkStats, model: &LinkModel) -> u64 {
+        let stall = link.record_attempts(
+            model,
+            self.req_bytes,
+            self.rep_bytes,
+            self.attempts,
+            self.backoff,
+        );
+        link.session.absorb(&self.session);
+        stall
     }
 }
 

@@ -6,6 +6,7 @@
 //! executes entirely out of the translation cache — original text never
 //! enters client memory.
 
+use crate::arena::Tier;
 use crate::cc::{CacheError, Cc, IcacheConfig, IcacheStats};
 use crate::endpoint::McEndpoint;
 use crate::integrity::{MemFaultInjector, MemFaultPlan};

@@ -136,10 +136,10 @@ impl TickFire {
     }
 }
 
-/// Seeded memory-fault injector: decides *when* a flip lands; the cache
-/// controllers decide *where*, using [`MemFaultInjector::pick`] for the
-/// word and bit choices so the whole schedule is a pure function of the
-/// seed and the checkpoint sequence.
+/// Seeded memory-fault injector: decides *when* a flip lands, and *where*
+/// among the spans a cache controller offers, using
+/// [`MemFaultInjector::pick`] for the word and bit choices so the whole
+/// schedule is a pure function of the seed and the checkpoint sequence.
 pub struct MemFaultInjector {
     /// The schedule being executed.
     pub plan: MemFaultPlan,
@@ -195,6 +195,31 @@ impl MemFaultInjector {
     pub fn pick(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_rand() % n
+    }
+
+    /// Draw one word uniformly from `spans`, given as `(start, words)` in
+    /// the order the caller's schedule fixes; `None`, drawing nothing, when
+    /// the spans hold no word.
+    pub(crate) fn pick_word(&mut self, spans: &[(u32, u32)]) -> Option<u32> {
+        let total: u64 = spans.iter().map(|&(_, words)| words as u64).sum();
+        if total == 0 {
+            return None;
+        }
+        let mut k = self.pick(total);
+        spans.iter().find_map(|&(start, words)| {
+            if k < words as u64 {
+                return Some(start + k as u32 * 4);
+            }
+            k -= words as u64;
+            None
+        })
+    }
+
+    /// Flip one seeded bit of the word at `addr` in simulated memory.
+    pub(crate) fn flip_bit(&mut self, machine: &mut Machine, addr: u32) {
+        let word = machine.mem.read_u32(addr).expect("tcache mapped");
+        let flipped = word ^ (1u32 << self.pick(32));
+        machine.mem.write_u32(addr, flipped).expect("tcache mapped");
     }
 }
 

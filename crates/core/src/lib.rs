@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 mod addr_map;
+mod arena;
 pub mod cc;
 pub mod datarun;
 pub mod dcache;

@@ -24,22 +24,26 @@
 //!   `jump_tables: false`).
 //!
 //! Unlike the SPARC variant's flush-everything policy, this controller
-//! **evicts individual procedures** from a first-fit heap, which is what
-//! produces the paging behaviour of Figure 8. `ProcCc::pick_victim`
-//! chooses the victim by TRRIP: re-reference prediction, then least
-//! lifetime heat, then least recent use (DESIGN.md §16).
+//! **evicts individual procedures**, which is what produces the paging
+//! behaviour of Figure 8. It places code in the same tcache arena as the
+//! basic-block tier (`arena.rs`), which holds the free list, the
+//! seals and the watchdog: procedures take the lowest hole with room, and
+//! redirectors carve downward from the top of the arena. This controller
+//! keeps its procedure records, redirectors and temperature.
+//! `ProcCc::pick_victim` chooses the victim by TRRIP: re-reference
+//! prediction, then least lifetime heat, then least recent use
+//! (DESIGN.md §16).
 //!
 //! This cache receives no speculative pushes: it only ever issues
 //! `FetchProc`, so the batched `FetchBatch`/`Reply::Batch` protocol never
 //! competes with its pinned redirectors or resident procedures — the
 //! prefetch-never-evicts-pinned invariant holds here trivially.
 
-use crate::addr_map::{AddrMap, AddrSet};
+use crate::addr_map::AddrMap;
+use crate::arena::{Arena, Tier};
 use crate::cc::{CacheError, RRPV_FRESH, RRPV_HOT, RRPV_MAX, RRPV_WARM};
 use crate::endpoint::McEndpoint;
-use crate::integrity::{
-    IntegrityStats, MemFaultInjector, MemFaultPlan, SealTable, WATCHDOG_THRESHOLD,
-};
+use crate::integrity::{IntegrityStats, MemFaultInjector, MemFaultPlan};
 use crate::mc::{errcode, Mc};
 use crate::protocol::{ChunkPayload, ExitDesc, PatchKind, Reply, Request};
 use softcache_isa::image::Image;
@@ -48,6 +52,7 @@ use softcache_isa::layout::TCACHE_BASE;
 use softcache_isa::{cf, decode, encode};
 use softcache_net::{LinkModel, LinkPolicy, LinkStats};
 use softcache_sim::{ExecStats, Machine, Step, TraceStats, Trap};
+use std::cmp::Reverse;
 
 /// MC-side: rewrite the whole procedure containing `orig_pc`. The chunk is
 /// position-independent (`dest` is ignored); each call site is reported as
@@ -171,164 +176,6 @@ pub struct ProcStats {
     pub integrity: IntegrityStats,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RegionKind {
-    Free,
-    /// A resident procedure keyed by its entry address.
-    Proc {
-        func: u32,
-        last_use: u64,
-    },
-    /// A pinned redirector pair (never evicted) — the paper's §4 pinning
-    /// capability in action.
-    Pinned,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Region {
-    start: u32,
-    size: u32,
-    kind: RegionKind,
-}
-
-/// First-fit heap of procedure, free and pinned regions. Which procedure
-/// to evict under pressure is `ProcCc::pick_victim`'s choice (TRRIP).
-struct Heap {
-    regions: Vec<Region>,
-}
-
-impl Heap {
-    fn new(base: u32, size: u32) -> Heap {
-        // Keep every boundary word-aligned: procedure sizes are multiples
-        // of 4 and redirectors carve 8 bytes from the top, so the total
-        // is rounded down to a multiple of 8.
-        Heap {
-            regions: vec![Region {
-                start: base,
-                size: size & !7,
-                kind: RegionKind::Free,
-            }],
-        }
-    }
-
-    fn find_free(&self, size: u32) -> Option<usize> {
-        self.regions
-            .iter()
-            .position(|r| r.kind == RegionKind::Free && r.size >= size)
-    }
-
-    fn carve(&mut self, idx: usize, size: u32, kind: RegionKind) -> u32 {
-        let r = self.regions[idx];
-        debug_assert!(r.kind == RegionKind::Free && r.size >= size);
-        self.regions[idx] = Region {
-            start: r.start,
-            size,
-            kind,
-        };
-        if r.size > size {
-            self.regions.insert(
-                idx + 1,
-                Region {
-                    start: r.start + size,
-                    size: r.size - size,
-                    kind: RegionKind::Free,
-                },
-            );
-        }
-        r.start
-    }
-
-    /// Free region `idx` and coalesce with free neighbours.
-    fn release(&mut self, idx: usize) {
-        self.regions[idx].kind = RegionKind::Free;
-        // Coalesce right then left.
-        if idx + 1 < self.regions.len() && self.regions[idx + 1].kind == RegionKind::Free {
-            self.regions[idx].size += self.regions[idx + 1].size;
-            self.regions.remove(idx + 1);
-        }
-        if idx > 0 && self.regions[idx - 1].kind == RegionKind::Free {
-            self.regions[idx - 1].size += self.regions[idx].size;
-            self.regions.remove(idx);
-        }
-    }
-
-    /// Carve 8 bytes for a redirector from the END of the trailing free
-    /// region, keeping all pinned stubs contiguous at the top of memory so
-    /// they never fragment the procedure heap.
-    fn carve_pinned_top(&mut self) -> Option<u32> {
-        // Skip the already-pinned tail; the region just below it must be
-        // free to grow the pinned area downward.
-        let mut idx = self.regions.len();
-        while idx > 0 && self.regions[idx - 1].kind == RegionKind::Pinned {
-            idx -= 1;
-        }
-        if idx == 0 {
-            return None;
-        }
-        let donor = &mut self.regions[idx - 1];
-        if donor.kind != RegionKind::Free || donor.size < 8 {
-            return None;
-        }
-        donor.size -= 8;
-        let addr = donor.start + donor.size;
-        let empty = donor.size == 0;
-        if empty {
-            self.regions.remove(idx - 1);
-            idx -= 1;
-        }
-        // Merge into the adjacent pinned region if one exists, keeping the
-        // region list compact.
-        if idx < self.regions.len() && self.regions[idx].kind == RegionKind::Pinned {
-            self.regions[idx].start = addr;
-            self.regions[idx].size += 8;
-        } else {
-            self.regions.insert(
-                idx,
-                Region {
-                    start: addr,
-                    size: 8,
-                    kind: RegionKind::Pinned,
-                },
-            );
-        }
-        Some(addr)
-    }
-
-    /// Index of the least-recently-used procedure region. Superseded by
-    /// `ProcCc::pick_victim` (TRRIP); kept as the reference policy for
-    /// the heap unit tests.
-    #[cfg(test)]
-    fn lru_proc(&self) -> Option<usize> {
-        self.regions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r.kind {
-                RegionKind::Proc { last_use, .. } => Some((i, last_use)),
-                _ => None,
-            })
-            .min_by_key(|&(_, lu)| lu)
-            .map(|(i, _)| i)
-    }
-
-    fn region_of_func(&self, func: u32) -> Option<usize> {
-        self.regions.iter().position(|r| match r.kind {
-            RegionKind::Proc { func: f, .. } => f == func,
-            _ => false,
-        })
-    }
-
-    fn touch(&mut self, func: u32, now: u64) {
-        if let Some(idx) = self.region_of_func(func) {
-            if let RegionKind::Proc { func: f, .. } = self.regions[idx].kind {
-                self.regions[idx].kind = RegionKind::Proc {
-                    func: f,
-                    last_use: now,
-                };
-            }
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum RedirSlot {
     /// First word: `jal callee`.
@@ -359,6 +206,15 @@ struct ResidentProc {
     orig_start: u32,
     orig_size: u32,
     tc_start: u32,
+    /// Re-reference prediction, in the basic-block tier's buckets
+    /// (`cc::RRPV_*`): entered procedures go hot, previously installed
+    /// ones reinstall warm, first-time installs land near-distant. Victim
+    /// selection under tcache pressure takes the highest RRPV instead of
+    /// strict recency (DESIGN.md §16).
+    rrpv: u8,
+    /// `ProcCc::clock` at the last install or entry, unique per resident:
+    /// the last tie-break of victim selection.
+    last_use: u64,
 }
 
 /// Result of a procedure-cache run.
@@ -387,7 +243,12 @@ pub struct ProcCacheSystem {
 
 struct ProcCc {
     cfg: ProcConfig,
-    heap: Heap,
+    /// The tcache's free list, seals and watchdog.
+    arena: Arena,
+    /// Lowest redirector address. Redirectors carve 8 bytes at a time
+    /// downward from the top of the arena, so the pinned stubs stay
+    /// contiguous and never fragment the holes procedures take.
+    pin_floor: u32,
     /// func entry → resident info.
     resident: AddrMap<ResidentProc>,
     /// call-site original address → redirector index.
@@ -396,23 +257,6 @@ struct ProcCc {
     records: Vec<MissRec>,
     clock: u64,
     stats: ProcStats,
-    /// CRC-32 seals over installed procedures and redirector words. Lives
-    /// in CC metadata, never in simulated memory (DESIGN.md §13). `Some`
-    /// only once `arm_integrity` armed verification, which only
-    /// `run_chaos` does: an unarmed run keeps no seal.
-    seals: Option<SealTable>,
-    /// Seal failures per ORIGINAL procedure entry. Deliberately survives
-    /// resync so a stuck-at fault cannot livelock the retranslate loop
-    /// across epochs.
-    fails: AddrMap<u32>,
-    /// Procedures the watchdog has pinned to the slow path.
-    pinned_origs: AddrSet,
-    /// Re-reference prediction per resident procedure entry, in the
-    /// basic-block tier's buckets (`cc::RRPV_*`): touched procedures go
-    /// hot, previously evicted ones reinstall warm, first-time installs
-    /// land near-distant. Victim selection under heap pressure takes the
-    /// highest RRPV instead of strict recency (DESIGN.md §16).
-    rrpv: AddrMap<u8>,
     /// Lifetime entries per procedure, never cleared — breaks RRPV ties
     /// towards the procedure entered least over the whole run.
     heat: AddrMap<u64>,
@@ -420,8 +264,12 @@ struct ProcCc {
 
 impl ProcCc {
     fn new(cfg: ProcConfig) -> ProcCc {
+        // Procedure sizes are multiples of 4 and redirectors carve 8
+        // bytes, so the arena is rounded down to a multiple of 8.
+        let bytes = cfg.memory_bytes & !7;
         ProcCc {
-            heap: Heap::new(TCACHE_BASE, cfg.memory_bytes),
+            arena: Arena::new(TCACHE_BASE, bytes),
+            pin_floor: TCACHE_BASE + bytes,
             cfg,
             resident: AddrMap::default(),
             redir_by_site: AddrMap::default(),
@@ -429,23 +277,8 @@ impl ProcCc {
             records: Vec::new(),
             clock: 0,
             stats: ProcStats::default(),
-            seals: None,
-            fails: AddrMap::default(),
-            pinned_origs: AddrSet::default(),
-            rrpv: AddrMap::default(),
             heat: AddrMap::default(),
         }
-    }
-
-    /// Arm seal upkeep and trap-entry verification: the run is under a
-    /// memory-fault plan. Call it before the first install, so that every
-    /// installed span is sealed.
-    fn arm_integrity(&mut self) {
-        debug_assert!(
-            self.resident.is_empty() && self.redirectors.is_empty(),
-            "armed after the first install"
-        );
-        self.seals = Some(SealTable::default());
     }
 
     fn rpc(
@@ -455,14 +288,7 @@ impl ProcCc {
         req: &Request,
     ) -> Result<Reply, CacheError> {
         let out = ep.rpc(req)?;
-        let stall = self.stats.link.record_attempts(
-            &self.cfg.link,
-            out.req_bytes,
-            out.rep_bytes,
-            out.attempts,
-            out.backoff,
-        );
-        self.stats.link.session.absorb(&out.session);
+        let stall = out.charge(&mut self.stats.link, &self.cfg.link);
         self.stats.miss_cycles += stall;
         machine.stats.cycles += stall;
         Ok(out.reply)
@@ -475,24 +301,15 @@ impl ProcCc {
     /// re-pointed; now-absent targets become fresh miss records that
     /// refetch on demand.
     fn resync(&mut self, machine: &mut Machine) {
-        while let Some(i) = self
-            .heap
-            .regions
-            .iter()
-            .position(|r| matches!(r.kind, RegionKind::Proc { .. }))
-        {
-            self.heap.release(i);
-        }
-        self.resident.clear();
         // Residence predictions die with the residents; lifetime heat
         // survives (it describes the program, not the epoch).
-        self.rrpv.clear();
-        // Every seal is stale: the procedure seals cover now-freed regions
-        // and the redirector words are about to be rewritten (resealing
-        // them below). The `fails` ledger is deliberately kept.
-        if let Some(seals) = &mut self.seals {
-            seals.clear();
+        for (_, p) in self.resident.drain() {
+            self.arena.free.release(p.tc_start, p.orig_size);
         }
+        // Every seal is stale: the procedure seals cover now-freed spans
+        // and the redirector words are about to be rewritten (resealing
+        // them below). The watchdog's failure counts are deliberately kept.
+        self.arena.clear_seals();
         for ridx in 0..self.redirectors.len() {
             self.write_redir_word(machine, ridx, RedirSlot::Callee);
             self.write_redir_word(machine, ridx, RedirSlot::Continuation);
@@ -503,21 +320,30 @@ impl ProcCc {
         self.stats.link.session.resyncs += 1;
     }
 
-    /// Find the resident procedure containing `orig` and return the
-    /// corresponding tcache address.
-    fn resident_addr(&mut self, orig: u32) -> Option<u32> {
-        let p = self
-            .resident
+    /// The resident procedure holding original address `orig`.
+    fn by_orig(&self, orig: u32) -> Option<&ResidentProc> {
+        self.resident
             .values()
-            .find(|p| orig >= p.orig_start && orig < p.orig_start + p.orig_size)?;
-        let tc = p.tc_start + (orig - p.orig_start);
-        let func = p.orig_start;
+            .find(|p| (p.orig_start..p.orig_start + p.orig_size).contains(&orig))
+    }
+
+    /// The resident procedure holding tcache address `tc`.
+    fn by_tc(&self, tc: u32) -> Option<&ResidentProc> {
+        self.resident
+            .values()
+            .find(|p| (p.tc_start..p.tc_start + p.orig_size).contains(&tc))
+    }
+
+    /// Enter the resident procedure containing `orig`, if any: mark it
+    /// used and return the tcache address corresponding to `orig`.
+    fn resident_addr(&mut self, orig: u32) -> Option<u32> {
+        let func = self.by_orig(orig)?.orig_start;
         self.clock += 1;
-        let now = self.clock;
-        self.heap.touch(func, now);
-        self.rrpv.insert(func, RRPV_HOT);
+        let p = self.resident.get_mut(&func).expect("found above");
+        p.last_use = self.clock;
+        p.rrpv = RRPV_HOT;
         *self.heat.entry(func).or_insert(0) += 1;
-        Some(tc)
+        Some(p.tc_start + (orig - func))
     }
 
     /// Write one redirector word.
@@ -527,11 +353,9 @@ impl ProcCc {
             RedirSlot::Callee => (r.addr, r.callee_orig),
             RedirSlot::Continuation => (r.addr + 4, r.cont_orig),
         };
-        // Resident (without LRU touch — this is bookkeeping, not use)?
+        // Resident (without a touch — this is bookkeeping, not use)?
         let target_tc = self
-            .resident
-            .values()
-            .find(|p| target_orig >= p.orig_start && target_orig < p.orig_start + p.orig_size)
+            .by_orig(target_orig)
             .map(|p| p.tc_start + (target_orig - p.orig_start));
         let word = match (target_tc, slot) {
             (Some(tc), RedirSlot::Callee) => {
@@ -557,33 +381,21 @@ impl ProcCc {
         machine.predecode_range(addr, addr + 4);
         // Each redirector word is independently regenerable from CC
         // metadata, so it gets its own one-word seal.
-        if let Some(seals) = &mut self.seals {
-            seals.seal(machine, addr, 4);
-        }
+        self.arena.seal(machine, addr, 4);
     }
 
-    /// Evict the procedure in heap region `idx`, fixing every redirector
-    /// word that points into it. No stack walk — that is the point of the
+    /// Evict the resident procedure `func`, fixing every redirector word
+    /// that points into it. No stack walk — that is the point of the
     /// redirectors.
-    fn evict_region(
+    fn evict(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
-        idx: usize,
+        func: u32,
     ) -> Result<(), CacheError> {
-        let RegionKind::Proc { func, .. } = self.heap.regions[idx].kind else {
-            panic!("evict_region on non-proc region");
-        };
-        let proc = self.resident.remove(&func).expect("resident");
-        self.heap.release(idx);
-        self.rrpv.remove(&func);
-        if let Some(seals) = &mut self.seals {
-            seals.unseal(proc.tc_start);
-        }
-        if self.pinned_origs.contains(&func) {
-            machine.unpin_slow_span(proc.tc_start, proc.tc_start + proc.orig_size);
-        }
-        let span = proc.orig_start..proc.orig_start + proc.orig_size;
+        let p = self.resident.remove(&func).expect("resident");
+        self.arena.vacate(machine, func, p.tc_start, p.orig_size);
+        let span = p.orig_start..p.orig_start + p.orig_size;
         for ridx in 0..self.redirectors.len() {
             let r = self.redirectors[ridx];
             if span.contains(&r.callee_orig) {
@@ -612,56 +424,38 @@ impl ProcCc {
     /// Pick the eviction victim: age every resident procedure until one
     /// reaches the distant bucket, then take the highest RRPV, breaking
     /// ties towards the least lifetime heat, then the least recent use.
-    fn pick_victim(&mut self) -> Option<usize> {
-        let procs: Vec<(usize, u32, u64)> = self
-            .heap
-            .regions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r.kind {
-                RegionKind::Proc { func, last_use } => Some((i, func, last_use)),
-                _ => None,
-            })
-            .collect();
-        let max = procs
-            .iter()
-            .map(|&(_, f, _)| self.rrpv.get(&f).copied().unwrap_or(RRPV_FRESH))
-            .max()?;
-        if max < RRPV_MAX {
-            let delta = RRPV_MAX - max;
-            for v in self.rrpv.values_mut() {
-                *v = (*v + delta).min(RRPV_MAX);
-            }
+    fn pick_victim(&mut self) -> Option<u32> {
+        let max = self.resident.values().map(|p| p.rrpv).max()?;
+        for p in self.resident.values_mut() {
+            p.rrpv += RRPV_MAX - max;
         }
-        procs
-            .into_iter()
-            .max_by_key(|&(i, f, lu)| {
-                let r = self.rrpv.get(&f).copied().unwrap_or(RRPV_FRESH);
-                let heat = self.heat.get(&f).copied().unwrap_or(0);
-                use std::cmp::Reverse;
-                (r, Reverse(heat), Reverse(lu), Reverse(i))
-            })
-            .map(|(i, _, _)| i)
+        let heat = |f: &u32| self.heat.get(f).copied().unwrap_or(0);
+        self.resident
+            .values()
+            .max_by_key(|p| (p.rrpv, Reverse(heat(&p.orig_start)), Reverse(p.last_use)))
+            .map(|p| p.orig_start)
     }
 
-    /// Allocate `size` bytes, evicting cold procedures as needed. Pinned
-    /// (redirector) allocations are carved from the top of memory so they
-    /// stay contiguous and never fragment the procedure heap.
+    /// Allocate `size` bytes, evicting victims until they fit. A
+    /// redirector (`pinned`, 8 bytes) takes the two words directly under
+    /// the pinned floor, and is refused until whatever sits there is
+    /// evicted; a procedure takes the lowest hole with room.
     fn alloc(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
         size: u32,
-        kind: RegionKind,
+        pinned: bool,
     ) -> Result<u32, CacheError> {
         loop {
-            if kind == RegionKind::Pinned {
+            if pinned {
                 debug_assert_eq!(size, 8, "redirectors are two words");
-                if let Some(addr) = self.heap.carve_pinned_top() {
-                    return Ok(addr);
+                if self.arena.free.alloc_at(self.pin_floor - 8, 8) {
+                    self.pin_floor -= 8;
+                    return Ok(self.pin_floor);
                 }
-            } else if let Some(idx) = self.heap.find_free(size) {
-                return Ok(self.heap.carve(idx, size, kind));
+            } else if let Some(addr) = self.arena.free.alloc(size) {
+                return Ok(addr);
             }
             let Some(victim) = self.pick_victim() else {
                 return Err(CacheError::ChunkTooBig {
@@ -669,7 +463,7 @@ impl ProcCc {
                     capacity: self.cfg.memory_bytes,
                 });
             };
-            self.evict_region(machine, ep, victim)?;
+            self.evict(machine, ep, victim)?;
         }
     }
 
@@ -710,7 +504,7 @@ impl ProcCc {
             let ridx = match self.redir_by_site.get(&site_orig) {
                 Some(&r) => r,
                 None => {
-                    let addr = self.alloc(machine, ep, 8, RegionKind::Pinned)?;
+                    let addr = self.alloc(machine, ep, 8, true)?;
                     let ridx = self.redirectors.len();
                     self.redirectors.push(Redirector {
                         addr,
@@ -725,38 +519,30 @@ impl ProcCc {
             site_redirs.push((exit.stub_slot, ridx));
         }
         // Phase 2: place the chunk.
-        self.clock += 1;
-        let now = self.clock;
-        let tc_start = self.alloc(
-            machine,
-            ep,
-            bytes,
-            RegionKind::Proc {
-                func: chunk.orig_start,
-                last_use: now,
-            },
-        )?;
+        let tc_start = self.alloc(machine, ep, bytes, false)?;
         machine
             .mem
             .write_words(tc_start, &chunk.words)
-            .expect("heap region mapped");
+            .expect("tcache mapped");
+        // A procedure seen before reinstalls warm; a first-time install
+        // lands near-distant until it proves itself.
+        let rrpv = if self.heat.contains_key(&chunk.orig_start) {
+            RRPV_WARM
+        } else {
+            RRPV_FRESH
+        };
+        *self.heat.entry(chunk.orig_start).or_insert(0) += 1;
+        self.clock += 1;
         self.resident.insert(
             chunk.orig_start,
             ResidentProc {
                 orig_start: chunk.orig_start,
                 orig_size: bytes,
                 tc_start,
+                rrpv,
+                last_use: self.clock,
             },
         );
-        // A procedure seen before reinstalls warm; a first-time install
-        // lands near-distant until it proves itself.
-        let insert = if self.heat.contains_key(&chunk.orig_start) {
-            RRPV_WARM
-        } else {
-            RRPV_FRESH
-        };
-        self.rrpv.insert(chunk.orig_start, insert);
-        *self.heat.entry(chunk.orig_start).or_insert(0) += 1;
         // Phase 3: wire every call site through its redirector.
         for (stub_slot, ridx) in site_redirs {
             self.write_redir_word(machine, ridx, RedirSlot::Callee);
@@ -770,19 +556,11 @@ impl ProcCc {
             .expect("in range");
             machine.mem.write_u32(site_tc, jal).expect("mapped");
         }
-        // The procedure body and its rewired call sites are final. A
-        // watchdog-pinned procedure is barred from superblock lowering
-        // BEFORE predecode so no uops form for it; everything else gets
-        // predecoded at block starts from its entry, so the first call
-        // chains across them as it runs. Blocks at internal branch
-        // targets lower lazily on first entry.
-        if self.pinned_origs.contains(&chunk.orig_start) {
-            machine.pin_slow_span(tc_start, tc_start + bytes);
-        }
-        machine.predecode_range(tc_start, tc_start + bytes);
-        if let Some(seals) = &mut self.seals {
-            seals.seal(machine, tc_start, bytes);
-        }
+        // The procedure body and its rewired call sites are final: place
+        // the span, so the first call chains across the blocks predecode
+        // lowered from its entry. Blocks at internal branch targets lower
+        // lazily on first entry.
+        self.arena.place(machine, chunk.orig_start, tc_start, bytes);
         self.stats.fetches += 1;
         self.stats.words_installed += chunk.words.len() as u64;
         let cycles = self.cfg.miss_handler_cycles
@@ -824,229 +602,82 @@ impl ProcCc {
         }
         Ok(())
     }
+}
 
-    // ---- integrity: verification, healing, fault injection ----
+impl Tier for ProcCc {
+    fn arena(&mut self) -> &mut Arena {
+        &mut self.arena
+    }
 
-    /// `ensure` plus (when armed) a seal check on the span containing the
-    /// returned address. A failed check quarantines and re-ensures; with
-    /// no injection between iterations the loop terminates in at most two.
-    fn verified_target(
+    fn ledger(&mut self) -> &mut IntegrityStats {
+        &mut self.stats.integrity
+    }
+
+    fn ensure_resident(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
         orig: u32,
     ) -> Result<u32, CacheError> {
-        loop {
-            let tc = self.ensure(machine, ep, orig)?;
-            let Some((start, _)) = self.seals.as_ref().and_then(|s| s.containing(tc)) else {
-                return Ok(tc);
-            };
-            if self.check_seal(machine, ep, start)? {
-                return Ok(tc);
-            }
-        }
+        self.ensure(machine, ep, orig)
     }
 
-    /// Verify every live seal, healing each failed span before the guest
-    /// can resume. An unarmed CC holds no seals and checks nothing.
-    fn verify_and_heal(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-    ) -> Result<(), CacheError> {
-        let starts = self
-            .seals
-            .as_ref()
-            .map(SealTable::starts)
-            .unwrap_or_default();
-        for start in starts {
-            // Healing earlier spans may have unsealed this one.
-            if self.seals.as_ref().is_some_and(|s| s.sealed_at(start)) {
-                self.check_seal(machine, ep, start)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify the sealed span starting at `start` and heal it on a
-    /// mismatch, recording the verdict in the integrity ledger. Returns
-    /// whether the span matched its seal. Only an armed CC verifies.
-    fn check_seal(
+    /// Procedures are evicted (refetched on demand through the normal miss
+    /// path) — never patched in place, since installed bytes carry
+    /// call-site rewrites a fresh MC copy would not reproduce. Redirector
+    /// words regenerate purely from CC metadata via `write_redir_word`.
+    fn heal(
         &mut self,
         machine: &mut Machine,
         ep: &mut McEndpoint,
         start: u32,
     ) -> Result<bool, CacheError> {
-        let seals = self.seals.as_ref().expect("only an armed CC verifies");
-        let intact = seals.verify(machine, start);
-        let ledger = &mut self.stats.integrity;
-        ledger.seals_checked += 1;
-        if intact {
-            ledger.seal_hits += 1;
-        } else {
-            ledger.violations += 1;
-            self.heal_span(machine, ep, start)?;
+        if let Some(orig) = self.by_tc(start).map(|p| p.orig_start) {
+            self.arena.quarantine(orig, &mut self.stats.integrity);
+            self.evict(machine, ep, orig)?;
+            return Ok(true);
         }
-        debug_assert!(
-            self.stats.integrity.balanced(),
-            "unbalanced integrity ledger: {:?}",
-            self.stats.integrity
-        );
-        Ok(intact)
-    }
-
-    /// Quarantine and repair one corrupted sealed span. Procedures are
-    /// evicted (refetched on demand through the normal miss path) — never
-    /// patched in place, since installed bytes carry call-site rewrites a
-    /// fresh MC copy would not reproduce. Redirector words regenerate
-    /// purely from CC metadata via `write_redir_word`.
-    fn heal_span(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        start: u32,
-    ) -> Result<(), CacheError> {
-        let hit = self
-            .resident
-            .values()
-            .find(|p| start >= p.tc_start && start < p.tc_start + p.orig_size)
-            .map(|p| p.orig_start);
-        if let Some(orig) = hit {
-            let fails = self.fails.entry(orig).or_insert(0);
-            *fails += 1;
-            let newly_pinned = *fails > WATCHDOG_THRESHOLD && self.pinned_origs.insert(orig);
-            if newly_pinned {
-                self.stats.integrity.slow_path_pins += 1;
-            } else {
-                self.stats.integrity.retranslations += 1;
-            }
-            self.stats.integrity.quarantines += 1;
-            let idx = self.heap.region_of_func(orig).expect("resident proc");
-            self.evict_region(machine, ep, idx)?;
-            return Ok(());
-        }
-        if let Some((ridx, slot)) = self.redirectors.iter().enumerate().find_map(|(i, r)| {
-            if r.addr == start {
-                Some((i, RedirSlot::Callee))
-            } else if r.addr + 4 == start {
-                Some((i, RedirSlot::Continuation))
-            } else {
-                None
-            }
-        }) {
-            self.write_redir_word(machine, ridx, slot);
-            self.stats.integrity.retranslations += 1;
-            return Ok(());
-        }
-        // Stale bookkeeping (span no longer owned by anything): drop it.
-        if let Some(seals) = &mut self.seals {
-            seals.unseal(start);
-        }
-        self.stats.integrity.retranslations += 1;
-        Ok(())
-    }
-
-    /// One fault-injection checkpoint: land this tick's scheduled flips,
-    /// then verify-and-heal so corrupted words never execute.
-    fn chaos_tick(
-        &mut self,
-        machine: &mut Machine,
-        ep: &mut McEndpoint,
-        inj: &mut MemFaultInjector,
-    ) -> Result<(), CacheError> {
-        let fire = inj.begin_tick();
-        // A scheduled dcache fire is still consumed (keeping seeded
-        // schedules aligned across systems) but this system has no data
-        // cache to land it in.
-        if !fire.any() {
-            return Ok(());
-        }
-        // Resolve the guest pc to its original address BEFORE anything is
-        // corrupted: if healing evicts the very procedure being executed,
-        // execution is re-routed through the ordinary miss path. Bodies
-        // are position-independent 1:1 copies, so the offset maps back.
-        let pc = machine.cpu.pc;
-        let pc_orig = self
-            .resident
-            .values()
-            .find(|p| pc >= p.tc_start && pc < p.tc_start + p.orig_size)
-            .map(|p| p.orig_start + (pc - p.tc_start));
-        if fire.code {
-            self.inject_code_flip(machine, inj);
-        }
-        if fire.redirector {
-            self.inject_redirector_flip(machine, inj);
-        }
-        self.verify_and_heal(machine, ep)?;
-        let pc = machine.cpu.pc;
-        let still_resident = self
-            .resident
-            .values()
-            .any(|p| pc >= p.tc_start && pc < p.tc_start + p.orig_size);
-        if !still_resident {
-            if let Some(orig) = pc_orig {
-                machine.cpu.pc = self.ensure(machine, ep, orig)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flip one seeded bit in a resident procedure body (or in the plan's
-    /// stuck procedure, if resident).
-    fn inject_code_flip(&mut self, machine: &mut Machine, inj: &mut MemFaultInjector) {
-        let addr = if let Some(orig) = inj.plan.stuck_orig {
-            let Some(p) = self
-                .resident
-                .values()
-                .find(|p| orig >= p.orig_start && orig < p.orig_start + p.orig_size)
-            else {
-                return;
-            };
-            p.tc_start + inj.pick((p.orig_size / 4) as u64) as u32 * 4
-        } else {
-            // Sort by tcache address: HashMap iteration order must not
-            // leak into the deterministic injection schedule.
-            let mut procs: Vec<(u32, u32)> = self
-                .resident
-                .values()
-                .map(|p| (p.tc_start, p.orig_size / 4))
-                .collect();
-            procs.sort_unstable();
-            let total: u64 = procs.iter().map(|&(_, w)| w as u64).sum();
-            if total == 0 {
-                return;
-            }
-            let mut k = inj.pick(total);
-            let mut addr = 0;
-            for (tc_start, words) in procs {
-                if k < words as u64 {
-                    addr = tc_start + k as u32 * 4;
-                    break;
+        let Some((ridx, slot)) =
+            self.redirectors.iter().enumerate().find_map(|(i, r)| {
+                match start.wrapping_sub(r.addr) {
+                    0 => Some((i, RedirSlot::Callee)),
+                    4 => Some((i, RedirSlot::Continuation)),
+                    _ => None,
                 }
-                k -= words as u64;
-            }
-            addr
+            })
+        else {
+            return Ok(false);
         };
-        self.flip_bit(machine, addr, inj);
-        self.stats.integrity.code_flips += 1;
+        self.write_redir_word(machine, ridx, slot);
+        self.stats.integrity.retranslations += 1;
+        Ok(true)
     }
 
-    /// Flip one seeded bit in a redirector word.
-    fn inject_redirector_flip(&mut self, machine: &mut Machine, inj: &mut MemFaultInjector) {
-        if self.redirectors.is_empty() {
-            return;
-        }
-        let k = inj.pick(self.redirectors.len() as u64 * 2);
-        let r = self.redirectors[(k / 2) as usize];
-        let addr = r.addr + 4 * (k % 2) as u32;
-        self.flip_bit(machine, addr, inj);
-        self.stats.integrity.redirector_flips += 1;
+    /// Bodies are position-independent 1:1 copies, so the offset maps
+    /// back.
+    fn orig_of(&self, tc: u32) -> Option<u32> {
+        self.by_tc(tc).map(|p| p.orig_start + (tc - p.tc_start))
     }
 
-    fn flip_bit(&mut self, machine: &mut Machine, addr: u32, inj: &mut MemFaultInjector) {
-        let word = machine.mem.read_u32(addr).expect("tcache mapped");
-        let flipped = word ^ (1u32 << inj.pick(32));
-        machine.mem.write_u32(addr, flipped).expect("tcache mapped");
+    fn live_at(&self, tc: u32) -> bool {
+        self.by_tc(tc).is_some()
+    }
+
+    /// Resident procedures by tcache address: the residence map's
+    /// iteration order must not leak into the injection schedule.
+    fn code_spans(&self, stuck: Option<u32>) -> Vec<(u32, u32)> {
+        let span = |p: &ResidentProc| (p.tc_start, p.orig_size / 4);
+        let mut spans: Vec<(u32, u32)> = match stuck {
+            Some(orig) => self.by_orig(orig).map(span).into_iter().collect(),
+            None => self.resident.values().map(span).collect(),
+        };
+        spans.sort_unstable();
+        spans
+    }
+
+    /// Both words of every redirector, in allocation order.
+    fn redirector_spans(&self) -> Vec<(u32, u32)> {
+        self.redirectors.iter().map(|r| (r.addr, 2)).collect()
     }
 }
 
@@ -1313,94 +944,95 @@ int main() { return f(getc()); }
     }
 
     #[test]
-    fn heap_alloc_free_coalesce() {
-        let mut h = Heap::new(0, 64);
-        // Pinned stubs carve from the top.
-        let p1 = h.carve_pinned_top().unwrap();
-        let p2 = h.carve_pinned_top().unwrap();
-        assert_eq!((p1, p2), (56, 48));
-        let b = h.carve(
-            h.find_free(16).unwrap(),
-            16,
-            RegionKind::Proc {
-                func: 1,
-                last_use: 1,
-            },
-        );
-        let c = h.carve(
-            h.find_free(32).unwrap(),
-            32,
-            RegionKind::Proc {
-                func: 2,
-                last_use: 2,
-            },
-        );
-        assert_eq!((b, c), (0, 16));
-        assert!(h.find_free(8).is_none(), "full");
-        assert!(h.carve_pinned_top().is_none(), "no free tail");
-        // Free the first proc.
-        let idx = h.region_of_func(1).unwrap();
-        h.release(idx);
-        assert!(h.find_free(16).is_some());
-        // Free the second proc; 16 + 32 coalesce into 48.
-        let idx = h.region_of_func(2).unwrap();
-        h.release(idx);
-        assert!(h.find_free(48).is_some());
-        // LRU picks the oldest.
-        let f = h.find_free(48).unwrap();
-        h.carve(
-            f,
-            24,
-            RegionKind::Proc {
-                func: 3,
-                last_use: 5,
-            },
-        );
-        let f = h.find_free(24).unwrap();
-        h.carve(
-            f,
-            24,
-            RegionKind::Proc {
-                func: 4,
-                last_use: 4,
-            },
-        );
-        let lru = h.lru_proc().unwrap();
-        assert!(matches!(
-            h.regions[lru].kind,
-            RegionKind::Proc { func: 4, .. }
-        ));
+    fn trrip_victim_prefers_cold_low_heat_procs() {
+        let mut cc = ProcCc::new(ProcConfig::default());
+        // 0x100 is entered constantly; the others installed and idled.
+        for (func, rrpv, heat, last_use) in [
+            (0x100, RRPV_HOT, 50, 1),
+            (0x200, RRPV_FRESH, 3, 2),
+            (0x300, RRPV_FRESH, 1, 3),
+        ] {
+            let tc_start = cc.arena.free.alloc(16).unwrap();
+            let p = ResidentProc {
+                orig_start: func,
+                orig_size: 16,
+                tc_start,
+                rrpv,
+                last_use,
+            };
+            cc.resident.insert(func, p);
+            cc.heat.insert(func, heat);
+        }
+        // Max RRPV is FRESH (2), so everyone ages by 1; the victim is the
+        // distant proc with the least lifetime heat — NOT the LRU (0x100).
+        assert_eq!(cc.pick_victim(), Some(0x300));
+        assert_eq!(cc.resident[&0x100].rrpv, RRPV_HOT + 1);
+        assert_eq!(cc.resident[&0x200].rrpv, RRPV_MAX);
+        // Recency still breaks exact (rrpv, heat) ties.
+        cc.heat.insert(0x300, 3);
+        assert_eq!(cc.pick_victim(), Some(0x200));
+    }
+
+    /// Run `CALC` through a procedure cache two thirds the size of its
+    /// code, armed before its first install or not, calling `check` after
+    /// the first install and after every serviced trap.
+    fn drive_paging(armed: bool, mut check: impl FnMut(&ProcCc, &Machine)) -> ProcCc {
+        let image = compile(CALC);
+        let mut machine = Machine::load_client(&image, &[]);
+        let mut cc = ProcCc::new(ProcConfig {
+            memory_bytes: image.text_bytes() * 2 / 3,
+            link: LinkModel::free(),
+            ..ProcConfig::default()
+        });
+        if armed {
+            cc.arm_integrity();
+        }
+        let mut ep = McEndpoint::direct(Mc::new(image.clone()));
+        machine.cpu.pc = cc.ensure(&mut machine, &mut ep, image.entry).unwrap();
+        check(&cc, &machine);
+        loop {
+            match machine.run_block(Machine::BLOCK_STEPS).unwrap() {
+                Step::Running => {}
+                Step::Exited(_) => break,
+                Step::Trapped(Trap::Miss { idx, .. }) => {
+                    cc.handle_miss(&mut machine, &mut ep, idx).unwrap();
+                }
+                Step::Trapped(t) => panic!("unexpected trap {t:?}"),
+            }
+            check(&cc, &machine);
+        }
+        assert!(cc.stats.evictions > 0, "the run paged: {:?}", cc.stats);
+        cc
     }
 
     #[test]
-    fn trrip_victim_prefers_cold_low_heat_procs() {
-        let mut cc = ProcCc::new(ProcConfig::default());
-        for (func, last_use) in [(0x100, 1), (0x200, 2), (0x300, 3)] {
-            let idx = cc.heap.find_free(16).unwrap();
-            cc.heap.carve(idx, 16, RegionKind::Proc { func, last_use });
-        }
-        // 0x100 is entered constantly; the others installed and idled.
-        cc.rrpv.insert(0x100, RRPV_HOT);
-        cc.heat.insert(0x100, 50);
-        cc.rrpv.insert(0x200, RRPV_FRESH);
-        cc.heat.insert(0x200, 3);
-        cc.rrpv.insert(0x300, RRPV_FRESH);
-        cc.heat.insert(0x300, 1);
-        // Max RRPV is FRESH (2), so everyone ages by 1; the victim is the
-        // distant proc with the least lifetime heat — NOT the LRU (0x100).
-        let v = cc.pick_victim().unwrap();
-        assert!(matches!(
-            cc.heap.regions[v].kind,
-            RegionKind::Proc { func: 0x300, .. }
-        ));
-        assert_eq!(cc.rrpv[&0x100], RRPV_HOT + 1);
-        assert_eq!(cc.rrpv[&0x200], RRPV_MAX);
-        // Recency still breaks exact (rrpv, heat) ties.
-        cc.heat.insert(0x300, 3);
-        let v = cc.pick_victim().unwrap();
-        assert!(matches!(
-            cc.heap.regions[v].kind,
-            RegionKind::Proc { func: 0x200, .. }
-        ));
+    fn an_unarmed_proc_cc_keeps_no_seals() {
+        let cc = drive_paging(false, |cc, _| assert!(cc.arena.seals.is_none()));
+        assert_eq!(cc.stats.integrity, IntegrityStats::default());
+    }
+
+    #[test]
+    fn an_armed_proc_cc_seals_every_live_procedure_and_redirector_word() {
+        let cc = drive_paging(true, |cc, machine| {
+            let seals = cc.arena.seals.as_ref().expect("armed");
+            let mut live: Vec<u32> = cc.resident.values().map(|p| p.tc_start).collect();
+            live.extend(cc.redirectors.iter().flat_map(|r| [r.addr, r.addr + 4]));
+            live.sort_unstable();
+            assert_eq!(
+                seals.starts(),
+                live,
+                "one seal per live procedure and redirector word"
+            );
+            assert!(
+                live.iter().all(|&start| seals.verify(machine, start)),
+                "every seal is current"
+            );
+        });
+        assert!(!cc.redirectors.is_empty(), "the run placed redirectors");
+        let s = cc.stats.integrity;
+        assert!(
+            s.seals_checked > 0 && s.seal_hits == s.seals_checked,
+            "{s:?}"
+        );
     }
 }

@@ -115,14 +115,7 @@ impl Scache {
                     addr: spill_lo,
                     bytes,
                 })?;
-                extra += self.stats.link.record_attempts(
-                    &self.cfg.link,
-                    out.req_bytes,
-                    out.rep_bytes,
-                    out.attempts,
-                    out.backoff,
-                );
-                self.stats.link.session.absorb(&out.session);
+                extra += out.charge(&mut self.stats.link, &self.cfg.link);
                 if !matches!(out.reply, Reply::Ack) {
                     return Err(CacheError::Proto);
                 }
@@ -142,14 +135,7 @@ impl Scache {
                     addr: fetch_lo,
                     len,
                 })?;
-                extra += self.stats.link.record_attempts(
-                    &self.cfg.link,
-                    out.req_bytes,
-                    out.rep_bytes,
-                    out.attempts,
-                    out.backoff,
-                );
-                self.stats.link.session.absorb(&out.session);
+                extra += out.charge(&mut self.stats.link, &self.cfg.link);
                 match out.reply {
                     Reply::Data(d) if d.len() == len as usize => {
                         self.stats.bytes_filled += len as u64;
