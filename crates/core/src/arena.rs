@@ -230,15 +230,13 @@ impl Arena {
 
     /// Finish placing the chunk translated from `orig` at `[start, start +
     /// bytes)`, whose words are final. A watchdog-pinned chunk is barred
-    /// from superblock lowering before predecode, so no uops form for it;
-    /// predecode then lowers the span at block starts, so the first pass
-    /// already runs as one chained trace (a no-op when the superblock
-    /// engine is off); an armed run seals the span as it will execute.
+    /// from superblock lowering, so no uops form for it; an armed run
+    /// seals the span as it will execute. Nothing is lowered here: the
+    /// simulator lowers each block when execution first reaches it.
     pub(crate) fn place(&mut self, machine: &mut Machine, orig: u32, start: u32, bytes: u32) {
         if self.pinned.contains(&orig) {
             machine.pin_slow_span(start, start + bytes);
         }
-        machine.predecode_range(start, start + bytes);
         self.seal(machine, start, bytes);
     }
 

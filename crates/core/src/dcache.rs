@@ -161,7 +161,7 @@ struct PredEntry {
 }
 
 /// Flat, epoch-checked predicted-index side table — the data-side analogue
-/// of the instruction predecode cache. Sites are the PCs of load/store
+/// of the superblock cache's page map. Sites are the PCs of load/store
 /// instructions (always word-aligned), so `site >> 2` indexes a lazily
 /// paged flat array and the per-access `HashMap` lookup becomes two array
 /// derefs plus an epoch compare. Bumping the epoch invalidates every

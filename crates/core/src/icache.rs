@@ -465,8 +465,8 @@ int main() {
     fn superblock_engine_is_bit_identical_at_system_level() {
         // Superblock micro-op engine on vs off: every simulated observable
         // must match bit for bit — the engine is host-side speed only. The
-        // tight leg makes install-time eager predecode, backpatching and
-        // invalidation all fire.
+        // tight leg makes in-walk lowering, backpatching and invalidation
+        // all fire.
         for tcache_size in KNOB_TCACHE_SIZES {
             let base = knob_default(tcache_size);
             let on = run_knob(base);

@@ -18,7 +18,10 @@
 //!   ```
 //!
 //!   Return addresses therefore always point into pinned memory; evicting
-//!   a procedure only has to fix redirector words, never the stack.
+//!   a procedure only has to fix redirector words, never the stack. A
+//!   redirector word whose target is not resident holds a miss stub that
+//!   names the word itself (`2 × redirector + slot`), so the tier keeps no
+//!   miss records.
 //! * "Indirect jumps are not supported" — the MC refuses procedures
 //!   containing `jr`/`jalr` (compile the workload with
 //!   `jump_tables: false`).
@@ -184,6 +187,26 @@ enum RedirSlot {
     Continuation,
 }
 
+impl RedirSlot {
+    /// The miss index of this word of redirector `ridx`: `2 × ridx +
+    /// slot`. A redirector word is the only place this tier writes a miss
+    /// stub, and its target is fixed by the redirector, so the index is
+    /// all the miss handler needs.
+    fn miss_idx(self, ridx: usize) -> u32 {
+        2 * ridx as u32 + self as u32
+    }
+
+    /// Inverse of [`RedirSlot::miss_idx`]: the redirector index and slot.
+    fn of_miss(idx: u32) -> (usize, RedirSlot) {
+        let slot = if idx.is_multiple_of(2) {
+            RedirSlot::Callee
+        } else {
+            RedirSlot::Continuation
+        };
+        ((idx / 2) as usize, slot)
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Redirector {
     addr: u32,
@@ -191,14 +214,6 @@ struct Redirector {
     callee_orig: u32,
     /// Original continuation address (call site + 4).
     cont_orig: u32,
-}
-
-#[derive(Clone, Debug)]
-struct MissRec {
-    /// Original address to make resident and resume at.
-    target_orig: u32,
-    /// Redirector word to patch once resident.
-    site: Option<(usize, RedirSlot)>, // redirector index
 }
 
 #[derive(Clone, Debug)]
@@ -254,7 +269,6 @@ struct ProcCc {
     /// call-site original address → redirector index.
     redir_by_site: AddrMap<usize>,
     redirectors: Vec<Redirector>,
-    records: Vec<MissRec>,
     clock: u64,
     stats: ProcStats,
     /// Lifetime entries per procedure, never cleared — breaks RRPV ties
@@ -274,7 +288,6 @@ impl ProcCc {
             resident: AddrMap::default(),
             redir_by_site: AddrMap::default(),
             redirectors: Vec::new(),
-            records: Vec::new(),
             clock: 0,
             stats: ProcStats::default(),
             heat: AddrMap::default(),
@@ -298,8 +311,8 @@ impl ProcCc {
     /// translations are unverifiable against the fresh MC) but keep the
     /// pinned redirectors — return addresses on the stack point into them,
     /// which is exactly why they are pinned. Every redirector word is
-    /// re-pointed; now-absent targets become fresh miss records that
-    /// refetch on demand.
+    /// re-pointed; a word whose target is now absent becomes its miss stub
+    /// and refetches on demand.
     fn resync(&mut self, machine: &mut Machine) {
         // Residence predictions die with the residents; lifetime heat
         // survives (it describes the program, not the epoch).
@@ -346,13 +359,20 @@ impl ProcCc {
         Some(p.tc_start + (orig - func))
     }
 
-    /// Write one redirector word.
-    fn write_redir_word(&mut self, machine: &mut Machine, ridx: usize, slot: RedirSlot) {
+    /// The address of one redirector word and the original address it
+    /// leads to.
+    fn redir_word(&self, ridx: usize, slot: RedirSlot) -> (u32, u32) {
         let r = self.redirectors[ridx];
-        let (addr, target_orig) = match slot {
+        match slot {
             RedirSlot::Callee => (r.addr, r.callee_orig),
             RedirSlot::Continuation => (r.addr + 4, r.cont_orig),
-        };
+        }
+    }
+
+    /// Write one redirector word: a jump to its resident target, or else
+    /// its own miss stub.
+    fn write_redir_word(&mut self, machine: &mut Machine, ridx: usize, slot: RedirSlot) {
+        let (addr, target_orig) = self.redir_word(ridx, slot);
         // Resident (without a touch — this is bookkeeping, not use)?
         let target_tc = self
             .by_orig(target_orig)
@@ -364,21 +384,11 @@ impl ProcCc {
             (Some(tc), RedirSlot::Continuation) => {
                 cf::retarget(encode(Inst::J { off: 0 }), addr, tc).expect("in range")
             }
-            (None, _) => {
-                let idx = self.records.len() as u32;
-                self.records.push(MissRec {
-                    target_orig,
-                    site: Some((ridx, slot)),
-                });
-                encode(Inst::Miss { idx })
-            }
+            (None, _) => encode(Inst::Miss {
+                idx: slot.miss_idx(ridx),
+            }),
         };
         machine.mem.write_u32(addr, word).expect("redir mapped");
-        // Redirector words are entered on every cross-procedure transfer;
-        // re-predecode the rewritten word eagerly. A no-op when the
-        // superblock engine is off — lowering words that path would never
-        // execute was pure waste.
-        machine.predecode_range(addr, addr + 4);
         // Each redirector word is independently regenerable from CC
         // metadata, so it gets its own one-word seal.
         self.arena.seal(machine, addr, 4);
@@ -557,9 +567,7 @@ impl ProcCc {
             machine.mem.write_u32(site_tc, jal).expect("mapped");
         }
         // The procedure body and its rewired call sites are final: place
-        // the span, so the first call chains across the blocks predecode
-        // lowered from its entry. Blocks at internal branch targets lower
-        // lazily on first entry.
+        // the span.
         self.arena.place(machine, chunk.orig_start, tc_start, bytes);
         self.stats.fetches += 1;
         self.stats.words_installed += chunk.words.len() as u64;
@@ -577,29 +585,20 @@ impl ProcCc {
         idx: u32,
     ) -> Result<(), CacheError> {
         self.stats.miss_traps += 1;
-        let rec = self
-            .records
-            .get(idx as usize)
-            .cloned()
-            .ok_or(CacheError::BadMissRecord(idx))?;
-        let target_tc = self.verified_target(machine, ep, rec.target_orig)?;
-        match rec.site {
-            Some((ridx, slot)) => {
-                // Re-point the redirector word at the now-resident target,
-                // then resume at the *redirector word itself*: the patched
-                // `jal` must execute so `ra` becomes the landing pad
-                // (`redir + 4`). Jumping straight to the callee would leave
-                // `ra` pointing into the caller's (evictable) body —
-                // exactly what redirectors exist to prevent.
-                self.write_redir_word(machine, ridx, slot);
-                let r = self.redirectors[ridx];
-                machine.cpu.pc = match slot {
-                    RedirSlot::Callee => r.addr,
-                    RedirSlot::Continuation => r.addr + 4,
-                };
-            }
-            None => machine.cpu.pc = target_tc,
+        let (ridx, slot) = RedirSlot::of_miss(idx);
+        if ridx >= self.redirectors.len() {
+            return Err(CacheError::BadMissRecord(idx));
         }
+        let (addr, target_orig) = self.redir_word(ridx, slot);
+        self.verified_target(machine, ep, target_orig)?;
+        // Re-point the redirector word at the now-resident target, then
+        // resume at the *redirector word itself*: the patched `jal` must
+        // execute so `ra` becomes the landing pad (`redir + 4`). Jumping
+        // straight to the callee would leave `ra` pointing into the
+        // caller's (evictable) body — exactly what redirectors exist to
+        // prevent.
+        self.write_redir_word(machine, ridx, slot);
+        machine.cpu.pc = addr;
         Ok(())
     }
 }
@@ -975,8 +974,21 @@ int main() { return f(getc()); }
 
     /// Run `CALC` through a procedure cache two thirds the size of its
     /// code, armed before its first install or not, calling `check` after
-    /// the first install and after every serviced trap.
+    /// the first install and after every serviced trap. Each call first
+    /// asserts that every redirector word holding a miss stub encodes its
+    /// own index: word `k` of redirector `r` traps with `2 × r + k`.
     fn drive_paging(armed: bool, mut check: impl FnMut(&ProcCc, &Machine)) -> ProcCc {
+        let mut check = |cc: &ProcCc, machine: &Machine| {
+            for (ridx, r) in cc.redirectors.iter().enumerate() {
+                for k in 0..2 {
+                    let word = machine.mem.read_u32(r.addr + 4 * k).unwrap();
+                    if let Ok(Inst::Miss { idx }) = decode(word) {
+                        assert_eq!(idx, 2 * ridx as u32 + k, "redirector {ridx} word {k}");
+                    }
+                }
+            }
+            check(cc, machine);
+        };
         let image = compile(CALC);
         let mut machine = Machine::load_client(&image, &[]);
         let mut cc = ProcCc::new(ProcConfig {

@@ -27,7 +27,6 @@ use softcache_isa::layout::{
     DATA_BASE, FP_SENTINEL, MEM_SIZE, STACK_FLOOR, STACK_TOP, TCACHE_BASE,
 };
 use softcache_isa::reg::Reg;
-use softcache_isa::INST_BYTES;
 
 /// Environment-call service numbers.
 pub mod syscall {
@@ -116,9 +115,9 @@ impl ExecStats {
 }
 
 /// Chain-break counts by terminator kind: how many trace walks ended at
-/// each class of terminator because no valid successor (static link or
-/// inline cache) was available — or because the step budget could not fit
-/// the successor block.
+/// each class of terminator because no successor block could be linked
+/// (the next PC cannot be lowered, or chaining or the inline caches are
+/// off) — or because the step budget could not fit the successor block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BreakStats {
     /// Block ended at a non-lowerable instruction (no terminator).
@@ -511,42 +510,31 @@ impl Machine {
         self.uops.clear_pins();
     }
 
-    /// Eagerly lower `[lo, hi)` at block starts: lower the superblock at
-    /// `lo`, then the next at each lowered block's `exit_pc`, stepping one
-    /// word over words not worth lowering. Each installed word is decoded
-    /// once. The cache controller calls this after installing a chunk —
-    /// it knows the chunk boundaries, so its straight-line path is
-    /// lowered once at install time instead of lazily on first execution;
-    /// blocks entered mid-chunk (branch targets) still lower lazily on
-    /// first entry. Links are not formed
-    /// here: the first walk through each leg forms it in-walk, since the
-    /// successor is already lowered. Purely an optimisation: lazy fill
-    /// behind the generation barrier gives identical results. With the
-    /// superblock engine off this is a no-op: every instruction then runs
-    /// on [`Machine::step`], which caches nothing.
-    pub fn predecode_range(&mut self, lo: u32, hi: u32) {
-        if !self.superblocks {
-            return;
+    /// The superblock starting at `pc`, lowered now if no verdict is
+    /// cached: the engine's one lookup-or-lower, shared by the loop top,
+    /// the static-leg link and the inline-cache fill, so a block is
+    /// lowered the first time execution reaches it. `None` for a word not
+    /// worth lowering, a pinned span, or a misaligned `pc`, which the
+    /// page map (indexed by `pc >> 2`) would alias to the aligned block:
+    /// the cold tier faults on it as [`Machine::step`] does.
+    #[inline]
+    fn block_at(&mut self, pc: u32) -> Option<u32> {
+        if pc & 3 != 0 {
+            return None;
         }
-        self.sync_uops();
-        let mut pc = lo & !3;
-        while pc < hi {
-            let id = match self.uops.lookup(pc) {
-                uop::Lookup::Id(id) => Some(id),
-                uop::Lookup::NotWorth => None,
-                uop::Lookup::Unknown => self.lower_at(pc),
-            };
-            pc = match id {
-                Some(id) => self.uops.block(id).exit_pc(),
-                None => pc.wrapping_add(INST_BYTES),
-            };
+        match self.uops.lookup(pc) {
+            uop::Lookup::Id(id) => Some(id),
+            uop::Lookup::NotWorth => None,
+            uop::Lookup::Unknown => self.lower_at(pc),
         }
     }
 
     /// Lower the superblock starting at `pc` and record the verdict,
     /// returning the new block's arena id. Threshold 0 means "always
-    /// threaded": handlers are bound at lowering time, whether eager or
-    /// lazy.
+    /// threaded": handlers are bound at lowering time. Out of line: it
+    /// runs once per block per code write, and [`Machine::block_at`]'s
+    /// callers sit on the trace walk.
+    #[inline(never)]
     fn lower_at(&mut self, pc: u32) -> Option<u32> {
         let id = self.uops.lower(&self.cost, &self.mem, pc)?;
         if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
@@ -560,7 +548,8 @@ impl Machine {
     /// consumed. This is the production engine: at each loop top it looks
     /// up (or lowers) the superblock at the PC and walks a chained trace
     /// from it, one dispatch walk and one cycle add per block, on the
-    /// match-dispatched tier or the threaded tier. Instructions no
+    /// match-dispatched tier or the threaded tier, lowering and linking
+    /// each successor the first time the walk takes its leg. Instructions no
     /// superblock covers — traps, halts, `ecall`s, words not worth
     /// lowering, and a budget tail too short for the next whole block —
     /// run on [`Machine::step`], the cold tier. Block instruction and
@@ -583,15 +572,8 @@ impl Machine {
                 // unlowerable slots and when the remaining budget cannot
                 // fit the next whole block (so `Step::Running` still means
                 // the budget was consumed exactly).
-                if self.superblocks && pc & 3 == 0 {
-                    // One page walk covers the common "already cached"
-                    // case; a miss lowers and dispatches straight into the
-                    // fresh block off `insert`'s returned id.
-                    let hit = match self.uops.lookup(pc) {
-                        uop::Lookup::Id(id) => Some(id),
-                        uop::Lookup::NotWorth => None,
-                        uop::Lookup::Unknown => self.lower_at(pc),
-                    };
+                if self.superblocks {
+                    let hit = self.block_at(pc);
                     let mut ran = false;
                     let mut resync = false;
                     let mut fault = None;
@@ -689,31 +671,29 @@ impl Machine {
                                                 // cache, validated against the PC
                                                 // the terminator computed, so a
                                                 // wrong prediction only costs the
-                                                // chain. A miss whose target is
-                                                // already lowered refills the cache
-                                                // in-walk and keeps walking.
+                                                // chain. A miss refills the cache
+                                                // in-walk, lowering the target if
+                                                // need be, and keeps walking.
                                                 if self.indirect_ic {
                                                     let pc = self.cpu.pc;
                                                     let (target, ic) = sb.ic();
                                                     if ic.stamp == entry_gen && target == pc {
                                                         self.trace.ic_hits += 1;
                                                         next = Some(ic.id);
-                                                    } else if let Some(nid) = self.uops.id_at(pc) {
+                                                    } else if let Some(nid) = self.block_at(pc) {
                                                         self.uops.set_ic(id, pc, nid);
                                                         self.trace.ic_fills += 1;
                                                         next = Some(nid);
                                                     }
                                                 }
-                                            } else if let Some(nid) = sb
-                                                .leg_target(taken)
-                                                .and_then(|t| self.uops.id_at(t))
+                                            } else if let Some(nid) =
+                                                sb.leg_target(taken).and_then(|t| self.block_at(t))
                                             {
                                                 // Static successor with no valid
-                                                // link, already lowered: form the
-                                                // link in-walk. Otherwise the walk
-                                                // breaks, the loop top lowers the
-                                                // target, and the next walk through
-                                                // this leg forms the link here.
+                                                // link: form the link in-walk,
+                                                // lowering the successor if need
+                                                // be. The walk breaks only where
+                                                // nothing can be lowered.
                                                 self.uops.set_link(id, taken, nid);
                                                 next = Some(nid);
                                             }
@@ -1071,7 +1051,8 @@ _start: li s0, 200
         let mut m = Machine::blank(&[]);
         m.set_threaded_threshold(0);
         m.mem.write_words(base, &words).unwrap();
-        m.predecode_range(base, base + 24);
+        m.cpu.pc = base;
+        assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0));
         let a = m.uops.id_at(base).expect("block A lowered");
         let b = m.uops.id_at(base + 12).expect("block B lowered");
         assert!(m.uops.block(a).is_threaded() && m.uops.block(b).is_threaded());
@@ -1086,57 +1067,100 @@ _start: li s0, 200
     }
 
     #[test]
-    fn predecode_lowers_at_block_starts_only() {
-        // A chunk: 8 ALU words, a branch back to its start, 3 miss stubs.
+    fn fresh_chunk_chains_on_its_first_walk() {
+        // A straight-line chunk of four blocks, each an ALU word and a
+        // jump to the next. Nothing is lowered before the run: the first
+        // walk lowers each block as it takes the leg into it, forms the
+        // link and runs the whole chunk as one trace. The chunk ends at a
+        // halt, or at a `jr` to one more block, which the same walk
+        // lowers to fill the inline cache.
+        let blocks = 4u64;
         let base = TCACHE_BASE;
-        let mut words: Vec<u32> = (0..8).map(|i| addi(Reg::T0, i)).collect();
-        words.push(softcache_isa::encode(Inst::Branch {
-            cond: softcache_isa::inst::BranchCond::Ne,
-            rs1: Reg::T0,
-            rs2: Reg::ZERO,
-            off: -9,
-        }));
-        words.extend((0..3).map(|idx| softcache_isa::encode(Inst::Miss { idx })));
-        let mut m = Machine::blank(&[]);
-        m.mem.write_words(base, &words).unwrap();
-        m.predecode_range(base, base + 4 * words.len() as u32);
-        let id = m.uops.id_at(base).expect("one block at the chunk start");
-        assert_eq!(m.uops.block(id).len, 9);
-        for k in 1..=8 {
-            let pc = base + 4 * k;
-            assert_eq!(m.uops.lookup(pc), uop::Lookup::Unknown, "mid-body word {k}");
+        let halt = softcache_isa::encode(Inst::Halt);
+        let mut to_halt = Vec::new();
+        for i in 0..blocks as i32 {
+            to_halt.push(addi(Reg::T0, i));
+            if i + 1 < blocks as i32 {
+                to_halt.push(softcache_isa::encode(Inst::J { off: 0 }));
+            }
         }
-        for k in 9..12 {
-            let pc = base + 4 * k;
-            assert_eq!(m.uops.lookup(pc), uop::Lookup::NotWorth, "stub {k}");
+        let mut to_jr = to_halt.clone();
+        to_halt.push(halt);
+        to_jr.push(softcache_isa::encode(Inst::Jr { rs: Reg::T1 }));
+        let tail = base + 4 * to_jr.len() as u32;
+        to_jr.extend([addi(Reg::T0, 1), halt]);
+        for (words, chained, ic_fills) in [(to_halt, blocks - 1, 0), (to_jr, blocks, 1)] {
+            for threshold in [DEFAULT_THREADED_THRESHOLD, 0] {
+                let tag = format!("threshold {threshold}, ic_fills {ic_fills}");
+                let mut m = Machine::blank(&[]);
+                m.set_threaded_threshold(threshold);
+                m.mem.write_words(base, &words).unwrap();
+                m.cpu.set(Reg::T1, tail as i32);
+                m.cpu.pc = base;
+                assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0), "{tag}");
+                assert_eq!(m.trace.entries, 1, "{tag}");
+                assert_eq!(m.trace.chained, chained, "{tag}");
+                assert_eq!(m.trace.ic_fills, ic_fills, "{tag}");
+            }
         }
     }
 
     #[test]
-    fn predecoded_chunk_chains_on_its_first_walk() {
-        // A straight-line chunk of four blocks, each an ALU word and a
-        // jump to the next, the last ending at a halt. Predecode lowers
-        // every block; the first walk then runs the whole chunk as one
-        // trace, forming each static link as it takes the leg.
-        let blocks = 4u64;
-        let base = TCACHE_BASE;
-        let mut words = Vec::new();
-        for i in 0..blocks as i32 {
-            words.push(addi(Reg::T0, i));
-            if i + 1 < blocks as i32 {
-                words.push(softcache_isa::encode(Inst::J { off: 0 }));
-            }
-        }
-        words.push(softcache_isa::encode(Inst::Halt));
-        for threshold in [DEFAULT_THREADED_THRESHOLD, 0] {
+    fn misaligned_indirect_target_faults_as_in_step() {
+        // Block B (`addi t1, 1; halt`) runs once, so the block engine has
+        // it lowered. Then `lui`/`ori`/`jr` jump 2 bytes past B's start.
+        // The inline-cache fill must not alias that pc to B: both engines
+        // fault on the fetch, with the same statistics.
+        let b = TCACHE_BASE + 0x40;
+        let target = b + 2;
+        let enc = softcache_isa::encode;
+        let jump = [
+            enc(Inst::Lui {
+                rd: Reg::T0,
+                imm: (target >> 16) as u16,
+            }),
+            enc(Inst::AluImm {
+                op: softcache_isa::inst::AluOp::Or,
+                rd: Reg::T0,
+                rs1: Reg::T0,
+                imm: (target & 0xffff) as i32,
+            }),
+            enc(Inst::Jr { rs: Reg::T0 }),
+        ];
+        let run = |block_engine: bool| {
             let mut m = Machine::blank(&[]);
-            m.set_threaded_threshold(threshold);
-            m.mem.write_words(base, &words).unwrap();
-            m.predecode_range(base, base + 4 * words.len() as u32);
-            m.cpu.pc = base;
-            assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0));
-            assert_eq!(m.trace.entries, 1, "threshold {threshold}");
-            assert_eq!(m.trace.chained, blocks - 1, "threshold {threshold}");
-        }
+            m.mem.write_words(TCACHE_BASE, &jump).unwrap();
+            m.mem
+                .write_words(b, &[addi(Reg::T1, 1), enc(Inst::Halt)])
+                .unwrap();
+            let mut outcomes = Vec::new();
+            for pc in [b, TCACHE_BASE] {
+                m.cpu.pc = pc;
+                outcomes.push(if block_engine {
+                    m.run_block(100)
+                } else {
+                    loop {
+                        match m.step() {
+                            Ok(Step::Running) => {}
+                            stop => break stop,
+                        }
+                    }
+                });
+            }
+            (outcomes, m.stats, m.cpu.get(Reg::T1))
+        };
+        let fault = SimError::FetchFault {
+            pc: target,
+            fault: crate::mem::MemFault::Misaligned {
+                addr: target,
+                align: 4,
+            },
+        };
+        let want = (vec![Ok(Step::Exited(0)), Err(fault)], 1);
+        let (outcomes, stats, t1) = run(false);
+        assert_eq!((outcomes, t1), want, "step");
+        let (outcomes, block_stats, t1) = run(true);
+        assert_eq!((outcomes, t1), want, "run_block");
+        assert_eq!(block_stats, stats);
     }
 }

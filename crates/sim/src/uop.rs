@@ -37,12 +37,13 @@
 //! whole traces — one budget check and one arena index per link — without
 //! returning to its loop top. Any code write bumps the generation, so every
 //! existing link is severed by that same compare; a link re-forms the next
-//! time a walk takes its leg and finds the successor lowered. If it is not,
-//! the walk breaks, the next loop-top lookup lowers the successor, and the
-//! next walk through the leg forms the link (the paper likewise rewrites a
-//! branch when it is first taken). A dropped block's arena id is reused
-//! only after the generation has moved on, so a link stamped with the
-//! current generation always names a block whose contents are unchanged.
+//! time a walk takes its leg, and that walk lowers the successor first if
+//! none is cached (the paper likewise rewrites a branch when it is first
+//! taken). So a block is lowered when execution first reaches it, at the
+//! loop top or in a walk, and never ahead of execution. A dropped block's
+//! arena id is reused only after the generation has moved on, so a link
+//! stamped with the current generation always names a block whose contents
+//! are unchanged.
 //!
 //! Register-indirect terminators (`jr`, `jalr`, `ret`) have no *static*
 //! link — their next PC is data-dependent — but each carries a per-site
@@ -51,9 +52,9 @@
 //! static link (stamp compare, then a target-PC compare against the value
 //! the terminator just computed). Monomorphic indirects therefore chain
 //! without leaving the trace walk. A changed target or a code write
-//! refills the cache the next time the terminator runs and finds the new
-//! target lowered, in-walk — so a `ret` shared by several call sites keeps
-//! chaining.
+//! refills the cache in-walk the next time the terminator runs, lowering
+//! the new target if need be — so a `ret` shared by several call sites
+//! keeps chaining.
 
 use crate::cost::CostModel;
 use crate::cpu::{self, Cpu, SimError};
@@ -1198,13 +1199,6 @@ impl Superblock {
         }
     }
 
-    /// The PC after the block when its terminator is not taken; for a
-    /// block without a terminator, the first word it did not lower.
-    #[inline]
-    pub(crate) fn exit_pc(&self) -> u32 {
-        self.exit_pc
-    }
-
     /// Does the block depend on a byte in `[lo, hi)`? Lowering read every
     /// word from `start` through `exit_pc`: the body, the terminator, and,
     /// for a block without one, the word that stopped it (rewriting that
@@ -1610,8 +1604,10 @@ impl UopCache {
         }
     }
 
-    /// Single-walk slot state at `pc` — the run-loop top uses this so the
-    /// common "block already cached" case costs one page walk.
+    /// Single-walk slot state at `pc`, which must be word-aligned (the
+    /// pages index by `pc >> 2`). The engine's one lookup-or-lower
+    /// (`Machine::block_at`) uses this, so the common "block already
+    /// cached" case costs one page walk.
     #[inline]
     pub(crate) fn lookup(&self, pc: u32) -> Lookup {
         if self.is_pinned(pc) {
@@ -1629,19 +1625,12 @@ impl UopCache {
         }
     }
 
-    /// Arena id of the superblock starting at `pc`, if one is cached.
-    #[inline]
+    /// Arena id of the superblock starting at `pc`, if one is cached
+    /// (tests; the engine goes through [`UopCache::lookup`]).
+    #[cfg(test)]
     pub(crate) fn id_at(&self, pc: u32) -> Option<u32> {
-        if self.is_pinned(pc) {
-            return None;
-        }
-        let idx = (pc >> 2) as usize;
-        let (page_no, slot_no) = (idx >> PAGE_SHIFT, idx & (PAGE_SLOTS - 1));
-        match self.pages.get(page_no) {
-            Some(Some(page)) => {
-                let id = page[slot_no];
-                (id < SLOT_NOT_WORTH).then_some(id)
-            }
+        match self.lookup(pc) {
+            Lookup::Id(id) => Some(id),
             _ => None,
         }
     }
@@ -1759,8 +1748,7 @@ impl UopCache {
         }
     }
 
-    /// The superblock starting at `pc`, if one is cached (tests; the hot
-    /// path goes through [`UopCache::id_at`] + [`UopCache::block`]).
+    /// The superblock starting at `pc`, if one is cached (tests).
     #[cfg(test)]
     pub(crate) fn get(&self, pc: u32) -> Option<&Superblock> {
         self.id_at(pc).map(|id| self.block(id))
@@ -1965,7 +1953,7 @@ mod tests {
             uc.insert(0, lowered(&words));
             uc
         };
-        let exit_pc = fresh().get(0).unwrap().exit_pc();
+        let exit_pc = fresh().get(0).unwrap().exit_pc;
         assert_eq!(exit_pc, 61 * 4);
         // Any write into that range kills the block, even one more than
         // 200 B past its start; a sub-word write counts for its word.
@@ -1999,7 +1987,7 @@ mod tests {
         words.push(encode(Inst::Ret));
         let wide = uc.insert(0, lowered(&words));
         assert_eq!(wide, narrow, "the freed id is reused");
-        let exit_pc = uc.get(0).unwrap().exit_pc();
+        let exit_pc = uc.get(0).unwrap().exit_pc;
         uc.invalidate_span(exit_pc, exit_pc + 4);
         assert_eq!(uc.lookup(0), Lookup::Unknown, "write at exit_pc");
     }
@@ -2153,7 +2141,7 @@ mod tests {
         // its id is not reused and its block stays intact.
         let b = uc.insert(0, block()).unwrap();
         assert_ne!(a, b);
-        assert_eq!(uc.block(a).exit_pc(), 8);
+        assert_eq!(uc.block(a).exit_pc, 8);
         uc.invalidate_span(0, 4);
         uc.set_generation(1);
         let c = uc.insert(0, block()).unwrap();
