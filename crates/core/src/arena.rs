@@ -13,6 +13,11 @@
 //! supplies its own heal and the spans it offers the injector, in its own
 //! draw order.
 //!
+//! Both tiers also share one miss-stub rule ([`stub_at`], [`stub_addr`]):
+//! a stub names its own tcache word, so the trap says where it came from
+//! and each tier reads the exit it stands for from the chunk or
+//! redirector that holds that word.
+//!
 //! Temperature and the tcache→chunk owner table stay per tier. The
 //! procedure tier breaks `(rrpv, heat)` ties by least-recent use, the block
 //! tier by address, and committed outputs pin both orders. Only the block
@@ -22,7 +27,24 @@ use crate::addr_map::{AddrMap, AddrSet};
 use crate::cc::CacheError;
 use crate::endpoint::McEndpoint;
 use crate::integrity::{IntegrityStats, MemFaultInjector, SealTable, TickFire, WATCHDOG_THRESHOLD};
+use softcache_isa::encode;
+use softcache_isa::inst::Inst;
+use softcache_isa::layout::TCACHE_BASE;
 use softcache_sim::Machine;
+
+/// The miss stub for the tcache word at `addr`: `miss idx` whose index is
+/// the word's own, `(addr − TCACHE_BASE) / 4`.
+pub(crate) fn stub_at(addr: u32) -> u32 {
+    encode(Inst::Miss {
+        idx: (addr - TCACHE_BASE) / 4,
+    })
+}
+
+/// The tcache word a miss index names: the inverse of [`stub_at`], `None`
+/// when the index lies past the address space.
+pub(crate) fn stub_addr(idx: u32) -> Option<u32> {
+    idx.checked_mul(4)?.checked_add(TCACHE_BASE)
+}
 
 /// First-fit free-list allocator over the tcache region: sorted,
 /// coalesced, non-adjacent holes. Under the block tier's `FlushAll` policy

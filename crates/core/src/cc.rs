@@ -8,13 +8,18 @@
 //! finding "any and all pointers that implicitly mark a basic block as
 //! valid" — incoming branches recorded at patch time, plus return addresses
 //! on the stack, which the known frame layout lets it walk.
+//!
+//! A miss stub names its own tcache word (`arena::stub_at`), so a trap
+//! says where it came from. An in-chunk stub stands for one of its chunk's
+//! exit sites, and a trampoline or standalone stub for the target its
+//! redirector records.
 
 use crate::addr_map::{AddrMap, AddrSet};
-use crate::arena::{Arena, Tier};
+use crate::arena::{stub_addr, stub_at, Arena, Tier};
 use crate::endpoint::McEndpoint;
 use crate::integrity::IntegrityStats;
 use crate::power::BankModel;
-use crate::protocol::{ChunkPayload, PatchKind, Reply, Request};
+use crate::protocol::{ChunkPayload, ExitDesc, PatchKind, Reply, Request};
 use softcache_isa::inst::Inst;
 use softcache_isa::layout::{FP_SENTINEL, STACK_TOP, TCACHE_BASE};
 use softcache_isa::reg::Reg;
@@ -62,7 +67,7 @@ pub struct IcacheConfig {
     /// Retry/backoff policy for the remote MC endpoint (ignored when the
     /// MC is fused in-process).
     pub link_policy: LinkPolicy,
-    /// Fixed CC-side cycles per serviced miss (trap entry, record lookup,
+    /// Fixed CC-side cycles per serviced miss (trap entry, stub lookup,
     /// patching).
     pub miss_handler_cycles: u64,
     /// Cycles per hash-table lookup for computed jumps.
@@ -224,8 +229,8 @@ pub enum CacheError {
     Sim(SimError),
     /// Instruction budget exhausted.
     OutOfFuel,
-    /// A trap referenced an unknown miss record (corrupted tcache).
-    BadMissRecord(u32),
+    /// A trap named a tcache word that holds no live miss stub.
+    BadMissStub(u32),
     /// The MC's session epoch changed: it restarted and lost its residence
     /// mirror. The CC must resync (full local invalidate) and retry.
     McRestarted,
@@ -245,7 +250,9 @@ impl std::fmt::Display for CacheError {
             CacheError::Proto => write!(f, "protocol violation"),
             CacheError::Sim(e) => write!(f, "{e}"),
             CacheError::OutOfFuel => write!(f, "instruction budget exhausted"),
-            CacheError::BadMissRecord(idx) => write!(f, "unknown miss record {idx}"),
+            CacheError::BadMissStub(idx) => {
+                write!(f, "tcache word {idx} holds no live miss stub")
+            }
             CacheError::McRestarted => write!(f, "memory controller restarted (epoch changed)"),
         }
     }
@@ -257,15 +264,6 @@ impl From<SimError> for CacheError {
     fn from(e: SimError) -> CacheError {
         CacheError::Sim(e)
     }
-}
-
-#[derive(Clone, Debug)]
-struct MissRecord {
-    orig_target: u32,
-    /// Patch site applied once the target is resident.
-    patch: Option<(u32, PatchKind)>,
-    /// Chunk the patch site lives in (patches are skipped if it died).
-    home: Option<usize>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -286,11 +284,14 @@ struct ChunkInfo {
     /// Slots whose `incoming` lists this chunk has pushed onto (each
     /// once): the only places its back-references can sit when it dies.
     outgoing: Vec<usize>,
-    records: Vec<u32>,
+    /// Every word that can hold one of this chunk's miss stubs, with the
+    /// exit it stands for: the payload's exits, plus each MC-resolved
+    /// `ReplaceWord` slot, where a detach writes a stub in place.
+    sites: Vec<ExitDesc>,
     alive: bool,
-    /// Installation counter distinguishing reuses of this slot: a miss
-    /// record patched against an older installation must not touch a
-    /// newer chunk that happens to occupy the same slot.
+    /// Installation counter distinguishing reuses of this slot: a trap
+    /// serviced against an older installation must not patch a newer
+    /// chunk that happens to occupy the same slot.
     epoch: u64,
     /// TRRIP re-reference prediction value: 0 = re-reference imminent,
     /// [`RRPV_MAX`] = distant. Maintained under both policies, consulted
@@ -314,21 +315,19 @@ impl ChunkInfo {
     }
 }
 
-/// A single-word redirector: a return-address trampoline (permanent,
-/// shared by `orig`) or a standalone branch-landing stub (retired when
-/// its record dies or its branch is patched direct).
+/// A single-word redirector holding the miss stub for `orig`: a
+/// return-address trampoline (permanent, shared by `orig`) or a standalone
+/// branch-landing stub (retired when the chunk holding its branch dies or
+/// the branch is patched direct). The stub names its own word, so this is
+/// enough metadata to regenerate a corrupted word without a refetch.
 #[derive(Clone, Copy, Debug)]
 struct Redir {
     addr: u32,
     orig: u32,
-    /// Miss-record index encoded in the word — enough metadata to
-    /// regenerate a corrupted span without a refetch.
-    idx: u32,
-    /// `true` for standalone stubs, `false` for RA trampolines. Only
-    /// trampolines are reused by target: handing a return address a stub
-    /// whose record dies with its home chunk would strand the RA on a
-    /// dangling record index.
-    stub: bool,
+    /// The branch a standalone stub lands; `None` for an RA trampoline.
+    /// Only trampolines are reused by target: a stub dies with the chunk
+    /// holding its branch, and would strand a return address parked on it.
+    site: Option<u32>,
 }
 
 /// The cache controller state.
@@ -341,10 +340,8 @@ pub struct Cc {
     /// Per arena word: 1 + the slot of the live chunk covering it, 0 for
     /// none — `chunk_at` in one load.
     owner: Vec<u32>,
-    records: Vec<Option<MissRecord>>,
-    /// Return-address trampolines and standalone stubs. The record
-    /// index lets a corrupted single-word span be regenerated purely
-    /// from this metadata, no refetch needed.
+    /// Return-address trampolines and standalone stubs, in placement
+    /// order (the fault injector draws redirector words in this order).
     trampolines: Vec<Redir>,
     /// The tcache's free list (a bump pointer until eviction punches
     /// holes), seals and watchdog.
@@ -352,8 +349,6 @@ pub struct Cc {
     /// Dead `chunks` slots available for reuse — under `Trrip` the vec
     /// would otherwise grow (and `chunk_at` slow down) forever.
     free_chunk_slots: Vec<usize>,
-    /// Dead `records` slots available for reuse.
-    free_record_slots: Vec<u32>,
     /// Monotone installation counter backing `ChunkInfo::epoch`. Never
     /// reset: epochs must stay unique across flushes.
     epoch_counter: u64,
@@ -399,10 +394,8 @@ impl Cc {
             map: AddrMap::default(),
             chunks: Vec::new(),
             owner: vec![0; cfg.tcache_size as usize / 4],
-            records: Vec::new(),
             trampolines: Vec::new(),
             free_chunk_slots: Vec::new(),
-            free_record_slots: Vec::new(),
             epoch_counter: 0,
             evict_seq: 0,
             history: AddrMap::default(),
@@ -710,18 +703,11 @@ impl Cc {
             .mem
             .write_words(dest, &chunk.words)
             .expect("tcache region is mapped");
-        let id = self.free_chunk_slots.pop().unwrap_or(self.chunks.len());
-        let mut record_ids = Vec::with_capacity(chunk.exits.len());
         for exit in &chunk.exits {
-            let idx = self.alloc_record(MissRecord {
-                orig_target: exit.orig_target,
-                patch: Some((dest + exit.patch_slot * 4, exit.kind)),
-                home: Some(id),
-            });
-            record_ids.push(idx);
+            let stub = dest + exit.stub_slot * 4;
             machine
                 .mem
-                .write_u32(dest + exit.stub_slot * 4, encode(Inst::Miss { idx }))
+                .write_u32(stub, stub_at(stub))
                 .expect("stub slot in range");
         }
         // The chunk body and its miss stubs are final: place the span
@@ -744,7 +730,21 @@ impl Cc {
                 None => RRPV_FRESH,
             }
         };
+        let mut sites = chunk.exits;
+        sites.extend(
+            chunk
+                .resolved
+                .iter()
+                .filter(|rr| rr.kind == PatchKind::ReplaceWord)
+                .map(|rr| ExitDesc {
+                    stub_slot: rr.slot,
+                    patch_slot: rr.slot,
+                    kind: rr.kind,
+                    orig_target: rr.orig_target,
+                }),
+        );
         self.epoch_counter += 1;
+        let id = self.free_chunk_slots.pop().unwrap_or(self.chunks.len());
         if id == self.chunks.len() {
             self.chunks.push(ChunkInfo::default());
         }
@@ -759,7 +759,7 @@ impl Cc {
             extra_orig: chunk.extra_orig,
             incoming,
             outgoing,
-            records: record_ids,
+            sites,
             alive: true,
             epoch: self.epoch_counter,
             rrpv,
@@ -843,9 +843,12 @@ impl Cc {
         }
     }
 
-    /// Service a `miss` trap: translate the target, patch the site that
-    /// missed (rewriting the branch to point at the now-resident block),
-    /// and redirect the PC.
+    /// Service a `miss` trap from the stub at tcache word `idx`: translate
+    /// the target, patch the site that missed (rewriting the branch to
+    /// point at the now-resident block), and redirect the PC. An in-chunk
+    /// stub stands for the chunk's exit site at that word; a trampoline or
+    /// standalone stub for its redirector's target, and a standalone stub
+    /// also for the branch it lands.
     pub fn handle_miss(
         &mut self,
         machine: &mut Machine,
@@ -853,56 +856,70 @@ impl Cc {
         idx: u32,
     ) -> Result<(), CacheError> {
         self.stats.miss_traps += 1;
-        let rec = self
-            .records
-            .get(idx as usize)
-            .and_then(|r| r.clone())
-            .ok_or(CacheError::BadMissRecord(idx))?;
+        let bad = || CacheError::BadMissStub(idx);
+        let at = stub_addr(idx).ok_or_else(bad)?;
+        // The exit's target, the site to patch with its home chunk, and
+        // whether the stub is a standalone word.
+        let (target, site, standalone) = if let Some(home) = self.chunk_at(at) {
+            let c = &self.chunks[home];
+            let slot = (at - c.tc_start) / 4;
+            let exit = c
+                .sites
+                .iter()
+                .find(|e| e.stub_slot == slot)
+                .ok_or_else(bad)?;
+            let patch = c.tc_start + exit.patch_slot * 4;
+            (exit.orig_target, Some((patch, exit.kind, home)), false)
+        } else {
+            let t = self
+                .trampolines
+                .iter()
+                .find(|t| t.addr == at)
+                .ok_or_else(bad)?;
+            let site = t
+                .site
+                .and_then(|s| Some((s, PatchKind::Retarget, self.chunk_at(s)?)));
+            (t.orig, site, t.site.is_some())
+        };
+        debug_assert_eq!(
+            stub_addr(idx),
+            Some(machine.cpu.pc),
+            "the trap came from the word it names"
+        );
         // The trap re-referenced the site's home chunk: mark it hot before
-        // `ensure` runs victim selection for the target fetch.
-        if let Some(c) = rec.home.and_then(|h| self.chunks.get_mut(h)) {
-            if c.alive {
-                c.rrpv = RRPV_HOT;
-                c.heat += 1;
-            }
-        }
+        // `ensure` runs victim selection for the target fetch. `ensure` may
+        // evict the home chunk or recycle its slot for a different
+        // installation; the per-install epoch distinguishes "still the same
+        // chunk" from "same slot, new tenant".
+        let home_epoch = site.map(|(_, _, home)| {
+            let c = &mut self.chunks[home];
+            c.rrpv = RRPV_HOT;
+            c.heat += 1;
+            c.epoch
+        });
         let gen_before = self.generation;
-        // `ensure` below may evict the home chunk or recycle its slot for
-        // a different installation; the per-install epoch distinguishes
-        // "still the same chunk" from "same slot, new tenant".
-        let home_epoch = rec
-            .home
-            .and_then(|h| self.chunks.get(h))
-            .filter(|c| c.alive)
-            .map(|c| c.epoch);
-        let target_tc = self.verified_target(machine, ep, rec.orig_target)?;
-        // Patch only if no flush intervened and the home chunk survived.
-        if self.generation == gen_before && home_epoch.is_some() {
-            let home_now = rec
-                .home
-                .and_then(|h| self.chunks.get(h))
-                .filter(|c| c.alive)
-                .map(|c| c.epoch);
-            if let (Some((addr, kind)), true) = (rec.patch, home_now == home_epoch) {
+        let target_tc = self.verified_target(machine, ep, target)?;
+        // Patch only if no flush intervened (one empties `chunks`, so this
+        // is checked first) and the home chunk survived.
+        if let (Some((addr, kind, home)), Some(epoch)) = (site, home_epoch) {
+            let c = &self.chunks;
+            if self.generation == gen_before && c[home].alive && c[home].epoch == epoch {
                 self.apply_patch(machine, addr, kind, target_tc)?;
                 if let Some(tid) = self.chunk_at(target_tc) {
-                    let from_chunk = rec.home.expect("checked");
                     self.link(
                         tid,
                         Incoming {
-                            from_chunk,
+                            from_chunk: home,
                             addr,
                             kind,
                         },
                     );
                 }
-                // The branch now jumps direct: its standalone landing stub
-                // (if the record had one) is unreachable — retire the word
-                // and recycle the record. In-chunk stub words stay: their
-                // slots remain addressable until the chunk dies.
-                if let Some(pos) = self.trampolines.iter().position(|t| t.stub && t.idx == idx) {
-                    self.retire_redirector(pos);
-                    self.free_record(idx);
+                // The branch now jumps direct: a standalone landing stub is
+                // unreachable, so retire its word. In-chunk stub words stay:
+                // their slots remain addressable until the chunk dies.
+                if standalone {
+                    self.retire_stubs(|stub, _| stub == at);
                 }
             }
         }
@@ -984,33 +1001,21 @@ impl Cc {
     }
 
     /// Allocate (or reuse) a return-address trampoline for `orig`. Only
-    /// true trampolines are reused: a standalone stub's record dies with
-    /// its home chunk, so handing its address to a return address would
-    /// leave the RA parked on a word whose record can vanish.
+    /// true trampolines are reused: a standalone stub dies with the chunk
+    /// holding its branch, so handing its address to a return address
+    /// would leave the RA parked on a word that can be retired.
     fn trampoline_for(&mut self, machine: &mut Machine, orig: u32) -> Option<u32> {
-        if let Some(t) = self.trampolines.iter().find(|t| !t.stub && t.orig == orig) {
+        if let Some(t) = self
+            .trampolines
+            .iter()
+            .find(|t| t.site.is_none() && t.orig == orig)
+        {
             return Some(t.addr);
         }
-        let addr = self.arena.free.alloc_high(4)?;
+        let addr = self.place_redirector(machine, orig, None)?;
         if let Some(p) = &mut self.power {
             p.occupy(addr, 4);
         }
-        let idx = self.alloc_record(MissRecord {
-            orig_target: orig,
-            patch: None,
-            home: None,
-        });
-        machine
-            .mem
-            .write_u32(addr, encode(Inst::Miss { idx }))
-            .expect("tcache mapped");
-        self.trampolines.push(Redir {
-            addr,
-            orig,
-            idx,
-            stub: false,
-        });
-        self.arena.seal(machine, addr, 4);
         Some(addr)
     }
 
@@ -1040,7 +1045,7 @@ impl Cc {
         self.collect_ras(machine, TCACHE_BASE..self.end())
     }
 
-    /// Drop every chunk, record and trampoline and reset the allocation
+    /// Drop every chunk, trampoline and stub and reset the allocation
     /// pointer — the local half of both [`Cc::flush`] and [`Cc::resync`].
     fn reset_local(&mut self) {
         self.stats.link.prefetch_wastes += self.pending_prefetch.len() as u64;
@@ -1052,10 +1057,8 @@ impl Cc {
         self.chunks.clear();
         self.owner.fill(0);
         self.map.clear();
-        self.records.clear();
         self.trampolines.clear();
         self.free_chunk_slots.clear();
-        self.free_record_slots.clear();
         self.arena.clear_seals();
         self.arena.free.reset();
         self.generation += 1;
@@ -1357,22 +1360,18 @@ impl Cc {
             if !self.chunks[inc.from_chunk].alive {
                 continue;
             }
-            let idx = self.alloc_record(MissRecord {
-                orig_target: orig,
-                patch: Some((inc.addr, inc.kind)),
-                home: Some(inc.from_chunk),
-            });
-            self.chunks[inc.from_chunk].records.push(idx);
             match inc.kind {
                 PatchKind::ReplaceWord => {
+                    // The slot is one of its chunk's exit sites: the stub in
+                    // place stands for it.
                     machine
                         .mem
-                        .write_u32(inc.addr, encode(Inst::Miss { idx }))
+                        .write_u32(inc.addr, stub_at(inc.addr))
                         .expect("mapped");
                 }
                 PatchKind::Retarget => {
                     // A branch needs somewhere to land: allocate a stub.
-                    let Some(stub) = self.alloc_stub(machine, idx) else {
+                    let Some(stub) = self.place_redirector(machine, orig, Some(inc.addr)) else {
                         // No room for a stub: degrade to a full flush.
                         self.flush(machine, ep)?;
                         return Ok(false);
@@ -1405,10 +1404,11 @@ impl Cc {
             }
         }
 
-        // 3. Kill the chunk's records (retiring their standalone stubs),
+        // 3. Retire the standalone stubs landing branches in the dead span,
         //    drop its back-references from the chunks it linked into, and
         //    recycle the slot with its emptied lists.
-        self.kill_records_of(cid);
+        let span = span_start..span_start + span_bytes;
+        self.retire_stubs(|_, site| span.contains(&site));
         for &t in &outgoing {
             self.chunks[t].incoming.retain(|i| i.from_chunk != cid);
         }
@@ -1441,61 +1441,22 @@ impl Cc {
         Ok(true)
     }
 
-    /// Allocate a miss record, reusing a dead slot when one exists.
-    fn alloc_record(&mut self, rec: MissRecord) -> u32 {
-        match self.free_record_slots.pop() {
-            Some(i) => {
-                self.records[i as usize] = Some(rec);
-                i
+    /// Retire the standalone stubs that `dead(addr, site)` picks, keeping
+    /// the other redirectors in order, and hand their words back to the
+    /// allocator. RA trampolines are never retired — a return address may
+    /// hold their address indefinitely. A stale word stays in simulated
+    /// memory until its hole is reused, at which point the code-write
+    /// barrier drops any superblock lowered over it.
+    fn retire_stubs(&mut self, dead: impl Fn(u32, u32) -> bool) {
+        let arena = &mut self.arena;
+        self.trampolines.retain(|t| match t.site {
+            Some(site) if dead(t.addr, site) => {
+                arena.unseal(t.addr);
+                arena.free.release(t.addr, 4);
+                false
             }
-            None => {
-                self.records.push(Some(rec));
-                self.records.len() as u32 - 1
-            }
-        }
-    }
-
-    /// Kill record `idx` and make its slot reusable. Idempotent: a slot
-    /// already dead (e.g. freed early by a patch-time stub retirement and
-    /// still listed by its home chunk) is left alone.
-    fn free_record(&mut self, idx: u32) {
-        if self.records[idx as usize].take().is_some() {
-            self.free_record_slots.push(idx);
-        }
-    }
-
-    /// Kill every record the dead chunk `cid` still owns, retiring their
-    /// standalone landing stubs. Records whose slot was recycled to a
-    /// different home are skipped — they belong to someone else now.
-    fn kill_records_of(&mut self, cid: usize) {
-        let ridxs = std::mem::take(&mut self.chunks[cid].records);
-        for ridx in ridxs {
-            let belongs = self.records[ridx as usize]
-                .as_ref()
-                .is_some_and(|r| r.home == Some(cid));
-            if !belongs {
-                continue;
-            }
-            self.free_record(ridx);
-            if let Some(pos) = self
-                .trampolines
-                .iter()
-                .position(|t| t.stub && t.idx == ridx)
-            {
-                self.retire_redirector(pos);
-            }
-        }
-    }
-
-    /// Remove redirector `pos` (a standalone stub) and hand its word back
-    /// to the allocator. RA trampolines are never retired — a return
-    /// address may hold their address indefinitely. The stale word stays
-    /// in simulated memory until the hole is reused, at which point the
-    /// code-write barrier drops any superblock lowered over it.
-    fn retire_redirector(&mut self, pos: usize) {
-        let t = self.trampolines.remove(pos);
-        self.arena.unseal(t.addr);
-        self.arena.free.release(t.addr, 4);
+            _ => true,
+        });
     }
 
     /// Settle the speculation ledger at the end of a run: pushed chunks
@@ -1510,25 +1471,22 @@ impl Cc {
         self.stats.residents = self.chunks.iter().filter(|c| c.alive).count() as u64;
     }
 
-    /// Allocate a standalone miss-stub word for record `idx`.
-    fn alloc_stub(&mut self, machine: &mut Machine, idx: u32) -> Option<u32> {
+    /// Place a redirector word high in the arena holding the miss stub for
+    /// `orig`: a standalone stub landing the branch at `site`, or with no
+    /// site an RA trampoline. The RA walker resumes at either through
+    /// `orig`.
+    fn place_redirector(
+        &mut self,
+        machine: &mut Machine,
+        orig: u32,
+        site: Option<u32>,
+    ) -> Option<u32> {
         let addr = self.arena.free.alloc_high(4)?;
         machine
             .mem
-            .write_u32(addr, encode(Inst::Miss { idx }))
+            .write_u32(addr, stub_at(addr))
             .expect("tcache mapped");
-        // Record for the RA walker: resuming at a stub re-enters via its
-        // miss record's target.
-        let orig = self.records[idx as usize]
-            .as_ref()
-            .map(|r| r.orig_target)
-            .unwrap_or(0);
-        self.trampolines.push(Redir {
-            addr,
-            orig,
-            idx,
-            stub: true,
-        });
+        self.trampolines.push(Redir { addr, orig, site });
         self.arena.seal(machine, addr, 4);
         Some(addr)
     }
@@ -1565,17 +1523,16 @@ impl Tier for Cc {
             let orig = self.chunks[cid].orig_start;
             self.arena.quarantine(orig, &mut self.stats.integrity);
             // Sever every pointer that marks the chunk valid (incoming
-            // branches, return addresses, map entry, records) and tell the
-            // MC. The next entry refetches a clean copy.
+            // branches, return addresses, map entry, the standalone stubs
+            // landing its branches) and tell the MC. The next entry
+            // refetches a clean copy.
             self.invalidate_chunk(machine, ep, orig)?;
-        } else if let Some(&Redir { addr, idx, .. }) =
-            self.trampolines.iter().find(|t| t.addr == start)
-        {
+        } else if self.trampolines.iter().any(|t| t.addr == start) {
             machine
                 .mem
-                .write_u32(addr, encode(Inst::Miss { idx }))
+                .write_u32(start, stub_at(start))
                 .expect("tcache mapped");
-            self.arena.seal(machine, addr, 4);
+            self.arena.seal(machine, start, 4);
             self.stats.integrity.retranslations += 1;
         } else {
             return Ok(false);
@@ -1787,8 +1744,24 @@ int main() {
 
     /// Run `LOOPS` on the block engine through a TRRIP CC of 384 B,
     /// armed before its first install or not, calling `check` after the
-    /// first install and after every serviced trap.
-    fn drive_loops(armed: bool, mut check: impl FnMut(&Cc, &Machine)) -> Cc {
+    /// first install and after every serviced trap. Each call first
+    /// asserts that every miss stub in a live chunk or redirector word
+    /// names its own tcache word. Returns the controller, the machine and
+    /// the endpoint as the run left them.
+    fn drive_loops(armed: bool, mut check: impl FnMut(&Cc, &Machine)) -> (Cc, Machine, McEndpoint) {
+        let mut check = |cc: &Cc, machine: &Machine| {
+            let chunk_words = cc.chunks.iter().filter(|c| c.alive);
+            let words = chunk_words
+                .flat_map(|c| c.span().step_by(4))
+                .chain(cc.trampolines.iter().map(|t| t.addr));
+            for addr in words {
+                let word = machine.mem.read_u32(addr).unwrap();
+                if let Ok(Inst::Miss { idx }) = softcache_isa::decode(word) {
+                    assert_eq!(stub_addr(idx), Some(addr), "the stub at {addr:#x}");
+                }
+            }
+            check(cc, machine);
+        };
         let image =
             softcache_minic::compile_to_image(LOOPS, &softcache_minic::Options::default()).unwrap();
         let mut machine = Machine::load_client(&image, &[]);
@@ -1823,19 +1796,32 @@ int main() {
             "the run backpatched and evicted: {:?}",
             cc.stats
         );
-        cc
+        (cc, machine, ep)
+    }
+
+    #[test]
+    fn a_miss_index_naming_no_live_stub_is_refused() {
+        let (mut cc, mut machine, mut ep) = drive_loops(false, |_, _| {});
+        let (hole, len) = cc.arena.free.largest();
+        assert!(len > 0, "the run ends with a free hole");
+        for idx in [(hole - B) / 4, u32::MAX] {
+            assert_eq!(
+                cc.handle_miss(&mut machine, &mut ep, idx),
+                Err(CacheError::BadMissStub(idx))
+            );
+        }
     }
 
     #[test]
     fn an_unarmed_cc_keeps_no_seals() {
-        let cc = drive_loops(false, |cc, _| assert!(cc.arena.seals.is_none()));
+        let (cc, ..) = drive_loops(false, |cc, _| assert!(cc.arena.seals.is_none()));
         assert_eq!(cc.stats.integrity, IntegrityStats::default());
     }
 
     #[test]
     fn an_armed_cc_seals_every_live_chunk_and_redirector() {
         let mut redirectors_seen = 0;
-        let cc = drive_loops(true, |cc, machine| {
+        let (cc, ..) = drive_loops(true, |cc, machine| {
             let seals = cc.arena.seals.as_ref().expect("armed");
             let mut live: Vec<u32> = cc
                 .chunks

@@ -58,8 +58,8 @@ pub struct IntegrityStats {
     /// through the normal miss path, or by regenerating a redirector /
     /// stub word from CC metadata.
     pub retranslations: u64,
-    /// Chunks quarantined: arena links severed, map entry and records
-    /// killed.
+    /// Chunks quarantined: arena links severed, map entry dropped and the
+    /// standalone stubs landing its branches retired.
     pub quarantines: u64,
     /// Violations resolved by the watchdog pinning the chunk to the
     /// slow-path interpreter.

@@ -113,7 +113,8 @@ pub struct Mc {
     block_len: AddrMap<(u32, bool)>,
     /// The server's authoritative data memory (the lower level of the
     /// hierarchy), covering `DATA_BASE..STACK_TOP` so both the dcache and
-    /// the scache can spill to it.
+    /// the scache can spill to it. Empty until the first data request
+    /// ([`Mc::data_mut`]): an instruction-only client never makes one.
     data: Vec<u8>,
     /// Set by the first writeback: `data` no longer equals the image's
     /// initial data, so [`Mc::restart_session`] must restore it.
@@ -147,13 +148,11 @@ impl Mc {
     /// tenants). Data memory is still private per `Mc`: each client of a
     /// multi-client server gets an isolated data image.
     pub fn from_shared(image: Arc<Image>) -> Mc {
-        let mut data = vec![0u8; (STACK_TOP - DATA_BASE) as usize];
-        load_initial_data(&image, &mut data);
         Mc {
             image,
             mirror: AddrMap::default(),
             block_len: AddrMap::default(),
-            data,
+            data: Vec::new(),
             data_written: false,
             strategy: ChunkStrategy::BasicBlock,
             epoch: 1,
@@ -292,17 +291,18 @@ impl Mc {
             }
             Request::FetchData { addr, len } => {
                 let lo = addr.wrapping_sub(DATA_BASE) as usize;
-                match self.data.get(lo..lo.saturating_add(len as usize)) {
+                match self.data_mut().get(lo..lo.saturating_add(len as usize)) {
                     Some(slice) if addr >= DATA_BASE => {
+                        let bytes = slice.to_vec();
                         self.stats.data_fills += 1;
-                        Reply::Data(slice.to_vec())
+                        Reply::Data(bytes)
                     }
                     _ => Reply::Err(errcode::BAD_DATA_RANGE),
                 }
             }
             Request::WriteData { addr, ref bytes } => {
                 let lo = addr.wrapping_sub(DATA_BASE) as usize;
-                match self.data.get_mut(lo..lo.saturating_add(bytes.len())) {
+                match self.data_mut().get_mut(lo..lo.saturating_add(bytes.len())) {
                     Some(slice) if addr >= DATA_BASE => {
                         slice.copy_from_slice(bytes);
                         self.data_written = true;
@@ -315,6 +315,15 @@ impl Mc {
             Request::Hello => Reply::Welcome { epoch: self.epoch },
         };
         Answer::Other(reply)
+    }
+
+    /// The data memory, loaded with the image's initial data on first use.
+    fn data_mut(&mut self) -> &mut [u8] {
+        if self.data.is_empty() {
+            self.data = vec![0u8; (STACK_TOP - DATA_BASE) as usize];
+            load_initial_data(&self.image, &mut self.data);
+        }
+        &mut self.data
     }
 
     /// Scan the basic block starting at `pc`; returns its body length in
@@ -958,6 +967,7 @@ far:    halt
     #[test]
     fn data_fill_and_writeback() {
         let mut mc = mc_for("_start: halt\n.data\nx: .word 42, 43");
+        assert!(mc.data.is_empty(), "no data image before a data request");
         match mc.handle(&Request::FetchData {
             addr: DATA_BASE,
             len: 8,

@@ -19,9 +19,9 @@
 //!
 //!   Return addresses therefore always point into pinned memory; evicting
 //!   a procedure only has to fix redirector words, never the stack. A
-//!   redirector word whose target is not resident holds a miss stub that
-//!   names the word itself (`2 × redirector + slot`), so the tier keeps no
-//!   miss records.
+//!   redirector word whose target is not resident holds the miss stub that
+//!   names its own tcache word (`arena::stub_at`), so the trap leads back
+//!   to the redirector and its target.
 //! * "Indirect jumps are not supported" — the MC refuses procedures
 //!   containing `jr`/`jalr` (compile the workload with
 //!   `jump_tables: false`).
@@ -43,7 +43,7 @@
 //! prefetch-never-evicts-pinned invariant holds here trivially.
 
 use crate::addr_map::AddrMap;
-use crate::arena::{Arena, Tier};
+use crate::arena::{stub_addr, stub_at, Arena, Tier};
 use crate::cc::{CacheError, RRPV_FRESH, RRPV_HOT, RRPV_MAX, RRPV_WARM};
 use crate::endpoint::McEndpoint;
 use crate::integrity::{IntegrityStats, MemFaultInjector, MemFaultPlan};
@@ -179,32 +179,14 @@ pub struct ProcStats {
     pub integrity: IntegrityStats,
 }
 
+/// One of a redirector's two words. A redirector word is the only place
+/// this tier writes a miss stub, and the redirector fixes its target.
 #[derive(Clone, Copy, Debug)]
 enum RedirSlot {
     /// First word: `jal callee`.
     Callee,
     /// Second word: `j continuation`.
     Continuation,
-}
-
-impl RedirSlot {
-    /// The miss index of this word of redirector `ridx`: `2 × ridx +
-    /// slot`. A redirector word is the only place this tier writes a miss
-    /// stub, and its target is fixed by the redirector, so the index is
-    /// all the miss handler needs.
-    fn miss_idx(self, ridx: usize) -> u32 {
-        2 * ridx as u32 + self as u32
-    }
-
-    /// Inverse of [`RedirSlot::miss_idx`]: the redirector index and slot.
-    fn of_miss(idx: u32) -> (usize, RedirSlot) {
-        let slot = if idx.is_multiple_of(2) {
-            RedirSlot::Callee
-        } else {
-            RedirSlot::Continuation
-        };
-        ((idx / 2) as usize, slot)
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -359,6 +341,19 @@ impl ProcCc {
         Some(p.tc_start + (orig - func))
     }
 
+    /// The redirector word at tcache address `addr`, as its redirector's
+    /// index and slot.
+    fn redir_at(&self, addr: u32) -> Option<(usize, RedirSlot)> {
+        self.redirectors
+            .iter()
+            .enumerate()
+            .find_map(|(i, r)| match addr.wrapping_sub(r.addr) {
+                0 => Some((i, RedirSlot::Callee)),
+                4 => Some((i, RedirSlot::Continuation)),
+                _ => None,
+            })
+    }
+
     /// The address of one redirector word and the original address it
     /// leads to.
     fn redir_word(&self, ridx: usize, slot: RedirSlot) -> (u32, u32) {
@@ -384,9 +379,7 @@ impl ProcCc {
             (Some(tc), RedirSlot::Continuation) => {
                 cf::retarget(encode(Inst::J { off: 0 }), addr, tc).expect("in range")
             }
-            (None, _) => encode(Inst::Miss {
-                idx: slot.miss_idx(ridx),
-            }),
+            (None, _) => stub_at(addr),
         };
         machine.mem.write_u32(addr, word).expect("redir mapped");
         // Each redirector word is independently regenerable from CC
@@ -585,10 +578,14 @@ impl ProcCc {
         idx: u32,
     ) -> Result<(), CacheError> {
         self.stats.miss_traps += 1;
-        let (ridx, slot) = RedirSlot::of_miss(idx);
-        if ridx >= self.redirectors.len() {
-            return Err(CacheError::BadMissRecord(idx));
-        }
+        let (ridx, slot) = stub_addr(idx)
+            .and_then(|at| self.redir_at(at))
+            .ok_or(CacheError::BadMissStub(idx))?;
+        debug_assert_eq!(
+            stub_addr(idx),
+            Some(machine.cpu.pc),
+            "the trap came from the word it names"
+        );
         let (addr, target_orig) = self.redir_word(ridx, slot);
         self.verified_target(machine, ep, target_orig)?;
         // Re-point the redirector word at the now-resident target, then
@@ -636,15 +633,7 @@ impl Tier for ProcCc {
             self.evict(machine, ep, orig)?;
             return Ok(true);
         }
-        let Some((ridx, slot)) =
-            self.redirectors.iter().enumerate().find_map(|(i, r)| {
-                match start.wrapping_sub(r.addr) {
-                    0 => Some((i, RedirSlot::Callee)),
-                    4 => Some((i, RedirSlot::Continuation)),
-                    _ => None,
-                }
-            })
-        else {
+        let Some((ridx, slot)) = self.redir_at(start) else {
             return Ok(false);
         };
         self.write_redir_word(machine, ridx, slot);
@@ -975,16 +964,18 @@ int main() { return f(getc()); }
     /// Run `CALC` through a procedure cache two thirds the size of its
     /// code, armed before its first install or not, calling `check` after
     /// the first install and after every serviced trap. Each call first
-    /// asserts that every redirector word holding a miss stub encodes its
-    /// own index: word `k` of redirector `r` traps with `2 × r + k`.
-    fn drive_paging(armed: bool, mut check: impl FnMut(&ProcCc, &Machine)) -> ProcCc {
+    /// asserts that every redirector word holding a miss stub names its
+    /// own tcache word. Returns the controller, the machine and the
+    /// endpoint as the run left them.
+    fn drive_paging(
+        armed: bool,
+        mut check: impl FnMut(&ProcCc, &Machine),
+    ) -> (ProcCc, Machine, McEndpoint) {
         let mut check = |cc: &ProcCc, machine: &Machine| {
-            for (ridx, r) in cc.redirectors.iter().enumerate() {
-                for k in 0..2 {
-                    let word = machine.mem.read_u32(r.addr + 4 * k).unwrap();
-                    if let Ok(Inst::Miss { idx }) = decode(word) {
-                        assert_eq!(idx, 2 * ridx as u32 + k, "redirector {ridx} word {k}");
-                    }
+            for addr in cc.redirectors.iter().flat_map(|r| [r.addr, r.addr + 4]) {
+                let word = machine.mem.read_u32(addr).unwrap();
+                if let Ok(Inst::Miss { idx }) = decode(word) {
+                    assert_eq!(stub_addr(idx), Some(addr), "the stub at {addr:#x}");
                 }
             }
             check(cc, machine);
@@ -1014,18 +1005,31 @@ int main() { return f(getc()); }
             check(&cc, &machine);
         }
         assert!(cc.stats.evictions > 0, "the run paged: {:?}", cc.stats);
-        cc
+        (cc, machine, ep)
+    }
+
+    #[test]
+    fn a_miss_index_naming_no_redirector_word_is_refused() {
+        let (mut cc, mut machine, mut ep) = drive_paging(false, |_, _| {});
+        let (hole, len) = cc.arena.free.largest();
+        assert!(len > 0, "the run ends with a free hole");
+        for idx in [(hole - TCACHE_BASE) / 4, u32::MAX] {
+            assert_eq!(
+                cc.handle_miss(&mut machine, &mut ep, idx),
+                Err(CacheError::BadMissStub(idx))
+            );
+        }
     }
 
     #[test]
     fn an_unarmed_proc_cc_keeps_no_seals() {
-        let cc = drive_paging(false, |cc, _| assert!(cc.arena.seals.is_none()));
+        let (cc, ..) = drive_paging(false, |cc, _| assert!(cc.arena.seals.is_none()));
         assert_eq!(cc.stats.integrity, IntegrityStats::default());
     }
 
     #[test]
     fn an_armed_proc_cc_seals_every_live_procedure_and_redirector_word() {
-        let cc = drive_paging(true, |cc, machine| {
+        let (cc, ..) = drive_paging(true, |cc, machine| {
             let seals = cc.arena.seals.as_ref().expect("armed");
             let mut live: Vec<u32> = cc.resident.values().map(|p| p.tc_start).collect();
             live.extend(cc.redirectors.iter().flat_map(|r| [r.addr, r.addr + 4]));

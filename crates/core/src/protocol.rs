@@ -38,8 +38,9 @@ impl PatchKind {
     }
 }
 
-/// An unresolved exit of a rewritten chunk. The CC allocates a miss record
-/// and plants `miss idx` at `stub_slot`.
+/// An unresolved exit of a rewritten chunk. The CC plants the miss stub
+/// naming the `stub_slot` word there, and keeps the exit to service its
+/// trap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExitDesc {
     /// Word index (within the chunk) where the miss stub lives.

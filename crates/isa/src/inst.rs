@@ -280,10 +280,12 @@ pub enum Inst {
     /// No operation.
     Nop,
     /// Softcache miss stub: trap to the cache controller with a 26-bit
-    /// miss-record index. Never produced by the compiler; materialised by
-    /// the CC when the MC rewrites an exit whose target is not yet resident.
+    /// index naming the stub's own tcache word. Never produced by the
+    /// compiler; materialised by the CC when the MC rewrites an exit whose
+    /// target is not yet resident.
     Miss {
-        /// Index into the cache controller's miss-record table.
+        /// The stub's own tcache word: the stub sits at
+        /// `TCACHE_BASE + 4 × idx`.
         idx: u32,
     },
     /// Hash-translated computed jump: trap to the CC, which maps the

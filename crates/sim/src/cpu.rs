@@ -26,7 +26,7 @@ pub enum Trap {
     /// stub; the cache controller translates the target, patches code and
     /// redirects the PC.
     Miss {
-        /// Miss-record index.
+        /// The stub's own tcache word index.
         idx: u32,
         /// Address of the stub itself.
         at: u32,

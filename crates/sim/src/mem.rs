@@ -1,6 +1,7 @@
 //! Flat byte-addressed memory for the simulated embedded device.
 
 use softcache_isa::inst::MemWidth;
+use std::cell::Cell;
 
 /// Memory access fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,13 +50,29 @@ pub struct Memory {
     dirty_hi: u32,
 }
 
+thread_local! {
+    /// The bytes of the last [`Memory`] dropped on this thread. A run
+    /// allocates one multi-megabyte image and drops it at the end; handing
+    /// the next [`Memory::new`] of the same size this buffer, zeroed, keeps
+    /// the allocator from having to fit a fresh block of that size into
+    /// the hole the last one left, where a small allocation made in
+    /// between can leave it short and grow the heap by a whole image.
+    static SPARE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 impl Memory {
     /// Allocate `size` bytes of zeroed memory. All writes are initially
     /// treated as code writes (safe default); see
     /// [`Memory::set_code_watch`].
     pub fn new(size: u32) -> Memory {
+        let mut bytes = SPARE.take();
+        if bytes.len() == size as usize {
+            bytes.fill(0);
+        } else {
+            bytes = vec![0; size as usize];
+        }
         Memory {
-            bytes: vec![0; size as usize],
+            bytes,
             watch: [(0, u32::MAX), (0, 0)],
             code_gen: 0,
             dirty_lo: u32::MAX,
@@ -249,6 +266,15 @@ impl Memory {
     }
 }
 
+impl Drop for Memory {
+    fn drop(&mut self) {
+        let bytes = std::mem::take(&mut self.bytes);
+        // During thread exit the spare may already be gone; the buffer is
+        // then simply freed.
+        let _ = SPARE.try_with(|spare| spare.set(bytes));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +291,20 @@ mod tests {
         m.write_u8(100, 0x80).unwrap();
         assert_eq!(m.load(100, MemWidth::B, true).unwrap(), -128);
         assert_eq!(m.load(100, MemWidth::B, false).unwrap(), 128);
+    }
+
+    #[test]
+    fn a_dropped_memory_hands_its_buffer_on_zeroed() {
+        let mut m = Memory::new(64);
+        m.write_bytes(0, &[0xAB; 64]).unwrap();
+        let buffer = m.bytes.as_ptr();
+        drop(m);
+        // Had the buffer been freed, the allocator could hand it to this.
+        let other = vec![1u8; 64];
+        let m = Memory::new(64);
+        assert_eq!(m.bytes.as_ptr(), buffer, "the same buffer");
+        assert_eq!(m.read_bytes(0, 64).unwrap(), &[0; 64]);
+        drop(other);
     }
 
     #[test]
