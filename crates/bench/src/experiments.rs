@@ -2290,12 +2290,18 @@ mod tests {
         // At the default threshold the threaded tier retires nearly all
         // block instructions, and demotions never outnumber promotions.
         let t = &on.trace;
-        let share = t.tier_threaded_insts as f64
-            / (t.tier_threaded_insts + t.tier_super_insts + t.tier_interp_insts) as f64;
+        let retired = (t.tier_threaded_insts + t.tier_super_insts + t.tier_interp_insts) as f64;
+        let share = t.tier_threaded_insts as f64 / retired;
         assert!(
             share >= 0.95,
             "threaded tier retires only {share:.4}: {t:?}"
         );
         assert!(t.promotions >= t.demotions, "{t:?}");
+
+        // `ecall`s retire inside their blocks, so the cold tier runs only
+        // halts, trap words and budget tails: 92,856 of the 74.1 M
+        // instructions here (0.125 %).
+        let cold = t.tier_interp_insts as f64 / retired;
+        assert!(cold <= 0.003, "cold tier retires {cold:.5}: {t:?}");
     }
 }

@@ -12,10 +12,14 @@
 //! oracle the differential tests hold the production engine to, and the
 //! only per-instruction path. [`Machine::run_block`] is the production
 //! engine: it runs lowered superblocks (the `uop` module) as chained
-//! traces, on the match-dispatched tier or the threaded tier, and hands
-//! every instruction no superblock covers — traps, `ecall`s, halts and the
-//! tail of a step budget too short for the next block — to `step`, its
-//! cold tier. The superblock cache is the only cache of decoded code.
+//! traces, on the match-dispatched tier or the threaded tier. An `ecall`
+//! retires as the last instruction of its block, and the walk or the
+//! threaded chain services it right after billing the block, through the
+//! service routine `step` uses. Every instruction no superblock covers —
+//! halts, miss stubs and `jrh`/`jalrh` traps, undecodable and unwatched
+//! words, spans pinned to `step`, and the tail of a step budget too short
+//! for the next block — runs on `step`, its cold tier. The superblock
+//! cache is the only cache of decoded code.
 
 use crate::cost::CostModel;
 use crate::cpu::{self, Cpu, Next, SimError, Trap};
@@ -70,6 +74,38 @@ impl Env {
             }
             None => -1,
         }
+    }
+
+    /// Service environment call `code` against `cpu`'s registers, after
+    /// the `ecall` has retired and been billed; `cycles` is the cycle
+    /// counter at that point, which the `cycles` service reads. Returns
+    /// [`Step::Exited`] for `exit` and [`Step::Running`] otherwise. The
+    /// one service routine: [`Machine::step`], the trace walk and the
+    /// threaded tier's `ecall` sentinel all call it.
+    pub(crate) fn ecall(&mut self, code: u16, cpu: &mut Cpu, cycles: u64) -> Step {
+        match code {
+            syscall::EXIT => {
+                let code = cpu.get(Reg::A0);
+                self.exit_code = Some(code);
+                return Step::Exited(code);
+            }
+            syscall::PUTC => self.output.push(cpu.get(Reg::A0) as u8),
+            syscall::GETC => {
+                let v = self.getc();
+                cpu.set(Reg::RV, v);
+            }
+            syscall::CYCLES => cpu.set(Reg::RV, cycles as i32),
+            syscall::PUTI => {
+                let v = cpu.get(Reg::A0);
+                self.output.extend_from_slice(v.to_string().as_bytes());
+            }
+            _ => {
+                // Unknown services are ignored (reads yield 0), so images
+                // built for richer environments still run.
+                cpu.set(Reg::RV, 0);
+            }
+        }
+        Step::Running
     }
 }
 
@@ -134,6 +170,9 @@ pub struct BreakStats {
     pub callreg: u64,
     /// Return.
     pub ret: u64,
+    /// Environment call: the walk serviced it, then ended (on `exit`, or
+    /// with no successor that fits).
+    pub ecall: u64,
 }
 
 impl BreakStats {
@@ -146,6 +185,7 @@ impl BreakStats {
             + self.jumpreg
             + self.callreg
             + self.ret
+            + self.ecall
     }
 
     #[inline]
@@ -158,6 +198,7 @@ impl BreakStats {
             TermKind::JumpReg => self.jumpreg += 1,
             TermKind::CallReg => self.callreg += 1,
             TermKind::Ret => self.ret += 1,
+            TermKind::Ecall => self.ecall += 1,
         }
     }
 }
@@ -193,10 +234,10 @@ pub struct TraceStats {
     /// refill after a code write).
     pub ic_fills: u64,
     /// Instructions retired by [`Machine::step`] on behalf of
-    /// [`Machine::run_block`] (the cold tier: traps, `ecall`s and budget
-    /// tails). A trap or exit that ends the call is not counted. Tier
-    /// counters cover `run_block` execution only; a caller that runs
-    /// `step` itself bypasses them.
+    /// [`Machine::run_block`] (the cold tier: halts, trap words, pinned
+    /// spans and budget tails; `ecall`s retire in their blocks). A step
+    /// that ends the call is not counted. Tier counters cover `run_block`
+    /// execution only; a caller that runs `step` itself bypasses them.
     pub tier_interp_insts: u64,
     /// Instructions retired by match-dispatched (warm) superblocks.
     pub tier_super_insts: u64,
@@ -383,37 +424,11 @@ impl Machine {
         }
     }
 
-    /// Service an `ecall` trap.
-    fn ecall(&mut self, code: u16) -> Step {
-        match code {
-            syscall::EXIT => {
-                let code = self.cpu.get(Reg::A0);
-                self.env.exit_code = Some(code);
-                return Step::Exited(code);
-            }
-            syscall::PUTC => self.env.output.push(self.cpu.get(Reg::A0) as u8),
-            syscall::GETC => {
-                let v = self.env.getc();
-                self.cpu.set(Reg::RV, v);
-            }
-            syscall::CYCLES => self.cpu.set(Reg::RV, self.stats.cycles as i32),
-            syscall::PUTI => {
-                let v = self.cpu.get(Reg::A0);
-                self.env.output.extend_from_slice(v.to_string().as_bytes());
-            }
-            _ => {
-                // Unknown services are ignored (reads yield 0), so images
-                // built for richer environments still run.
-                self.cpu.set(Reg::RV, 0);
-            }
-        }
-        Step::Running
-    }
-
     /// Execute one instruction on the reference interpreter: fetch and
     /// decode the word at the PC, execute it, account its statistics and
-    /// bill its cycles under the [`CostModel`], servicing `ecall`s.
-    /// Softcache traps surface as [`Step::Trapped`].
+    /// bill its cycles under the [`CostModel`], then service it if it is
+    /// an `ecall`, through the routine the block engine services calls
+    /// with. Softcache traps surface as [`Step::Trapped`].
     ///
     /// This is the simulator's only per-instruction path. It is the
     /// oracle the differential tests hold [`Machine::run_block`] to, and
@@ -426,7 +441,9 @@ impl Machine {
         match next {
             Next::Continue => Ok(Step::Running),
             Next::Halted => Ok(Step::Exited(self.env.exit_code.unwrap_or(0))),
-            Next::Trap(Trap::Ecall { code }) => Ok(self.ecall(code)),
+            Next::Trap(Trap::Ecall { code }) => {
+                Ok(self.env.ecall(code, &mut self.cpu, self.stats.cycles))
+            }
             Next::Trap(t) => Ok(Step::Trapped(t)),
         }
     }
@@ -549,13 +566,17 @@ impl Machine {
     /// up (or lowers) the superblock at the PC and walks a chained trace
     /// from it, one dispatch walk and one cycle add per block, on the
     /// match-dispatched tier or the threaded tier, lowering and linking
-    /// each successor the first time the walk takes its leg. Instructions no
-    /// superblock covers — traps, halts, `ecall`s, words not worth
-    /// lowering, and a budget tail too short for the next whole block —
-    /// run on [`Machine::step`], the cold tier. Block instruction and
-    /// cycle totals accumulate in locals flushed before each cold step
-    /// and at the end. Accounting is bit-identical to driving `step`
-    /// alone; the differential tests hold it there.
+    /// each successor the first time the walk takes its leg. An `ecall`
+    /// ends its block and retires with it; the call is serviced once,
+    /// right after the block is billed, by the threaded chain when it
+    /// follows the block's link and otherwise by the walk, which ends the
+    /// run on `exit`. Instructions no superblock covers — halts, trap
+    /// words, words not worth lowering, pinned spans, and a budget tail
+    /// too short for the next whole block — run on [`Machine::step`], the
+    /// cold tier. Block instruction and cycle totals accumulate in locals
+    /// flushed before each cold step and at the end. Accounting is
+    /// bit-identical to driving `step` alone; the differential tests hold
+    /// it there.
     pub fn run_block(&mut self, max_steps: u64) -> Result<Step, SimError> {
         self.sync_uops();
         let mut done = 0u64; // steps retired this block
@@ -577,6 +598,7 @@ impl Machine {
                     let mut ran = false;
                     let mut resync = false;
                     let mut fault = None;
+                    let mut exited = None;
                     if let Some(first) = hit {
                         // Valid for the whole walk: a code write exits the
                         // trace (BlockExit::CodeWrite) before the stamp
@@ -618,7 +640,9 @@ impl Machine {
                                         id,
                                         &mut self.cpu,
                                         &mut self.mem,
+                                        &mut self.env,
                                         &mut self.stats,
+                                        cycles,
                                         self.indirect_ic,
                                         entry_gen,
                                         done,
@@ -656,6 +680,19 @@ impl Machine {
                                             t_super += len;
                                         }
                                         let kind = sb.term_kind();
+                                        if let Some(code) = sb.ecall() {
+                                            // The call retired with its
+                                            // block: service it now, after
+                                            // billing, as `step` does.
+                                            let now = self.stats.cycles + cycles;
+                                            if let Step::Exited(status) =
+                                                self.env.ecall(code, &mut self.cpu, now)
+                                            {
+                                                self.trace.breaks.bump(kind);
+                                                exited = Some(status);
+                                                break;
+                                            }
+                                        }
                                         let mut next = None;
                                         if self.chaining {
                                             let link = sb.link(taken);
@@ -769,6 +806,9 @@ impl Machine {
                     if let Some(err) = fault {
                         break 'run Err(err);
                     }
+                    if let Some(status) = exited {
+                        break 'run Ok(Step::Exited(status));
+                    }
                     if resync {
                         self.sync_uops();
                     }
@@ -778,7 +818,8 @@ impl Machine {
                 }
                 // Cold tier: the reference interpreter. Flush the block
                 // totals first: `step` bills `self.stats` directly, and an
-                // `ecall` may read the cycle counter.
+                // `ecall` it runs (in a pinned span or unwatched code) may
+                // read the cycle counter.
                 self.stats.instructions += std::mem::take(&mut insts);
                 self.stats.cycles += std::mem::take(&mut cycles);
                 match self.step() {
@@ -1008,6 +1049,157 @@ _start: li s0, 200
             "with the IC off every ret breaks its trace"
         );
         assert_eq!(off.trace.ic_hits, 0);
+    }
+
+    /// Every service inside loops hot enough to thread: `getc`, `putc`,
+    /// `cycles` and an unknown code in the read loop, `cycles` again in a
+    /// spin loop, then `puti` and `exit`.
+    const SERVICES: &str = r#"
+_start: li s2, 0
+.Lread: ecall 2              # getc -> rv
+        blt rv, zero, .Lrest
+        mv a0, rv
+        ecall 1              # putc
+        ecall 3              # cycles -> rv
+        add s1, s1, rv
+        ecall 9              # an unknown service: rv = 0
+        add s2, s2, rv
+        addi s0, s0, 1
+        j .Lread
+.Lrest: mv a0, s1
+        ecall 4              # puti
+        li t0, 40
+.Lspin: addi s3, s3, 3
+        ecall 3
+        xor s4, s4, rv
+        addi t0, t0, -1
+        bnez t0, .Lspin
+        mv a0, s4
+        ecall 4
+        mv a0, s0
+        ecall 0              # exit with the byte count
+"#;
+
+    /// What a run must reproduce: exit code, output, statistics, registers
+    /// and pc.
+    fn outcome(m: &Machine, code: i32) -> (i32, Vec<u8>, ExecStats, Vec<i32>, u32) {
+        let regs = (0..Reg::COUNT as u8)
+            .map(|i| m.cpu.get(Reg::new(i)))
+            .collect();
+        (code, m.env.output.clone(), m.stats, regs, m.cpu.pc)
+    }
+
+    /// Drive `m` to its exit, one `step` or one `run_block(budget)` at a
+    /// time, and fail a run that has not exited after 10,000 of them.
+    fn run_to_exit(m: &mut Machine, budget: Option<u64>) -> i32 {
+        for _ in 0..10_000 {
+            let step = match budget {
+                Some(budget) => m.run_block(budget),
+                None => m.step(),
+            };
+            match step.unwrap() {
+                Step::Running => {}
+                Step::Exited(code) => return code,
+                stop => panic!("unexpected {stop:?}"),
+            }
+        }
+        panic!("no exit after 10,000 calls: {:?}", m.stats)
+    }
+
+    #[test]
+    fn ecall_services_match_step_in_every_tier() {
+        let img = assemble(SERVICES).unwrap();
+        let input = b"the quick brown fox jumps over the lazy dog";
+        // Each machine runs the program twice: the second pass starts at
+        // the entry again, with the input used up.
+        let mut slow = Machine::load_native(&img, input);
+        let want: Vec<_> = (0..2)
+            .map(|_| {
+                slow.cpu.pc = img.entry;
+                let code = run_to_exit(&mut slow, None);
+                outcome(&slow, code)
+            })
+            .collect();
+        assert_eq!(want[0].0, input.len() as i32, "one exit per byte read");
+        assert!(want[0].1.starts_with(input), "putc echoes the input");
+        for threshold in [0, DEFAULT_THREADED_THRESHOLD, THREADED_NEVER] {
+            for chaining in [true, false] {
+                for budget in (1..=12).chain([Machine::BLOCK_STEPS]) {
+                    let tag =
+                        format!("threshold {threshold}, chaining {chaining}, budget {budget}");
+                    let mut m = Machine::load_native(&img, input);
+                    m.set_threaded_threshold(threshold);
+                    m.set_chaining_enabled(chaining);
+                    for (pass, want) in want.iter().enumerate() {
+                        m.cpu.pc = img.entry;
+                        let entries = m.trace.entries;
+                        let code = run_to_exit(&mut m, Some(budget));
+                        assert_eq!(&outcome(&m, code), want, "{tag}, pass {pass}");
+                        if pass == 1 && threshold == 0 && chaining && budget > 1000 {
+                            // Every block is threaded and linked by now, so
+                            // the second pass is one threaded chain: its
+                            // sentinels service `getc`, `puti` and every
+                            // `cycles` in-chain, and chain into the exit
+                            // block, whose `exit` the walk services.
+                            assert_eq!(m.trace.entries, entries + 1, "{tag}");
+                        }
+                    }
+                    let t = m.trace;
+                    assert_eq!(
+                        t.entries,
+                        t.breaks.total() + t.code_write_exits + t.fault_exits,
+                        "{tag}: {t:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_ecall_block_that_fills_the_budget_is_serviced_once() {
+        let img = assemble(SERVICES).unwrap();
+        let input = b"ab";
+        let mut slow = Machine::load_native(&img, input);
+        let code = run_to_exit(&mut slow, None);
+        let want = outcome(&slow, code);
+        for threshold in [0, DEFAULT_THREADED_THRESHOLD, THREADED_NEVER] {
+            for chaining in [true, false] {
+                let tag = format!("threshold {threshold}, chaining {chaining}");
+                let mut m = Machine::load_native(&img, input);
+                m.set_threaded_threshold(threshold);
+                m.set_chaining_enabled(chaining);
+                // The entry block, `li` and the first `getc`, uses up a
+                // budget of two: the walk services the call and ends there.
+                assert_eq!(m.run_block(2).unwrap(), Step::Running, "{tag}");
+                assert_eq!(m.stats.instructions, 2, "{tag}");
+                assert_eq!(m.trace.tier_interp_insts, 0, "{tag}: no cold step");
+                assert_eq!(m.trace.breaks.ecall, 1, "{tag}");
+                assert_eq!(m.cpu.get(Reg::RV), i32::from(b'a'), "{tag}");
+                assert_eq!(m.cpu.pc, img.entry + 8, "{tag}");
+                let code = run_to_exit(&mut m, Some(Machine::BLOCK_STEPS));
+                assert_eq!(outcome(&m, code), want, "{tag}: each byte read once");
+            }
+        }
+    }
+
+    #[test]
+    fn an_exit_block_with_a_link_still_ends_the_run() {
+        // A walk ends the run at every `exit`, so an exit block never
+        // links its fall-through leg. Link it by hand to the threaded
+        // block after it: the sentinel must still leave the `exit` to the
+        // walk rather than service it and chain on.
+        let img = assemble("_start: li a0, 7\n ecall 0\n addi t0, t0, 1\n j _start").unwrap();
+        let mut m = Machine::load_native(&img, &[]);
+        m.set_threaded_threshold(0);
+        assert_eq!(m.run_block(100).unwrap(), Step::Exited(7));
+        let exit_block = m.uops.id_at(img.entry).expect("exit block lowered");
+        let after = m.block_at(img.entry + 8).expect("block after the exit");
+        assert!(m.uops.block(exit_block).is_threaded() && m.uops.block(after).is_threaded());
+        m.uops.set_link(exit_block, false, after);
+        m.cpu.pc = img.entry;
+        assert_eq!(m.run_block(100).unwrap(), Step::Exited(7));
+        assert_eq!(m.stats.instructions, 4, "two runs of `li` and `exit`");
+        assert_eq!(m.cpu.get(Reg::T0), 0, "nothing ran past the exit");
     }
 
     #[test]

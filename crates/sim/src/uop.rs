@@ -12,12 +12,14 @@
 //! [`CostModel`], once per word per code write.
 //!
 //! A superblock is a body of simple instructions (ALU, load, store, `lui`,
-//! `nop`) ended by at most one control-flow terminator (branch / jump /
-//! call / return) whose targets are resolved to absolute PCs at lowering
-//! time. Anything that can trap or halt (`ecall`, `halt`, `miss`,
-//! `jrh`/`jalrh`) is never lowered — execution falls back to
-//! `Machine::step` there, exactly as it does at words not worth lowering
-//! and on the remainder of an almost-exhausted step budget.
+//! `nop`) ended by at most one terminator: a control-flow instruction
+//! (branch / jump / call / return) whose targets are resolved to absolute
+//! PCs at lowering time, or an environment call (`ecall`), which retires
+//! with the block and which the trace walk or the threaded chain services
+//! once the block is billed. Halts and the cache controller's traps
+//! (`halt`, `miss`, `jrh`/`jalrh`) are never lowered — execution falls
+//! back to `Machine::step` there, exactly as it does at words not worth
+//! lowering and on the remainder of an almost-exhausted step budget.
 //!
 //! Correctness under self-modifying code rides on the [`Memory`]
 //! code-write generation barrier, whose only consumer this cache is: a
@@ -58,7 +60,7 @@
 
 use crate::cost::CostModel;
 use crate::cpu::{self, Cpu, SimError};
-use crate::machine::ExecStats;
+use crate::machine::{syscall, Env, ExecStats};
 use crate::mem::{MemFault, Memory};
 use softcache_isa::cf::rel_target;
 use softcache_isa::inst::{AluOp, BranchCond, Inst, MemWidth};
@@ -228,10 +230,16 @@ impl UopKind {
 /// (the same architectural placement as the match engine's check), and the
 /// walk state the block-exit sentinels need to chain handler-array to
 /// handler-array without returning to the machine's trace walk: the arena
-/// (shared — all mutation stays in the walk), the step budget, and the
-/// billing accumulators for blocks the chain retires itself.
+/// (shared — all mutation stays in the walk), the step budget, the
+/// billing accumulators for blocks the chain retires itself, and the
+/// environment the `ecall` sentinel services calls against.
 struct Tctx<'a> {
     uops: &'a UopCache,
+    env: &'a mut Env,
+    /// The cycle counter at chain entry (`ExecStats::cycles` plus the
+    /// walk's unflushed cycles); with [`Tctx::cycles`] it is the counter
+    /// an in-chain `cycles` call reads.
+    cycle_base: u64,
     indirect_ic: bool,
     entry_gen: u64,
     /// Arena id of the block the chain is currently inside. Exit
@@ -648,6 +656,27 @@ fn t_exit_branch(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mu
     try_chain(sb, taken, true, ctx)
 }
 
+/// Chain sentinel for blocks that end in an `ecall`: the call has retired,
+/// so the PC moves past it. The sentinel chains first and services the
+/// call only once the chain has billed the block, as `step` bills before
+/// it services. A leg the chain cannot follow goes back to the walk with
+/// the call unserviced, and the walk services it: each call runs once.
+/// `exit` always goes back to the walk, which ends the run.
+fn t_exit_ecall(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
+    let sb = ctx.uops.block(ctx.cur);
+    let taken = sb.finish_term(cpu);
+    match sb.ecall() {
+        Some(code) if code != syscall::EXIT => {
+            let exit = try_chain(sb, taken, false, ctx);
+            if matches!(exit, TExit::Chain) {
+                ctx.env.ecall(code, cpu, ctx.cycle_base + ctx.cycles);
+            }
+            exit
+        }
+        _ => TExit::Done { taken },
+    }
+}
+
 /// One slot of a threaded block: the pre-bound handler next to its
 /// operands, so the dispatch loop streams one array (no tag load, no
 /// jump-table indirection between the operand fetch and the dispatch).
@@ -674,9 +703,9 @@ struct Uop {
 /// Control-flow terminator with targets resolved to absolute PCs.
 #[derive(Clone, Copy, Debug)]
 enum Term {
-    /// Block ends at a non-lowerable instruction (trap, halt, body-full,
-    /// unwatched or undecodable word): fall back to the per-instruction
-    /// path with `pc` on that instruction.
+    /// Block ends at a non-lowerable instruction (halt, miss stub,
+    /// `jrh`/`jalrh`, body-full, unwatched or undecodable word): fall back
+    /// to the per-instruction path with `pc` on that instruction.
     None,
     Branch {
         cond: BranchCond,
@@ -697,6 +726,12 @@ enum Term {
         rs: Reg,
     },
     Ret,
+    /// Environment call `ecall code`: it retires as the block's last
+    /// instruction, the PC moves to `exit_pc`, and the caller services the
+    /// call once the block is billed ([`crate::machine::Env::ecall`]).
+    Ecall {
+        code: u16,
+    },
 }
 
 /// How a superblock execution ended.
@@ -785,6 +820,9 @@ pub(crate) enum TermKind {
     CallReg,
     /// Return (inline cache).
     Ret,
+    /// Environment call (static fall-through leg, serviced before it is
+    /// followed).
+    Ecall,
 }
 
 /// A lowered straight-line region starting at `start`, plus everything the
@@ -1037,6 +1075,7 @@ impl Superblock {
             TermKind::CallReg => t_exit_callreg,
             TermKind::JumpReg => t_exit_jumpreg,
             TermKind::Ret => t_exit_ret,
+            TermKind::Ecall => t_exit_ecall,
         };
         slots.push(ThreadedOp {
             h: exit_h,
@@ -1074,7 +1113,7 @@ impl Superblock {
     #[inline]
     fn finish_term(&self, cpu: &mut Cpu) -> bool {
         match self.term {
-            Term::None => {
+            Term::None | Term::Ecall { .. } => {
                 cpu.pc = self.exit_pc;
                 false
             }
@@ -1196,6 +1235,16 @@ impl Superblock {
             Term::JumpReg { .. } => TermKind::JumpReg,
             Term::CallReg { .. } => TermKind::CallReg,
             Term::Ret => TermKind::Ret,
+            Term::Ecall { .. } => TermKind::Ecall,
+        }
+    }
+
+    /// The service code when the block ends in an `ecall`.
+    #[inline]
+    pub(crate) fn ecall(&self) -> Option<u16> {
+        match self.term {
+            Term::Ecall { code } => Some(code),
+            _ => None,
         }
     }
 
@@ -1223,7 +1272,7 @@ impl Superblock {
     pub(crate) fn leg_target(&self, taken: bool) -> Option<u32> {
         match self.term {
             Term::Branch { target, .. } => Some(if taken { target } else { self.exit_pc }),
-            Term::None => (!taken).then_some(self.exit_pc),
+            Term::None | Term::Ecall { .. } => (!taken).then_some(self.exit_pc),
             Term::Jump { target } | Term::Call { target } => (!taken).then_some(target),
             Term::JumpReg { .. } | Term::CallReg { .. } | Term::Ret => None,
         }
@@ -1242,7 +1291,7 @@ impl Superblock {
             }
             Term::Call { .. } | Term::CallReg { .. } => stats.calls += 1,
             Term::Ret => stats.returns += 1,
-            Term::None | Term::Jump { .. } | Term::JumpReg { .. } => {}
+            Term::None | Term::Jump { .. } | Term::JumpReg { .. } | Term::Ecall { .. } => {}
         }
     }
 }
@@ -1395,12 +1444,16 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
                 term_len = 1;
                 break;
             }
-            // Traps and halts are never lowered.
-            Inst::Ecall { .. }
-            | Inst::Halt
-            | Inst::Miss { .. }
-            | Inst::Jrh { .. }
-            | Inst::Jalrh { .. } => break,
+            // The environment call retires in the block; its caller
+            // services it once the block is billed.
+            Inst::Ecall { code } => {
+                term = Term::Ecall { code };
+                term_cycles = (c, ct);
+                term_len = 1;
+                break;
+            }
+            // Halts and the cache controller's traps are never lowered.
+            Inst::Halt | Inst::Miss { .. } | Inst::Jrh { .. } | Inst::Jalrh { .. } => break,
         };
         uops.push(u);
         cycles += c;
@@ -1666,14 +1719,17 @@ impl UopCache {
     /// hold both dispatch strategies to the same architectural results.
     ///
     /// `first` must be threaded; `done`/`max_steps` are the walk's budget
-    /// state (the walk must already have checked that `first` fits).
+    /// state (the walk must already have checked that `first` fits), and
+    /// `cycles` the walk's cycles not yet flushed into `stats`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_trace(
         &self,
         first: u32,
         cpu: &mut Cpu,
         mem: &mut Memory,
+        env: &mut Env,
         stats: &mut ExecStats,
+        cycles: u64,
         indirect_ic: bool,
         entry_gen: u64,
         done: u64,
@@ -1688,6 +1744,8 @@ impl UopCache {
         debug_assert_eq!(cpu.pc, self.block(first).start);
         let mut ctx = Tctx {
             uops: self,
+            env,
+            cycle_base: stats.cycles + cycles,
             indirect_ic,
             entry_gen,
             cur: first,
@@ -1904,20 +1962,60 @@ mod tests {
         }
     }
 
+    /// The words lowering refuses: halts, the cache controller's traps and
+    /// undecodable words.
+    fn trap_class_words() -> [u32; 5] {
+        [
+            encode(Inst::Halt),
+            encode(Inst::Miss { idx: 3 }),
+            encode(Inst::Jrh { rs: Reg::T0 }),
+            encode(Inst::Jalrh { rs: Reg::T0 }),
+            0xffff_ffff,
+        ]
+    }
+
     #[test]
     fn trap_class_first_word_is_not_worth_lowering() {
-        assert!(lowered(&[encode(Inst::Ecall { code: 0 })]).is_none());
-        assert!(lowered(&[encode(Inst::Halt)]).is_none());
-        assert!(lowered(&[encode(Inst::Miss { idx: 3 })]).is_none());
-        assert!(lowered(&[0xffff_ffff]).is_none(), "undecodable word");
+        for word in trap_class_words() {
+            assert!(lowered(&[word]).is_none(), "{word:#010x}");
+        }
     }
 
     #[test]
     fn trap_after_body_ends_block_with_term_none() {
-        let sb = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ecall { code: 0 })]).unwrap();
-        assert_eq!(sb.len, 1, "only the body retires");
-        assert!(matches!(sb.term, Term::None));
-        assert_eq!(sb.exit_pc, 4, "pc lands on the ecall");
+        for word in trap_class_words() {
+            let sb = lowered(&[addi(Reg::T0, Reg::T0, 1), word]).unwrap();
+            assert_eq!(sb.len, 1, "{word:#010x}: only the body retires");
+            assert!(matches!(sb.term, Term::None), "{word:#010x}");
+            assert_eq!(sb.exit_pc, 4, "{word:#010x}: pc lands on the trap");
+        }
+    }
+
+    #[test]
+    fn ecall_retires_as_its_blocks_terminator() {
+        let cost = CostModel::default();
+        let ecall = Inst::Ecall { code: 2 };
+        let sb = lowered(&[
+            addi(Reg::T0, Reg::T0, 1),
+            encode(ecall),
+            addi(Reg::T0, Reg::T0, 2),
+        ])
+        .unwrap();
+        assert_eq!(sb.len, 2, "body and ecall retire");
+        assert!(matches!(sb.term, Term::Ecall { code: 2 }));
+        assert_eq!(sb.ecall(), Some(2));
+        assert_eq!(sb.exit_pc, 8, "pc lands past the ecall");
+        let billed = cost.cycles_for(addi_inst(), false) + cost.cycles_for(ecall, false);
+        assert_eq!((sb.cycles_nt, sb.cycles_tk), (billed, billed));
+        assert!(
+            cost.cycles_for(ecall, false) > cost.base,
+            "ecall_extra billed"
+        );
+        let lone = lowered(&[encode(Inst::Ecall { code: 0 })]).expect("a lone ecall lowers");
+        assert_eq!(lone.len, 1);
+        assert_eq!(lone.ecall(), Some(0));
+        assert_eq!(lone.exit_pc, 4);
+        assert_eq!(lowered(&[encode(Inst::Ret)]).unwrap().ecall(), None);
     }
 
     #[test]
@@ -2072,6 +2170,9 @@ mod tests {
             None,
             "non-branches have no taken leg"
         );
+        let ecall = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Ecall { code: 1 })]).unwrap();
+        assert_eq!(ecall.leg_target(false), Some(8), "the word after the ecall");
+        assert_eq!(ecall.leg_target(true), None);
     }
 
     #[test]
@@ -2128,6 +2229,8 @@ mod tests {
         assert_eq!(jr.term_kind(), TermKind::JumpReg);
         let fall = lowered(&[addi(Reg::T0, Reg::T0, 1), encode(Inst::Halt)]).unwrap();
         assert_eq!(fall.term_kind(), TermKind::Fallthrough);
+        let ecall = lowered(&[encode(Inst::Ecall { code: 1 })]).unwrap();
+        assert_eq!(ecall.term_kind(), TermKind::Ecall);
     }
 
     #[test]
