@@ -104,16 +104,15 @@ pub struct IcacheConfig {
     /// benchmark's traced run (`benchmark/src/solo.rs`) still reads it;
     /// delete it with that read.
     pub ras_depth: u32,
-    /// Promote hot superblocks to the threaded-dispatch tier (flat
-    /// handler-pointer arrays, no per-uop match — DESIGN.md §14).
-    /// Composes with `superblocks` — ignored when that is off. Host-side
-    /// speed only; simulated results are bit-identical either way
-    /// (`icache::tests::threaded_tier_is_bit_identical_at_system_level`).
+    /// Unused (default `true`): every superblock is lowered straight into
+    /// its threaded handler array (DESIGN.md §14), so there is no tier to
+    /// switch. Kept only because the benchmark's traced run
+    /// (`benchmark/src/solo.rs`) still reads it; delete it with that read.
     pub threaded: bool,
-    /// Entry-count a superblock must reach (under TRRIP-style epoch
-    /// decay) before it is lowered to threaded form. 0 threads every
-    /// block at lowering time; [`softcache_sim::THREADED_NEVER`] never
-    /// promotes.
+    /// Unused (default 0): no hotness threshold promotes a block, because
+    /// every block is threaded when it is lowered. Kept only because the
+    /// benchmark's traced run (`benchmark/src/solo.rs`) still reads it;
+    /// delete it with that read.
     pub threaded_threshold: u32,
     /// Replacement policy on tcache pressure (DESIGN.md §16).
     pub tcache_policy: TcachePolicy,
@@ -136,7 +135,7 @@ impl Default for IcacheConfig {
             indirect_ic: true,
             ras_depth: 0,
             threaded: true,
-            threaded_threshold: softcache_sim::DEFAULT_THREADED_THRESHOLD,
+            threaded_threshold: 0,
             tcache_policy: TcachePolicy::default(),
             fuel: 2_000_000_000,
         }

@@ -182,8 +182,6 @@ impl SoftIcacheSystem {
         machine.set_superblocks_enabled(self.cfg.superblocks);
         machine.set_chaining_enabled(self.cfg.chaining);
         machine.set_indirect_ic_enabled(self.cfg.indirect_ic);
-        machine.set_threaded_enabled(self.cfg.threaded);
-        machine.set_threaded_threshold(self.cfg.threaded_threshold);
         let mut cc = Cc::new(self.cfg);
         self.endpoint.set_policy(self.cfg.link_policy);
         self.endpoint.begin_session();
@@ -292,7 +290,6 @@ mod tests {
     use softcache_asm::assemble;
     use softcache_minic as minic;
     use softcache_net::thread_pair;
-    use softcache_sim::THREADED_NEVER;
     use std::time::Duration;
 
     fn run_asm(src: &str, cfg: IcacheConfig, input: &[u8]) -> RunOutput {
@@ -463,18 +460,39 @@ int main() {
 
     #[test]
     fn superblock_engine_is_bit_identical_at_system_level() {
-        // Superblock micro-op engine on vs off: every simulated observable
-        // must match bit for bit — the engine is host-side speed only. The
+        // Superblock engine on vs off: every simulated observable must
+        // match bit for bit — the engine is host-side speed only. The
         // tight leg makes in-walk lowering, backpatching and invalidation
         // all fire.
         for tcache_size in KNOB_TCACHE_SIZES {
+            let tag = format!("tcache={tcache_size}");
             let base = knob_default(tcache_size);
             let on = run_knob(base);
             let off = run_knob(IcacheConfig {
                 superblocks: false,
                 ..base
             });
-            assert_same_simulation(&on, &off, &format!("tcache={tcache_size}"));
+            assert_same_simulation(&on, &off, &tag);
+            // The tier tallies lose no instruction: each one `run_block`
+            // retired is counted on the cold tier or in a block, but for
+            // the steps that end a call. Those are the traps, which the
+            // CC counts, and, when `step` runs alone, the final `exit`
+            // (the engine retires it in its block).
+            let (a, b) = (&on.trace, &off.trace);
+            let traps = on.cache.miss_traps + on.cache.hash_traps;
+            assert!(a.tier_threaded_insts > 0, "{tag}");
+            assert_eq!(a.tier_super_insts + b.tier_super_insts, 0, "{tag}");
+            assert_eq!(b.tier_threaded_insts, 0, "{tag}");
+            assert_eq!(
+                a.tier_interp_insts + a.tier_threaded_insts + traps,
+                on.exec.instructions,
+                "{tag}: {a:?}"
+            );
+            assert_eq!(
+                b.tier_interp_insts + traps + 1,
+                off.exec.instructions,
+                "{tag}: {b:?}"
+            );
         }
     }
 
@@ -550,54 +568,6 @@ int main() {
                 off.trace.breaks.ret, returns,
                 "{tag}: with the IC off every return breaks"
             );
-        }
-    }
-
-    #[test]
-    fn threaded_tier_is_bit_identical_at_system_level() {
-        // Threaded dispatch off, promoted at lowering, and never promoted
-        // vs the default threshold: dispatch strategy changes how traces
-        // execute, never what they do. Beyond the simulated observables,
-        // the walk's trace ledger must match too, and the retired block
-        // instructions move between tiers without getting lost.
-        for tcache_size in KNOB_TCACHE_SIZES {
-            let base = knob_default(tcache_size);
-            let on = run_knob(base);
-            assert!(on.trace.tier_threaded_insts > 0, "tcache={tcache_size}");
-            for cfg in [
-                IcacheConfig {
-                    threaded: false,
-                    ..base
-                },
-                IcacheConfig {
-                    threaded_threshold: 0,
-                    ..base
-                },
-                IcacheConfig {
-                    threaded_threshold: THREADED_NEVER,
-                    ..base
-                },
-            ] {
-                let other = run_knob(cfg);
-                let tag = format!(
-                    "tcache={tcache_size} threaded={} thr={}",
-                    cfg.threaded, cfg.threaded_threshold
-                );
-                assert_same_simulation(&on, &other, &tag);
-                let (a, b) = (&on.trace, &other.trace);
-                assert_eq!(a.entries, b.entries, "{tag}: trace entries");
-                assert_eq!(a.chained, b.chained, "{tag}: chained");
-                assert_eq!(a.breaks, b.breaks, "{tag}: breaks");
-                assert_eq!(a.ic_hits, b.ic_hits, "{tag}: IC hits");
-                assert_eq!(
-                    a.tier_interp_insts + a.tier_super_insts + a.tier_threaded_insts,
-                    b.tier_interp_insts + b.tier_super_insts + b.tier_threaded_insts,
-                    "{tag}: tier tallies lost instructions"
-                );
-                if !cfg.threaded {
-                    assert_eq!(b.tier_threaded_insts, 0, "{tag}");
-                }
-            }
         }
     }
 

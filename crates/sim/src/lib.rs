@@ -19,9 +19,6 @@ mod uop;
 
 pub use cost::CostModel;
 pub use cpu::{Cpu, Next, SimError, Trap};
-pub use machine::{
-    syscall, BreakStats, Env, ExecStats, Machine, RunError, Step, TraceStats,
-    DEFAULT_THREADED_THRESHOLD, THREADED_NEVER,
-};
+pub use machine::{syscall, BreakStats, Env, ExecStats, Machine, RunError, Step, TraceStats};
 pub use mem::{MemFault, Memory};
 pub use profile::{Profile, Profiler};

@@ -11,11 +11,12 @@
 //! bills it under the [`CostModel`], one instruction per call. It is the
 //! oracle the differential tests hold the production engine to, and the
 //! only per-instruction path. [`Machine::run_block`] is the production
-//! engine: it runs lowered superblocks (the `uop` module) as chained
-//! traces, on the match-dispatched tier or the threaded tier. An `ecall`
-//! retires as the last instruction of its block, and the walk or the
-//! threaded chain services it right after billing the block, through the
-//! service routine `step` uses. Every instruction no superblock covers —
+//! engine: it runs superblocks (the `uop` module), each lowered straight
+//! into a threaded handler array the first time execution reaches it, as
+//! chained traces. An `ecall` retires as the last instruction of its
+//! block, and the walk or the threaded chain services it right after
+//! billing the block, through the service routine `step` uses. Every
+//! instruction no superblock covers —
 //! halts, miss stubs and `jrh`/`jalrh` traps, undecodable and unwatched
 //! words, spans pinned to `step`, and the tail of a step budget too short
 //! for the next block — runs on `step`, its cold tier. The superblock
@@ -81,7 +82,7 @@ impl Env {
     /// counter at that point, which the `cycles` service reads. Returns
     /// [`Step::Exited`] for `exit` and [`Step::Running`] otherwise. The
     /// one service routine: [`Machine::step`], the trace walk and the
-    /// threaded tier's `ecall` sentinel all call it.
+    /// threaded chain's `ecall` sentinel all call it.
     pub(crate) fn ecall(&mut self, code: u16, cpu: &mut Cpu, cycles: u64) -> Step {
         match code {
             syscall::EXIT => {
@@ -239,32 +240,23 @@ pub struct TraceStats {
     /// that ends the call is not counted. Tier counters cover `run_block`
     /// execution only; a caller that runs `step` itself bypasses them.
     pub tier_interp_insts: u64,
-    /// Instructions retired by match-dispatched (warm) superblocks.
+    /// Always 0: every superblock runs as a threaded handler array, and
+    /// there is no match-dispatched tier. Kept only because the
+    /// benchmark's traced run (`benchmark/src/solo.rs`) still reads it;
+    /// delete it with that read.
     pub tier_super_insts: u64,
-    /// Instructions retired by threaded (hot) superblocks.
+    /// Instructions retired by superblocks (threaded handler arrays), in
+    /// the walk or in a threaded chain. With `tier_interp_insts` it counts
+    /// every instruction `run_block` retired, but for the steps that
+    /// ended a call.
     pub tier_threaded_insts: u64,
-    /// Superblocks promoted to the threaded tier (handler arrays built).
+    /// Superblocks lowered: each lowering binds one threaded handler
+    /// array.
     pub promotions: u64,
-    /// Threaded blocks dropped by invalidation or flush — the
-    /// generation-barrier demotion path (they re-earn promotion through
-    /// heat if relowered).
+    /// Superblocks dropped by invalidation (a code write into their span)
+    /// or by a slow-path pin.
     pub demotions: u64,
 }
-
-/// Default hotness threshold for promoting a superblock to the threaded
-/// tier: low enough that steady-state code is threaded within a handful
-/// of executions, high enough that one-shot code never pays the handler
-/// binding cost. A threshold of 0 threads at lowering time; [`THREADED_NEVER`]
-/// disables promotion entirely.
-pub const DEFAULT_THREADED_THRESHOLD: u32 = 8;
-
-/// Sentinel promotion threshold: never promote (heat saturates below it).
-pub const THREADED_NEVER: u32 = u32::MAX;
-
-/// Walk-entry count per heat epoch (TRRIP-style decay period): every
-/// 2^16 trace entries, unpromoted blocks' heat halves per elapsed epoch,
-/// so only genuinely re-referenced code accumulates toward promotion.
-const HEAT_EPOCH_SHIFT: u32 = 16;
 
 /// Outcome of a [`Machine::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -339,16 +331,6 @@ pub struct Machine {
     /// terminators chain through their per-site cached target (on by
     /// default, meaningful only with `chaining`).
     indirect_ic: bool,
-    /// Threaded-tier toggle: promote hot superblocks to pre-bound
-    /// handler arrays (on by default, meaningful only with `superblocks`).
-    threaded: bool,
-    /// Hotness threshold for threaded promotion (0 = thread at lowering,
-    /// [`THREADED_NEVER`] = never).
-    threaded_threshold: u32,
-    /// Promotion requests collected during a trace walk (blocks whose
-    /// heat crossed the threshold mid-walk, where the cache is borrowed
-    /// shared); drained after the walk, where `&mut` is available.
-    promote: Vec<u32>,
     /// Superblock-engine telemetry (trace entries, chain breaks by
     /// terminator kind, inline-cache counters). Not part of the
     /// architectural [`ExecStats`] ledger.
@@ -402,9 +384,6 @@ impl Machine {
             superblocks: true,
             chaining: true,
             indirect_ic: true,
-            threaded: true,
-            threaded_threshold: DEFAULT_THREADED_THRESHOLD,
-            promote: Vec::new(),
             trace: TraceStats::default(),
         }
     }
@@ -418,7 +397,7 @@ impl Machine {
         if self.uops.generation() != generation {
             if let Some((lo, hi)) = self.mem.take_dirty_code() {
                 self.uops.invalidate_span(lo, hi);
-                self.trace.demotions += self.uops.take_threaded_drops();
+                self.trace.demotions += self.uops.take_drops();
             }
             self.uops.set_generation(generation);
         }
@@ -485,20 +464,17 @@ impl Machine {
         self.indirect_ic = on;
     }
 
-    /// Enable or disable the threaded (hot) tier: hotness-promoted
-    /// superblocks dispatched through pre-bound handler arrays. Only
-    /// meaningful while superblocks are enabled. Accounting is
-    /// bit-identical either way (`tests/end_to_end.rs::check_all_engines`).
-    pub fn set_threaded_enabled(&mut self, on: bool) {
-        self.threaded = on;
-    }
+    /// Does nothing: every superblock is lowered straight into its
+    /// threaded handler array, so there is no tier to switch. Kept only
+    /// because the benchmark's traced run (`benchmark/src/solo.rs`) still
+    /// calls it; delete it with that call.
+    pub fn set_threaded_enabled(&mut self, _on: bool) {}
 
-    /// Set the hotness threshold for threaded promotion: 0 threads every
-    /// block at lowering time, [`THREADED_NEVER`] never promotes.
-    /// Accounting is bit-identical at any threshold.
-    pub fn set_threaded_threshold(&mut self, threshold: u32) {
-        self.threaded_threshold = threshold;
-    }
+    /// Does nothing: no hotness threshold promotes a block, because every
+    /// block is threaded when it is lowered. Kept only because the
+    /// benchmark's traced run (`benchmark/src/solo.rs`) still calls it;
+    /// delete it with that call.
+    pub fn set_threaded_threshold(&mut self, _threshold: u32) {}
 
     /// Does nothing: `ret` chains through its inline cache like
     /// `jr`/`jalr`, and there is no return-address stack to size. Kept
@@ -513,7 +489,7 @@ impl Machine {
     /// only — architectural results are bit-identical, just slower.
     pub fn pin_slow_span(&mut self, lo: u32, hi: u32) {
         self.uops.pin_span(lo, hi);
-        self.trace.demotions += self.uops.take_threaded_drops();
+        self.trace.demotions += self.uops.take_drops();
     }
 
     /// Remove slow-path pins lying entirely within `[lo, hi)` (the pinned
@@ -546,17 +522,14 @@ impl Machine {
         }
     }
 
-    /// Lower the superblock starting at `pc` and record the verdict,
-    /// returning the new block's arena id. Threshold 0 means "always
-    /// threaded": handlers are bound at lowering time. Out of line: it
-    /// runs once per block per code write, and [`Machine::block_at`]'s
-    /// callers sit on the trace walk.
+    /// Lower the superblock starting at `pc` into its handler array and
+    /// record the verdict, returning the new block's arena id. Out of
+    /// line: it runs once per block per code write, and
+    /// [`Machine::block_at`]'s callers sit on the trace walk.
     #[inline(never)]
     fn lower_at(&mut self, pc: u32) -> Option<u32> {
         let id = self.uops.lower(&self.cost, &self.mem, pc)?;
-        if self.threaded && self.threaded_threshold == 0 && self.uops.thread(id) {
-            self.trace.promotions += 1;
-        }
+        self.trace.promotions += 1;
         Some(id)
     }
 
@@ -564,13 +537,12 @@ impl Machine {
     /// Returns [`Step::Running`] exactly when the whole budget was
     /// consumed. This is the production engine: at each loop top it looks
     /// up (or lowers) the superblock at the PC and walks a chained trace
-    /// from it, one dispatch walk and one cycle add per block, on the
-    /// match-dispatched tier or the threaded tier, lowering and linking
-    /// each successor the first time the walk takes its leg. An `ecall`
-    /// ends its block and retires with it; the call is serviced once,
-    /// right after the block is billed, by the threaded chain when it
-    /// follows the block's link and otherwise by the walk, which ends the
-    /// run on `exit`. Instructions no superblock covers — halts, trap
+    /// from it, one handler chain and one cycle add per block, lowering
+    /// and linking each successor the first time the walk takes its leg.
+    /// An `ecall` ends its block and retires with it; the call is serviced
+    /// once, right after the block is billed, by the threaded chain when
+    /// it follows the block's link and otherwise by the walk, which ends
+    /// the run on `exit`. Instructions no superblock covers — halts, trap
     /// words, words not worth lowering, pinned spans, and a budget tail
     /// too short for the next whole block — run on [`Machine::step`], the
     /// cold tier. Block instruction and cycle totals accumulate in locals
@@ -586,7 +558,7 @@ impl Machine {
             while done < max_steps {
                 let pc = self.cpu.pc;
                 // Superblock path: execute a whole lowered run with one
-                // dispatch walk and one cycle add, then *chain* into the
+                // handler chain and one cycle add, then *chain* into the
                 // successor block while its generation-stamped link is
                 // valid — one budget check and one arena index per link,
                 // no loop-top lookup. Falls through to the cold tier at
@@ -610,62 +582,33 @@ impl Machine {
                         if u64::from(self.uops.block(id).len) <= max_steps - done {
                             self.trace.entries += 1;
                             ran = true;
-                            let epoch = (self.trace.entries >> HEAT_EPOCH_SHIFT) as u32;
-                            let thr = self.threaded_threshold;
-                            // Per-tier retired-instruction tallies for this
-                            // walk, flushed to the trace ledger at walk end.
-                            let mut t_super = 0u64;
-                            let mut t_thread = 0u64;
+                            let walk_start = done;
                             loop {
-                                // Tier bookkeeping: decay-bump the block's
-                                // heat; crossing the threshold queues a
-                                // promotion, built after the walk where the
-                                // cache is mutably free.
-                                let sb = self.uops.block_mut(id);
-                                let threaded = self.threaded && sb.is_threaded();
-                                if self.threaded
-                                    && !threaded
-                                    && thr != THREADED_NEVER
-                                    && sb.heat_up(epoch) >= thr
-                                {
-                                    self.promote.push(id);
-                                }
-                                let exit = if threaded {
-                                    // Hot tier: the chain runs (and bills)
-                                    // statically linked threaded
-                                    // successors itself; it hands back the
-                                    // final block for the walk to bill and
-                                    // route like any other.
-                                    let r = self.uops.execute_trace(
-                                        id,
-                                        &mut self.cpu,
-                                        &mut self.mem,
-                                        &mut self.env,
-                                        &mut self.stats,
-                                        cycles,
-                                        self.indirect_ic,
-                                        entry_gen,
-                                        done,
-                                        max_steps,
-                                        self.chaining,
-                                    );
-                                    done = r.done;
-                                    insts += r.insts;
-                                    cycles += r.cycles;
-                                    self.trace.chained += r.chained;
-                                    self.trace.ic_hits += r.ic_hits;
-                                    t_thread += r.insts;
-                                    id = r.cur;
-                                    r.exit
-                                } else {
-                                    self.uops.block(id).execute(
-                                        &mut self.cpu,
-                                        &mut self.mem,
-                                        entry_gen,
-                                    )
-                                };
+                                // The threaded chain runs (and bills) the
+                                // linked successors it can follow itself;
+                                // it hands back the final block for the
+                                // walk to bill and route.
+                                let r = self.uops.execute_trace(
+                                    id,
+                                    &mut self.cpu,
+                                    &mut self.mem,
+                                    &mut self.env,
+                                    &mut self.stats,
+                                    cycles,
+                                    self.indirect_ic,
+                                    entry_gen,
+                                    done,
+                                    max_steps,
+                                    self.chaining,
+                                );
+                                done = r.done;
+                                insts += r.insts;
+                                cycles += r.cycles;
+                                self.trace.chained += r.chained;
+                                self.trace.ic_hits += r.ic_hits;
+                                id = r.cur;
                                 let sb = self.uops.block(id);
-                                match exit {
+                                match r.exit {
                                     BlockExit::Done { taken } => {
                                         let len = u64::from(sb.len);
                                         done += len;
@@ -674,11 +617,6 @@ impl Machine {
                                         self.stats.loads += u64::from(sb.loads);
                                         self.stats.stores += u64::from(sb.stores);
                                         sb.account_term(&mut self.stats, taken);
-                                        if threaded {
-                                            t_thread += len;
-                                        } else {
-                                            t_super += len;
-                                        }
                                         let kind = sb.term_kind();
                                         if let Some(code) = sb.ecall() {
                                             // The call retired with its
@@ -759,11 +697,6 @@ impl Machine {
                                         cycles += p.cycles;
                                         self.stats.loads += u64::from(p.loads);
                                         self.stats.stores += u64::from(p.stores);
-                                        if threaded {
-                                            t_thread += u64::from(retired);
-                                        } else {
-                                            t_super += u64::from(retired);
-                                        }
                                         self.trace.code_write_exits += 1;
                                         resync = true;
                                         break;
@@ -775,32 +708,13 @@ impl Machine {
                                         cycles += p.cycles;
                                         self.stats.loads += u64::from(p.loads);
                                         self.stats.stores += u64::from(p.stores);
-                                        if threaded {
-                                            t_thread += u64::from(retired);
-                                        } else {
-                                            t_super += u64::from(retired);
-                                        }
                                         self.trace.fault_exits += 1;
                                         fault = Some(err);
                                         break;
                                     }
                                 }
                             }
-                            self.trace.tier_super_insts += t_super;
-                            self.trace.tier_threaded_insts += t_thread;
-                            // Build queued threaded forms now the walk has
-                            // released its borrows. `thread` is idempotent,
-                            // so a block queued on several walks promotes
-                            // (and counts) once.
-                            if !self.promote.is_empty() {
-                                let mut q = std::mem::take(&mut self.promote);
-                                for pid in q.drain(..) {
-                                    if self.uops.thread(pid) {
-                                        self.trace.promotions += 1;
-                                    }
-                                }
-                                self.promote = q;
-                            }
+                            self.trace.tier_threaded_insts += done - walk_start;
                         }
                     }
                     if let Some(err) = fault {
@@ -1051,7 +965,7 @@ _start: li s0, 200
         assert_eq!(off.trace.ic_hits, 0);
     }
 
-    /// Every service inside loops hot enough to thread: `getc`, `putc`,
+    /// Every service inside loops that chain: `getc`, `putc`,
     /// `cycles` and an unknown code in the read loop, `cycles` again in a
     /// spin loop, then `puti` and `exit`.
     const SERVICES: &str = r#"
@@ -1107,7 +1021,7 @@ _start: li s2, 0
     }
 
     #[test]
-    fn ecall_services_match_step_in_every_tier() {
+    fn ecall_services_match_step() {
         let img = assemble(SERVICES).unwrap();
         let input = b"the quick brown fox jumps over the lazy dog";
         // Each machine runs the program twice: the second pass starts at
@@ -1122,35 +1036,31 @@ _start: li s2, 0
             .collect();
         assert_eq!(want[0].0, input.len() as i32, "one exit per byte read");
         assert!(want[0].1.starts_with(input), "putc echoes the input");
-        for threshold in [0, DEFAULT_THREADED_THRESHOLD, THREADED_NEVER] {
-            for chaining in [true, false] {
-                for budget in (1..=12).chain([Machine::BLOCK_STEPS]) {
-                    let tag =
-                        format!("threshold {threshold}, chaining {chaining}, budget {budget}");
-                    let mut m = Machine::load_native(&img, input);
-                    m.set_threaded_threshold(threshold);
-                    m.set_chaining_enabled(chaining);
-                    for (pass, want) in want.iter().enumerate() {
-                        m.cpu.pc = img.entry;
-                        let entries = m.trace.entries;
-                        let code = run_to_exit(&mut m, Some(budget));
-                        assert_eq!(&outcome(&m, code), want, "{tag}, pass {pass}");
-                        if pass == 1 && threshold == 0 && chaining && budget > 1000 {
-                            // Every block is threaded and linked by now, so
-                            // the second pass is one threaded chain: its
-                            // sentinels service `getc`, `puti` and every
-                            // `cycles` in-chain, and chain into the exit
-                            // block, whose `exit` the walk services.
-                            assert_eq!(m.trace.entries, entries + 1, "{tag}");
-                        }
+        for chaining in [true, false] {
+            for budget in (1..=12).chain([Machine::BLOCK_STEPS]) {
+                let tag = format!("chaining {chaining}, budget {budget}");
+                let mut m = Machine::load_native(&img, input);
+                m.set_chaining_enabled(chaining);
+                for (pass, want) in want.iter().enumerate() {
+                    m.cpu.pc = img.entry;
+                    let entries = m.trace.entries;
+                    let code = run_to_exit(&mut m, Some(budget));
+                    assert_eq!(&outcome(&m, code), want, "{tag}, pass {pass}");
+                    if pass == 1 && chaining && budget > 1000 {
+                        // Every block is lowered and linked by now, so the
+                        // second pass is one threaded chain: its sentinels
+                        // service `getc`, `puti` and every `cycles`
+                        // in-chain, and chain into the exit block, whose
+                        // `exit` the walk services.
+                        assert_eq!(m.trace.entries, entries + 1, "{tag}");
                     }
-                    let t = m.trace;
-                    assert_eq!(
-                        t.entries,
-                        t.breaks.total() + t.code_write_exits + t.fault_exits,
-                        "{tag}: {t:?}"
-                    );
                 }
+                let t = m.trace;
+                assert_eq!(
+                    t.entries,
+                    t.breaks.total() + t.code_write_exits + t.fault_exits,
+                    "{tag}: {t:?}"
+                );
             }
         }
     }
@@ -1162,39 +1072,34 @@ _start: li s2, 0
         let mut slow = Machine::load_native(&img, input);
         let code = run_to_exit(&mut slow, None);
         let want = outcome(&slow, code);
-        for threshold in [0, DEFAULT_THREADED_THRESHOLD, THREADED_NEVER] {
-            for chaining in [true, false] {
-                let tag = format!("threshold {threshold}, chaining {chaining}");
-                let mut m = Machine::load_native(&img, input);
-                m.set_threaded_threshold(threshold);
-                m.set_chaining_enabled(chaining);
-                // The entry block, `li` and the first `getc`, uses up a
-                // budget of two: the walk services the call and ends there.
-                assert_eq!(m.run_block(2).unwrap(), Step::Running, "{tag}");
-                assert_eq!(m.stats.instructions, 2, "{tag}");
-                assert_eq!(m.trace.tier_interp_insts, 0, "{tag}: no cold step");
-                assert_eq!(m.trace.breaks.ecall, 1, "{tag}");
-                assert_eq!(m.cpu.get(Reg::RV), i32::from(b'a'), "{tag}");
-                assert_eq!(m.cpu.pc, img.entry + 8, "{tag}");
-                let code = run_to_exit(&mut m, Some(Machine::BLOCK_STEPS));
-                assert_eq!(outcome(&m, code), want, "{tag}: each byte read once");
-            }
+        for chaining in [true, false] {
+            let tag = format!("chaining {chaining}");
+            let mut m = Machine::load_native(&img, input);
+            m.set_chaining_enabled(chaining);
+            // The entry block, `li` and the first `getc`, uses up a budget
+            // of two: the walk services the call and ends there.
+            assert_eq!(m.run_block(2).unwrap(), Step::Running, "{tag}");
+            assert_eq!(m.stats.instructions, 2, "{tag}");
+            assert_eq!(m.trace.tier_interp_insts, 0, "{tag}: no cold step");
+            assert_eq!(m.trace.breaks.ecall, 1, "{tag}");
+            assert_eq!(m.cpu.get(Reg::RV), i32::from(b'a'), "{tag}");
+            assert_eq!(m.cpu.pc, img.entry + 8, "{tag}");
+            let code = run_to_exit(&mut m, Some(Machine::BLOCK_STEPS));
+            assert_eq!(outcome(&m, code), want, "{tag}: each byte read once");
         }
     }
 
     #[test]
     fn an_exit_block_with_a_link_still_ends_the_run() {
         // A walk ends the run at every `exit`, so an exit block never
-        // links its fall-through leg. Link it by hand to the threaded
-        // block after it: the sentinel must still leave the `exit` to the
-        // walk rather than service it and chain on.
+        // links its fall-through leg. Link it by hand to the block after
+        // it: the sentinel must still leave the `exit` to the walk rather
+        // than service it and chain on.
         let img = assemble("_start: li a0, 7\n ecall 0\n addi t0, t0, 1\n j _start").unwrap();
         let mut m = Machine::load_native(&img, &[]);
-        m.set_threaded_threshold(0);
         assert_eq!(m.run_block(100).unwrap(), Step::Exited(7));
         let exit_block = m.uops.id_at(img.entry).expect("exit block lowered");
         let after = m.block_at(img.entry + 8).expect("block after the exit");
-        assert!(m.uops.block(exit_block).is_threaded() && m.uops.block(after).is_threaded());
         m.uops.set_link(exit_block, false, after);
         m.cpu.pc = img.entry;
         assert_eq!(m.run_block(100).unwrap(), Step::Exited(7));
@@ -1229,8 +1134,8 @@ _start: li s2, 0
 
     #[test]
     fn code_write_drops_only_the_blocks_that_depend_on_it() {
-        // Two threaded blocks in one tcache page: A = two ALU words and a
-        // jump to B; B = two ALU words up to a halt.
+        // Two blocks in one tcache page: A = two ALU words and a jump to
+        // B; B = two ALU words up to a halt.
         let base = TCACHE_BASE;
         let words = [
             addi(Reg::T0, 1),
@@ -1241,19 +1146,17 @@ _start: li s2, 0
             softcache_isa::encode(Inst::Halt),
         ];
         let mut m = Machine::blank(&[]);
-        m.set_threaded_threshold(0);
         m.mem.write_words(base, &words).unwrap();
         m.cpu.pc = base;
         assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0));
         let a = m.uops.id_at(base).expect("block A lowered");
-        let b = m.uops.id_at(base + 12).expect("block B lowered");
-        assert!(m.uops.block(a).is_threaded() && m.uops.block(b).is_threaded());
+        m.uops.id_at(base + 12).expect("block B lowered");
+        assert_eq!(m.trace.promotions, 2, "each lowering counts once");
         let demotions = m.trace.demotions;
 
         m.mem.write_u32(base + 16, addi(Reg::T1, 5)).unwrap();
         m.sync_uops();
         assert_eq!(m.uops.id_at(base), Some(a), "A keeps its arena id");
-        assert!(m.uops.block(a).is_threaded(), "A keeps its threaded body");
         assert_eq!(m.uops.lookup(base + 12), uop::Lookup::Unknown, "B dropped");
         assert_eq!(m.trace.demotions, demotions + 1, "exactly B demoted");
     }
@@ -1282,18 +1185,15 @@ _start: li s2, 0
         let tail = base + 4 * to_jr.len() as u32;
         to_jr.extend([addi(Reg::T0, 1), halt]);
         for (words, chained, ic_fills) in [(to_halt, blocks - 1, 0), (to_jr, blocks, 1)] {
-            for threshold in [DEFAULT_THREADED_THRESHOLD, 0] {
-                let tag = format!("threshold {threshold}, ic_fills {ic_fills}");
-                let mut m = Machine::blank(&[]);
-                m.set_threaded_threshold(threshold);
-                m.mem.write_words(base, &words).unwrap();
-                m.cpu.set(Reg::T1, tail as i32);
-                m.cpu.pc = base;
-                assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0), "{tag}");
-                assert_eq!(m.trace.entries, 1, "{tag}");
-                assert_eq!(m.trace.chained, chained, "{tag}");
-                assert_eq!(m.trace.ic_fills, ic_fills, "{tag}");
-            }
+            let tag = format!("ic_fills {ic_fills}");
+            let mut m = Machine::blank(&[]);
+            m.mem.write_words(base, &words).unwrap();
+            m.cpu.set(Reg::T1, tail as i32);
+            m.cpu.pc = base;
+            assert_eq!(m.run_block(1_000).unwrap(), Step::Exited(0), "{tag}");
+            assert_eq!(m.trace.entries, 1, "{tag}");
+            assert_eq!(m.trace.chained, chained, "{tag}");
+            assert_eq!(m.trace.ic_fills, ic_fills, "{tag}");
         }
     }
 
@@ -1354,5 +1254,109 @@ _start: li s2, 0
         let (outcomes, block_stats, t1) = run(true);
         assert_eq!((outcomes, t1), want, "run_block");
         assert_eq!(block_stats, stats);
+    }
+
+    #[test]
+    fn alu_edge_operands_match_step_in_both_forms() {
+        // Every ALU operation, in register and immediate form, on edge
+        // operands: 0, ±1, the extremes, shift amounts 31–33 and −1,
+        // division and remainder by zero and `i32::MIN / -1`, and
+        // immediates at both ends of their sign- or zero-extended range.
+        // Each result is stored to data memory, so a wrong handler or a
+        // miswired operand shows in its own slot.
+        use softcache_isa::inst::{AluOp, MemWidth};
+        const OPERANDS: [i32; 8] = [0, 1, -1, i32::MIN, i32::MAX, 31, 32, 33];
+        const SIGN_EXTENDED: [i32; 8] = [0, 1, -1, 31, 32, 33, -32768, 32767];
+        const ZERO_EXTENDED: [i32; 8] = [0, 1, 31, 32, 33, 0x7fff, 0x8000, 0xffff];
+        let ops = [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::Mul,
+            AluOp::Div,
+            AluOp::Rem,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::Sll,
+            AluOp::Srl,
+            AluOp::Sra,
+            AluOp::Slt,
+            AluOp::Sltu,
+        ];
+        let enc = softcache_isa::encode;
+        // `lui` then `ori` (which zero-extends) loads any 32-bit value.
+        let li = |rd: Reg, v: i32| {
+            let v = v as u32;
+            [
+                enc(Inst::Lui {
+                    rd,
+                    imm: (v >> 16) as u16,
+                }),
+                enc(Inst::AluImm {
+                    op: AluOp::Or,
+                    rd,
+                    rs1: rd,
+                    imm: (v & 0xffff) as i32,
+                }),
+            ]
+        };
+        for op in ops {
+            let imms = if op.imm_zero_extends() {
+                ZERO_EXTENDED
+            } else {
+                SIGN_EXTENDED
+            };
+            for imm_form in [false, true] {
+                let mut words = li(Reg::S0, DATA_BASE as i32).to_vec();
+                let mut slots = 0i16;
+                for a in OPERANDS {
+                    for b in if imm_form { imms } else { OPERANDS } {
+                        words.extend(li(Reg::T0, a));
+                        if !imm_form {
+                            words.extend(li(Reg::T1, b));
+                        }
+                        words.push(enc(if imm_form {
+                            Inst::AluImm {
+                                op,
+                                rd: Reg::T2,
+                                rs1: Reg::T0,
+                                imm: b,
+                            }
+                        } else {
+                            Inst::Alu {
+                                op,
+                                rd: Reg::T2,
+                                rs1: Reg::T0,
+                                rs2: Reg::T1,
+                            }
+                        }));
+                        words.push(enc(Inst::Store {
+                            width: MemWidth::W,
+                            src: Reg::T2,
+                            base: Reg::S0,
+                            off: 4 * slots,
+                        }));
+                        slots += 1;
+                    }
+                }
+                words.push(enc(Inst::Halt));
+                let run = |block_engine: bool| {
+                    let mut m = Machine::blank(&[]);
+                    m.mem.write_words(TCACHE_BASE, &words).unwrap();
+                    m.cpu.pc = TCACHE_BASE;
+                    let code = run_to_exit(&mut m, block_engine.then_some(Machine::BLOCK_STEPS));
+                    let results: Vec<u32> = (0..slots)
+                        .map(|i| m.mem.read_u32(DATA_BASE + 4 * i as u32).unwrap())
+                        .collect();
+                    (outcome(&m, code), results, m.trace.tier_interp_insts)
+                };
+                let tag = format!("{op:?}, immediate form {imm_form}");
+                let (want, want_results, _) = run(false);
+                let (got, got_results, cold) = run(true);
+                assert_eq!(got, want, "{tag}");
+                assert_eq!(got_results, want_results, "{tag}");
+                assert_eq!(cold, 0, "{tag}: every operation ran in a handler");
+            }
+        }
     }
 }

@@ -1,15 +1,18 @@
-//! Superblock micro-op engine — the simulator's cache of decoded code.
+//! Superblock engine — the simulator's cache of decoded code.
 //!
 //! The reference interpreter ([`crate::Machine::step`]) fetches, decodes,
 //! matches on the `Inst` enum and bills a cycle cost for every retired
 //! instruction. This module lowers each straight-line run of instructions
-//! (a *superblock*, in the Dynamo / Embra sense) into a flat array of
-//! micro-ops — compact opcode tag plus pre-extracted register indices and
-//! immediates — with a **precomputed per-block cycle total**, so
+//! (a *superblock*, in the Dynamo / Embra sense) straight into a threaded
+//! handler array — one pre-bound handler per instruction, with its
+//! register indices and immediate pre-extracted, then a block-exit
+//! sentinel — with a **precomputed per-block cycle total**, so
 //! [`crate::Machine::run_block`] executes a whole superblock with one
-//! dispatch walk and one cycle add. Lowering reads each word from
-//! [`Memory`], decodes it and prices it under the machine's
-//! [`CostModel`], once per word per code write.
+//! handler chain and one cycle add. Lowering reads each word from
+//! [`Memory`], decodes it, prices it under the machine's [`CostModel`] and
+//! binds its handler, once per word per code write; the handler array is
+//! the block's only executable form, as the paper's controller runs every
+//! chunk it installs as rewritten code from its first execution.
 //!
 //! A superblock is a body of simple instructions (ALU, load, store, `lui`,
 //! `nop`) ended by at most one terminator: a control-flow instruction
@@ -26,26 +29,26 @@
 //! dirty span drops exactly the superblocks that depend on a written word
 //! — every word from a block's start through its `exit_pc` — and the "not
 //! worth lowering" memos of the written words themselves. Blocks
-//! elsewhere, in the same page included, keep their arena ids and
-//! threaded bodies. Stores inside a block re-check the generation and
-//! retire only the prefix when they patch code, so CC backpatching and SMC
-//! remain bit-identical to the reference interpreter.
+//! elsewhere, in the same page included, keep their arena ids and handler
+//! arrays. Stores inside a block re-check the generation and retire only
+//! the prefix when they patch code, so CC backpatching and SMC remain
+//! bit-identical to the reference interpreter.
 //!
 //! **Chaining (trace formation).** Each terminator leg with a statically
 //! known next PC (fall-through, direct branch taken/not-taken, direct
 //! jump/call) carries a [`Link`]: the arena id of the successor superblock
-//! stamped with the code-write generation it was formed under. The machine
-//! follows a link with a *single* compare (`stamp == entry_gen`) and walks
-//! whole traces — one budget check and one arena index per link — without
-//! returning to its loop top. Any code write bumps the generation, so every
-//! existing link is severed by that same compare; a link re-forms the next
-//! time a walk takes its leg, and that walk lowers the successor first if
-//! none is cached (the paper likewise rewrites a branch when it is first
-//! taken). So a block is lowered when execution first reaches it, at the
-//! loop top or in a walk, and never ahead of execution. A dropped block's
-//! arena id is reused only after the generation has moved on, so a link
-//! stamped with the current generation always names a block whose contents
-//! are unchanged.
+//! stamped with the code-write generation it was formed under. A block's
+//! exit sentinel follows a link with a *single* compare (`stamp ==
+//! entry_gen`) straight into the successor's handler array, and the
+//! machine's trace walk forms the links the chain cannot follow yet. Any
+//! code write bumps the generation, so every existing link is severed by
+//! that same compare; a link re-forms the next time a walk takes its leg,
+//! and that walk lowers the successor first if none is cached (the paper
+//! likewise rewrites a branch when it is first taken). So a block is
+//! lowered when execution first reaches it, at the loop top or in a walk,
+//! and never ahead of execution. A dropped block's arena id is reused only
+//! after the generation has moved on, so a link stamped with the current
+//! generation always names a block whose contents are unchanged.
 //!
 //! Register-indirect terminators (`jr`, `jalr`, `ret`) have no *static*
 //! link — their next PC is data-dependent — but each carries a per-site
@@ -53,10 +56,10 @@
 //! id, stamped with the forming generation and validated exactly like a
 //! static link (stamp compare, then a target-PC compare against the value
 //! the terminator just computed). Monomorphic indirects therefore chain
-//! without leaving the trace walk. A changed target or a code write
-//! refills the cache in-walk the next time the terminator runs, lowering
-//! the new target if need be — so a `ret` shared by several call sites
-//! keeps chaining.
+//! without leaving the trace. A changed target or a code write refills the
+//! cache in-walk the next time the terminator runs, lowering the new
+//! target if need be — so a `ret` shared by several call sites keeps
+//! chaining.
 
 use crate::cost::CostModel;
 use crate::cpu::{self, Cpu, SimError};
@@ -80,157 +83,11 @@ pub(crate) const MAX_BODY: usize = 64;
 /// inserted ([`UopCache::invalidate_span`]), which never exceeds this.
 const MAX_SPAN_BYTES: u32 = ((MAX_BODY + 1) * INST_BYTES as usize) as u32;
 
-/// Flattened micro-op opcode. One flat tag per (operation × addressing
-/// form), so the executor dispatches exactly once per micro-op with no
-/// nested matches and no field re-extraction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum UopKind {
-    // Register-register ALU.
-    AluAdd,
-    AluSub,
-    AluMul,
-    AluDiv,
-    AluRem,
-    AluAnd,
-    AluOr,
-    AluXor,
-    AluSll,
-    AluSrl,
-    AluSra,
-    AluSlt,
-    AluSltu,
-    // Register-immediate ALU (`imm` already extended by the decoder).
-    ImmAdd,
-    ImmSub,
-    ImmMul,
-    ImmDiv,
-    ImmRem,
-    ImmAnd,
-    ImmOr,
-    ImmXor,
-    ImmSll,
-    ImmSrl,
-    ImmSra,
-    ImmSlt,
-    ImmSltu,
-    /// `rd = imm` — the `<< 16` is folded into `imm` at lowering time.
-    Lui,
-    LoadW,
-    LoadH,
-    LoadHu,
-    LoadB,
-    LoadBu,
-    StoreW,
-    StoreH,
-    StoreB,
-    Nop,
-}
-
-impl UopKind {
-    fn alu(op: AluOp, imm_form: bool) -> UopKind {
-        if imm_form {
-            match op {
-                AluOp::Add => UopKind::ImmAdd,
-                AluOp::Sub => UopKind::ImmSub,
-                AluOp::Mul => UopKind::ImmMul,
-                AluOp::Div => UopKind::ImmDiv,
-                AluOp::Rem => UopKind::ImmRem,
-                AluOp::And => UopKind::ImmAnd,
-                AluOp::Or => UopKind::ImmOr,
-                AluOp::Xor => UopKind::ImmXor,
-                AluOp::Sll => UopKind::ImmSll,
-                AluOp::Srl => UopKind::ImmSrl,
-                AluOp::Sra => UopKind::ImmSra,
-                AluOp::Slt => UopKind::ImmSlt,
-                AluOp::Sltu => UopKind::ImmSltu,
-            }
-        } else {
-            match op {
-                AluOp::Add => UopKind::AluAdd,
-                AluOp::Sub => UopKind::AluSub,
-                AluOp::Mul => UopKind::AluMul,
-                AluOp::Div => UopKind::AluDiv,
-                AluOp::Rem => UopKind::AluRem,
-                AluOp::And => UopKind::AluAnd,
-                AluOp::Or => UopKind::AluOr,
-                AluOp::Xor => UopKind::AluXor,
-                AluOp::Sll => UopKind::AluSll,
-                AluOp::Srl => UopKind::AluSrl,
-                AluOp::Sra => UopKind::AluSra,
-                AluOp::Slt => UopKind::AluSlt,
-                AluOp::Sltu => UopKind::AluSltu,
-            }
-        }
-    }
-
-    fn load(width: MemWidth, signed: bool) -> UopKind {
-        match (width, signed) {
-            (MemWidth::W, _) => UopKind::LoadW,
-            (MemWidth::H, true) => UopKind::LoadH,
-            (MemWidth::H, false) => UopKind::LoadHu,
-            (MemWidth::B, true) => UopKind::LoadB,
-            (MemWidth::B, false) => UopKind::LoadBu,
-        }
-    }
-
-    fn store(width: MemWidth) -> UopKind {
-        match width {
-            MemWidth::W => UopKind::StoreW,
-            MemWidth::H => UopKind::StoreH,
-            MemWidth::B => UopKind::StoreB,
-        }
-    }
-
-    /// The pre-bound handler for this opcode — resolved once at threaded
-    /// lowering time so the hot dispatch never consults the tag again.
-    fn handler(self) -> Handler {
-        match self {
-            UopKind::AluAdd => h_alu_add,
-            UopKind::AluSub => h_alu_sub,
-            UopKind::AluMul => h_alu_mul,
-            UopKind::AluDiv => h_alu_div,
-            UopKind::AluRem => h_alu_rem,
-            UopKind::AluAnd => h_alu_and,
-            UopKind::AluOr => h_alu_or,
-            UopKind::AluXor => h_alu_xor,
-            UopKind::AluSll => h_alu_sll,
-            UopKind::AluSrl => h_alu_srl,
-            UopKind::AluSra => h_alu_sra,
-            UopKind::AluSlt => h_alu_slt,
-            UopKind::AluSltu => h_alu_sltu,
-            UopKind::ImmAdd => h_imm_add,
-            UopKind::ImmSub => h_imm_sub,
-            UopKind::ImmMul => h_imm_mul,
-            UopKind::ImmDiv => h_imm_div,
-            UopKind::ImmRem => h_imm_rem,
-            UopKind::ImmAnd => h_imm_and,
-            UopKind::ImmOr => h_imm_or,
-            UopKind::ImmXor => h_imm_xor,
-            UopKind::ImmSll => h_imm_sll,
-            UopKind::ImmSrl => h_imm_srl,
-            UopKind::ImmSra => h_imm_sra,
-            UopKind::ImmSlt => h_imm_slt,
-            UopKind::ImmSltu => h_imm_sltu,
-            UopKind::Lui => h_lui,
-            UopKind::LoadW => h_load_w,
-            UopKind::LoadH => h_load_h,
-            UopKind::LoadHu => h_load_hu,
-            UopKind::LoadB => h_load_b,
-            UopKind::LoadBu => h_load_bu,
-            UopKind::StoreW => h_store_w,
-            UopKind::StoreH => h_store_h,
-            UopKind::StoreB => h_store_b,
-            UopKind::Nop => h_nop,
-        }
-    }
-}
-
 /// Shared state a threaded chain runs against: the machine halves every
-/// handler needs, the entry generation for the store-time code-write check
-/// (the same architectural placement as the match engine's check), and the
-/// walk state the block-exit sentinels need to chain handler-array to
-/// handler-array without returning to the machine's trace walk: the arena
-/// (shared — all mutation stays in the walk), the step budget, the
+/// handler needs, the entry generation for the store-time code-write check,
+/// and the walk state the block-exit sentinels need to chain handler-array
+/// to handler-array without returning to the machine's trace walk: the
+/// arena (shared — all mutation stays in the walk), the step budget, the
 /// billing accumulators for blocks the chain retires itself, and the
 /// environment the `ecall` sentinel services calls against.
 struct Tctx<'a> {
@@ -268,7 +125,7 @@ struct Tctx<'a> {
     /// Inline-cache hits for in-chain transitions, flushed into
     /// [`crate::TraceStats`] by the walk — counted under exactly the
     /// conditions the walk itself would count them, so the trace ledger is
-    /// identical whichever dispatch strategy ran the blocks.
+    /// the same whether the chain or the walk took a leg.
     ic_hits: u64,
     chaining: bool,
     /// Fault payload for a [`TExit::Fault`] return (kept out of `TExit`
@@ -289,10 +146,10 @@ struct Tctx<'a> {
 /// and the chain successor through [`Tctx::cur`].
 enum TExit {
     /// The terminator ran; the walk handles billing and the successor
-    /// (chain break, or a leg the chain does not follow itself: unthreaded
-    /// or unformed targets, inline-cache misses, exhausted budget).
+    /// (chain break, or a leg the chain does not follow itself: unformed
+    /// links, inline-cache misses, exhausted budget).
     Done { taken: bool },
-    /// The terminator's static link is valid and its target is threaded:
+    /// The terminator's link is valid and its target fits the budget:
     /// continue the chain in the successor's slot array — `Tctx::cur` is
     /// already the successor's id and the current block is billed.
     Chain,
@@ -302,18 +159,17 @@ enum TExit {
     Fault { rem: u32 },
 }
 
-/// A pre-bound micro-op handler: the threaded tier's unit of dispatch.
-/// One function per [`UopKind`], bound into the block's slot array at
-/// promotion time. `ops[0]` is the handler's own slot; after executing it
-/// the handler *itself* calls the next slot's handler on `ops[1..]`
-/// (direct threading), so every handler kind owns a distinct indirect-call
-/// site — the branch predictor learns per-pair successor targets instead
-/// of sharing one megamorphic dispatch site, which is where threaded code
-/// actually beats a match loop. The chain is bounded by
-/// [`MAX_BODY`]` + 1` slots per block (the block-exit sentinel unwinds to
-/// [`UopCache::execute_trace`]'s trampoline before entering the next
-/// block), so the call depth is small and the returns all come off the
-/// return-stack predictor.
+/// A pre-bound micro-op handler: the engine's unit of dispatch, one
+/// function per operation and addressing form, bound into the block's
+/// slot array at lowering time. `ops[0]` is the handler's own slot; after
+/// executing it the handler *itself* calls the next slot's handler on
+/// `ops[1..]` (direct threading), so every handler kind owns a distinct
+/// indirect-call site — the branch predictor learns per-pair successor
+/// targets instead of sharing one megamorphic dispatch site. The chain is
+/// bounded by [`MAX_BODY`]` + 1` slots per block (the block-exit sentinel
+/// unwinds to [`UopCache::execute_trace`]'s trampoline before entering the
+/// next block), so the call depth is small and the returns all come off
+/// the return-stack predictor.
 type Handler = fn(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) -> TExit;
 
 /// Fall through to the next slot. `#[inline(always)]` so the indirect
@@ -324,64 +180,52 @@ fn chain(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) ->
     (rest[0].h)(rest, cpu, mem, ctx)
 }
 
-macro_rules! alu_handler {
-    ($name:ident, |$a:ident, $b:ident| $v:expr) => {
-        fn $name(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) -> TExit {
-            let u = &ops[0].u;
-            let $a = cpu.get(u.rs1);
-            let $b = cpu.get(u.rs2);
-            cpu.set(u.rd, $v);
-            chain(ops, cpu, mem, ctx)
+/// The ALU handlers, one per operation in register form and one in
+/// immediate form (`imm` already extended by the decoder). Each evaluates
+/// through [`AluOp::eval`], the definition [`Cpu::step`] uses, with the
+/// operation fixed per handler, so its `match` folds away. Also defines
+/// `alu_handler`, the binding [`lower`] uses.
+macro_rules! alu_handlers {
+    ($($op:ident: $reg:ident, $imm:ident;)*) => {
+        $(
+            fn $reg(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) -> TExit {
+                let u = &ops[0].u;
+                cpu.set(u.rd, AluOp::$op.eval(cpu.get(u.rs1), cpu.get(u.rs2)));
+                chain(ops, cpu, mem, ctx)
+            }
+
+            fn $imm(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) -> TExit {
+                let u = &ops[0].u;
+                cpu.set(u.rd, AluOp::$op.eval(cpu.get(u.rs1), u.imm));
+                chain(ops, cpu, mem, ctx)
+            }
+        )*
+
+        /// The handler for `op` in register form, or immediate form when
+        /// `imm` is set.
+        fn alu_handler(op: AluOp, imm: bool) -> Handler {
+            match (op, imm) {
+                $((AluOp::$op, false) => $reg, (AluOp::$op, true) => $imm,)*
+            }
         }
     };
 }
 
-macro_rules! imm_handler {
-    ($name:ident, |$a:ident, $b:ident| $v:expr) => {
-        fn $name(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) -> TExit {
-            let u = &ops[0].u;
-            let $a = cpu.get(u.rs1);
-            let $b = u.imm;
-            cpu.set(u.rd, $v);
-            chain(ops, cpu, mem, ctx)
-        }
-    };
+alu_handlers! {
+    Add: h_alu_add, h_imm_add;
+    Sub: h_alu_sub, h_imm_sub;
+    Mul: h_alu_mul, h_imm_mul;
+    Div: h_alu_div, h_imm_div;
+    Rem: h_alu_rem, h_imm_rem;
+    And: h_alu_and, h_imm_and;
+    Or: h_alu_or, h_imm_or;
+    Xor: h_alu_xor, h_imm_xor;
+    Sll: h_alu_sll, h_imm_sll;
+    Srl: h_alu_srl, h_imm_srl;
+    Sra: h_alu_sra, h_imm_sra;
+    Slt: h_alu_slt, h_imm_slt;
+    Sltu: h_alu_sltu, h_imm_sltu;
 }
-
-alu_handler!(h_alu_add, |a, b| a.wrapping_add(b));
-alu_handler!(h_alu_sub, |a, b| a.wrapping_sub(b));
-alu_handler!(h_alu_mul, |a, b| a.wrapping_mul(b));
-alu_handler!(h_alu_div, |a, b| if b == 0 {
-    -1
-} else {
-    a.wrapping_div(b)
-});
-alu_handler!(h_alu_rem, |a, b| if b == 0 { a } else { a.wrapping_rem(b) });
-alu_handler!(h_alu_and, |a, b| a & b);
-alu_handler!(h_alu_or, |a, b| a | b);
-alu_handler!(h_alu_xor, |a, b| a ^ b);
-alu_handler!(h_alu_sll, |a, b| ((a as u32) << (b as u32 & 31)) as i32);
-alu_handler!(h_alu_srl, |a, b| ((a as u32) >> (b as u32 & 31)) as i32);
-alu_handler!(h_alu_sra, |a, b| a >> (b as u32 & 31));
-alu_handler!(h_alu_slt, |a, b| (a < b) as i32);
-alu_handler!(h_alu_sltu, |a, b| ((a as u32) < (b as u32)) as i32);
-imm_handler!(h_imm_add, |a, b| a.wrapping_add(b));
-imm_handler!(h_imm_sub, |a, b| a.wrapping_sub(b));
-imm_handler!(h_imm_mul, |a, b| a.wrapping_mul(b));
-imm_handler!(h_imm_div, |a, b| if b == 0 {
-    -1
-} else {
-    a.wrapping_div(b)
-});
-imm_handler!(h_imm_rem, |a, b| if b == 0 { a } else { a.wrapping_rem(b) });
-imm_handler!(h_imm_and, |a, b| a & b);
-imm_handler!(h_imm_or, |a, b| a | b);
-imm_handler!(h_imm_xor, |a, b| a ^ b);
-imm_handler!(h_imm_sll, |a, b| ((a as u32) << (b as u32 & 31)) as i32);
-imm_handler!(h_imm_srl, |a, b| ((a as u32) >> (b as u32 & 31)) as i32);
-imm_handler!(h_imm_sra, |a, b| a >> (b as u32 & 31));
-imm_handler!(h_imm_slt, |a, b| (a < b) as i32);
-imm_handler!(h_imm_sltu, |a, b| ((a as u32) < (b as u32)) as i32);
 
 /// A memory micro-op faulted without retiring; the handler has parked
 /// the fault in [`Tctx::fault`]. This and [`exit_code_write`] are how a
@@ -433,9 +277,9 @@ macro_rules! store_handler {
             let addr = (cpu.get(u.rs1) as u32).wrapping_add(u.imm as u32);
             match mem.store(addr, $w, cpu.get(u.rd)) {
                 Ok(()) => {
-                    // The store may have patched code: same check, same
-                    // placement as the match engine — retire the store,
-                    // exit before the next micro-op.
+                    // The store may have patched code: retire it and exit
+                    // before the next micro-op, so the next instruction is
+                    // read from the written memory, as `step` reads it.
                     if mem.code_gen() != ctx.entry_gen {
                         return exit_code_write(ops);
                     }
@@ -469,23 +313,19 @@ fn h_nop(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) ->
     chain(ops, cpu, mem, ctx)
 }
 
-/// Commit the chain into the block with arena id `target`: when it is
-/// threaded and fits the budget, bill the departing block `sb` into the
-/// context and point `ctx.cur` at the successor. Returns `false` — with
-/// *no* state changed — when the leg cannot be followed in-chain; the
-/// sentinel then defers the whole leg to the walk, which re-derives the
-/// successor from the same predictor state and bills the block itself.
+/// Commit the chain into the block with arena id `target` when it fits
+/// the budget: bill the departing block `sb` into the context and point
+/// `ctx.cur` at the successor. Returns `false` — with *no* state changed
+/// — when the leg cannot be followed in-chain; the sentinel then defers
+/// the whole leg to the walk, which re-derives the successor from the same
+/// predictor state and bills the block itself.
 #[inline(always)]
 fn chain_to(sb: &Superblock, target: u32, taken: bool, ctx: &mut Tctx) -> bool {
-    let next = ctx.uops.block(target);
-    if next.threaded.is_none() {
-        return false;
-    }
     let len = u64::from(sb.len);
     // Same budget rule as the walk: the successor must fit what remains
     // after this block retires. `done + len` cannot overflow `max_steps`
     // — this block was only entered because it fit.
-    if u64::from(next.len) > ctx.max_steps - (ctx.done + len) {
+    if u64::from(ctx.uops.block(target).len) > ctx.max_steps - (ctx.done + len) {
         return false;
     }
     ctx.done += len;
@@ -498,14 +338,13 @@ fn chain_to(sb: &Superblock, target: u32, taken: bool, ctx: &mut Tctx) -> bool {
     true
 }
 
-/// Follow the executed leg's generation-stamped link when its target is
-/// threaded and fits the budget — the tier's whole point: hot traces
-/// cycle handler-array to handler-array without a walk round-trip per
-/// block. `branch` is statically known at each sentinel's call site, so
-/// the branch accounting folds away for jumps and fall-throughs. Billing
-/// only happens on the chain path — when this returns [`TExit::Done`]
-/// the walk bills the block, terminator accounting included, exactly as
-/// it does for the match engine.
+/// Follow the executed leg's generation-stamped link when it is valid and
+/// its target fits the budget — so hot traces cycle handler-array to
+/// handler-array without a walk round-trip per block. `branch` is
+/// statically known at each sentinel's call site, so the branch
+/// accounting folds away for jumps and fall-throughs. Billing only
+/// happens on the chain path — when this returns [`TExit::Done`] the walk
+/// bills the block, terminator accounting included.
 #[inline(always)]
 fn try_chain(sb: &Superblock, taken: bool, branch: bool, ctx: &mut Tctx) -> TExit {
     if ctx.chaining {
@@ -677,27 +516,49 @@ fn t_exit_ecall(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut
     }
 }
 
-/// One slot of a threaded block: the pre-bound handler next to its
-/// operands, so the dispatch loop streams one array (no tag load, no
+/// One slot of a lowered block: the pre-bound handler next to its
+/// operands, so the dispatch streams one array (no tag load, no
 /// jump-table indirection between the operand fetch and the dispatch).
+#[derive(Clone, Copy)]
 struct ThreadedOp {
     h: Handler,
     u: Uop,
 }
 
-/// One lowered micro-op: 12 bytes, operands pre-extracted. `rd` doubles as
-/// the *source* register for stores. `cost` is the instruction's cycle
-/// count under the cost model captured at lowering time; the hot path
-/// never reads it (the block total is precomputed) — it exists for the
-/// cold partial-retire paths (fault, mid-block code write).
+/// The operands of one lowered instruction: 12 bytes, pre-extracted. `rd`
+/// doubles as the *source* register for stores. `cost` is the
+/// instruction's cycle count under the cost model captured at lowering
+/// time and `access` its memory access; the hot path reads neither (the
+/// block totals are precomputed) — they exist for the cold partial-retire
+/// paths (fault, mid-block code write).
 #[derive(Clone, Copy)]
 struct Uop {
-    kind: UopKind,
+    access: Access,
     rd: Reg,
     rs1: Reg,
     rs2: Reg,
     imm: i32,
     cost: u32,
+}
+
+impl Uop {
+    /// The block-exit sentinel's operands: it reads none.
+    const NONE: Uop = Uop {
+        access: Access::None,
+        rd: Reg::ZERO,
+        rs1: Reg::ZERO,
+        rs2: Reg::ZERO,
+        imm: 0,
+        cost: 0,
+    };
+}
+
+/// The memory access a lowered instruction makes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    None,
+    Load,
+    Store,
 }
 
 /// Control-flow terminator with targets resolved to absolute PCs.
@@ -758,8 +619,7 @@ pub(crate) struct PrefixStats {
 
 /// Result of one [`UopCache::execute_trace`] run: where the chain ended,
 /// what it billed in-chain, and the final block's exit. The *final* block
-/// (`cur`) is never billed by the chain — the walk bills it from `exit`,
-/// exactly as it bills a match-dispatched block.
+/// (`cur`) is never billed by the chain — the walk bills it from `exit`.
 pub(crate) struct TraceRun {
     /// Arena id of the block the chain ended in; `exit` (including partial
     /// retires) is relative to this block.
@@ -829,13 +689,17 @@ pub(crate) enum TermKind {
 /// hot loop needs precomputed: total retired instructions, cycle totals
 /// for both terminator outcomes, and memory-op counts.
 pub(crate) struct Superblock {
-    uops: Box<[Uop]>,
+    /// One pre-bound handler slot per body instruction, then the
+    /// block-exit sentinel chosen by the terminator kind: the block's one
+    /// executable form, built by [`lower`] in one allocation.
+    ops: Box<[ThreadedOp]>,
     term: Term,
     start: u32,
     /// PC after the block when the terminator is not taken (for
     /// [`Term::None`]: the PC *of* the first instruction not lowered).
     exit_pc: u32,
-    /// Instructions retired by a full execution (body + terminator).
+    /// Instructions retired by a full execution (body + terminator; the
+    /// sentinel is a slot, not an instruction).
     pub(crate) len: u32,
     /// Cycle total when the terminator is not taken.
     pub(crate) cycles_nt: u64,
@@ -858,258 +722,12 @@ pub(crate) struct Superblock {
     /// Inline cache link to the superblock at `ic_target`, stamped with
     /// the forming generation ([`Link::NONE`] until the first fill).
     ic_link: Link,
-    /// Threaded (hot-tier) form: one pre-bound handler slot per body
-    /// micro-op, built at promotion time. `None` until the block's heat
-    /// crosses the promotion threshold — warm blocks keep match dispatch.
-    threaded: Option<Box<[ThreadedOp]>>,
-    /// Hotness counter driving promotion, decayed TRRIP-style by epoch
-    /// ([`Superblock::heat_up`]) so one-shot code never pays the lowering
-    /// cost of the threaded form.
-    heat: u32,
-    /// The walk epoch `heat` was last normalised to.
-    heat_epoch: u32,
 }
 
 impl Superblock {
-    /// Execute the whole block. `entry_gen` must be `mem.code_gen()` at
-    /// entry; stores compare against it so a code-patching store exits the
-    /// block immediately (mirroring the per-instruction path's staleness
-    /// check after every store).
-    #[inline]
-    pub(crate) fn execute(&self, cpu: &mut Cpu, mem: &mut Memory, entry_gen: u64) -> BlockExit {
-        debug_assert_eq!(cpu.pc, self.start);
-        for (i, u) in self.uops.iter().enumerate() {
-            match u.kind {
-                UopKind::AluAdd => {
-                    let v = cpu.get(u.rs1).wrapping_add(cpu.get(u.rs2));
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluSub => {
-                    let v = cpu.get(u.rs1).wrapping_sub(cpu.get(u.rs2));
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluMul => {
-                    let v = cpu.get(u.rs1).wrapping_mul(cpu.get(u.rs2));
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluDiv => {
-                    let (a, b) = (cpu.get(u.rs1), cpu.get(u.rs2));
-                    cpu.set(u.rd, if b == 0 { -1 } else { a.wrapping_div(b) });
-                }
-                UopKind::AluRem => {
-                    let (a, b) = (cpu.get(u.rs1), cpu.get(u.rs2));
-                    cpu.set(u.rd, if b == 0 { a } else { a.wrapping_rem(b) });
-                }
-                UopKind::AluAnd => {
-                    let v = cpu.get(u.rs1) & cpu.get(u.rs2);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluOr => {
-                    let v = cpu.get(u.rs1) | cpu.get(u.rs2);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluXor => {
-                    let v = cpu.get(u.rs1) ^ cpu.get(u.rs2);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluSll => {
-                    let v = (cpu.get(u.rs1) as u32) << (cpu.get(u.rs2) as u32 & 31);
-                    cpu.set(u.rd, v as i32);
-                }
-                UopKind::AluSrl => {
-                    let v = (cpu.get(u.rs1) as u32) >> (cpu.get(u.rs2) as u32 & 31);
-                    cpu.set(u.rd, v as i32);
-                }
-                UopKind::AluSra => {
-                    let v = cpu.get(u.rs1) >> (cpu.get(u.rs2) as u32 & 31);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluSlt => {
-                    let v = (cpu.get(u.rs1) < cpu.get(u.rs2)) as i32;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::AluSltu => {
-                    let v = ((cpu.get(u.rs1) as u32) < (cpu.get(u.rs2) as u32)) as i32;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmAdd => {
-                    let v = cpu.get(u.rs1).wrapping_add(u.imm);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmSub => {
-                    let v = cpu.get(u.rs1).wrapping_sub(u.imm);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmMul => {
-                    let v = cpu.get(u.rs1).wrapping_mul(u.imm);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmDiv => {
-                    let a = cpu.get(u.rs1);
-                    cpu.set(
-                        u.rd,
-                        if u.imm == 0 {
-                            -1
-                        } else {
-                            a.wrapping_div(u.imm)
-                        },
-                    );
-                }
-                UopKind::ImmRem => {
-                    let a = cpu.get(u.rs1);
-                    cpu.set(u.rd, if u.imm == 0 { a } else { a.wrapping_rem(u.imm) });
-                }
-                UopKind::ImmAnd => {
-                    let v = cpu.get(u.rs1) & u.imm;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmOr => {
-                    let v = cpu.get(u.rs1) | u.imm;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmXor => {
-                    let v = cpu.get(u.rs1) ^ u.imm;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmSll => {
-                    let v = (cpu.get(u.rs1) as u32) << (u.imm as u32 & 31);
-                    cpu.set(u.rd, v as i32);
-                }
-                UopKind::ImmSrl => {
-                    let v = (cpu.get(u.rs1) as u32) >> (u.imm as u32 & 31);
-                    cpu.set(u.rd, v as i32);
-                }
-                UopKind::ImmSra => {
-                    let v = cpu.get(u.rs1) >> (u.imm as u32 & 31);
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmSlt => {
-                    let v = (cpu.get(u.rs1) < u.imm) as i32;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::ImmSltu => {
-                    let v = ((cpu.get(u.rs1) as u32) < (u.imm as u32)) as i32;
-                    cpu.set(u.rd, v);
-                }
-                UopKind::Lui => cpu.set(u.rd, u.imm),
-                UopKind::LoadW => match mem.load(self.addr(cpu, u), MemWidth::W, false) {
-                    Ok(v) => cpu.set(u.rd, v),
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::LoadH => match mem.load(self.addr(cpu, u), MemWidth::H, true) {
-                    Ok(v) => cpu.set(u.rd, v),
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::LoadHu => match mem.load(self.addr(cpu, u), MemWidth::H, false) {
-                    Ok(v) => cpu.set(u.rd, v),
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::LoadB => match mem.load(self.addr(cpu, u), MemWidth::B, true) {
-                    Ok(v) => cpu.set(u.rd, v),
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::LoadBu => match mem.load(self.addr(cpu, u), MemWidth::B, false) {
-                    Ok(v) => cpu.set(u.rd, v),
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::StoreW => match mem.store(self.addr(cpu, u), MemWidth::W, cpu.get(u.rd)) {
-                    Ok(()) => {
-                        if mem.code_gen() != entry_gen {
-                            return self.code_write(cpu, i);
-                        }
-                    }
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::StoreH => match mem.store(self.addr(cpu, u), MemWidth::H, cpu.get(u.rd)) {
-                    Ok(()) => {
-                        if mem.code_gen() != entry_gen {
-                            return self.code_write(cpu, i);
-                        }
-                    }
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::StoreB => match mem.store(self.addr(cpu, u), MemWidth::B, cpu.get(u.rd)) {
-                    Ok(()) => {
-                        if mem.code_gen() != entry_gen {
-                            return self.code_write(cpu, i);
-                        }
-                    }
-                    Err(fault) => return self.fault(cpu, i, fault),
-                },
-                UopKind::Nop => {}
-            }
-        }
-        BlockExit::Done {
-            taken: self.finish_term(cpu),
-        }
-    }
-
-    /// Is the hot-tier (threaded) form built for this block?
-    #[inline]
-    pub(crate) fn is_threaded(&self) -> bool {
-        self.threaded.is_some()
-    }
-
-    /// Build the threaded form: bind one handler per body micro-op.
-    /// Idempotent; returns `true` when the block was newly promoted.
-    pub(crate) fn thread(&mut self) -> bool {
-        if self.threaded.is_some() {
-            return false;
-        }
-        let mut slots: Vec<ThreadedOp> = self
-            .uops
-            .iter()
-            .map(|&u| ThreadedOp {
-                h: u.kind.handler(),
-                u,
-            })
-            .collect();
-        // The block-exit sentinel: evaluates the terminator, then follows
-        // the static link (or, for indirects, the inline cache) in-chain
-        // when it is valid; everything else goes back to the walk.
-        let exit_h: Handler = match self.term_kind() {
-            TermKind::Fallthrough => t_exit_fall,
-            TermKind::Jump => t_exit_jump,
-            TermKind::Branch => t_exit_branch,
-            TermKind::Call => t_exit_call,
-            TermKind::CallReg => t_exit_callreg,
-            TermKind::JumpReg => t_exit_jumpreg,
-            TermKind::Ret => t_exit_ret,
-            TermKind::Ecall => t_exit_ecall,
-        };
-        slots.push(ThreadedOp {
-            h: exit_h,
-            u: Uop {
-                kind: UopKind::Nop,
-                rd: Reg::ZERO,
-                rs1: Reg::ZERO,
-                rs2: Reg::ZERO,
-                imm: 0,
-                cost: 0,
-            },
-        });
-        self.threaded = Some(slots.into_boxed_slice());
-        true
-    }
-
-    /// Bump the hotness counter, first right-shift-decaying it by the
-    /// number of epochs elapsed since the last touch (TRRIP-style
-    /// re-reference cooling: code not seen for a while re-earns its
-    /// temperature). Returns the new heat. Saturates below `u32::MAX` so
-    /// a threshold of `u32::MAX` genuinely means "never promote".
-    #[inline]
-    pub(crate) fn heat_up(&mut self, epoch: u32) -> u32 {
-        if self.heat_epoch != epoch {
-            self.heat >>= epoch.wrapping_sub(self.heat_epoch).min(31);
-            self.heat_epoch = epoch;
-        }
-        self.heat = self.heat.saturating_add(1).min(u32::MAX - 1);
-        self.heat
-    }
-
     /// Evaluate the terminator: set the successor PC (and `ra` for calls)
-    /// and report a conditional branch's outcome. Shared tail of both
-    /// dispatch strategies.
+    /// and report a conditional branch's outcome. The exit sentinels'
+    /// shared fallback.
     #[inline]
     fn finish_term(&self, cpu: &mut Cpu) -> bool {
         match self.term {
@@ -1157,13 +775,8 @@ impl Superblock {
         }
     }
 
-    #[inline]
-    fn addr(&self, cpu: &Cpu, u: &Uop) -> u32 {
-        (cpu.get(u.rs1) as u32).wrapping_add(u.imm as u32)
-    }
-
     #[cold]
-    fn fault(&self, cpu: &mut Cpu, i: usize, fault: crate::mem::MemFault) -> BlockExit {
+    fn fault(&self, cpu: &mut Cpu, i: usize, fault: MemFault) -> BlockExit {
         let pc = self.start + INST_BYTES * i as u32;
         cpu.pc = pc;
         BlockExit::Fault {
@@ -1189,16 +802,12 @@ impl Superblock {
             loads: 0,
             stores: 0,
         };
-        for u in &self.uops[..retired as usize] {
-            p.cycles += u64::from(u.cost);
-            match u.kind {
-                UopKind::LoadW
-                | UopKind::LoadH
-                | UopKind::LoadHu
-                | UopKind::LoadB
-                | UopKind::LoadBu => p.loads += 1,
-                UopKind::StoreW | UopKind::StoreH | UopKind::StoreB => p.stores += 1,
-                _ => {}
+        for op in &self.ops[..retired as usize] {
+            p.cycles += u64::from(op.u.cost);
+            match op.u.access {
+                Access::Load => p.loads += 1,
+                Access::Store => p.stores += 1,
+                Access::None => {}
             }
         }
         p
@@ -1297,16 +906,21 @@ impl Superblock {
 }
 
 /// Lower the straight-line region starting at `start` into a superblock,
-/// reading each word from `mem`, decoding it and pricing it under `cost`,
-/// and building its micro-ops in `uops` (cleared first; a caller-owned
-/// scratch buffer, so the block's own array is one exact-size allocation).
-/// Returns `None` when nothing at `start` is worth lowering (first word
-/// unwatched, undecodable, or a trap/halt class instruction) — callers
-/// memoise that verdict so the reference interpreter is taken without
-/// re-asking.
-fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Option<Superblock> {
+/// reading each word from `mem`, decoding it, pricing it under `cost` and
+/// binding its handler, in `ops` (cleared first; a caller-owned scratch
+/// buffer of [`MAX_BODY`]` + 1` slots, so the block's own array is one
+/// exact-size allocation). Returns `None` when nothing at `start` is worth
+/// lowering (first word unwatched, undecodable, or a trap/halt class
+/// instruction) — callers memoise that verdict so the reference
+/// interpreter is taken without re-asking.
+fn lower(
+    cost: &CostModel,
+    mem: &Memory,
+    start: u32,
+    ops: &mut Vec<ThreadedOp>,
+) -> Option<Superblock> {
     debug_assert_eq!(start & 3, 0);
-    uops.clear();
+    ops.clear();
     let mut cycles = 0u64;
     let mut loads = 0u32;
     let mut stores = 0u32;
@@ -1317,7 +931,7 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
     loop {
         // Every covered word must be watched: the generation barrier is the
         // only thing that invalidates us, and it ignores unwatched writes.
-        if uops.len() >= MAX_BODY || !mem.is_code_watched(pc) {
+        if ops.len() >= MAX_BODY || !mem.is_code_watched(pc) {
             break;
         }
         let Ok(inst) = cpu::fetch(mem, pc) else {
@@ -1328,31 +942,14 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
             break; // cost model too wide for the per-uop slot
         };
         let z = Reg::ZERO;
-        let u = match inst {
-            Inst::Alu { op, rd, rs1, rs2 } => Uop {
-                kind: UopKind::alu(op, false),
-                rd,
-                rs1,
-                rs2,
-                imm: 0,
-                cost,
-            },
-            Inst::AluImm { op, rd, rs1, imm } => Uop {
-                kind: UopKind::alu(op, true),
-                rd,
-                rs1,
-                rs2: z,
-                imm,
-                cost,
-            },
-            Inst::Lui { rd, imm } => Uop {
-                kind: UopKind::Lui,
-                rd,
-                rs1: z,
-                rs2: z,
-                imm: ((imm as u32) << 16) as i32,
-                cost,
-            },
+        let (h, access, rd, rs1, rs2, imm): (Handler, _, _, _, _, _) = match inst {
+            Inst::Alu { op, rd, rs1, rs2 } => {
+                (alu_handler(op, false), Access::None, rd, rs1, rs2, 0)
+            }
+            Inst::AluImm { op, rd, rs1, imm } => {
+                (alu_handler(op, true), Access::None, rd, rs1, z, imm)
+            }
+            Inst::Lui { rd, imm } => (h_lui, Access::None, rd, z, z, ((imm as u32) << 16) as i32),
             Inst::Load {
                 width,
                 signed,
@@ -1360,15 +957,15 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
                 base,
                 off,
             } => {
+                let h = match (width, signed) {
+                    (MemWidth::W, _) => h_load_w,
+                    (MemWidth::H, true) => h_load_h,
+                    (MemWidth::H, false) => h_load_hu,
+                    (MemWidth::B, true) => h_load_b,
+                    (MemWidth::B, false) => h_load_bu,
+                };
                 loads += 1;
-                Uop {
-                    kind: UopKind::load(width, signed),
-                    rd,
-                    rs1: base,
-                    rs2: z,
-                    imm: off as i32,
-                    cost,
-                }
+                (h, Access::Load, rd, base, z, i32::from(off))
             }
             Inst::Store {
                 width,
@@ -1376,24 +973,15 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
                 base,
                 off,
             } => {
+                let h = match width {
+                    MemWidth::W => h_store_w,
+                    MemWidth::H => h_store_h,
+                    MemWidth::B => h_store_b,
+                };
                 stores += 1;
-                Uop {
-                    kind: UopKind::store(width),
-                    rd: src,
-                    rs1: base,
-                    rs2: z,
-                    imm: off as i32,
-                    cost,
-                }
+                (h, Access::Store, src, base, z, i32::from(off))
             }
-            Inst::Nop => Uop {
-                kind: UopKind::Nop,
-                rd: z,
-                rs1: z,
-                rs2: z,
-                imm: 0,
-                cost,
-            },
+            Inst::Nop => (h_nop, Access::None, z, z, z, 0),
             Inst::Branch {
                 cond,
                 rs1,
@@ -1455,24 +1043,50 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
             // Halts and the cache controller's traps are never lowered.
             Inst::Halt | Inst::Miss { .. } | Inst::Jrh { .. } | Inst::Jalrh { .. } => break,
         };
-        uops.push(u);
+        let u = Uop {
+            access,
+            rd,
+            rs1,
+            rs2,
+            imm,
+            cost,
+        };
+        ops.push(ThreadedOp { h, u });
         cycles += c;
         pc = pc.wrapping_add(INST_BYTES);
     }
-    if uops.is_empty() && term_len == 0 {
+    if ops.is_empty() && term_len == 0 {
         return None;
     }
+    let body = ops.len() as u32;
     let exit_pc = if term_len > 0 {
         pc.wrapping_add(INST_BYTES)
     } else {
         pc
     };
+    // The block-exit sentinel: evaluates the terminator, then follows the
+    // static link (or, for indirects, the inline cache) in-chain when it
+    // is valid; everything else goes back to the walk.
+    let exit: Handler = match term {
+        Term::None => t_exit_fall,
+        Term::Branch { .. } => t_exit_branch,
+        Term::Jump { .. } => t_exit_jump,
+        Term::Call { .. } => t_exit_call,
+        Term::JumpReg { .. } => t_exit_jumpreg,
+        Term::CallReg { .. } => t_exit_callreg,
+        Term::Ret => t_exit_ret,
+        Term::Ecall { .. } => t_exit_ecall,
+    };
+    ops.push(ThreadedOp {
+        h: exit,
+        u: Uop::NONE,
+    });
     Some(Superblock {
-        len: uops.len() as u32 + term_len,
-        uops: Box::from(uops.as_slice()),
+        ops: Box::from(ops.as_slice()),
         term,
         start,
         exit_pc,
+        len: body + term_len,
         cycles_nt: cycles + term_cycles.0,
         cycles_tk: cycles + term_cycles.1,
         loads,
@@ -1481,9 +1095,6 @@ fn lower(cost: &CostModel, mem: &Memory, start: u32, uops: &mut Vec<Uop>) -> Opt
         link_tk: Link::NONE,
         ic_target: 0,
         ic_link: Link::NONE,
-        threaded: None,
-        heat: 0,
-        heat_epoch: 0,
     })
 }
 
@@ -1535,15 +1146,15 @@ pub(crate) struct UopCache {
     /// graceful-degradation hook). Pins survive invalidation and
     /// generation bumps — they are a policy, not a cache.
     pinned: Vec<(u32, u32)>,
-    /// Threaded blocks dropped by invalidation: the demotion
-    /// side of the tier ledger, drained by the owning machine into its
-    /// trace telemetry.
-    threaded_drops: u64,
+    /// Blocks dropped by invalidation since the last
+    /// [`UopCache::take_drops`]: the demotion side of the lowering
+    /// ledger, drained by the owning machine into its trace telemetry.
+    drops: u64,
     /// Widest span of code ([`Superblock::span_bytes`]) of any block ever
     /// inserted: how far below a dirty span a dependent block can start.
     reach: u32,
-    /// Scratch buffer [`UopCache::lower`] builds micro-ops in.
-    scratch: Vec<Uop>,
+    /// Scratch buffer [`UopCache::lower`] builds handler slots in.
+    scratch: Vec<ThreadedOp>,
 }
 
 impl UopCache {
@@ -1555,9 +1166,9 @@ impl UopCache {
             retired: Vec::new(),
             generation: 0,
             pinned: Vec::new(),
-            threaded_drops: 0,
+            drops: 0,
             reach: 0,
-            scratch: Vec::with_capacity(MAX_BODY),
+            scratch: Vec::with_capacity(MAX_BODY + 1),
         }
     }
 
@@ -1585,10 +1196,9 @@ impl UopCache {
         self.pinned.clear();
     }
 
-    /// Drain the demotion counter (threaded blocks dropped since the last
-    /// take).
-    pub(crate) fn take_threaded_drops(&mut self) -> u64 {
-        std::mem::take(&mut self.threaded_drops)
+    /// Drain the drop counter (blocks dropped since the last take).
+    pub(crate) fn take_drops(&mut self) -> u64 {
+        std::mem::take(&mut self.drops)
     }
 
     pub(crate) fn generation(&self) -> u64 {
@@ -1639,10 +1249,9 @@ impl UopCache {
                         SLOT_UNKNOWN => false,
                         SLOT_NOT_WORTH => i >= own,
                         id => {
-                            let sb = &self.blocks[id as usize];
-                            let hit = sb.depends_on(lo, hi);
+                            let hit = self.blocks[id as usize].depends_on(lo, hi);
                             if hit {
-                                self.threaded_drops += u64::from(sb.is_threaded());
+                                self.drops += 1;
                                 self.retired.push(id);
                             }
                             hit
@@ -1695,32 +1304,19 @@ impl UopCache {
         &self.blocks[id as usize]
     }
 
-    /// Mutable access to an arena block (hotness bumps on the trace walk).
-    #[inline]
-    pub(crate) fn block_mut(&mut self, id: u32) -> &mut Superblock {
-        &mut self.blocks[id as usize]
-    }
-
-    /// Promote block `id` to the threaded tier (build its handler-slot
-    /// array). Returns `true` when the block was newly promoted.
-    pub(crate) fn thread(&mut self, id: u32) -> bool {
-        self.blocks[id as usize].thread()
-    }
-
-    /// Run the threaded block `first` — and keep running: the block-exit
-    /// sentinels chain statically linked threaded successors directly,
-    /// billing each block they leave into the context, so hot traces
-    /// execute handler-array to handler-array with no walk round-trip.
-    /// The trampoline loop here costs one indirect call per *block*
-    /// transition and keeps the handler recursion bounded per block
-    /// regardless of trace length. Exit semantics, accounting and the
-    /// store-time generation check are identical to walking the same
-    /// blocks through [`Superblock::execute`] — the bit-identity suites
-    /// hold both dispatch strategies to the same architectural results.
+    /// Run block `first` — and keep running: the block-exit sentinels
+    /// chain linked successors directly, billing each block they leave
+    /// into the context, so hot traces execute handler-array to
+    /// handler-array with no walk round-trip. The trampoline loop here
+    /// costs one indirect call per *block* transition and keeps the
+    /// handler recursion bounded per block regardless of trace length.
+    /// Exit semantics, accounting and the store-time generation check
+    /// match running the same instructions through `Machine::step` — the
+    /// differential tests hold the engine to it.
     ///
-    /// `first` must be threaded; `done`/`max_steps` are the walk's budget
-    /// state (the walk must already have checked that `first` fits), and
-    /// `cycles` the walk's cycles not yet flushed into `stats`.
+    /// `done`/`max_steps` are the walk's budget state (the walk must
+    /// already have checked that `first` fits), and `cycles` the walk's
+    /// cycles not yet flushed into `stats`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_trace(
         &self,
@@ -1736,11 +1332,7 @@ impl UopCache {
         max_steps: u64,
         chaining: bool,
     ) -> TraceRun {
-        let mut ops = self
-            .block(first)
-            .threaded
-            .as_deref()
-            .expect("execute_trace entered an unthreaded block");
+        let mut ops = &*self.block(first).ops;
         debug_assert_eq!(cpu.pc, self.block(first).start);
         let mut ctx = Tctx {
             uops: self,
@@ -1766,24 +1358,16 @@ impl UopCache {
         };
         let exit = loop {
             match (ops[0].h)(ops, cpu, mem, &mut ctx) {
-                TExit::Chain => {
-                    ops = self
-                        .block(ctx.cur)
-                        .threaded
-                        .as_deref()
-                        .expect("chain sentinel targeted an unthreaded block");
-                }
+                TExit::Chain => ops = &self.block(ctx.cur).ops,
                 TExit::Done { taken } => break BlockExit::Done { taken },
                 TExit::CodeWrite { rem } => {
                     let sb = self.block(ctx.cur);
-                    let slots = sb.threaded.as_deref().map_or(0, <[ThreadedOp]>::len);
-                    break sb.code_write(cpu, slots - rem as usize);
+                    break sb.code_write(cpu, sb.ops.len() - rem as usize);
                 }
                 TExit::Fault { rem } => {
                     let sb = self.block(ctx.cur);
-                    let slots = sb.threaded.as_deref().map_or(0, <[ThreadedOp]>::len);
                     let f = ctx.fault.take().expect("fault exit without payload");
-                    break sb.fault(cpu, slots - rem as usize, f);
+                    break sb.fault(cpu, sb.ops.len() - rem as usize, f);
                 }
             }
         };
@@ -1856,7 +1440,7 @@ impl UopCache {
 
     /// Form the *static* successor link for one terminator leg of block
     /// `id`, stamped with the cache's current generation (which the owning
-    /// machine keeps equal to [`Memory::code_gen`]): the next trace walk
+    /// machine keeps equal to [`Memory::code_gen`]): the next trace
     /// through this leg chains with a single stamp compare. Static legs
     /// only — register-indirect terminators fill their inline cache via
     /// [`UopCache::set_ic`] instead.
@@ -1933,6 +1517,7 @@ mod tests {
         ])
         .expect("lowerable");
         assert_eq!(sb.len, 3);
+        assert_eq!(sb.ops.len(), 3, "two body slots and the exit sentinel");
         assert_eq!(sb.loads, 0);
         let cost = CostModel::default();
         let per = cost.cycles_for(addi_inst(), false);
@@ -1986,6 +1571,7 @@ mod tests {
         for word in trap_class_words() {
             let sb = lowered(&[addi(Reg::T0, Reg::T0, 1), word]).unwrap();
             assert_eq!(sb.len, 1, "{word:#010x}: only the body retires");
+            assert_eq!(sb.ops.len(), 2, "{word:#010x}: body slot and sentinel");
             assert!(matches!(sb.term, Term::None), "{word:#010x}");
             assert_eq!(sb.exit_pc, 4, "{word:#010x}: pc lands on the trap");
         }

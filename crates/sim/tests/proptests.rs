@@ -514,15 +514,12 @@ proptest! {
         }
     }
 
-    /// The threaded dispatch tier (promotion threshold 0: every superblock
-    /// lowers to a handler array immediately) is step-for-step identical to
-    /// the match-dispatched superblock engine and to the slow path on
-    /// arbitrary programs with interleaved external backpatches. Every
-    /// generation bump demotes stale threaded bodies via the stamp
-    /// barrier, and the in-chain sentinels must leave the trace ledger
-    /// bit-identical to the walk's own link and inline-cache checks.
+    /// Threaded blocks are step-for-step identical to the slow path on
+    /// arbitrary programs with interleaved external backpatches: every
+    /// generation bump drops stale handler arrays via the stamp barrier,
+    /// and the in-chain sentinels leave the walk ledger balanced.
     #[test]
-    fn threaded_tier_matches_slow_path_on_garbage(
+    fn threaded_blocks_match_slow_path_on_garbage(
         words in prop::collection::vec(any::<u32>(), 1..64),
         patches in prop::collection::vec((0u32..64, any::<u32>()), 0..4),
         budget in 16u64..96,
@@ -535,22 +532,17 @@ proptest! {
             data: vec![],
             symbols: vec![],
         };
-        // Everything threads on first execution.
-        let mut thr = Machine::load_native(&image, b"in");
-        thr.set_threaded_threshold(0);
-        // The tier fully suppressed: pure match dispatch.
-        let mut off = Machine::load_native(&image, b"in");
-        off.set_threaded_threshold(softcache_sim::THREADED_NEVER);
+        let mut fast = Machine::load_native(&image, b"in");
         let mut slow = Machine::load_native(&image, b"in");
-        let catch_up = |thr: &Machine, slow: &mut Machine,
+        let catch_up = |fast: &Machine, slow: &mut Machine,
                             f: &Result<Step, softcache_sim::SimError>|
          -> Result<(), TestCaseError> {
             let mut last = Ok(Step::Running);
-            while slow.stats.instructions < thr.stats.instructions {
+            while slow.stats.instructions < fast.stats.instructions {
                 last = slow.step();
                 prop_assert!(
                     last.is_ok(),
-                    "slow faulted while behind: {last:?} (threaded: {f:?})"
+                    "slow faulted while behind: {last:?} (fast: {f:?})"
                 );
             }
             if f.is_err() {
@@ -559,54 +551,45 @@ proptest! {
             } else {
                 prop_assert_eq!(f, &last, "step outcome diverged");
             }
-            prop_assert_eq!(thr.stats, slow.stats, "stats diverged");
-            prop_assert_eq!(thr.cpu.pc, slow.cpu.pc, "pc diverged");
+            prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
+            prop_assert_eq!(fast.cpu.pc, slow.cpu.pc, "pc diverged");
             Ok(())
         };
         'outer: for (i, &(slot, val)) in patches.iter().enumerate() {
             for _ in 0..(10 * (i + 1)) {
-                let f = thr.run_block(budget);
-                let n = off.run_block(budget);
-                prop_assert_eq!(&f, &n, "threaded vs match outcome diverged");
-                prop_assert_eq!(thr.stats, off.stats, "threaded vs match stats");
-                catch_up(&thr, &mut slow, &f)?;
+                let f = fast.run_block(budget);
+                catch_up(&fast, &mut slow, &f)?;
                 if !matches!(f, Ok(Step::Running)) {
                     break 'outer;
                 }
             }
             let addr = image.text_base + (slot % words.len() as u32) * 4;
-            let _ = thr.mem.write_u32(addr, val);
-            let _ = off.mem.write_u32(addr, val);
+            let _ = fast.mem.write_u32(addr, val);
             let _ = slow.mem.write_u32(addr, val);
         }
         for _ in 0..100 {
-            let f = thr.run_block(budget);
-            let n = off.run_block(budget);
-            prop_assert_eq!(&f, &n, "threaded vs match outcome diverged");
-            prop_assert_eq!(thr.stats, off.stats, "threaded vs match stats");
-            catch_up(&thr, &mut slow, &f)?;
+            let f = fast.run_block(budget);
+            catch_up(&fast, &mut slow, &f)?;
             if !matches!(f, Ok(Step::Running)) {
                 break;
             }
         }
-        prop_assert_eq!(thr.env.output, slow.env.output, "output diverged");
-        // The dispatch strategy must not perturb the trace ledger: same
-        // walk entries, same chain transitions, same break profile, same
-        // inline-cache hits — only the tier tallies may differ.
-        prop_assert_eq!(thr.trace.entries, off.trace.entries);
-        prop_assert_eq!(thr.trace.chained, off.trace.chained);
-        prop_assert_eq!(thr.trace.breaks, off.trace.breaks);
-        prop_assert_eq!(thr.trace.ic_hits, off.trace.ic_hits);
-        prop_assert_eq!(off.trace.tier_threaded_insts, 0,
-            "suppressed tier must retire nothing");
+        prop_assert_eq!(fast.env.output, slow.env.output, "output diverged");
+        let t = fast.trace;
+        prop_assert_eq!(
+            t.entries,
+            t.breaks.total() + t.code_write_exits + t.fault_exits,
+            "walk entries balance walk exits: {:?}", t
+        );
+        prop_assert_eq!(t.tier_super_insts, 0);
     }
 
-    /// A loop that stores over an instruction *inside its own threaded
-    /// block* every iteration: the handler array was lowered from the old
-    /// words, so the store's code-write exit must retire exactly the
-    /// prefix, the generation barrier must demote the stale body, and the
-    /// re-lowered block must execute the freshly written word —
-    /// bit-identical to the slow path, cycles included.
+    /// A loop that stores over an instruction *inside its own block* every
+    /// iteration: the handler array was lowered from the old words, so
+    /// the store's code-write exit must retire exactly the prefix, the
+    /// generation barrier must drop the stale block, and the re-lowered
+    /// block must execute the freshly written word — bit-identical to the
+    /// slow path, cycles included.
     #[test]
     fn threaded_block_self_patch_demotes_and_relowers(
         n in 1u32..60,
@@ -627,7 +610,6 @@ proptest! {
         );
         let image = softcache_asm::assemble(&src).unwrap();
         let mut fast = Machine::load_native(&image, &[]);
-        fast.set_threaded_threshold(0);
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
@@ -641,18 +623,19 @@ proptest! {
         prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
         prop_assert_eq!(fast_exit, n as i32 * k);
         prop_assert!(
-            fast.trace.tier_threaded_insts > 0,
-            "loop must actually run threaded: {:?}",
+            fast.trace.tier_threaded_insts > 0 && fast.trace.demotions > 0,
+            "loop must run threaded and drop its patched block: {:?}",
             fast.trace
         );
     }
 
-    /// Promotion-threshold sweep: instant promotion (0), the default lazy
-    /// threshold, and full suppression (`THREADED_NEVER`) are bit-identical
-    /// in architectural state, ExecStats, and the trace ledger on real
-    /// programs — hotness only moves retirement between tier tallies.
+    /// A loop of recursive calls through one `ret` shared by two call
+    /// sites, with a store and a load per level: the engine matches the
+    /// slow path in exit, output, pc and every statistic, the walk ledger
+    /// balances, and every instruction is tallied once — in a threaded
+    /// block, or on the cold tier.
     #[test]
-    fn promotion_threshold_sweep_is_bit_identical(
+    fn recursive_call_loop_matches_slow_path(
         n in 1u32..80,
         depth in 1u32..12,
     ) {
@@ -666,32 +649,34 @@ proptest! {
              .Lbase: ret"
         );
         let image = softcache_asm::assemble(&src).unwrap();
-        let mut runs = Vec::new();
-        for threshold in [0, softcache_sim::DEFAULT_THREADED_THRESHOLD, softcache_sim::THREADED_NEVER] {
-            let mut m = Machine::load_native(&image, &[]);
-            m.set_threaded_threshold(threshold);
-            let exit = m.run_native(10_000_000).unwrap();
-            runs.push((threshold, exit, m));
-        }
-        let (_, exit0, m0) = &runs[0];
-        for (threshold, exit, m) in &runs[1..] {
-            prop_assert_eq!(exit, exit0, "exit diverged at threshold {}", threshold);
-            prop_assert_eq!(&m.stats, &m0.stats, "stats diverged at threshold {}", threshold);
-            prop_assert_eq!(m.cpu.pc, m0.cpu.pc);
-            prop_assert_eq!(&m.env.output, &m0.env.output);
-            prop_assert_eq!(m.trace.entries, m0.trace.entries);
-            prop_assert_eq!(m.trace.chained, m0.trace.chained);
-            prop_assert_eq!(&m.trace.breaks, &m0.trace.breaks);
-            prop_assert_eq!(m.trace.ic_hits, m0.trace.ic_hits);
-        }
-        // The tallies themselves shift with the threshold: instant
-        // promotion retires everything the superblock tier would have.
-        let all = m0.trace.tier_threaded_insts + m0.trace.tier_super_insts;
-        prop_assert_eq!(m0.trace.tier_super_insts, 0, "thr=0 leaves nothing unthreaded");
-        let (_, _, m_never) = &runs[2];
-        prop_assert_eq!(m_never.trace.tier_threaded_insts, 0);
-        prop_assert_eq!(m_never.trace.tier_super_insts + m_never.trace.tier_interp_insts,
-            all + m0.trace.tier_interp_insts, "tier tallies conserve retirement");
+        let mut fast = Machine::load_native(&image, &[]);
+        let fast_exit = fast.run_native(10_000_000).unwrap();
+        let mut slow = Machine::load_native(&image, &[]);
+        let slow_exit = loop {
+            match slow.step().unwrap() {
+                Step::Running => {}
+                Step::Exited(code) => break code,
+                s => return Err(TestCaseError::fail(format!("{s:?}"))),
+            }
+        };
+        prop_assert_eq!(fast_exit, slow_exit);
+        prop_assert_eq!(fast_exit, (n * (depth + 1)) as i32, "one bump per call");
+        prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
+        prop_assert_eq!(fast.cpu.pc, slow.cpu.pc);
+        prop_assert_eq!(&fast.env.output, &slow.env.output);
+        let t = fast.trace;
+        prop_assert_eq!(
+            t.entries,
+            t.breaks.total() + t.code_write_exits + t.fault_exits,
+            "walk entries balance walk exits: {:?}", t
+        );
+        // No trap ends a native run, and `exit` retires in its block.
+        prop_assert_eq!(t.tier_super_insts, 0);
+        prop_assert_eq!(
+            t.tier_threaded_insts + t.tier_interp_insts,
+            fast.stats.instructions,
+            "tier tallies conserve retirement: {:?}", t
+        );
     }
 
     /// Precise invalidation against the slow path: a loop body of 2–40

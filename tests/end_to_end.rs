@@ -44,17 +44,10 @@ fn check_all_engines(w: &Workload) {
     assert_eq!(slow.env.output, want_out, "{} slow-path output", w.name);
 
     type Configure = fn(&mut Machine);
-    let dispatch: [(&str, Configure); 5] = [
+    let dispatch: [(&str, Configure); 4] = [
         ("superblocks off", |m| m.set_superblocks_enabled(false)),
-        ("chaining and threaded off", |m| {
-            m.set_chaining_enabled(false);
-            m.set_threaded_enabled(false);
-        }),
-        ("IC off, threaded off", |m| {
-            m.set_indirect_ic_enabled(false);
-            m.set_threaded_enabled(false);
-        }),
-        ("threaded off", |m| m.set_threaded_enabled(false)),
+        ("chaining off", |m| m.set_chaining_enabled(false)),
+        ("IC off", |m| m.set_indirect_ic_enabled(false)),
         ("defaults", |_| {}),
     ];
     for (tag, configure) in dispatch {
