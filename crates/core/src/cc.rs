@@ -81,23 +81,19 @@ pub struct IcacheConfig {
     pub prefetch_depth: u32,
     /// Execute translated code through the simulator's superblock micro-op
     /// engine. Off, every instruction runs on the reference interpreter
-    /// (`Machine::step`). Host-side speed only; simulated results are
-    /// bit-identical either way
+    /// (`Machine::step`): the one engine switch, kept because it selects
+    /// the oracle the differential tests compare the engine with.
+    /// Host-side speed only; simulated results are bit-identical either way
     /// (`icache::tests::superblock_engine_is_bit_identical_at_system_level`,
     /// `tests/fault_soak.rs::bb_flush_recycles_addresses_without_stale_ras`).
     pub superblocks: bool,
-    /// Chain superblocks across terminators with statically known targets
-    /// (trace formation): whole traces run with one dispatch and one
-    /// budget check per generation-stamped link. Composes with
-    /// `superblocks` — ignored when that is off. Host-side speed only;
-    /// simulated results are bit-identical either way
-    /// (`icache::tests::chaining_is_bit_identical_at_system_level`).
+    /// Unused (default `true`): superblocks always chain along their
+    /// links (DESIGN.md §14). Kept only because the benchmark's traced run
+    /// (`benchmark/src/solo.rs`) still reads it; delete it with that read.
     pub chaining: bool,
-    /// Give register-indirect terminators (`jr`/`jalr`/`ret`) per-site
-    /// inline caches so monomorphic indirects chain like static legs.
-    /// Composes with `chaining` — ignored when that is off. Host-side
-    /// speed only; simulated results are bit-identical either way
-    /// (`icache::tests::indirect_ic_is_bit_identical_at_system_level`).
+    /// Unused (default `true`): `jr`/`jalr`/`ret` always chain through
+    /// their inline caches. Kept only because the benchmark's traced run
+    /// (`benchmark/src/solo.rs`) still reads it; delete it with that read.
     pub indirect_ic: bool,
     /// Unused (default 0): `ret` chains through its inline cache, and
     /// there is no return-address stack to size. Kept only because the

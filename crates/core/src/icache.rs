@@ -180,8 +180,6 @@ impl SoftIcacheSystem {
     ) -> Result<RunOutput, CacheError> {
         let mut machine = Machine::load_client(&self.image, input);
         machine.set_superblocks_enabled(self.cfg.superblocks);
-        machine.set_chaining_enabled(self.cfg.chaining);
-        machine.set_indirect_ic_enabled(self.cfg.indirect_ic);
         let mut cc = Cc::new(self.cfg);
         self.endpoint.set_policy(self.cfg.link_policy);
         self.endpoint.begin_session();
@@ -481,7 +479,6 @@ int main() {
             let (a, b) = (&on.trace, &off.trace);
             let traps = on.cache.miss_traps + on.cache.hash_traps;
             assert!(a.tier_threaded_insts > 0, "{tag}");
-            assert_eq!(a.tier_super_insts + b.tier_super_insts, 0, "{tag}");
             assert_eq!(b.tier_threaded_insts, 0, "{tag}");
             assert_eq!(
                 a.tier_interp_insts + a.tier_threaded_insts + traps,
@@ -493,22 +490,6 @@ int main() {
                 off.exec.instructions,
                 "{tag}: {b:?}"
             );
-        }
-    }
-
-    #[test]
-    fn chaining_is_bit_identical_at_system_level() {
-        // Superblock chaining on vs off: links are host-side speed only.
-        // On the tight leg links sever on every eviction and re-form the
-        // next time a walk takes their leg.
-        for tcache_size in KNOB_TCACHE_SIZES {
-            let base = knob_default(tcache_size);
-            let on = run_knob(base);
-            let off = run_knob(IcacheConfig {
-                chaining: false,
-                ..base
-            });
-            assert_same_simulation(&on, &off, &format!("tcache={tcache_size}"));
         }
     }
 
@@ -527,46 +508,34 @@ int main() {
 
     #[test]
     fn indirect_ic_is_bit_identical_at_system_level() {
-        // The indirect-branch inline caches on vs off: host-side dispatch
+        // A `ret` shared by two call sites, on the block engine and on
+        // `Machine::step` alone: the inline caches are host-side dispatch
         // only. The tight leg severs cached targets on every eviction.
         for tcache_size in KNOB_TCACHE_SIZES {
             let base = knob_default(tcache_size);
             let tag = format!("tcache={tcache_size}");
-            let on = run_knob(base);
-            let off = run_knob(IcacheConfig {
-                indirect_ic: false,
-                ..base
-            });
-            assert_same_simulation(&on, &off, &tag);
-            // The telemetry (outside the bit-identity contract) shows the
-            // inline cache actually fired.
-            assert!(on.trace.ic_hits > 0, "{tag}");
-            for t in [&on.trace, &off.trace] {
-                assert_eq!(
-                    t.entries,
-                    t.breaks.total() + t.code_write_exits + t.fault_exits,
-                    "{tag}: walk entries balance walk exits"
-                );
-            }
-
-            // A `ret` shared by two call sites still chains: each return
-            // refills the cache in-walk instead of breaking the trace.
             let on = run_minic(TWO_SITE_SRC, base, &[]);
             let off = run_minic(
                 TWO_SITE_SRC,
                 IcacheConfig {
-                    indirect_ic: false,
+                    superblocks: false,
                     ..base
                 },
                 &[],
             );
             assert_same_simulation(&on, &off, &tag);
+            // The telemetry (outside the bit-identity contract): the
+            // inline caches fired, and the shared `ret` still chains, each
+            // return refilling the cache in-walk instead of breaking the
+            // trace.
             let (t, returns) = (&on.trace, on.exec.returns);
+            assert!(t.ic_hits > 0, "{tag}: {t:?}");
             assert!(t.breaks.ret <= 6, "{tag}: {returns} returns, {t:?}");
             assert!(t.ic_fills * 10 >= returns * 9, "{tag}: {t:?}");
             assert_eq!(
-                off.trace.breaks.ret, returns,
-                "{tag}: with the IC off every return breaks"
+                t.entries,
+                t.breaks.total() + t.code_write_exits + t.fault_exits,
+                "{tag}: walk entries balance walk exits"
             );
         }
     }

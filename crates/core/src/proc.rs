@@ -134,7 +134,8 @@ pub struct ProcConfig {
     pub install_cycles_per_word: u64,
     /// Execute translated code through the simulator's superblock micro-op
     /// engine. Off, every instruction runs on the reference interpreter
-    /// (`Machine::step`). Host-side speed only; simulated results are
+    /// (`Machine::step`): the one engine switch, kept because it selects
+    /// the oracle. Host-side speed only; simulated results are
     /// bit-identical either way
     /// (`tests/fault_soak.rs::proc_resync_recycles_addresses_without_stale_ras`).
     pub superblocks: bool,

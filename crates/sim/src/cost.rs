@@ -2,9 +2,9 @@
 //!
 //! The paper reports *relative* execution times on a 200 MHz-class embedded
 //! core; we charge deterministic per-instruction cycle costs so experiments
-//! are reproducible and host-noise-free. All knobs live here so the bench
-//! harness can sweep them (e.g. the "fallthrough jumps optimized away"
-//! ablation zeroes `fallthrough_jump`).
+//! are reproducible and host-noise-free. Every [`crate::Machine`] charges
+//! [`CostModel::default`], fixed at construction: the engines and the
+//! experiments all read the same prices.
 
 use softcache_isa::inst::{AluOp, Inst};
 
@@ -72,11 +72,6 @@ impl CostModel {
     pub fn cycle_pair(&self, inst: Inst) -> (u64, u64) {
         (self.cycles_for(inst, false), self.cycles_for(inst, true))
     }
-
-    /// Convert a cycle count to seconds at this model's clock.
-    pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.clock_hz as f64
-    }
 }
 
 #[cfg(test)]
@@ -112,11 +107,5 @@ mod tests {
         };
         assert_eq!(m.cycles_for(b, false), m.base);
         assert_eq!(m.cycles_for(b, true), m.base + m.taken_extra);
-    }
-
-    #[test]
-    fn time_conversion() {
-        let m = CostModel::default();
-        assert!((m.cycles_to_secs(200_000_000) - 1.0).abs() < 1e-12);
     }
 }

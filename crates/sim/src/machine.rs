@@ -13,10 +13,10 @@
 //! only per-instruction path. [`Machine::run_block`] is the production
 //! engine: it runs superblocks (the `uop` module), each lowered straight
 //! into a threaded handler array the first time execution reaches it, as
-//! chained traces. An `ecall` retires as the last instruction of its
-//! block, and the walk or the threaded chain services it right after
-//! billing the block, through the service routine `step` uses. Every
-//! instruction no superblock covers —
+//! chained traces. Each block's exit sentinel bills the block, services
+//! its `ecall` through the service routine `step` uses, and follows the
+//! block's link; the trace walk forms the links the sentinels find
+//! missing. Every instruction no superblock covers —
 //! halts, miss stubs and `jrh`/`jalrh` traps, undecodable and unwatched
 //! words, spans pinned to `step`, and the tail of a step budget too short
 //! for the next block — runs on `step`, its cold tier. The superblock
@@ -25,7 +25,7 @@
 use crate::cost::CostModel;
 use crate::cpu::{self, Cpu, Next, SimError, Trap};
 use crate::mem::Memory;
-use crate::uop::{self, BlockExit, TermKind, UopCache};
+use crate::uop::{self, TermKind, TraceEnd, UopCache};
 use softcache_isa::image::Image;
 use softcache_isa::inst::Inst;
 use softcache_isa::layout::{
@@ -81,8 +81,8 @@ impl Env {
     /// the `ecall` has retired and been billed; `cycles` is the cycle
     /// counter at that point, which the `cycles` service reads. Returns
     /// [`Step::Exited`] for `exit` and [`Step::Running`] otherwise. The
-    /// one service routine: [`Machine::step`], the trace walk and the
-    /// threaded chain's `ecall` sentinel all call it.
+    /// one service routine: [`Machine::step`] and the block engine's
+    /// `ecall` sentinel call it.
     pub(crate) fn ecall(&mut self, code: u16, cpu: &mut Cpu, cycles: u64) -> Step {
         match code {
             syscall::EXIT => {
@@ -153,8 +153,8 @@ impl ExecStats {
 
 /// Chain-break counts by terminator kind: how many trace walks ended at
 /// each class of terminator because no successor block could be linked
-/// (the next PC cannot be lowered, or chaining or the inline caches are
-/// off) — or because the step budget could not fit the successor block.
+/// (nothing can be lowered at the next PC), because the step budget could
+/// not fit the successor block, or because the call was `exit`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BreakStats {
     /// Block ended at a non-lowerable instruction (no terminator).
@@ -171,8 +171,8 @@ pub struct BreakStats {
     pub callreg: u64,
     /// Return.
     pub ret: u64,
-    /// Environment call: the walk serviced it, then ended (on `exit`, or
-    /// with no successor that fits).
+    /// Environment call: its sentinel serviced it, then the walk ended
+    /// (on `exit`, or with no successor that fits).
     pub ecall: u64,
 }
 
@@ -206,9 +206,10 @@ impl BreakStats {
 
 /// Superblock-engine telemetry: trace entries, chained continuations, and
 /// why walks ended. Host-side only — deliberately kept **out of**
-/// [`ExecStats`], whose bit-identity across engine configurations the
-/// differential tests assert; these counters *differ* by construction
-/// between chained and unchained runs.
+/// [`ExecStats`], whose bit-identity with [`Machine::step`] the
+/// differential tests assert; these counters describe how the engine ran,
+/// so they *differ* by construction between the engine and the
+/// superblocks-off oracle, and with the step budget.
 ///
 /// Every block execution either hands off to a chained successor or ends
 /// the walk, so the counters satisfy
@@ -321,16 +322,9 @@ pub struct Machine {
     /// micro-op arrays with precomputed cycle totals, invalidated through
     /// the [`Memory`] code-write barrier.
     uops: UopCache,
-    /// Superblock execution toggle (on by default).
+    /// Superblock execution toggle (on by default): off selects the
+    /// reference [`Machine::step`] for every instruction, the oracle.
     superblocks: bool,
-    /// Superblock chaining toggle: follow generation-stamped successor
-    /// links so whole traces run with one dispatch and one budget check
-    /// per link (on by default, meaningful only with `superblocks`).
-    chaining: bool,
-    /// Indirect-branch inline-cache toggle: let `jr`/`jalr`/`ret`
-    /// terminators chain through their per-site cached target (on by
-    /// default, meaningful only with `chaining`).
-    indirect_ic: bool,
     /// Superblock-engine telemetry (trace entries, chain breaks by
     /// terminator kind, inline-cache counters). Not part of the
     /// architectural [`ExecStats`] ledger.
@@ -382,8 +376,6 @@ impl Machine {
             stats: ExecStats::default(),
             uops: UopCache::new(),
             superblocks: true,
-            chaining: true,
-            indirect_ic: true,
             trace: TraceStats::default(),
         }
     }
@@ -441,28 +433,23 @@ impl Machine {
     }
 
     /// Enable or disable superblock execution in [`Machine::run_block`].
-    /// Off, every instruction runs on the reference [`Machine::step`].
-    /// Accounting is bit-identical either way; `check_all_engines` in
-    /// `tests/end_to_end.rs` checks each dispatch setting against `step`.
+    /// Off, every instruction runs on the reference [`Machine::step`]:
+    /// the one switch left, because it selects the oracle the differential
+    /// tests and `tests/fault_soak.rs` compare the engine with. Accounting
+    /// is bit-identical either way (`tests/end_to_end.rs::check_all_engines`).
     pub fn set_superblocks_enabled(&mut self, on: bool) {
         self.superblocks = on;
     }
 
-    /// Enable or disable superblock *chaining* (trace formation across
-    /// terminators with statically known targets). Only meaningful while
-    /// superblocks are enabled. Accounting is bit-identical either way
-    /// (`tests/end_to_end.rs::check_all_engines`).
-    pub fn set_chaining_enabled(&mut self, on: bool) {
-        self.chaining = on;
-    }
+    /// Does nothing: superblocks always chain along their links. Kept only
+    /// because the benchmark's traced run (`benchmark/src/solo.rs`) still
+    /// calls it; delete it with that call.
+    pub fn set_chaining_enabled(&mut self, _on: bool) {}
 
-    /// Enable or disable the indirect-branch inline caches (per-site
-    /// cached targets for `jr`/`jalr`/`ret` terminators). Only meaningful
-    /// while chaining is enabled. Accounting is bit-identical either way
-    /// (`tests/end_to_end.rs::check_all_engines`).
-    pub fn set_indirect_ic_enabled(&mut self, on: bool) {
-        self.indirect_ic = on;
-    }
+    /// Does nothing: `jr`/`jalr`/`ret` always chain through their inline
+    /// caches. Kept only because the benchmark's traced run
+    /// (`benchmark/src/solo.rs`) still calls it; delete it with that call.
+    pub fn set_indirect_ic_enabled(&mut self, _on: bool) {}
 
     /// Does nothing: every superblock is lowered straight into its
     /// threaded handler array, so there is no tier to switch. Kept only
@@ -533,209 +520,106 @@ impl Machine {
         Some(id)
     }
 
+    /// Walk one trace from block `first`, which fits the budget: run the
+    /// threaded chain, and wherever it stops at an unlinked leg, link the
+    /// leg ([`Machine::link_leg`]) and run on if the successor fits.
+    /// `done` is the call's steps retired, which the chain advances.
+    /// Returns how the walk ended, once counted in [`TraceStats`]; every
+    /// walk enters once and ends once.
+    fn walk(&mut self, first: u32, done: &mut u64, max_steps: u64) -> TraceEnd {
+        // Valid for the whole walk: a code write ends the trace
+        // (`TraceEnd::CodeWrite`) before the stamp could go stale.
+        let entry_gen = self.mem.code_gen();
+        self.trace.entries += 1;
+        let mut id = first;
+        loop {
+            let run = self.uops.execute_trace(
+                id,
+                &mut self.cpu,
+                &mut self.mem,
+                &mut self.env,
+                &mut self.stats,
+                &mut self.trace,
+                entry_gen,
+                *done,
+                max_steps,
+            );
+            *done = run.done;
+            match run.end {
+                TraceEnd::Unlinked { taken } => match self.link_leg(run.cur, taken) {
+                    Some(next) if u64::from(self.uops.block(next).len) <= max_steps - *done => {
+                        self.trace.chained += 1;
+                        id = next;
+                        continue;
+                    }
+                    _ => self.trace.breaks.bump(self.uops.block(run.cur).term_kind()),
+                },
+                TraceEnd::Break | TraceEnd::Exited(_) => {
+                    self.trace.breaks.bump(self.uops.block(run.cur).term_kind());
+                }
+                TraceEnd::CodeWrite => self.trace.code_write_exits += 1,
+                TraceEnd::Fault(_) => self.trace.fault_exits += 1,
+            }
+            return run.end;
+        }
+    }
+
+    /// Link block `id`'s executed leg, which its sentinel found unlinked,
+    /// to the block at the PC the terminator computed, lowering that block
+    /// first if none is cached: a static leg gets its generation-stamped
+    /// link, an indirect terminator a refilled inline cache. `None` where
+    /// nothing can be lowered. The one place links are formed.
+    fn link_leg(&mut self, id: u32, taken: bool) -> Option<u32> {
+        let pc = self.cpu.pc;
+        let next = self.block_at(pc)?;
+        if self.uops.block(id).leg_target(taken).is_some() {
+            self.uops.set_link(id, taken, next);
+        } else {
+            self.uops.set_ic(id, pc, next);
+            self.trace.ic_fills += 1;
+        }
+        Some(next)
+    }
+
     /// Run up to `max_steps` instructions, stopping early on exit or trap.
     /// Returns [`Step::Running`] exactly when the whole budget was
     /// consumed. This is the production engine: at each loop top it looks
     /// up (or lowers) the superblock at the PC and walks a chained trace
-    /// from it, one handler chain and one cycle add per block, lowering
-    /// and linking each successor the first time the walk takes its leg.
-    /// An `ecall` ends its block and retires with it; the call is serviced
-    /// once, right after the block is billed, by the threaded chain when
-    /// it follows the block's link and otherwise by the walk, which ends
-    /// the run on `exit`. Instructions no superblock covers — halts, trap
-    /// words, words not worth lowering, pinned spans, and a budget tail
-    /// too short for the next whole block — run on [`Machine::step`], the
-    /// cold tier. Block instruction and cycle totals accumulate in locals
-    /// flushed before each cold step and at the end. Accounting is
-    /// bit-identical to driving `step` alone; the differential tests hold
-    /// it there.
+    /// from it (the `walk` method), one handler chain and one cycle add per
+    /// block. Each block's exit sentinel bills the block, services its
+    /// `ecall` and follows its link, so everything a walk retires is
+    /// billed where it retired. Instructions no superblock covers — halts,
+    /// trap words, words not worth lowering, pinned spans, and a budget
+    /// tail too short for the next whole block — run on [`Machine::step`],
+    /// the cold tier. Accounting is bit-identical to driving `step` alone;
+    /// the differential tests hold it there.
     pub fn run_block(&mut self, max_steps: u64) -> Result<Step, SimError> {
         self.sync_uops();
-        let mut done = 0u64; // steps retired this block
-        let mut insts = 0u64; // retired since the last stats flush
-        let mut cycles = 0u64;
+        let mut done = 0u64; // steps retired this call
         let result = 'run: {
             while done < max_steps {
-                let pc = self.cpu.pc;
-                // Superblock path: execute a whole lowered run with one
-                // handler chain and one cycle add, then *chain* into the
-                // successor block while its generation-stamped link is
-                // valid — one budget check and one arena index per link,
-                // no loop-top lookup. Falls through to the cold tier at
-                // unlowerable slots and when the remaining budget cannot
-                // fit the next whole block (so `Step::Running` still means
-                // the budget was consumed exactly).
-                if self.superblocks {
-                    let hit = self.block_at(pc);
-                    let mut ran = false;
-                    let mut resync = false;
-                    let mut fault = None;
-                    let mut exited = None;
-                    if let Some(first) = hit {
-                        // Valid for the whole walk: a code write exits the
-                        // trace (BlockExit::CodeWrite) before the stamp
-                        // could go stale.
-                        let entry_gen = self.mem.code_gen();
-                        let mut id = first;
-                        // The first block must fit the remaining budget;
-                        // the cold tier consumes a too-small tail exactly.
-                        if u64::from(self.uops.block(id).len) <= max_steps - done {
-                            self.trace.entries += 1;
-                            ran = true;
-                            let walk_start = done;
-                            loop {
-                                // The threaded chain runs (and bills) the
-                                // linked successors it can follow itself;
-                                // it hands back the final block for the
-                                // walk to bill and route.
-                                let r = self.uops.execute_trace(
-                                    id,
-                                    &mut self.cpu,
-                                    &mut self.mem,
-                                    &mut self.env,
-                                    &mut self.stats,
-                                    cycles,
-                                    self.indirect_ic,
-                                    entry_gen,
-                                    done,
-                                    max_steps,
-                                    self.chaining,
-                                );
-                                done = r.done;
-                                insts += r.insts;
-                                cycles += r.cycles;
-                                self.trace.chained += r.chained;
-                                self.trace.ic_hits += r.ic_hits;
-                                id = r.cur;
-                                let sb = self.uops.block(id);
-                                match r.exit {
-                                    BlockExit::Done { taken } => {
-                                        let len = u64::from(sb.len);
-                                        done += len;
-                                        insts += len;
-                                        cycles += if taken { sb.cycles_tk } else { sb.cycles_nt };
-                                        self.stats.loads += u64::from(sb.loads);
-                                        self.stats.stores += u64::from(sb.stores);
-                                        sb.account_term(&mut self.stats, taken);
-                                        let kind = sb.term_kind();
-                                        if let Some(code) = sb.ecall() {
-                                            // The call retired with its
-                                            // block: service it now, after
-                                            // billing, as `step` does.
-                                            let now = self.stats.cycles + cycles;
-                                            if let Step::Exited(status) =
-                                                self.env.ecall(code, &mut self.cpu, now)
-                                            {
-                                                self.trace.breaks.bump(kind);
-                                                exited = Some(status);
-                                                break;
-                                            }
-                                        }
-                                        let mut next = None;
-                                        if self.chaining {
-                                            let link = sb.link(taken);
-                                            if link.stamp == entry_gen {
-                                                next = Some(link.id);
-                                            } else if matches!(
-                                                kind,
-                                                TermKind::Ret
-                                                    | TermKind::JumpReg
-                                                    | TermKind::CallReg
-                                            ) {
-                                                // Indirect successor: the inline
-                                                // cache, validated against the PC
-                                                // the terminator computed, so a
-                                                // wrong prediction only costs the
-                                                // chain. A miss refills the cache
-                                                // in-walk, lowering the target if
-                                                // need be, and keeps walking.
-                                                if self.indirect_ic {
-                                                    let pc = self.cpu.pc;
-                                                    let (target, ic) = sb.ic();
-                                                    if ic.stamp == entry_gen && target == pc {
-                                                        self.trace.ic_hits += 1;
-                                                        next = Some(ic.id);
-                                                    } else if let Some(nid) = self.block_at(pc) {
-                                                        self.uops.set_ic(id, pc, nid);
-                                                        self.trace.ic_fills += 1;
-                                                        next = Some(nid);
-                                                    }
-                                                }
-                                            } else if let Some(nid) =
-                                                sb.leg_target(taken).and_then(|t| self.block_at(t))
-                                            {
-                                                // Static successor with no valid
-                                                // link: form the link in-walk,
-                                                // lowering the successor if need
-                                                // be. The walk breaks only where
-                                                // nothing can be lowered.
-                                                self.uops.set_link(id, taken, nid);
-                                                next = Some(nid);
-                                            }
-                                        }
-                                        if let Some(nid) = next {
-                                            if u64::from(self.uops.block(nid).len)
-                                                <= max_steps - done
-                                            {
-                                                self.trace.chained += 1;
-                                                id = nid;
-                                                continue;
-                                            }
-                                            // Valid successor but the
-                                            // budget can't fit it: end the
-                                            // walk (counted as a break);
-                                            // the link survives for the
-                                            // next walk to follow.
-                                        }
-                                        self.trace.breaks.bump(kind);
-                                        break;
-                                    }
-                                    BlockExit::CodeWrite { retired } => {
-                                        let p = sb.prefix_stats(retired);
-                                        done += u64::from(retired);
-                                        insts += u64::from(retired);
-                                        cycles += p.cycles;
-                                        self.stats.loads += u64::from(p.loads);
-                                        self.stats.stores += u64::from(p.stores);
-                                        self.trace.code_write_exits += 1;
-                                        resync = true;
-                                        break;
-                                    }
-                                    BlockExit::Fault { retired, err } => {
-                                        let p = sb.prefix_stats(retired);
-                                        done += u64::from(retired);
-                                        insts += u64::from(retired);
-                                        cycles += p.cycles;
-                                        self.stats.loads += u64::from(p.loads);
-                                        self.stats.stores += u64::from(p.stores);
-                                        self.trace.fault_exits += 1;
-                                        fault = Some(err);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.trace.tier_threaded_insts += done - walk_start;
-                        }
+                // The first block must fit the remaining budget; the cold
+                // tier consumes a too-small tail exactly.
+                let first = if self.superblocks {
+                    self.block_at(self.cpu.pc)
+                } else {
+                    None
+                };
+                if let Some(first) =
+                    first.filter(|&id| u64::from(self.uops.block(id).len) <= max_steps - done)
+                {
+                    let walk_start = done;
+                    let end = self.walk(first, &mut done, max_steps);
+                    self.trace.tier_threaded_insts += done - walk_start;
+                    match end {
+                        TraceEnd::Exited(status) => break 'run Ok(Step::Exited(status)),
+                        TraceEnd::Fault(err) => break 'run Err(err),
+                        TraceEnd::CodeWrite => self.sync_uops(),
+                        TraceEnd::Unlinked { .. } | TraceEnd::Break => {}
                     }
-                    if let Some(err) = fault {
-                        break 'run Err(err);
-                    }
-                    if let Some(status) = exited {
-                        break 'run Ok(Step::Exited(status));
-                    }
-                    if resync {
-                        self.sync_uops();
-                    }
-                    if ran {
-                        continue;
-                    }
+                    continue;
                 }
-                // Cold tier: the reference interpreter. Flush the block
-                // totals first: `step` bills `self.stats` directly, and an
-                // `ecall` it runs (in a pinned span or unwatched code) may
-                // read the cycle counter.
-                self.stats.instructions += std::mem::take(&mut insts);
-                self.stats.cycles += std::mem::take(&mut cycles);
+                // Cold tier: the reference interpreter.
                 match self.step() {
                     Ok(Step::Running) => {
                         done += 1;
@@ -748,8 +632,6 @@ impl Machine {
             }
             Ok(Step::Running)
         };
-        self.stats.instructions += insts;
-        self.stats.cycles += cycles;
         debug_assert_eq!(
             self.trace.entries,
             self.trace.breaks.total() + self.trace.code_write_exits + self.trace.fault_exits,
@@ -948,23 +830,6 @@ _start: li s0, 200
         assert!(t.ic_fills >= 1, "the first ret fills the IC");
     }
 
-    #[test]
-    fn ic_knob_does_not_change_architectural_state() {
-        let img = assemble(CALL_LOOP).unwrap();
-        let mut on = Machine::load_native(&img, &[]);
-        on.run_native(1_000_000).unwrap();
-        let mut off = Machine::load_native(&img, &[]);
-        off.set_indirect_ic_enabled(false);
-        off.run_native(1_000_000).unwrap();
-        assert_eq!(on.stats, off.stats, "pure dispatch optimisation");
-        assert_eq!(on.env.output, off.env.output);
-        assert!(
-            off.trace.breaks.ret > on.trace.breaks.ret,
-            "with the IC off every ret breaks its trace"
-        );
-        assert_eq!(off.trace.ic_hits, 0);
-    }
-
     /// Every service inside loops that chain: `getc`, `putc`,
     /// `cycles` and an unknown code in the read loop, `cycles` again in a
     /// spin loop, then `puti` and `exit`.
@@ -1036,32 +901,29 @@ _start: li s2, 0
             .collect();
         assert_eq!(want[0].0, input.len() as i32, "one exit per byte read");
         assert!(want[0].1.starts_with(input), "putc echoes the input");
-        for chaining in [true, false] {
-            for budget in (1..=12).chain([Machine::BLOCK_STEPS]) {
-                let tag = format!("chaining {chaining}, budget {budget}");
-                let mut m = Machine::load_native(&img, input);
-                m.set_chaining_enabled(chaining);
-                for (pass, want) in want.iter().enumerate() {
-                    m.cpu.pc = img.entry;
-                    let entries = m.trace.entries;
-                    let code = run_to_exit(&mut m, Some(budget));
-                    assert_eq!(&outcome(&m, code), want, "{tag}, pass {pass}");
-                    if pass == 1 && chaining && budget > 1000 {
-                        // Every block is lowered and linked by now, so the
-                        // second pass is one threaded chain: its sentinels
-                        // service `getc`, `puti` and every `cycles`
-                        // in-chain, and chain into the exit block, whose
-                        // `exit` the walk services.
-                        assert_eq!(m.trace.entries, entries + 1, "{tag}");
-                    }
+        for budget in (1..=12).chain([Machine::BLOCK_STEPS]) {
+            let tag = format!("budget {budget}");
+            let mut m = Machine::load_native(&img, input);
+            for (pass, want) in want.iter().enumerate() {
+                m.cpu.pc = img.entry;
+                let entries = m.trace.entries;
+                let code = run_to_exit(&mut m, Some(budget));
+                assert_eq!(&outcome(&m, code), want, "{tag}, pass {pass}");
+                if pass == 1 && budget > 1000 {
+                    // Every block is lowered and linked by now, so the
+                    // second pass is one threaded chain: its sentinels
+                    // service `getc`, `puti` and every `cycles`, and chain
+                    // into the exit block, whose sentinel services `exit`
+                    // and ends the walk.
+                    assert_eq!(m.trace.entries, entries + 1, "{tag}");
                 }
-                let t = m.trace;
-                assert_eq!(
-                    t.entries,
-                    t.breaks.total() + t.code_write_exits + t.fault_exits,
-                    "{tag}: {t:?}"
-                );
             }
+            let t = m.trace;
+            assert_eq!(
+                t.entries,
+                t.breaks.total() + t.code_write_exits + t.fault_exits,
+                "{tag}: {t:?}"
+            );
         }
     }
 
@@ -1072,29 +934,25 @@ _start: li s2, 0
         let mut slow = Machine::load_native(&img, input);
         let code = run_to_exit(&mut slow, None);
         let want = outcome(&slow, code);
-        for chaining in [true, false] {
-            let tag = format!("chaining {chaining}");
-            let mut m = Machine::load_native(&img, input);
-            m.set_chaining_enabled(chaining);
-            // The entry block, `li` and the first `getc`, uses up a budget
-            // of two: the walk services the call and ends there.
-            assert_eq!(m.run_block(2).unwrap(), Step::Running, "{tag}");
-            assert_eq!(m.stats.instructions, 2, "{tag}");
-            assert_eq!(m.trace.tier_interp_insts, 0, "{tag}: no cold step");
-            assert_eq!(m.trace.breaks.ecall, 1, "{tag}");
-            assert_eq!(m.cpu.get(Reg::RV), i32::from(b'a'), "{tag}");
-            assert_eq!(m.cpu.pc, img.entry + 8, "{tag}");
-            let code = run_to_exit(&mut m, Some(Machine::BLOCK_STEPS));
-            assert_eq!(outcome(&m, code), want, "{tag}: each byte read once");
-        }
+        let mut m = Machine::load_native(&img, input);
+        // The entry block, `li` and the first `getc`, uses up a budget of
+        // two: its sentinel services the call, and the walk ends there.
+        assert_eq!(m.run_block(2).unwrap(), Step::Running);
+        assert_eq!(m.stats.instructions, 2);
+        assert_eq!(m.trace.tier_interp_insts, 0, "no cold step");
+        assert_eq!(m.trace.breaks.ecall, 1);
+        assert_eq!(m.cpu.get(Reg::RV), i32::from(b'a'));
+        assert_eq!(m.cpu.pc, img.entry + 8);
+        let code = run_to_exit(&mut m, Some(Machine::BLOCK_STEPS));
+        assert_eq!(outcome(&m, code), want, "each byte read once");
     }
 
     #[test]
     fn an_exit_block_with_a_link_still_ends_the_run() {
         // A walk ends the run at every `exit`, so an exit block never
         // links its fall-through leg. Link it by hand to the block after
-        // it: the sentinel must still leave the `exit` to the walk rather
-        // than service it and chain on.
+        // it: the sentinel must service the `exit` and end the walk rather
+        // than chain on.
         let img = assemble("_start: li a0, 7\n ecall 0\n addi t0, t0, 1\n j _start").unwrap();
         let mut m = Machine::load_native(&img, &[]);
         assert_eq!(m.run_block(100).unwrap(), Step::Exited(7));

@@ -18,8 +18,8 @@
 //! `nop`) ended by at most one terminator: a control-flow instruction
 //! (branch / jump / call / return) whose targets are resolved to absolute
 //! PCs at lowering time, or an environment call (`ecall`), which retires
-//! with the block and which the trace walk or the threaded chain services
-//! once the block is billed. Halts and the cache controller's traps
+//! with the block and which the block's exit sentinel services once the
+//! block is billed. Halts and the cache controller's traps
 //! (`halt`, `miss`, `jrh`/`jalrh`) are never lowered — execution falls
 //! back to `Machine::step` there, exactly as it does at words not worth
 //! lowering and on the remainder of an almost-exhausted step budget.
@@ -37,13 +37,16 @@
 //! **Chaining (trace formation).** Each terminator leg with a statically
 //! known next PC (fall-through, direct branch taken/not-taken, direct
 //! jump/call) carries a [`Link`]: the arena id of the successor superblock
-//! stamped with the code-write generation it was formed under. A block's
-//! exit sentinel follows a link with a *single* compare (`stamp ==
-//! entry_gen`) straight into the successor's handler array, and the
-//! machine's trace walk forms the links the chain cannot follow yet. Any
-//! code write bumps the generation, so every existing link is severed by
-//! that same compare; a link re-forms the next time a walk takes its leg,
-//! and that walk lowers the successor first if none is cached (the paper
+//! stamped with the code-write generation it was formed under. One rule
+//! takes every block to its successor. The block's exit sentinel evaluates
+//! the terminator, bills the whole block, services its `ecall` (`exit`
+//! included), and then follows the link with a *single* compare (`stamp ==
+//! entry_gen`) straight into the successor's handler array when the
+//! successor fits the step budget. A leg with no valid link goes back to
+//! the machine's trace walk, the one place links are formed. Any code
+//! write bumps the generation, so every existing link is severed by that
+//! same compare; a link re-forms the next time a walk takes its leg, and
+//! that walk lowers the successor first if none is cached (the paper
 //! likewise rewrites a branch when it is first taken). So a block is
 //! lowered when execution first reaches it, at the loop top or in a walk,
 //! and never ahead of execution. A dropped block's arena id is reused only
@@ -63,7 +66,7 @@
 
 use crate::cost::CostModel;
 use crate::cpu::{self, Cpu, SimError};
-use crate::machine::{syscall, Env, ExecStats};
+use crate::machine::{Env, ExecStats, Step, TraceStats};
 use crate::mem::{MemFault, Memory};
 use softcache_isa::cf::rel_target;
 use softcache_isa::inst::{AluOp, BranchCond, Inst, MemWidth};
@@ -85,52 +88,64 @@ const MAX_SPAN_BYTES: u32 = ((MAX_BODY + 1) * INST_BYTES as usize) as u32;
 
 /// Shared state a threaded chain runs against: the machine halves every
 /// handler needs, the entry generation for the store-time code-write check,
-/// and the walk state the block-exit sentinels need to chain handler-array
-/// to handler-array without returning to the machine's trace walk: the
-/// arena (shared — all mutation stays in the walk), the step budget, the
-/// billing accumulators for blocks the chain retires itself, and the
-/// environment the `ecall` sentinel services calls against.
+/// and what the block-exit sentinels need to bill each block, service its
+/// call and chain handler-array to handler-array without returning to the
+/// machine's trace walk: the arena (shared — all mutation stays in the
+/// walk), the step budget, the billing accumulators, and the environment
+/// calls are serviced against.
 struct Tctx<'a> {
     uops: &'a UopCache,
     env: &'a mut Env,
-    /// The cycle counter at chain entry (`ExecStats::cycles` plus the
-    /// walk's unflushed cycles); with [`Tctx::cycles`] it is the counter
-    /// an in-chain `cycles` call reads.
+    /// `ExecStats::cycles` at chain entry; with [`Tctx::cycles`] it is the
+    /// counter an in-chain `cycles` call reads.
     cycle_base: u64,
-    indirect_ic: bool,
     entry_gen: u64,
-    /// Arena id of the block the chain is currently inside. Exit
-    /// accounting (partial retires, billing the final block) is relative
-    /// to this block, not the entry block.
+    /// Arena id of the block the chain is currently inside. Partial
+    /// retires are relative to this block, not the entry block.
     cur: u32,
-    /// Steps retired this `run_block` call, including blocks this chain
-    /// billed; the in-chain budget check mirrors the walk's exactly.
+    /// Steps retired this `run_block` call, including every block this
+    /// chain billed: the budget the follow helpers check.
     done: u64,
     max_steps: u64,
-    /// Instructions and cycles billed in-chain (blocks the chain *left*;
-    /// the final block is always billed by the walk).
+    /// Instructions, cycles, loads, stores and terminator outcomes billed
+    /// in-chain — accumulated locally and flushed into `ExecStats` once per
+    /// trace run, so the hot transition path never chases the stats
+    /// pointer.
     insts: u64,
     cycles: u64,
-    /// In-chain block transitions (the walk adds them to `trace.chained`).
-    chained: u64,
-    /// Loads/stores/branch outcomes billed in-chain — accumulated locally
-    /// and flushed into `ExecStats` once per trace run, so the hot
-    /// transition path never chases the stats pointer.
     loads: u64,
     stores: u64,
     branches: u64,
     taken_branches: u64,
     calls: u64,
     returns: u64,
-    /// Inline-cache hits for in-chain transitions, flushed into
-    /// [`crate::TraceStats`] by the walk — counted under exactly the
-    /// conditions the walk itself would count them, so the trace ledger is
-    /// the same whether the chain or the walk took a leg.
+    /// In-chain block transitions, for [`TraceStats::chained`].
+    chained: u64,
+    /// Inline-cache predictions that matched, for [`TraceStats::ic_hits`]:
+    /// counted whether or not the budget let the chain follow them.
     ic_hits: u64,
-    chaining: bool,
     /// Fault payload for a [`TExit::Fault`] return (kept out of `TExit`
     /// so the enum stays register-sized; see its doc).
     fault: Option<MemFault>,
+    /// Status of the `exit` call that ended the chain with [`TExit::End`].
+    exited: Option<i32>,
+}
+
+impl Tctx<'_> {
+    /// Bill the first `retired` instructions of the current block, all of
+    /// it that retired before a code write or a fault cut it short, and
+    /// leave `cpu.pc` on the instruction after them.
+    #[cold]
+    fn bill_prefix(&mut self, cpu: &mut Cpu, retired: u32) {
+        let sb = self.uops.block(self.cur);
+        let p = sb.prefix_stats(retired);
+        self.done += u64::from(retired);
+        self.insts += u64::from(retired);
+        self.cycles += p.cycles;
+        self.loads += u64::from(p.loads);
+        self.stores += u64::from(p.stores);
+        cpu.pc = sb.start + INST_BYTES * retired;
+    }
 }
 
 /// How a threaded chain ended. `rem` is the number of slots *remaining*
@@ -143,16 +158,19 @@ struct Tctx<'a> {
 /// optimisation and gives every handler a stack frame. Keeping the return
 /// in registers is what lets the `chain` calls compile to plain `jmp`s —
 /// the fault payload travels through [`Tctx::fault`] instead (cold path),
-/// and the chain successor through [`Tctx::cur`].
+/// the `exit` status through [`Tctx::exited`], and the chain successor
+/// through [`Tctx::cur`].
 enum TExit {
-    /// The terminator ran; the walk handles billing and the successor
-    /// (chain break, or a leg the chain does not follow itself: unformed
-    /// links, inline-cache misses, exhausted budget).
-    Done { taken: bool },
-    /// The terminator's link is valid and its target fits the budget:
-    /// continue the chain in the successor's slot array — `Tctx::cur` is
-    /// already the successor's id and the current block is billed.
+    /// The block retired, is billed and its call serviced, but its
+    /// executed leg has no valid link, or its inline cache did not predict
+    /// the target. The walk forms the link or fills the cache.
+    Unlinked { taken: bool },
+    /// The block retired and is billed, and the chain follows its link:
+    /// `Tctx::cur` is already the successor's id.
     Chain,
+    /// The block retired and is billed, and the walk ends there: its
+    /// successor does not fit the budget, or its call was `exit`.
+    End,
     /// A store patched code; the store itself retired.
     CodeWrite { rem: u32 },
     /// The micro-op faulted without retiring; fault in [`Tctx::fault`].
@@ -313,70 +331,61 @@ fn h_nop(ops: &[ThreadedOp], cpu: &mut Cpu, mem: &mut Memory, ctx: &mut Tctx) ->
     chain(ops, cpu, mem, ctx)
 }
 
-/// Commit the chain into the block with arena id `target` when it fits
-/// the budget: bill the departing block `sb` into the context and point
-/// `ctx.cur` at the successor. Returns `false` — with *no* state changed
-/// — when the leg cannot be followed in-chain; the sentinel then defers
-/// the whole leg to the walk, which re-derives the successor from the same
-/// predictor state and bills the block itself.
+/// Bill block `sb`, which retired whole, into the context: its
+/// instructions, its cycles on the executed leg, its loads and stores.
+/// Every exit sentinel calls it once its terminator has run, before it
+/// services a call or follows a leg; the sentinel counts its terminator's
+/// own class (branch, call, return) itself, as it knows it statically.
 #[inline(always)]
-fn chain_to(sb: &Superblock, target: u32, taken: bool, ctx: &mut Tctx) -> bool {
+fn bill(sb: &Superblock, taken: bool, ctx: &mut Tctx) {
     let len = u64::from(sb.len);
-    // Same budget rule as the walk: the successor must fit what remains
-    // after this block retires. `done + len` cannot overflow `max_steps`
-    // — this block was only entered because it fit.
-    if u64::from(ctx.uops.block(target).len) > ctx.max_steps - (ctx.done + len) {
-        return false;
-    }
     ctx.done += len;
     ctx.insts += len;
     ctx.cycles += if taken { sb.cycles_tk } else { sb.cycles_nt };
     ctx.loads += u64::from(sb.loads);
     ctx.stores += u64::from(sb.stores);
+}
+
+/// Chain into block `next` when it fits the budget left after the billed
+/// block, the walk's rule for its first block too, so `Step::Running`
+/// still means the budget was used exactly; otherwise end the walk.
+#[inline(always)]
+fn enter(next: u32, ctx: &mut Tctx) -> TExit {
+    if u64::from(ctx.uops.block(next).len) > ctx.max_steps - ctx.done {
+        return TExit::End;
+    }
     ctx.chained += 1;
-    ctx.cur = target;
-    true
+    ctx.cur = next;
+    TExit::Chain
 }
 
-/// Follow the executed leg's generation-stamped link when it is valid and
-/// its target fits the budget — so hot traces cycle handler-array to
-/// handler-array without a walk round-trip per block. `branch` is
-/// statically known at each sentinel's call site, so the branch
-/// accounting folds away for jumps and fall-throughs. Billing only
-/// happens on the chain path — when this returns [`TExit::Done`] the walk
-/// bills the block, terminator accounting included.
+/// Follow the executed leg's generation-stamped link when it is valid, so
+/// hot traces cycle handler-array to handler-array without a walk
+/// round-trip per block; an invalid link goes back to the walk to form.
 #[inline(always)]
-fn try_chain(sb: &Superblock, taken: bool, branch: bool, ctx: &mut Tctx) -> TExit {
-    if ctx.chaining {
-        let link = sb.link(taken);
-        if link.stamp == ctx.entry_gen && chain_to(sb, link.id, taken, ctx) {
-            if branch {
-                ctx.branches += 1;
-                ctx.taken_branches += u64::from(taken);
-            }
-            return TExit::Chain;
-        }
+fn follow_link(sb: &Superblock, taken: bool, ctx: &mut Tctx) -> TExit {
+    let link = sb.link(taken);
+    if link.stamp != ctx.entry_gen {
+        return TExit::Unlinked { taken };
     }
-    TExit::Done { taken }
+    enter(link.id, ctx)
 }
 
-/// Follow block `sb`'s inline cache in-chain when it already predicts the
-/// target the indirect terminator just computed. Indirect terminators
-/// never acquire a static link, so this is their only in-chain leg. Fills
-/// and refills stay with the walk (they take `&mut` arena state).
+/// Follow block `sb`'s inline cache when it predicts the target the
+/// indirect terminator just computed. Indirect terminators never acquire
+/// a static link, so this is their only in-chain leg. Fills and refills
+/// stay with the walk (they take `&mut` arena state).
 #[inline(always)]
-fn try_ic(sb: &Superblock, cpu: &Cpu, ctx: &mut Tctx) -> bool {
-    if ctx.chaining && ctx.indirect_ic {
-        let (target, ic) = sb.ic();
-        if ic.stamp == ctx.entry_gen && target == cpu.pc && chain_to(sb, ic.id, false, ctx) {
-            ctx.ic_hits += 1;
-            return true;
-        }
+fn follow_ic(sb: &Superblock, cpu: &Cpu, ctx: &mut Tctx) -> TExit {
+    let (target, ic) = sb.ic();
+    if ic.stamp != ctx.entry_gen || target != cpu.pc {
+        return TExit::Unlinked { taken: false };
     }
-    false
+    ctx.ic_hits += 1;
+    enter(ic.id, ctx)
 }
 
-/// Chain sentinel for direct calls: follow the static callee link.
+/// Exit sentinel for direct calls: follow the static callee link.
 fn t_exit_call(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -387,14 +396,12 @@ fn t_exit_call(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut 
         }
         _ => sb.finish_term(cpu),
     };
-    let exit = try_chain(sb, taken, false, ctx);
-    if matches!(exit, TExit::Chain) {
-        ctx.calls += 1;
-    }
-    exit
+    bill(sb, taken, ctx);
+    ctx.calls += 1;
+    follow_link(sb, taken, ctx)
 }
 
-/// Chain sentinel for returns: the same inline cache as any other
+/// Exit sentinel for returns: the same inline cache as any other
 /// register-indirect terminator.
 fn t_exit_ret(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
@@ -405,14 +412,12 @@ fn t_exit_ret(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut T
         }
         _ => sb.finish_term(cpu),
     };
-    if try_ic(sb, cpu, ctx) {
-        ctx.returns += 1;
-        return TExit::Chain;
-    }
-    TExit::Done { taken }
+    bill(sb, taken, ctx);
+    ctx.returns += 1;
+    follow_ic(sb, cpu, ctx)
 }
 
-/// Chain sentinel for register-indirect jumps: follow the inline cache
+/// Exit sentinel for register-indirect jumps: follow the inline cache
 /// when it already predicts the computed target.
 fn t_exit_jumpreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
@@ -423,14 +428,12 @@ fn t_exit_jumpreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &m
         }
         _ => sb.finish_term(cpu),
     };
-    if try_ic(sb, cpu, ctx) {
-        return TExit::Chain;
-    }
-    TExit::Done { taken }
+    bill(sb, taken, ctx);
+    follow_ic(sb, cpu, ctx)
 }
 
-/// Chain sentinel for register-indirect calls: the inline cache, like
-/// [`t_exit_jumpreg`], billing the call on the chain path.
+/// Exit sentinel for register-indirect calls: the inline cache, like
+/// [`t_exit_jumpreg`].
 fn t_exit_callreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -442,22 +445,21 @@ fn t_exit_callreg(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &m
         }
         _ => sb.finish_term(cpu),
     };
-    if try_ic(sb, cpu, ctx) {
-        ctx.calls += 1;
-        return TExit::Chain;
-    }
-    TExit::Done { taken }
+    bill(sb, taken, ctx);
+    ctx.calls += 1;
+    follow_ic(sb, cpu, ctx)
 }
 
-/// Chain sentinel for fall-through blocks (`Term::None`): no terminator
+/// Exit sentinel for fall-through blocks (`Term::None`): no terminator
 /// work beyond the pc update, never a taken leg.
 fn t_exit_fall(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     cpu.pc = sb.exit_pc;
-    try_chain(sb, false, false, ctx)
+    bill(sb, false, ctx);
+    follow_link(sb, false, ctx)
 }
 
-/// Chain sentinel for direct jumps: pc goes to the static target, the
+/// Exit sentinel for direct jumps: pc goes to the static target, the
 /// not-taken link is the followed leg. The `finish_term` fallback arm is
 /// unreachable by construction (the sentinel is bound by terminator kind)
 /// but keeps the dispatch safe without a panic path.
@@ -470,13 +472,13 @@ fn t_exit_jump(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut 
         }
         _ => sb.finish_term(cpu),
     };
-    try_chain(sb, taken, false, ctx)
+    bill(sb, taken, ctx);
+    follow_link(sb, taken, ctx)
 }
 
-/// Chain sentinel for conditional branches: evaluate the condition
+/// Exit sentinel for conditional branches: evaluate the condition
 /// in-line (the sentinel statically knows the terminator shape, so no
-/// second `match` over `Term`) and account the outcome into the
-/// context-local counters on the chain path.
+/// second `match` over `Term`) and count the outcome.
 fn t_exit_branch(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = match sb.term {
@@ -492,28 +494,28 @@ fn t_exit_branch(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mu
         }
         _ => sb.finish_term(cpu),
     };
-    try_chain(sb, taken, true, ctx)
+    bill(sb, taken, ctx);
+    ctx.branches += 1;
+    ctx.taken_branches += u64::from(taken);
+    follow_link(sb, taken, ctx)
 }
 
-/// Chain sentinel for blocks that end in an `ecall`: the call has retired,
-/// so the PC moves past it. The sentinel chains first and services the
-/// call only once the chain has billed the block, as `step` bills before
-/// it services. A leg the chain cannot follow goes back to the walk with
-/// the call unserviced, and the walk services it: each call runs once.
-/// `exit` always goes back to the walk, which ends the run.
+/// Exit sentinel for blocks that end in an `ecall`: the call has retired,
+/// so the PC moves past it. The sentinel bills the block and then
+/// services the call, as `step` bills before it services, so each call
+/// runs once whichever way the walk goes on. `exit` ends the walk, link
+/// or no link.
 fn t_exit_ecall(_ops: &[ThreadedOp], cpu: &mut Cpu, _mem: &mut Memory, ctx: &mut Tctx) -> TExit {
     let sb = ctx.uops.block(ctx.cur);
     let taken = sb.finish_term(cpu);
-    match sb.ecall() {
-        Some(code) if code != syscall::EXIT => {
-            let exit = try_chain(sb, taken, false, ctx);
-            if matches!(exit, TExit::Chain) {
-                ctx.env.ecall(code, cpu, ctx.cycle_base + ctx.cycles);
-            }
-            exit
+    bill(sb, taken, ctx);
+    if let Some(code) = sb.ecall() {
+        if let Step::Exited(status) = ctx.env.ecall(code, cpu, ctx.cycle_base + ctx.cycles) {
+            ctx.exited = Some(status);
+            return TExit::End;
         }
-        _ => TExit::Done { taken },
     }
+    follow_link(sb, taken, ctx)
 }
 
 /// One slot of a lowered block: the pre-bound handler next to its
@@ -588,55 +590,49 @@ enum Term {
     },
     Ret,
     /// Environment call `ecall code`: it retires as the block's last
-    /// instruction, the PC moves to `exit_pc`, and the caller services the
-    /// call once the block is billed ([`crate::machine::Env::ecall`]).
+    /// instruction, the PC moves to `exit_pc`, and the exit sentinel
+    /// services the call once the block is billed
+    /// ([`crate::machine::Env::ecall`]).
     Ecall {
         code: u16,
     },
 }
 
-/// How a superblock execution ended.
-pub(crate) enum BlockExit {
-    /// The whole block retired; `taken` is the terminator's branch outcome
-    /// (always `false` for non-branch terminators).
-    Done { taken: bool },
-    /// A store inside the body patched watched code: the prefix including
-    /// the store retired, `cpu.pc` points at the next instruction, and the
-    /// caller must resync the superblock cache before continuing.
-    CodeWrite { retired: u32 },
-    /// A load/store faulted: `retired` prior micro-ops retired and
-    /// `cpu.pc` is left on the faulting instruction, exactly like the
-    /// per-instruction path.
-    Fault { retired: u32, err: SimError },
-}
-
 /// Cycle/load/store totals for a partially retired block.
-pub(crate) struct PrefixStats {
-    pub cycles: u64,
-    pub loads: u32,
-    pub stores: u32,
+struct PrefixStats {
+    cycles: u64,
+    loads: u32,
+    stores: u32,
 }
 
-/// Result of one [`UopCache::execute_trace`] run: where the chain ended,
-/// what it billed in-chain, and the final block's exit. The *final* block
-/// (`cur`) is never billed by the chain — the walk bills it from `exit`.
+/// How a trace run ended. Everything that retired is billed by then,
+/// partial retires included.
+pub(crate) enum TraceEnd {
+    /// The final block's executed leg has no valid link, or its inline
+    /// cache did not predict the target: the walk forms the link or fills
+    /// the cache, and walks on if it can.
+    Unlinked { taken: bool },
+    /// The final block's successor does not fit the budget: the walk ends.
+    Break,
+    /// The final block's call was `exit`, with this status: the run ends.
+    Exited(i32),
+    /// A store patched watched code: the prefix through the store retired,
+    /// `cpu.pc` is the next instruction, and the caller must resync the
+    /// superblock cache before continuing.
+    CodeWrite,
+    /// A load or store faulted: the prefix before it retired, and `cpu.pc`
+    /// is left on the faulting instruction, as on the per-instruction path.
+    Fault(SimError),
+}
+
+/// Result of one [`UopCache::execute_trace`] run.
 pub(crate) struct TraceRun {
-    /// Arena id of the block the chain ended in; `exit` (including partial
-    /// retires) is relative to this block.
+    /// Arena id of the block the chain ended in; `end` is relative to it.
     pub(crate) cur: u32,
-    /// Updated steps-retired total (the walk's `done` plus every in-chain
-    /// billed block).
+    /// Updated steps-retired total (the walk's `done` plus every block the
+    /// chain billed).
     pub(crate) done: u64,
-    /// Instructions billed in-chain (equals the `done` delta).
-    pub(crate) insts: u64,
-    /// Cycles billed in-chain.
-    pub(crate) cycles: u64,
-    /// In-chain block transitions, for `trace.chained`.
-    pub(crate) chained: u64,
-    /// In-chain inline-cache hits (indirect legs), for `trace.ic_hits`.
-    pub(crate) ic_hits: u64,
-    /// The final block's exit, to be handled by the walk as usual.
-    pub(crate) exit: BlockExit,
+    pub(crate) end: TraceEnd,
 }
 
 /// Generation-stamped successor link for one terminator leg. `id` indexes
@@ -661,8 +657,7 @@ impl Link {
     };
 }
 
-/// Terminator classification exposed to the trace walk: which successor
-/// mechanism applies (static link vs inline cache) and which chain-break
+/// Terminator classification exposed to the trace walk: which chain-break
 /// counter an ended walk bills to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TermKind {
@@ -702,13 +697,13 @@ pub(crate) struct Superblock {
     /// sentinel is a slot, not an instruction).
     pub(crate) len: u32,
     /// Cycle total when the terminator is not taken.
-    pub(crate) cycles_nt: u64,
+    cycles_nt: u64,
     /// Cycle total when the terminator (a conditional branch) is taken.
-    pub(crate) cycles_tk: u64,
+    cycles_tk: u64,
     /// Loads in the body.
-    pub(crate) loads: u32,
+    loads: u32,
     /// Stores in the body.
-    pub(crate) stores: u32,
+    stores: u32,
     /// Chained successor when the terminator is not taken (also the
     /// fall-through / direct-jump / direct-call leg — `taken` is always
     /// false there).
@@ -775,28 +770,10 @@ impl Superblock {
         }
     }
 
-    #[cold]
-    fn fault(&self, cpu: &mut Cpu, i: usize, fault: MemFault) -> BlockExit {
-        let pc = self.start + INST_BYTES * i as u32;
-        cpu.pc = pc;
-        BlockExit::Fault {
-            retired: i as u32,
-            err: SimError::DataFault { pc, fault },
-        }
-    }
-
-    #[cold]
-    fn code_write(&self, cpu: &mut Cpu, i: usize) -> BlockExit {
-        cpu.pc = self.start + INST_BYTES * (i as u32 + 1);
-        BlockExit::CodeWrite {
-            retired: i as u32 + 1,
-        }
-    }
-
     /// Totals for the first `retired` body micro-ops (cold partial-exit
     /// accounting).
     #[cold]
-    pub(crate) fn prefix_stats(&self, retired: u32) -> PrefixStats {
+    fn prefix_stats(&self, retired: u32) -> PrefixStats {
         let mut p = PrefixStats {
             cycles: 0,
             loads: 0,
@@ -815,7 +792,7 @@ impl Superblock {
 
     /// The successor link for the executed terminator leg.
     #[inline]
-    pub(crate) fn link(&self, taken: bool) -> Link {
+    fn link(&self, taken: bool) -> Link {
         if taken {
             self.link_tk
         } else {
@@ -824,16 +801,16 @@ impl Superblock {
     }
 
     /// The inline-cached (target PC, link) pair for a register-indirect
-    /// terminator. The walk follows it only when the stamp matches the
+    /// terminator. The chain follows it only when the stamp matches the
     /// entry generation *and* the target equals the PC the terminator just
     /// computed.
     #[inline]
-    pub(crate) fn ic(&self) -> (u32, Link) {
+    fn ic(&self) -> (u32, Link) {
         (self.ic_target, self.ic_link)
     }
 
-    /// The terminator's classification for the trace walk's successor
-    /// selection and chain-break telemetry.
+    /// The terminator's classification for the trace walk's chain-break
+    /// telemetry.
     #[inline]
     pub(crate) fn term_kind(&self) -> TermKind {
         match self.term {
@@ -850,7 +827,7 @@ impl Superblock {
 
     /// The service code when the block ends in an `ecall`.
     #[inline]
-    pub(crate) fn ecall(&self) -> Option<u16> {
+    fn ecall(&self) -> Option<u16> {
         match self.term {
             Term::Ecall { code } => Some(code),
             _ => None,
@@ -884,23 +861,6 @@ impl Superblock {
             Term::None | Term::Ecall { .. } => (!taken).then_some(self.exit_pc),
             Term::Jump { target } | Term::Call { target } => (!taken).then_some(target),
             Term::JumpReg { .. } | Term::CallReg { .. } | Term::Ret => None,
-        }
-    }
-
-    /// Bump the terminator's contribution to the classified instruction
-    /// counters, matching `ExecStats::account` on the original `Inst`.
-    #[inline]
-    pub(crate) fn account_term(&self, stats: &mut ExecStats, taken: bool) {
-        match self.term {
-            Term::Branch { .. } => {
-                stats.branches += 1;
-                if taken {
-                    stats.taken_branches += 1;
-                }
-            }
-            Term::Call { .. } | Term::CallReg { .. } => stats.calls += 1,
-            Term::Ret => stats.returns += 1,
-            Term::None | Term::Jump { .. } | Term::JumpReg { .. } | Term::Ecall { .. } => {}
         }
     }
 }
@@ -1064,9 +1024,10 @@ fn lower(
     } else {
         pc
     };
-    // The block-exit sentinel: evaluates the terminator, then follows the
-    // static link (or, for indirects, the inline cache) in-chain when it
-    // is valid; everything else goes back to the walk.
+    // The block-exit sentinel: evaluates the terminator, bills the block,
+    // services its call, then follows the static link (or, for indirects,
+    // the inline cache) when it is valid; an unlinked leg goes back to the
+    // walk.
     let exit: Handler = match term {
         Term::None => t_exit_fall,
         Term::Branch { .. } => t_exit_branch,
@@ -1304,19 +1265,20 @@ impl UopCache {
         &self.blocks[id as usize]
     }
 
-    /// Run block `first` — and keep running: the block-exit sentinels
-    /// chain linked successors directly, billing each block they leave
-    /// into the context, so hot traces execute handler-array to
-    /// handler-array with no walk round-trip. The trampoline loop here
-    /// costs one indirect call per *block* transition and keeps the
-    /// handler recursion bounded per block regardless of trace length.
-    /// Exit semantics, accounting and the store-time generation check
-    /// match running the same instructions through `Machine::step` — the
+    /// Run block `first` — and keep running: each block-exit sentinel
+    /// bills its block, services its call and chains into the linked
+    /// successor, so hot traces execute handler-array to handler-array
+    /// with no walk round-trip. The trampoline loop here costs one
+    /// indirect call per *block* transition and keeps the handler
+    /// recursion bounded per block regardless of trace length. Everything
+    /// that retired is billed into `stats` (and the chain's transitions
+    /// and inline-cache hits into `trace`) before this returns. Exit
+    /// semantics, accounting and the store-time generation check match
+    /// running the same instructions through `Machine::step` — the
     /// differential tests hold the engine to it.
     ///
-    /// `done`/`max_steps` are the walk's budget state (the walk must
-    /// already have checked that `first` fits), and `cycles` the walk's
-    /// cycles not yet flushed into `stats`.
+    /// `done`/`max_steps` are the walk's budget state; the walk must
+    /// already have checked that `first` fits.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_trace(
         &self,
@@ -1325,68 +1287,66 @@ impl UopCache {
         mem: &mut Memory,
         env: &mut Env,
         stats: &mut ExecStats,
-        cycles: u64,
-        indirect_ic: bool,
+        trace: &mut TraceStats,
         entry_gen: u64,
         done: u64,
         max_steps: u64,
-        chaining: bool,
     ) -> TraceRun {
         let mut ops = &*self.block(first).ops;
         debug_assert_eq!(cpu.pc, self.block(first).start);
         let mut ctx = Tctx {
             uops: self,
             env,
-            cycle_base: stats.cycles + cycles,
-            indirect_ic,
+            cycle_base: stats.cycles,
             entry_gen,
             cur: first,
             done,
             max_steps,
             insts: 0,
             cycles: 0,
-            chained: 0,
             loads: 0,
             stores: 0,
             branches: 0,
             taken_branches: 0,
             calls: 0,
             returns: 0,
+            chained: 0,
             ic_hits: 0,
-            chaining,
             fault: None,
+            exited: None,
         };
-        let exit = loop {
+        let end = loop {
             match (ops[0].h)(ops, cpu, mem, &mut ctx) {
                 TExit::Chain => ops = &self.block(ctx.cur).ops,
-                TExit::Done { taken } => break BlockExit::Done { taken },
+                TExit::Unlinked { taken } => break TraceEnd::Unlinked { taken },
+                TExit::End => break ctx.exited.map_or(TraceEnd::Break, TraceEnd::Exited),
                 TExit::CodeWrite { rem } => {
-                    let sb = self.block(ctx.cur);
-                    break sb.code_write(cpu, sb.ops.len() - rem as usize);
+                    // The store itself retired.
+                    ctx.bill_prefix(cpu, (ops.len() - rem as usize) as u32 + 1);
+                    break TraceEnd::CodeWrite;
                 }
                 TExit::Fault { rem } => {
-                    let sb = self.block(ctx.cur);
-                    let f = ctx.fault.take().expect("fault exit without payload");
-                    break sb.fault(cpu, sb.ops.len() - rem as usize, f);
+                    ctx.bill_prefix(cpu, (ops.len() - rem as usize) as u32);
+                    let fault = ctx.fault.take().expect("fault exit without payload");
+                    break TraceEnd::Fault(SimError::DataFault { pc: cpu.pc, fault });
                 }
             }
         };
-        // Flush the in-chain billing accumulators in one pass; the walk
-        // bills the final block (and its terminator) itself.
+        // Flush the billing accumulators in one pass.
+        stats.instructions += ctx.insts;
+        stats.cycles += ctx.cycles;
         stats.loads += ctx.loads;
         stats.stores += ctx.stores;
         stats.branches += ctx.branches;
         stats.taken_branches += ctx.taken_branches;
         stats.calls += ctx.calls;
         stats.returns += ctx.returns;
+        trace.chained += ctx.chained;
+        trace.ic_hits += ctx.ic_hits;
         TraceRun {
             cur: ctx.cur,
             done: ctx.done,
-            insts: ctx.insts,
-            cycles: ctx.cycles,
-            chained: ctx.chained,
-            ic_hits: ctx.ic_hits,
-            exit,
+            end,
         }
     }
 

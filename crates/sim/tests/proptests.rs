@@ -192,80 +192,6 @@ proptest! {
         prop_assert_eq!(fast_exit, n as i32 * k);
     }
 
-    /// Superblock *chaining* (trace formation) is step-for-step identical
-    /// to both the unchained engine and the slow path on arbitrary
-    /// programs with interleaved external backpatches. Budgets are large
-    /// enough that traces genuinely chain (several blocks per
-    /// `run_block`), and every backpatch bumps the code generation, so
-    /// stamped links form, sever, and re-form throughout the run.
-    #[test]
-    fn chained_traces_match_slow_path_on_garbage(
-        words in prop::collection::vec(any::<u32>(), 1..64),
-        patches in prop::collection::vec((0u32..64, any::<u32>()), 0..4),
-        budget in 16u64..96,
-    ) {
-        let image = softcache_isa::Image {
-            entry: softcache_isa::layout::TEXT_BASE,
-            text_base: softcache_isa::layout::TEXT_BASE,
-            text: words.clone(),
-            data_base: softcache_isa::layout::DATA_BASE,
-            data: vec![],
-            symbols: vec![],
-        };
-        let mut fast = Machine::load_native(&image, b"in");
-        let mut nolink = Machine::load_native(&image, b"in");
-        nolink.set_chaining_enabled(false);
-        let mut slow = Machine::load_native(&image, b"in");
-        let catch_up = |fast: &Machine, slow: &mut Machine,
-                            f: &Result<Step, softcache_sim::SimError>|
-         -> Result<(), TestCaseError> {
-            let mut last = Ok(Step::Running);
-            while slow.stats.instructions < fast.stats.instructions {
-                last = slow.step();
-                prop_assert!(
-                    last.is_ok(),
-                    "slow faulted while behind: {last:?} (fast: {f:?})"
-                );
-            }
-            if f.is_err() {
-                let s = slow.step();
-                prop_assert_eq!(f, &s, "fault diverged");
-            } else {
-                prop_assert_eq!(f, &last, "step outcome diverged");
-            }
-            prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
-            prop_assert_eq!(fast.cpu.pc, slow.cpu.pc, "pc diverged");
-            Ok(())
-        };
-        'outer: for (i, &(slot, val)) in patches.iter().enumerate() {
-            for _ in 0..(10 * (i + 1)) {
-                let f = fast.run_block(budget);
-                let n = nolink.run_block(budget);
-                prop_assert_eq!(&f, &n, "chained vs unchained outcome diverged");
-                prop_assert_eq!(fast.stats, nolink.stats, "chained vs unchained stats");
-                catch_up(&fast, &mut slow, &f)?;
-                if !matches!(f, Ok(Step::Running)) {
-                    break 'outer;
-                }
-            }
-            let addr = image.text_base + (slot % words.len() as u32) * 4;
-            let _ = fast.mem.write_u32(addr, val);
-            let _ = nolink.mem.write_u32(addr, val);
-            let _ = slow.mem.write_u32(addr, val);
-        }
-        for _ in 0..100 {
-            let f = fast.run_block(budget);
-            let n = nolink.run_block(budget);
-            prop_assert_eq!(&f, &n, "chained vs unchained outcome diverged");
-            prop_assert_eq!(fast.stats, nolink.stats, "chained vs unchained stats");
-            catch_up(&fast, &mut slow, &f)?;
-            if !matches!(f, Ok(Step::Running)) {
-                break;
-            }
-        }
-        prop_assert_eq!(fast.env.output, slow.env.output, "output diverged");
-    }
-
     /// A loop whose first block stores over an instruction in its
     /// *successor* block every iteration: the store's generation bump
     /// severs the chain link mid-trace, the code-write exit retires
@@ -309,83 +235,6 @@ proptest! {
         // The store lands before the successor block runs, so every
         // iteration (the first included) adds 1 + the patched immediate.
         prop_assert_eq!(fast_exit, n as i32 * (1 + k));
-    }
-
-    /// The indirect-branch inline caches are step-for-step
-    /// identical to the IC-less chained engine and to the slow path on
-    /// arbitrary programs with interleaved external backpatches: every
-    /// cached indirect target is severed by the generation stamp the
-    /// moment anything is patched, and a wrong prediction only costs the
-    /// chain, never architectural state.
-    #[test]
-    fn indirect_ic_matches_slow_path_on_garbage(
-        words in prop::collection::vec(any::<u32>(), 1..64),
-        patches in prop::collection::vec((0u32..64, any::<u32>()), 0..4),
-        budget in 16u64..96,
-    ) {
-        let image = softcache_isa::Image {
-            entry: softcache_isa::layout::TEXT_BASE,
-            text_base: softcache_isa::layout::TEXT_BASE,
-            text: words.clone(),
-            data_base: softcache_isa::layout::DATA_BASE,
-            data: vec![],
-            symbols: vec![],
-        };
-        // Defaults: chaining + indirect ICs on.
-        let mut fast = Machine::load_native(&image, b"in");
-        // Chained but with the inline caches off.
-        let mut noic = Machine::load_native(&image, b"in");
-        noic.set_indirect_ic_enabled(false);
-        let mut slow = Machine::load_native(&image, b"in");
-        let catch_up = |fast: &Machine, slow: &mut Machine,
-                            f: &Result<Step, softcache_sim::SimError>|
-         -> Result<(), TestCaseError> {
-            let mut last = Ok(Step::Running);
-            while slow.stats.instructions < fast.stats.instructions {
-                last = slow.step();
-                prop_assert!(
-                    last.is_ok(),
-                    "slow faulted while behind: {last:?} (fast: {f:?})"
-                );
-            }
-            if f.is_err() {
-                let s = slow.step();
-                prop_assert_eq!(f, &s, "fault diverged");
-            } else {
-                prop_assert_eq!(f, &last, "step outcome diverged");
-            }
-            prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
-            prop_assert_eq!(fast.cpu.pc, slow.cpu.pc, "pc diverged");
-            Ok(())
-        };
-        'outer: for (i, &(slot, val)) in patches.iter().enumerate() {
-            for _ in 0..(10 * (i + 1)) {
-                let f = fast.run_block(budget);
-                let n = noic.run_block(budget);
-                prop_assert_eq!(&f, &n, "IC-on vs IC-off outcome diverged");
-                prop_assert_eq!(fast.stats, noic.stats, "IC-on vs IC-off stats");
-                catch_up(&fast, &mut slow, &f)?;
-                if !matches!(f, Ok(Step::Running)) {
-                    break 'outer;
-                }
-            }
-            let addr = image.text_base + (slot % words.len() as u32) * 4;
-            let _ = fast.mem.write_u32(addr, val);
-            let _ = noic.mem.write_u32(addr, val);
-            let _ = slow.mem.write_u32(addr, val);
-        }
-        for _ in 0..100 {
-            let f = fast.run_block(budget);
-            let n = noic.run_block(budget);
-            prop_assert_eq!(&f, &n, "IC-on vs IC-off outcome diverged");
-            prop_assert_eq!(fast.stats, noic.stats, "IC-on vs IC-off stats");
-            catch_up(&fast, &mut slow, &f)?;
-            if !matches!(f, Ok(Step::Running)) {
-                break;
-            }
-        }
-        prop_assert_eq!(fast.env.output, slow.env.output, "output diverged");
-        prop_assert_eq!(noic.trace.ic_hits, 0, "disabled IC must never fire");
     }
 
     /// A loop that patches an instruction *inside the target block of a
@@ -470,15 +319,11 @@ proptest! {
         );
     }
 
-    /// Deep recursion through one `ret` shared by two call sites, with
-    /// the inline cache on and off: stats match the slow path either way.
-    /// With the cache on, only the two returns into not-yet-lowered code
-    /// break their trace; with it off, every return does.
+    /// Deep recursion through one `ret` shared by two call sites: stats
+    /// match the slow path, and only the two returns into not-yet-lowered
+    /// code break their trace.
     #[test]
-    fn deep_recursion_returns_match_slow_path(
-        depth in 1u32..40,
-        indirect_ic in any::<bool>(),
-    ) {
+    fn deep_recursion_returns_match_slow_path(depth in 1u32..40) {
         let src = format!(
             "_start: li a0, {depth}\n jal .Lrec\n mv a0, t1\n ecall 0\n\
              .Lrec: addi t1, t1, 1\n beqz a0, .Lbase\n\
@@ -488,7 +333,6 @@ proptest! {
         );
         let image = softcache_asm::assemble(&src).unwrap();
         let mut fast = Machine::load_native(&image, &[]);
-        fast.set_indirect_ic_enabled(indirect_ic);
         let fast_exit = fast.run_native(1_000_000).unwrap();
         let mut slow = Machine::load_native(&image, &[]);
         let slow_exit = loop {
@@ -507,81 +351,7 @@ proptest! {
             t.breaks.total() + t.code_write_exits + t.fault_exits,
             "walk entries balance walk exits"
         );
-        if indirect_ic {
-            prop_assert!(t.breaks.ret <= 2, "{t:?}");
-        } else {
-            prop_assert_eq!(t.breaks.ret, u64::from(depth) + 1, "{:?}", t);
-        }
-    }
-
-    /// Threaded blocks are step-for-step identical to the slow path on
-    /// arbitrary programs with interleaved external backpatches: every
-    /// generation bump drops stale handler arrays via the stamp barrier,
-    /// and the in-chain sentinels leave the walk ledger balanced.
-    #[test]
-    fn threaded_blocks_match_slow_path_on_garbage(
-        words in prop::collection::vec(any::<u32>(), 1..64),
-        patches in prop::collection::vec((0u32..64, any::<u32>()), 0..4),
-        budget in 16u64..96,
-    ) {
-        let image = softcache_isa::Image {
-            entry: softcache_isa::layout::TEXT_BASE,
-            text_base: softcache_isa::layout::TEXT_BASE,
-            text: words.clone(),
-            data_base: softcache_isa::layout::DATA_BASE,
-            data: vec![],
-            symbols: vec![],
-        };
-        let mut fast = Machine::load_native(&image, b"in");
-        let mut slow = Machine::load_native(&image, b"in");
-        let catch_up = |fast: &Machine, slow: &mut Machine,
-                            f: &Result<Step, softcache_sim::SimError>|
-         -> Result<(), TestCaseError> {
-            let mut last = Ok(Step::Running);
-            while slow.stats.instructions < fast.stats.instructions {
-                last = slow.step();
-                prop_assert!(
-                    last.is_ok(),
-                    "slow faulted while behind: {last:?} (fast: {f:?})"
-                );
-            }
-            if f.is_err() {
-                let s = slow.step();
-                prop_assert_eq!(f, &s, "fault diverged");
-            } else {
-                prop_assert_eq!(f, &last, "step outcome diverged");
-            }
-            prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
-            prop_assert_eq!(fast.cpu.pc, slow.cpu.pc, "pc diverged");
-            Ok(())
-        };
-        'outer: for (i, &(slot, val)) in patches.iter().enumerate() {
-            for _ in 0..(10 * (i + 1)) {
-                let f = fast.run_block(budget);
-                catch_up(&fast, &mut slow, &f)?;
-                if !matches!(f, Ok(Step::Running)) {
-                    break 'outer;
-                }
-            }
-            let addr = image.text_base + (slot % words.len() as u32) * 4;
-            let _ = fast.mem.write_u32(addr, val);
-            let _ = slow.mem.write_u32(addr, val);
-        }
-        for _ in 0..100 {
-            let f = fast.run_block(budget);
-            catch_up(&fast, &mut slow, &f)?;
-            if !matches!(f, Ok(Step::Running)) {
-                break;
-            }
-        }
-        prop_assert_eq!(fast.env.output, slow.env.output, "output diverged");
-        let t = fast.trace;
-        prop_assert_eq!(
-            t.entries,
-            t.breaks.total() + t.code_write_exits + t.fault_exits,
-            "walk entries balance walk exits: {:?}", t
-        );
-        prop_assert_eq!(t.tier_super_insts, 0);
+        prop_assert!(t.breaks.ret <= 2, "{t:?}");
     }
 
     /// A loop that stores over an instruction *inside its own block* every
@@ -671,7 +441,6 @@ proptest! {
             "walk entries balance walk exits: {:?}", t
         );
         // No trap ends a native run, and `exit` retires in its block.
-        prop_assert_eq!(t.tier_super_insts, 0);
         prop_assert_eq!(
             t.tier_threaded_insts + t.tier_interp_insts,
             fast.stats.instructions,
@@ -755,5 +524,80 @@ proptest! {
             Err(RunError::OutOfFuel { .. }) => prop_assert!(false, "loop must terminate"),
             Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
         }
+    }
+}
+
+proptest! {
+    // The engine's one differential test on garbage programs, with three
+    // times the case budget of the tests above.
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// Threaded blocks are step-for-step identical to the slow path on
+    /// arbitrary programs with interleaved external backpatches: every
+    /// generation bump drops stale handler arrays via the stamp barrier,
+    /// and the in-chain sentinels leave the walk ledger balanced.
+    #[test]
+    fn threaded_blocks_match_slow_path_on_garbage(
+        words in prop::collection::vec(any::<u32>(), 1..64),
+        patches in prop::collection::vec((0u32..64, any::<u32>()), 0..4),
+        budget in 16u64..96,
+    ) {
+        let image = softcache_isa::Image {
+            entry: softcache_isa::layout::TEXT_BASE,
+            text_base: softcache_isa::layout::TEXT_BASE,
+            text: words.clone(),
+            data_base: softcache_isa::layout::DATA_BASE,
+            data: vec![],
+            symbols: vec![],
+        };
+        let mut fast = Machine::load_native(&image, b"in");
+        let mut slow = Machine::load_native(&image, b"in");
+        let catch_up = |fast: &Machine, slow: &mut Machine,
+                            f: &Result<Step, softcache_sim::SimError>|
+         -> Result<(), TestCaseError> {
+            let mut last = Ok(Step::Running);
+            while slow.stats.instructions < fast.stats.instructions {
+                last = slow.step();
+                prop_assert!(
+                    last.is_ok(),
+                    "slow faulted while behind: {last:?} (fast: {f:?})"
+                );
+            }
+            if f.is_err() {
+                let s = slow.step();
+                prop_assert_eq!(f, &s, "fault diverged");
+            } else {
+                prop_assert_eq!(f, &last, "step outcome diverged");
+            }
+            prop_assert_eq!(fast.stats, slow.stats, "stats diverged");
+            prop_assert_eq!(fast.cpu.pc, slow.cpu.pc, "pc diverged");
+            Ok(())
+        };
+        'outer: for (i, &(slot, val)) in patches.iter().enumerate() {
+            for _ in 0..(10 * (i + 1)) {
+                let f = fast.run_block(budget);
+                catch_up(&fast, &mut slow, &f)?;
+                if !matches!(f, Ok(Step::Running)) {
+                    break 'outer;
+                }
+            }
+            let addr = image.text_base + (slot % words.len() as u32) * 4;
+            let _ = fast.mem.write_u32(addr, val);
+            let _ = slow.mem.write_u32(addr, val);
+        }
+        for _ in 0..100 {
+            let f = fast.run_block(budget);
+            catch_up(&fast, &mut slow, &f)?;
+            if !matches!(f, Ok(Step::Running)) {
+                break;
+            }
+        }
+        prop_assert_eq!(fast.env.output, slow.env.output, "output diverged");
+        let t = fast.trace;
+        prop_assert_eq!(
+            t.entries,
+            t.breaks.total() + t.code_write_exits + t.fault_exits,
+            "walk entries balance walk exits: {:?}", t
+        );
     }
 }

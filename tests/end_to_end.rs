@@ -1,7 +1,7 @@
 //! Cross-crate integration: every workload must produce byte-identical
 //! output on (a) the AST interpreter, (b) the native simulator — on the
-//! per-step reference interpreter and on every dispatch configuration of
-//! the block engine, which must also retire identical `ExecStats` — (c)
+//! per-step reference interpreter, on `run_block` with superblocks off and
+//! on the block engine, which must also retire identical `ExecStats` — (c)
 //! the software instruction cache, (d) the full software cache
 //! (instructions + data + stack), and — for ARM-compatible workloads —
 //! (e) the procedure-granularity cache with eviction.
@@ -29,7 +29,7 @@ fn check_all_engines(w: &Workload) {
     let (want_code, want_out) = w.expected(&input, 2_000_000_000);
 
     // Native, on the reference interpreter (decode on every step): the
-    // oracle every dispatch configuration below must reproduce exactly.
+    // oracle both `run_block` legs below must reproduce exactly.
     let image = w.image(true);
     let mut slow = Machine::load_native(&image, &input);
     let code = loop {
@@ -43,16 +43,9 @@ fn check_all_engines(w: &Workload) {
     assert_eq!(code, want_code, "{} slow-path exit", w.name);
     assert_eq!(slow.env.output, want_out, "{} slow-path output", w.name);
 
-    type Configure = fn(&mut Machine);
-    let dispatch: [(&str, Configure); 4] = [
-        ("superblocks off", |m| m.set_superblocks_enabled(false)),
-        ("chaining off", |m| m.set_chaining_enabled(false)),
-        ("IC off", |m| m.set_indirect_ic_enabled(false)),
-        ("defaults", |_| {}),
-    ];
-    for (tag, configure) in dispatch {
+    for (tag, superblocks) in [("superblocks off", false), ("defaults", true)] {
         let mut native = Machine::load_native(&image, &input);
-        configure(&mut native);
+        native.set_superblocks_enabled(superblocks);
         let code = native
             .run_native(500_000_000)
             .unwrap_or_else(|e| panic!("{} native ({tag}): {e}", w.name));
